@@ -2,7 +2,11 @@
 
 The pipeline scores candidate pairs, temperature-scales the scores on a held
 out calibration split, and converts them into predict/abstain decisions with
-a conformal threshold that bounds the error rate among retained predictions.
+a split-conformal threshold. When calibration and test are exchangeable (the
+random protocol), the threshold guarantees marginal coverage: a test pair's
+true-label nonconformity score is at most the threshold with probability at
+least 1 - epsilon. It does not bound the error rate among retained
+predictions, and the shifted protocols carry no guarantee.
 """
 
 from .calibration import (

@@ -18,12 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .calibration import brier, ece, nll
-from .config import (
-    ConfigError,
-    RunConfig,
-    load_config,
-    resolve_threads,
-)
+from .config import ConfigError, RunConfig, load_config
 from .conformal import (
     DECISION_PREDICT,
     PipelineResult,
@@ -90,7 +85,7 @@ def _load_dataset(config: RunConfig) -> Dataset:
     return data
 
 
-def _make_manifest(config: RunConfig, data: Dataset, workers: int) -> SplitManifest:
+def _make_manifest(config: RunConfig, data: Dataset) -> SplitManifest:
     split = config.split
     if split.protocol == PROTOCOL_RANDOM:
         return split_random(data, fractions=split.fractions, seed=split.seed)
@@ -109,7 +104,6 @@ def _make_manifest(config: RunConfig, data: Dataset, workers: int) -> SplitManif
             cal_fraction=split.cal_fraction,
             test_fraction=split.test_fraction,
             seed=split.seed,
-            workers=workers,
         )
     raise ConfigError(f"split.protocol: unknown protocol {split.protocol!r}")
 
@@ -121,8 +115,7 @@ def _get_manifest(
         manifest = SplitManifest.load(manifest_path)
         runner.log(f"loaded manifest from {manifest_path}")
         return manifest
-    workers = resolve_threads(runner.config)
-    manifest = _make_manifest(runner.config, data, workers)
+    manifest = _make_manifest(runner.config, data)
     runner.write_text("manifest.json", manifest.to_json())
     return manifest
 
@@ -468,7 +461,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="rename input columns, e.g. cdr3b=beta,label=bound",
     )
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, help="worker count for pairwise scans")
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
@@ -550,7 +542,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     mapping = {
         "dataset": "dataset.path",
         "out": "output_dir",
-        "threads": "threads",
         "protocol": "split.protocol",
         "split_seed": "split.seed",
         "k_epitopes": "split.k_test_epitopes",

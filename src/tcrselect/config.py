@@ -8,7 +8,6 @@ and bad values raise ConfigError naming the dotted field path.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -23,8 +22,6 @@ from .splits import (
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
 )
-
-THREADS_ENV_VAR = "TCRSELECT_THREADS"
 
 _PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
 _SCORER_MODES = ("builtin", "logits")
@@ -103,7 +100,6 @@ class RunConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
     simulate: SimulateSection = field(default_factory=SimulateSection)
     output_dir: str = "out"
-    threads: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -112,12 +108,11 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def semantic_dict(self) -> dict:
-        """Config without output_dir and threads. Those choose where results
-        land and how fast they compute, never what they contain, so the
-        provenance fingerprint is taken over this view."""
+        """Config without output_dir. It chooses where results land, never
+        what they contain, so the provenance fingerprint is taken over this
+        view."""
         trimmed = self.to_dict()
         del trimmed["output_dir"]
-        del trimmed["threads"]
         return trimmed
 
     def semantic_json(self) -> str:
@@ -190,8 +185,6 @@ def _validate(config: RunConfig) -> RunConfig:
         )
     if config.scorer.mode == "logits" and not config.scorer.logits_path:
         raise ConfigError("scorer.logits_path: required when scorer.mode is 'logits'")
-    if config.threads is not None and config.threads < 1:
-        raise ConfigError("threads: must be >= 1")
     return config
 
 
@@ -225,18 +218,3 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any] | None = N
         node[parts[-1]] = value
     return config_from_dict(raw)
 
-
-def resolve_threads(config: RunConfig) -> int:
-    """Worker count: config value if set, else the environment, else 1."""
-    if config.threads is not None:
-        return config.threads
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR}: expected an integer, got {raw!r}") from None
-        if value < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR}: must be >= 1")
-        return value
-    return 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .distance import identity_at_least
+from .distance import CandidateIndex, identity_at_least
 
 AMINO_ACIDS = frozenset("ACDEFGHIKLMNPQRSTVWY")
 
@@ -220,14 +220,20 @@ def deduplicate(data: Dataset, identity_threshold: float) -> Dataset:
     """
     if not 0.0 < identity_threshold <= 1.0:
         raise ValueError("identity_threshold must be in (0, 1]")
+    keys = [ex.concatenation for ex in data]
+    # the index holds the kept keys, so its ids are positions in kept_keys
+    index = CandidateIndex(identity_threshold, max(map(len, keys), default=0))
     kept: list[SequenceExample] = []
     kept_keys: list[str] = []
-    for ex in data:
-        key = ex.concatenation
-        if any(identity_at_least(key, other, identity_threshold) for other in kept_keys):
+    for ex, key in zip(data, keys):
+        if any(
+            identity_at_least(key, kept_keys[i], identity_threshold)
+            for i in index.candidates(key)
+        ):
             continue
         kept.append(ex)
         kept_keys.append(key)
+        index.add(key)
     return Dataset(kept)
 
 

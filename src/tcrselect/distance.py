@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 
@@ -75,7 +74,8 @@ def identity(a: str, b: str) -> float:
     longest = max(len(a), len(b))
     if longest == 0:
         return 1.0
-    return 1.0 - levenshtein(a, b) / longest
+    # one rounding step, so identity >= t agrees with identity_at_least
+    return (longest - levenshtein(a, b)) / longest
 
 
 def max_edits_for_identity(threshold: float, longest: int) -> int:
@@ -93,6 +93,97 @@ def identity_at_least(a: str, b: str, threshold: float) -> bool:
     if abs(len(a) - len(b)) > allowed:
         return False
     return levenshtein_bounded(a, b, allowed) <= allowed
+
+
+class CandidateIndex:
+    """Exact candidate filter for identity_at_least at one threshold.
+
+    The Pass-Join pigeonhole (Li et al., VLDB 2011). A stored string of length
+    L is cut into 2*D + 1 contiguous segments, where D is the largest pair
+    budget it can have with a partner of at most `longest` characters that
+    passes the length check. Each edit breaks at most one segment, so a
+    partner within k <= D edits contains at least 2*D + 1 - k of them
+    unchanged, each moved by a shift s with |s| + |len difference - s| <= k.
+    Strings shorter than 2*D + 1 are always candidates. No true pair is ever
+    filtered out, for any query length; `longest` only tunes how selective
+    the filter is. identity_at_least still decides every candidate.
+    """
+
+    def __init__(self, threshold: float, longest: int) -> None:
+        self.threshold = threshold
+        self.longest = longest
+        self._size = 0
+        # length -> (segment (offset, size) spans, a text -> ids table per
+        # span, every id of that length)
+        self._buckets: dict[
+            int, tuple[list[tuple[int, int]], list[dict[str, list[int]]], list[int]]
+        ] = {}
+
+    def _segment_budget(self, length: int) -> int:
+        # the pair budget grows with the partner's length, so D is the budget
+        # of the longest partner that still passes the length check
+        partner = length
+        while partner < self.longest and partner + 1 - length <= max_edits_for_identity(
+            self.threshold, partner + 1
+        ):
+            partner += 1
+        return max_edits_for_identity(self.threshold, partner)
+
+    def add(self, string: str) -> None:
+        """Store string under the next id: 0, 1, ... in the order added."""
+        ident = self._size
+        self._size += 1
+        length = len(string)
+        bucket = self._buckets.get(length)
+        if bucket is None:
+            parts = 2 * self._segment_budget(length) + 1
+            spans: list[tuple[int, int]] = []
+            if length >= parts:
+                bounds = [length * k // parts for k in range(parts + 1)]
+                spans = [(bounds[k], bounds[k + 1] - bounds[k]) for k in range(parts)]
+            bucket = self._buckets[length] = (spans, [{} for _ in spans], [])
+        spans, tables, members = bucket
+        for (offset, size), table in zip(spans, tables):
+            table.setdefault(string[offset : offset + size], []).append(ident)
+        members.append(ident)
+
+    def candidates(self, query: str) -> list[int]:
+        """Ascending ids of every stored string that may be within the
+        identity threshold of query."""
+        lq = len(query)
+        found: list[int] = []
+        for length, (spans, tables, members) in self._buckets.items():
+            budget = max_edits_for_identity(self.threshold, max(length, lq))
+            delta = lq - length
+            if abs(delta) > budget:
+                continue
+            need = len(spans) - budget
+            if need <= 0:
+                found.extend(members)
+                continue
+            # an id that matches `need` segments matches one of the first
+            # budget + 1, so later segments only count ids already hit
+            opening = budget + 1
+            # shifts s with |s| + |delta - s| <= budget
+            lo = -((budget - delta) // 2)
+            hi = (budget + delta) // 2
+            hits: dict[int, int] = {}
+            for seg, ((offset, size), table) in enumerate(zip(spans, tables)):
+                matched: set[int] = set()
+                for pos in range(max(0, offset + lo), min(lq - size, offset + hi) + 1):
+                    ids = table.get(query[pos : pos + size])
+                    if ids:
+                        matched.update(ids)
+                if seg < opening:
+                    for ident in matched:
+                        hits[ident] = hits.get(ident, 0) + 1
+                else:
+                    for ident in matched:
+                        if ident in hits:
+                            hits[ident] += 1
+            found.extend(ident for ident, count in hits.items() if count >= need)
+        found.sort()
+        return found
 
 
 class _UnionFind:
@@ -122,45 +213,27 @@ class _UnionFind:
             self.rank[rx] += 1
 
 
-def _edges_for_rows(strings: Sequence[str], lo: int, hi: int, threshold: float) -> list[tuple[int, int]]:
-    edges = []
-    n = len(strings)
-    for i in range(lo, hi):
-        si = strings[i]
-        for j in range(i + 1, n):
-            if identity_at_least(si, strings[j], threshold):
-                edges.append((i, j))
-    return edges
 
 
-def cluster_by_identity(
-    strings: Sequence[str], min_identity: float, workers: int = 1
-) -> list[list[int]]:
+def cluster_by_identity(strings: Sequence[str], min_identity: float) -> list[list[int]]:
     """Single-linkage components of the identity >= min_identity graph.
 
     Returns index clusters ordered by smallest member. Cross-cluster pairs are
-    guaranteed identity < min_identity. workers > 1 fans the pairwise scan out
-    over row chunks; the reduction is order-stable so results match serial runs.
+    guaranteed identity < min_identity. Each string is checked only against
+    the earlier strings a CandidateIndex proposes and that are not yet in its
+    component, which leaves the components unchanged.
     """
     if not 0.0 < min_identity <= 1.0:
         raise ValueError("min_identity must be in (0, 1]")
     n = len(strings)
     uf = _UnionFind(n)
-    if workers > 1 and n > 2 * workers:
-        bounds = [round(k * n / workers) for k in range(workers + 1)]
-        chunks = [(strings, bounds[k], bounds[k + 1], min_identity) for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for edges in pool.map(_edges_for_rows_star, chunks):
-                for i, j in edges:
-                    uf.union(i, j)
-    else:
-        for i, j in _edges_for_rows(strings, 0, n, min_identity):
-            uf.union(i, j)
+    index = CandidateIndex(min_identity, max(map(len, strings), default=0))
+    for j, string in enumerate(strings):
+        for i in index.candidates(string):
+            if uf.find(i) != uf.find(j) and identity_at_least(strings[i], string, min_identity):
+                uf.union(i, j)
+        index.add(string)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     return sorted(groups.values(), key=lambda members: members[0])
-
-
-def _edges_for_rows_star(args: tuple) -> list[tuple[int, int]]:
-    return _edges_for_rows(*args)

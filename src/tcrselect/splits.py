@@ -30,6 +30,12 @@ DEFAULT_IDENTITY_CEILING = 0.7
 DEFAULT_TEST_FRACTION = 0.2
 
 
+_MANIFEST_TYPES = {
+    "protocol": str, "seed": int, "parameters": dict,
+    "train_ids": list, "cal_ids": list, "test_ids": list,
+}
+
+
 @dataclass(frozen=True)
 class SplitManifest:
     """Which example ids land in train, calibration, and test."""
@@ -67,7 +73,21 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a manifest written by save. Malformed JSON, a missing key, or
+        a field of the wrong type raises ValueError naming the file."""
+        where = f"manifest {path}"
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{where}: {err}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where}: top level must be an object")
+        missing = [key for key in _MANIFEST_TYPES if key not in raw]
+        if missing:
+            raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+        for key, kind in _MANIFEST_TYPES.items():
+            if not isinstance(raw[key], kind):
+                raise ValueError(f"{where}: {key} must be a {kind.__name__}")
         return cls(
             protocol=raw["protocol"],
             seed=raw["seed"],
@@ -233,7 +253,6 @@ def split_distance_aware(
     cal_fraction: float = DEFAULT_CAL_FRACTION,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
-    workers: int = 1,
 ) -> SplitManifest:
     """Assign whole cdr3b identity clusters to test.
 
@@ -252,7 +271,7 @@ def split_distance_aware(
     if len(data) == 0:
         raise ValueError("dataset is empty")
     distinct = sorted({ex.cdr3b for ex in data})
-    clusters = cluster_by_identity(distinct, identity_ceiling, workers=workers)
+    clusters = cluster_by_identity(distinct, identity_ceiling)
     cluster_of: dict[str, int] = {}
     for cluster_idx, members in enumerate(clusters):
         for string_idx in members:

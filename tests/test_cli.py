@@ -75,6 +75,35 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            json.dumps({"protocol": "random", "seed": 0, "parameters": {}}),
+            json.dumps({
+                "protocol": "random", "seed": 0, "parameters": {},
+                "train_ids": 5, "cal_ids": [], "test_ids": [],
+            }),
+        ],
+        ids=["not-json", "not-object", "missing-keys", "ids-not-list"],
+    )
+    def test_malformed_manifest_is_one_line_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        code = main(run_args(tmp_path / "o", ("--manifest", str(manifest))))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest}: ")
+        assert err.count("\n") == 1
+
+    def test_threads_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        code = main(run_args(tmp_path / "o", ("--config", str(cfg))))
+        assert code == 2
+        assert capsys.readouterr().err == "config error: threads: unknown key\n"
+
 
 class TestSplit:
     def test_writes_manifest(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pair_oracle import oracle_dedup, related_strings, thresholds
 from tcrselect.data import (
     Dataset,
     SequenceExample,
@@ -220,6 +221,14 @@ class TestDeduplicate:
         once = deduplicate(data, 0.8)
         twice = deduplicate(once, 0.8)
         assert once.ids() == twice.ids()
+
+    @given(related_strings(min_size=1), st.sampled_from(["G", "GW", "GILGF"]), thresholds)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pair_oracle(self, cdr3bs, peptide, threshold):
+        data = make_dataset([("C", b, peptide, "EP01", 1) for b in cdr3bs])
+        keys = [ex.concatenation for ex in data]
+        expected = tuple(data[pos].id for pos in oracle_dedup(keys, threshold))
+        assert deduplicate(data, threshold).ids() == expected
 
 
 def positives_corpus(n_pos=50, n_epitopes=25):

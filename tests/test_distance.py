@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pair_oracle import oracle_clusters, related_strings, thresholds
 from tcrselect.distance import (
+    CandidateIndex,
     cluster_by_identity,
     identity,
     identity_at_least,
@@ -14,6 +16,7 @@ from tcrselect.distance import (
     levenshtein_bounded,
     max_edits_for_identity,
 )
+from tcrselect.toycorpus import motif_corpus
 
 ALPHABET = "ACDFGW"
 
@@ -122,17 +125,30 @@ def test_cluster_transitive_chaining():
     assert cluster_by_identity([a, b, c], 0.8) == [[0, 1, 2]]
 
 
-@given(
-    st.lists(
-        st.text(alphabet=ALPHABET, min_size=1, max_size=8), unique=True,
-        min_size=1, max_size=25,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_cluster_parallel_matches_serial(strings):
-    serial = cluster_by_identity(strings, 0.7, workers=1)
-    parallel = cluster_by_identity(strings, 0.7, workers=2)
-    assert serial == parallel
+@given(related_strings(), thresholds)
+@settings(max_examples=150, deadline=None)
+def test_cluster_matches_pair_oracle(strings, threshold):
+    assert cluster_by_identity(strings, threshold) == oracle_clusters(strings, threshold)
+
+
+@given(related_strings(max_count=12), related_strings(max_count=4), thresholds,
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=150, deadline=None)
+def test_candidates_include_every_true_pair(stored, queries, threshold, longest):
+    # `longest` may undercut the queries: it only tunes selectivity
+    index = CandidateIndex(threshold, longest)
+    for string in stored:
+        index.add(string)
+    for query in queries:
+        truth = [i for i, s in enumerate(stored) if identity_at_least(s, query, threshold)]
+        assert set(truth) <= set(index.candidates(query))
+
+
+def test_cluster_motif_corpus_matches_pair_oracle():
+    distinct = sorted({ex.cdr3b for ex in motif_corpus(800, 1)})
+    clusters = cluster_by_identity(distinct, 0.9)
+    assert clusters == oracle_clusters(distinct, 0.9)
+    assert any(len(members) > 1 for members in clusters)
 
 
 @given(

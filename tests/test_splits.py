@@ -217,9 +217,3 @@ class TestSplitDistanceAware:
         a = split_distance_aware(data, seed=7)
         b = split_distance_aware(data, seed=7)
         assert a.to_json() == b.to_json()
-
-    def test_workers_do_not_change_result(self):
-        data = corpus(80, 20, cdr3b=lambda i: family_cdr3b(i % 4, i // 4))
-        a = split_distance_aware(data, seed=7, workers=1)
-        b = split_distance_aware(data, seed=7, workers=2)
-        assert a.to_json() == b.to_json()
