@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +25,7 @@ from .conformal import (
     PipelineResult,
     decisions_from_tsv,
     decisions_to_tsv,
+    quantile_index,
     run_pipeline,
 )
 from .data import Dataset, deduplicate, generate_negatives, ingest_tsv
@@ -113,6 +115,7 @@ def _get_manifest(
 ) -> SplitManifest:
     if manifest_path:
         manifest = SplitManifest.load(manifest_path)
+        manifest.check_covers(data.ids(), f"manifest {manifest_path}")
         runner.log(f"loaded manifest from {manifest_path}")
         return manifest
     manifest = _make_manifest(runner.config, data)
@@ -402,10 +405,12 @@ def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
             "retain_all_trials": summary.retain_all_trials,
         },
     )
-    bound = 1.0 - summary.epsilon - 1.0 / (summary.n_cal + 1)
+    # expected coverage is at least k/(n_cal+1) >= 1 - epsilon, k the quantile index
+    bound = quantile_index(summary.n_cal, summary.epsilon) / (summary.n_cal + 1)
+    standard_error = summary.sd_coverage / math.sqrt(summary.n_trials)
     print(
-        f"mean coverage {summary.mean_coverage:.4f} over {summary.n_trials} trials "
-        f"(guarantee >= {bound:.4f})"
+        f"mean coverage {summary.mean_coverage:.4f} (standard error {standard_error:.4f}) "
+        f"over {summary.n_trials} trials (expected coverage guarantee >= {bound:.4f})"
     )
     return 0
 

@@ -5,10 +5,14 @@ the threshold is the ceil((1-eps)(n+1))-th smallest calibration score. At test
 time the label-free score s = 1 - max(p, 1-p) (the calibration score evaluated
 at the predicted label) decides: predict iff s <= threshold, else abstain.
 
-Coverage note: when calibration and test scores are exchangeable, the retained
-fraction concentrates near 1 - eps (lower bound 1 - eps - 1/(n_cal+1)). The
-epitope-held-out and distance-aware protocols break exchangeability by design;
-reports always record the protocol so the guarantee's scope stays visible.
+Coverage note: when calibration and test scores are exchangeable, a test
+example's true-label score is at most the threshold with probability at least
+k/(n_cal+1) >= 1 - eps, where k = ceil((1-eps)(n_cal+1)); without ties it is
+also below 1 - eps + 1/(n_cal+1), so the slack lies above 1 - eps, not below.
+The label-free score never exceeds the true-label score, so the retained
+fraction is at least that coverage. The epitope-held-out and distance-aware
+protocols break exchangeability by design; reports always record the protocol
+so the guarantee's scope stays visible.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Stands in for a heavyweight sequence encoder so the calibration and abstention
 machinery downstream can be exercised end to end. Features are overlapping
-k-mer counts with separate TCR-side and peptide-side namespaces; the model is
-a linear classifier trained by full-batch gradient descent on class-weighted
+k-mer counts with separate TCR-side and peptide-side namespaces, built for
+training and scoring alike by one vectorized encoder (encode_kmers); the model
+is a linear classifier trained by full-batch gradient descent on class-weighted
 binary cross-entropy with an l2 penalty. Externally produced logits can be
 ingested from a TSV instead.
 """
@@ -90,50 +91,174 @@ def _tcr_string(example: SequenceExample, include_cdr3a: bool) -> str:
     return example.cdr3a + _JOIN + example.cdr3b if include_cdr3a else example.cdr3b
 
 
-def kmer_counts(
-    example: SequenceExample, kmer_size: int, include_cdr3a: bool = True
-) -> dict[str, int]:
-    """Namespaced overlapping k-mer counts for one example.
+# Residue digits of the k-mer codes: the 20 amino acids, then the joiner.
+_ALPHABET = "ACDEFGHIKLMNPQRSTVWY" + _JOIN
+_DIGITS = bytes.maketrans(_ALPHABET.encode("ascii"), bytes(range(len(_ALPHABET))))
+_RESIDUES = frozenset(_ALPHABET)
+_NAMESPACES = (TCR_NAMESPACE, PEPTIDE_NAMESPACE)
 
-    Keys are "tcr:<kmer>" over the joined cdr3a|cdr3b string and "pep:<kmer>"
-    over the peptide. A field shorter than k contributes nothing.
+
+def _code_dtype(kmer_size: int) -> type:
+    """Narrowest exact dtype for codes below 2 * 21**k: int32, int64, or
+    Python ints (object) when k is too large for int64."""
+    top = len(_NAMESPACES) * len(_ALPHABET) ** kmer_size
+    for dtype in (np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
+def _kmer_codes(
+    fields: Sequence[str], namespaces: np.ndarray, kmer_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field and code of every length-k window of fields.
+
+    Windows come in field order, then left to right; a field shorter than k
+    has none. A code is the field's namespace number followed by the k residue
+    digits in base 21, so two windows share a code exactly when they share
+    namespace and k-mer.
     """
-    counts: dict[str, int] = {}
-    for namespace, seq in (
-        (TCR_NAMESPACE, _tcr_string(example, include_cdr3a)),
-        (PEPTIDE_NAMESPACE, example.peptide),
-    ):
-        for start in range(len(seq) - kmer_size + 1):
-            key = namespace + ":" + seq[start : start + kmer_size]
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    lengths = np.fromiter(map(len, fields), np.int64, len(fields))
+    per_field = np.maximum(lengths - kmer_size + 1, 0)
+    field = np.repeat(np.arange(len(fields), dtype=np.int32), per_field)
+    digits = np.frombuffer("\n".join(fields).encode("ascii").translate(_DIGITS), np.uint8)
+    dtype = _code_dtype(kmer_size)
+    # the k-mer at every position of the joined text, then only the positions
+    # whose k-mer lies inside one field: the first per_field of each field's
+    # length + 1 positions (its residues and the newline after them)
+    n = max(len(digits) - kmer_size + 1, 0)
+    code = digits[:n].astype(dtype)
+    for j in range(1, kmer_size):
+        code *= len(_ALPHABET)
+        code += digits[j : j + n]
+    inside = np.repeat(
+        np.tile([True, False], len(fields)),
+        np.column_stack((per_field, lengths + 1 - per_field)).ravel(),
+    )
+    code = code[inside[:n]]
+    code += namespaces[field].astype(dtype) * len(_ALPHABET) ** kmer_size
+    return field, code
 
 
-def build_vocabulary(
-    data: Dataset, kmer_size: int, include_cdr3a: bool = True
-) -> dict[str, int]:
-    """Map each k-mer seen in data to a stable index, in first-seen order."""
-    vocab: dict[str, int] = {}
+@dataclass(frozen=True)
+class KmerWindows:
+    """Every k-mer window of a dataset, in dataset order.
+
+    Within a row the tcr windows (over cdr3a|cdr3b, or cdr3b alone) come
+    first, then the peptide windows, each left to right. fields[2r] is row
+    r's tcr string and fields[2r + 1] its peptide; field[i] is the field of
+    window i, and code[i] identifies its namespace and k-mer (see _kmer_codes).
+    """
+
+    kmer_size: int
+    fields: list[str]
+    field: np.ndarray
+    code: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.fields) // 2
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.field >> 1
+
+    def kmers(self, index: np.ndarray) -> list[str]:
+        """Vocabulary keys, like "tcr:CAS", of the windows at the given positions."""
+        per_field = np.bincount(self.field, minlength=len(self.fields))
+        field = self.field[index]
+        start = index - (np.cumsum(per_field) - per_field)[field]
+        k = self.kmer_size
+        return [
+            _NAMESPACES[f & 1] + ":" + self.fields[f][i : i + k]
+            for f, i in zip(field.tolist(), start.tolist())
+        ]
+
+    def columns(self, vocabulary: Mapping[str, int]) -> np.ndarray:
+        """Vocabulary index of every window, -1 where its k-mer is not a key.
+
+        Keys that no sequence can produce (unknown namespace, wrong length,
+        residues outside the alphabet) match nothing.
+        """
+        kmers, namespaces, indices = [], [], []
+        for key, index in vocabulary.items():
+            namespace, _, kmer = key.partition(":")
+            if namespace in _NAMESPACES and len(kmer) == self.kmer_size and set(kmer) <= _RESIDUES:
+                kmers.append(kmer)
+                namespaces.append(_NAMESPACES.index(namespace))
+                indices.append(index)
+        if not kmers:
+            return np.full(len(self.code), -1, dtype=np.int32)
+        _, key_code = _kmer_codes(kmers, np.array(namespaces, dtype=np.int8), self.kmer_size)
+        order = np.argsort(key_code)
+        key_code = key_code[order]
+        key_index = np.array(indices, dtype=np.int32)[order]
+        pos = np.searchsorted(key_code, self.code)
+        np.minimum(pos, len(key_code) - 1, out=pos)
+        columns = key_index[pos]
+        columns[key_code[pos] != self.code] = -1
+        return columns
+
+
+def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> KmerWindows:
+    """The k-mer windows of every example of data; see KmerWindows."""
+    fields = []
     for ex in data:
-        for key in kmer_counts(ex, kmer_size, include_cdr3a):
-            if key not in vocab:
-                vocab[key] = len(vocab)
-    return vocab
+        fields.append(_tcr_string(ex, include_cdr3a))
+        fields.append(ex.peptide)
+    namespaces = np.tile(np.arange(len(_NAMESPACES), dtype=np.int8), len(data))
+    return KmerWindows(kmer_size, fields, *_kmer_codes(fields, namespaces, kmer_size))
 
 
-def featurize(
-    example: SequenceExample,
-    kmer_size: int,
-    vocabulary: Mapping[str, int],
-    include_cdr3a: bool = True,
-) -> dict[int, int]:
-    """Sparse count vector for one example; out-of-vocabulary k-mers ignored."""
-    vec: dict[int, int] = {}
-    for key, count in kmer_counts(example, kmer_size, include_cdr3a).items():
-        idx = vocabulary.get(key)
-        if idx is not None:
-            vec[idx] = count
-    return vec
+def build_vocabulary(windows: KmerWindows) -> dict[str, int]:
+    """Map each k-mer of windows to a stable index, in first-seen order."""
+    _, first = np.unique(windows.code, return_index=True)
+    first.sort()
+    return dict(zip(windows.kmers(first), range(len(first))))
+
+
+def _training_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_matrix:
+    """Row-by-k-mer float64 counts, each row's columns ascending.
+
+    Every k-mer of windows must be in vocabulary. The windows already come in
+    row order, so each becomes a 1.0 entry of its row in place, and
+    sum_duplicates sorts every row and adds up repeated k-mers.
+    """
+    per_row = np.bincount(windows.row, minlength=windows.n_rows)
+    X = csr_matrix(
+        (np.ones(len(windows.code)), windows.columns(vocabulary), np.append(0, np.cumsum(per_row))),
+        shape=(windows.n_rows, len(vocabulary)),
+    )
+    X.sum_duplicates()
+    return X
+
+
+def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_matrix:
+    """Counts with a leading bias column, in the order the logit sums them.
+
+    Column 0 holds 1.0 for the bias, and column i + 1 the count of k-mer i.
+    Each row stores the bias first, then its in-vocabulary k-mers in order of
+    first occurrence. csr_matvec sums a row from 0.0 in stored order, so a
+    logit is ((bias + w1 * c1) + w2 * c2) + ... in exactly that order; a
+    sorted-order sum differs in the last bits.
+    """
+    columns = windows.columns(vocabulary)
+    hit = columns >= 0
+    row, col = windows.row[hit], columns[hit]
+    _, first, count = np.unique(
+        row.astype(np.int64) * len(vocabulary) + col, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    row, col, count = row[first[order]], col[first[order]], count[order]
+    starts = np.searchsorted(row, np.arange(windows.n_rows))
+    return csr_matrix(
+        (
+            np.insert(count.astype(float), starts, 1.0),
+            np.insert(col + 1, starts, 0),
+            np.append(starts + np.arange(windows.n_rows), len(row) + windows.n_rows),
+        ),
+        shape=(windows.n_rows, len(vocabulary) + 1),
+    )
 
 
 def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
@@ -142,24 +267,6 @@ def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
         raise ValueError(f"both classes required, got n_pos={n_pos}, n_neg={n_neg}")
     n = n_pos + n_neg
     return n / (2.0 * n_pos), n / (2.0 * n_neg)
-
-
-def _design_matrix(
-    data: Dataset, kmer_size: int, vocabulary: Mapping[str, int], include_cdr3a: bool
-) -> csr_matrix:
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for ex in data:
-        vec = featurize(ex, kmer_size, vocabulary, include_cdr3a)
-        for idx in sorted(vec):
-            indices.append(idx)
-            values.append(float(vec[idx]))
-        indptr.append(len(indices))
-    return csr_matrix(
-        (np.array(values), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(data), len(vocabulary)),
-    )
 
 
 def loss_and_grad(
@@ -210,6 +317,8 @@ class LinearScorerModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(self.vocabulary),):
             raise ValueError("weights length must equal vocabulary size")
+        if sorted(self.vocabulary.values()) != list(range(len(self.vocabulary))):
+            raise ValueError("vocabulary indices must be 0 .. size-1, each once")
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
@@ -271,8 +380,10 @@ def train_linear(
     labels = np.array([ex.label for ex in train], dtype=float)
     n_pos = int(labels.sum())
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
-    vocabulary = build_vocabulary(train, config.kmer_size, config.include_cdr3a)
-    X = _design_matrix(train, config.kmer_size, vocabulary, config.include_cdr3a)
+    windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
+    vocabulary = build_vocabulary(windows)
+    X = _training_matrix(windows, vocabulary)
+    del windows  # frees the per-window arrays before gradient descent
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     weights = np.zeros(len(vocabulary))
     bias = 0.0
@@ -311,15 +422,24 @@ def train_linear(
 
 
 def score(model: LinearScorerModel, data: Dataset) -> list[ScoreRecord]:
-    """Logit and probability for every example, preserving dataset order."""
-    records = []
-    for ex in data:
-        vec = featurize(ex, model.kmer_size, model.vocabulary, model.include_cdr3a)
-        logit = model.bias
-        for idx, count in vec.items():
-            logit += model.weights[idx] * count
-        records.append(ScoreRecord.from_logit(ex.id, float(logit), ex.label))
-    return records
+    """Logit and probability for every example, preserving dataset order.
+
+    A logit is the bias plus weight * count over the example's in-vocabulary
+    k-mers, summed in order of first occurrence; see _scoring_matrix.
+    """
+    windows = encode_kmers(data, model.kmer_size, model.include_cdr3a)
+    X = _scoring_matrix(windows, model.vocabulary)
+    x = np.concatenate(([model.bias], model.weights))
+    logits = X @ x
+    if model.bias == 0.0 and math.copysign(1.0, model.bias) < 0.0:
+        # a logit starts at the bias, and from -0.0 it stays -0.0 while every
+        # term is -0.0; csr_matvec starts each row at +0.0 instead
+        signed_zero = (x == 0.0) & np.signbit(x)
+        logits[(X @ (~signed_zero).astype(float)) == 0.0] = -0.0
+    return [
+        ScoreRecord.from_logit(ex.id, logit, ex.label)
+        for ex, logit in zip(data, logits.tolist())
+    ]
 
 
 def export_logits(records: Sequence[ScoreRecord], path: str | Path) -> None:

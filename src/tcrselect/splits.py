@@ -52,6 +52,20 @@ class SplitManifest:
         if (train & cal) or (train & test) or (cal & test):
             raise ValueError("manifest id sets overlap")
 
+    def check_covers(self, ids: Sequence[str], where: str) -> None:
+        """Raise ValueError naming `where` unless the parts list exactly ids."""
+        listed = {*self.train_ids, *self.cal_ids, *self.test_ids}
+        unlisted = [i for i in ids if i not in listed]
+        if unlisted:
+            raise ValueError(
+                f"{where}: {len(unlisted)} dataset id(s) in no part, e.g. {unlisted[:5]!r}"
+            )
+        unknown = listed - set(ids)
+        if unknown:
+            raise ValueError(
+                f"{where}: {len(unknown)} id(s) not in the dataset, e.g. {sorted(unknown)[:5]!r}"
+            )
+
     def to_json_dict(self) -> dict:
         return {
             "protocol": self.protocol,

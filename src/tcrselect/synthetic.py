@@ -123,8 +123,9 @@ def coverage_experiment(
 ) -> CoverageSummary:
     """Repeated seeded trials of generate -> fit temperature -> fit threshold.
 
-    Trial t uses seed spec.seed + t. Under exchangeability the mean coverage
-    is bounded below by 1 - epsilon - 1/(n_cal + 1).
+    Trial t uses seed spec.seed + t. Under exchangeability a trial's expected
+    coverage is at least quantile_index(n_cal, epsilon) / (n_cal + 1), which
+    is >= 1 - epsilon; without ties it is below 1 - epsilon + 1/(n_cal + 1).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tcrselect.cli import main
+from tcrselect.data import ingest_tsv
 from tcrselect.toycorpus import toy_dataset_path
 
 RUN_OUTPUTS = (
@@ -92,6 +93,30 @@ class TestExitCodes:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text)
         code = main(run_args(tmp_path / "o", ("--manifest", str(manifest))))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "score"])
+    @pytest.mark.parametrize("drop", ["dataset-id", "manifest-id"])
+    def test_manifest_must_cover_dataset(self, tmp_path, capsys, command, drop):
+        ids = [ex.id for ex in ingest_tsv(toy_dataset_path())]
+        parts = {"train_ids": ids[:120], "cal_ids": ids[120:160], "test_ids": ids[160:]}
+        if drop == "dataset-id":
+            parts["test_ids"] = ids[160:-3]
+        else:
+            parts["test_ids"] = ids[160:] + ["not-in-dataset"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"protocol": "random", "seed": 0, "parameters": {}, **parts}
+        ))
+        code = main([
+            command,
+            "--dataset", str(toy_dataset_path()),
+            "--out", str(tmp_path / "o"),
+            "--manifest", str(manifest),
+        ])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: manifest {manifest}: ")
@@ -260,6 +285,10 @@ class TestScore:
         ]
         assert len(rows) == 200  # one id/logit row per example, no header
         assert all(len(r.split("\t")) == 2 for r in rows)
+        # logits are written as Python float reprs, never as np.float64(...)
+        logits = [r.split("\t")[1] for r in rows]
+        assert all(repr(float(x)) == x for x in logits)
+        assert "np.float64(" not in (out / "logits.tsv").read_text()
 
 
 class TestSimulate:

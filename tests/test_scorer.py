@@ -4,24 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+import kmer_oracle as oracle
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.scorer import (
     LinearScorerModel,
     ScoreRecord,
     TrainingConfig,
+    _scoring_matrix,
+    _training_matrix,
     build_vocabulary,
     class_weights,
+    encode_kmers,
     export_logits,
-    featurize,
     ingest_logits,
-    kmer_counts,
     loss_and_grad,
     score,
     sigmoid,
     train_linear,
 )
+from tcrselect.toycorpus import motif_corpus
 
 
 def make_example(ex_id="e0", cdr3a="CAVSDF", cdr3b="CASSLF",
@@ -46,6 +51,21 @@ class TestScoreRecord:
     def test_rejects_inconsistent_prob(self):
         with pytest.raises(ValueError):
             ScoreRecord(example_id="e0", logit=1.0, prob_raw=0.9, label=1)
+
+
+def kmer_counts(example, kmer_size, include_cdr3a=True):
+    """The encoder's k-mer counts for one example, keyed like the vocabulary."""
+    windows = encode_kmers(Dataset([example]), kmer_size, include_cdr3a)
+    vocab = build_vocabulary(windows)
+    row = _training_matrix(windows, vocab)
+    keys = list(vocab)
+    return {keys[i]: int(c) for i, c in zip(row.indices, row.data)}
+
+
+def featurize(example, kmer_size, vocabulary, include_cdr3a=True):
+    """Vocabulary indices the encoder finds in one example."""
+    windows = encode_kmers(Dataset([example]), kmer_size, include_cdr3a)
+    return {int(i) for i in windows.columns(vocabulary) if i >= 0}
 
 
 class TestKmers:
@@ -81,12 +101,123 @@ class TestKmers:
 
     def test_featurize_ignores_oov(self):
         ex = make_example()
-        vocab = build_vocabulary(Dataset([ex]), 3)
+        vocab = build_vocabulary(encode_kmers(Dataset([ex]), 3))
         other = make_example(ex_id="e1", peptide="WWWWWWWWW", label=0)
         vec = featurize(other, 3, vocab)
         seen = {idx for idx in vec}
         pep_indices = {v for k, v in vocab.items() if k.startswith("pep:")}
         assert seen & pep_indices == set()
+
+
+AMINO = "ACDEFGHIKLMNPQRSTVWY"
+
+
+@st.composite
+def example_sets(draw, alphabet, prefix, max_rows=8):
+    """Datasets of random sequences; the epitope id is derived from the
+    peptide so rows sharing one always agree on it."""
+    seqs = st.text(alphabet=alphabet, min_size=1, max_size=16)
+    rows = draw(st.lists(st.tuples(seqs, seqs, seqs, st.integers(0, 1)), max_size=max_rows))
+    return Dataset(
+        SequenceExample(
+            id=f"{prefix}{i}", cdr3a=a, cdr3b=b, peptide=p, epitope_id="E" + p, label=y
+        )
+        for i, (a, b, p, y) in enumerate(rows)
+    )
+
+
+def assert_same_csr(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.indptr, expected.indptr)
+    assert np.array_equal(actual.indices, expected.indices)
+    assert actual.data.tobytes() == expected.data.tobytes()
+
+
+def assert_same_logits(actual, expected):
+    assert [r.example_id for r in actual] == [r.example_id for r in expected]
+    assert [r.logit.hex() for r in actual] == [r.logit.hex() for r in expected]
+    assert all(type(r.logit) is float for r in actual)
+
+
+def random_model(vocab, kmer_size, include_cdr3a, seed, bias):
+    """Normal weights with exact zeros of both signs mixed in."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(scale=2.0, size=len(vocab))
+    weights[rng.random(len(vocab)) < 0.15] = 0.0
+    weights[rng.random(len(vocab)) < 0.15] = -0.0
+    return LinearScorerModel(
+        kmer_size=kmer_size, vocabulary=vocab, weights=weights, bias=bias,
+        class_weights=(1.0, 1.0), include_cdr3a=include_cdr3a,
+    )
+
+
+class TestEncoderMatchesOracle:
+    """The vectorized encoder against the per-row functions in kmer_oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        train_alphabet=st.sampled_from(["AC", "ACDEF", AMINO]),
+        data=st.data(),
+        kmer_size=st.integers(1, 15),
+        include_cdr3a=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        bias=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]),
+    )
+    def test_vocabulary_matrix_and_logits(
+        self, train_alphabet, data, kmer_size, include_cdr3a, seed, bias
+    ):
+        train = data.draw(example_sets(train_alphabet, "t"))
+        windows = encode_kmers(train, kmer_size, include_cdr3a)
+        vocab = build_vocabulary(windows)
+        expected = oracle.build_vocabulary(train, kmer_size, include_cdr3a)
+        assert list(vocab.items()) == list(expected.items())
+        assert_same_csr(
+            _training_matrix(windows, vocab),
+            oracle._design_matrix(train, kmer_size, expected, include_cdr3a),
+        )
+        # scoring rows over the full alphabet are mostly outside a vocabulary
+        # built on two or five residues
+        fresh = data.draw(example_sets(AMINO, "s"))
+        kept = data.draw(st.lists(st.sampled_from(list(train)), unique=True)) if len(train) else []
+        scored = Dataset([*kept, *fresh])
+        model = random_model(vocab, kmer_size, include_cdr3a, seed, bias)
+        assert_same_logits(score(model, scored), oracle.score(model, scored))
+
+    def test_motif_corpus_regression(self):
+        data = motif_corpus(2000, 1)
+        windows = encode_kmers(data, 3)
+        vocab = build_vocabulary(windows)
+        expected = oracle.build_vocabulary(data, 3)
+        assert list(vocab.items()) == list(expected.items())
+        assert_same_csr(
+            _training_matrix(windows, vocab), oracle._design_matrix(data, 3, expected, True)
+        )
+        model = train_linear(Dataset(list(data)[:1400]), TrainingConfig(epochs=20))
+        assert_same_logits(score(model, data), oracle.score(model, data))
+
+    def test_unproducible_keys_are_ignored(self):
+        data = toy_train_set(6)
+        vocab = build_vocabulary(encode_kmers(data, 3))
+        junk = ["tcr:AAZ", "pep:GI", "pep:GILG", "xyz:GIL", "GIL", "pep:gil", "tcr:A|", "pep:\u00e9AA"]
+        vocab.update((key, len(vocab)) for key in junk)
+        model = random_model(vocab, 3, True, 0, 0.5)
+        assert_same_logits(score(model, data), oracle.score(model, data))
+
+    def test_scoring_matrix_puts_bias_first_then_first_occurrence(self):
+        ex = make_example(cdr3a="CA", cdr3b="CA", peptide="GILGIL")
+        vocab = {"pep:ILG": 0, "pep:GIL": 1, "tcr:A|C": 2}
+        X = _scoring_matrix(encode_kmers(Dataset([ex]), 3), vocab)
+        # tcr string CA|CA: A|C; peptide: GIL ILG LGI GIL
+        assert X.indices.tolist() == [0, 3, 2, 1]
+        assert X.data.tolist() == [1.0, 1.0, 2.0, 1.0]
+
+
+def test_vocabulary_indices_must_be_a_permutation():
+    with pytest.raises(ValueError, match="vocabulary indices"):
+        LinearScorerModel(
+            kmer_size=3, vocabulary={"pep:GIL": 0, "pep:ILG": 0}, weights=np.zeros(2),
+            bias=0.0, class_weights=(1.0, 1.0),
+        )
 
 
 class TestClassWeights:
