@@ -58,7 +58,7 @@ from .metrics import (
 )
 from .scorer import (
     LinearScorerModel,
-    ScoreRecord,
+    ScoreTable,
     TrainingConfig,
     export_logits,
     ingest_logits,
@@ -93,7 +93,7 @@ __all__ = [
     "PipelineResult",
     "ReliabilityTable",
     "RunConfig",
-    "ScoreRecord",
+    "ScoreTable",
     "SelectiveDecision",
     "SequenceExample",
     "SplitManifest",

@@ -5,6 +5,10 @@ mean negative log-likelihood on the calibration split. The fit runs over
 beta = 1/T, in which the objective mean(softplus(beta*z) - y*beta*z) is convex,
 using bracketed golden-section search. AUROC is untouched by scaling (the
 transform is strictly monotone); only probability quality changes.
+
+Temperatures are fitted on a score table and applied to one, giving a float64
+array. The metrics take probability and label arrays and return Python floats;
+their logs, squares and bin means stay per element in libm and math.fsum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scorer import ScoreRecord, sigmoid
+from .scorer import ScoreTable, sigmoid
 
 TEMPERATURE_MIN = 0.05
 TEMPERATURE_MAX = 100.0
@@ -62,25 +66,25 @@ def _mean_nll_at_beta(logits: np.ndarray, labels: np.ndarray, beta: float) -> fl
 
 
 def fit_temperature(
-    cal_records: Sequence[ScoreRecord],
+    cal: ScoreTable,
     t_min: float = TEMPERATURE_MIN,
     t_max: float = TEMPERATURE_MAX,
 ) -> TemperatureModel:
-    """Fit T on calibration records by golden-section search over beta = 1/T.
+    """Fit T on a calibration table by golden-section search over beta = 1/T.
 
     The bracket [1/t_max, 1/t_min] is shrunk to width 1e-8; if the optimum sits
     on a bracket end the temperature snaps to that bound and `clamped` is set.
     A single-class calibration set is rejected (the objective would push T to a
     bound for a degenerate reason).
     """
-    if not cal_records:
+    if len(cal) == 0:
         raise ValueError("calibration set is empty")
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
-    labels = np.array([rec.label for rec in cal_records], dtype=float)
+    labels = cal.labels.astype(float)
     if labels.min() == labels.max():
         raise ValueError("calibration set contains a single class; cannot fit temperature")
-    logits = np.array([rec.logit for rec in cal_records], dtype=float)
+    logits = cal.logits
 
     lo, hi = 1.0 / t_max, 1.0 / t_min
     a, b = lo, hi
@@ -118,17 +122,14 @@ def fit_temperature(
         temperature=temperature,
         nll_before=nll_before,
         nll_after=nll_opt,
-        n_cal_fit=len(cal_records),
+        n_cal_fit=len(cal),
         clamped=clamped,
     )
 
 
-def apply_temperature(
-    records: Sequence[ScoreRecord], model: TemperatureModel
-) -> list[float]:
-    """Calibrated probabilities sigmoid(logit / T), preserving record order."""
-    t = model.temperature
-    return [sigmoid(rec.logit / t) for rec in records]
+def apply_temperature(table: ScoreTable, model: TemperatureModel) -> np.ndarray:
+    """Calibrated probabilities sigmoid(logit / T), in table order."""
+    return sigmoid(table.logits / model.temperature)
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,14 @@ class ReliabilityTable:
         return "\n".join(lines) + "\n"
 
 
-def _validate_pairs(probs: Sequence[float], labels: Sequence[int]) -> None:
+def _validate_pairs(
+    probs: Sequence[float], labels: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
     if len(probs) != len(labels):
         raise ValueError(f"length mismatch: {len(probs)} probs vs {len(labels)} labels")
     if len(probs) == 0:
         raise ValueError("empty input")
+    return np.asarray(probs, dtype=np.float64), np.asarray(labels)
 
 
 def ece(
@@ -174,32 +178,30 @@ def ece(
     membership uses floor((conf - 0.5) * 2 * n_bins) clipped to the last bin,
     so boundary confidences land deterministically.
     """
-    _validate_pairs(probs, labels)
+    p, y = _validate_pairs(probs, labels)
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    n = len(probs)
+    n = len(p)
     width = 0.5 / n_bins
-    members: list[list[tuple[float, int]]] = [[] for _ in range(n_bins)]
-    for p, y in zip(probs, labels):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p!r} outside [0, 1]")
-        conf = p if p >= 0.5 else 1.0 - p
-        pred = 1 if p >= 0.5 else 0
-        idx = int((conf - 0.5) * (2 * n_bins))
-        if idx >= n_bins:
-            idx = n_bins - 1
-        members[idx].append((conf, int(pred == y)))
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if len(bad):
+        raise ValueError(f"probability {p[bad[0]].item()!r} outside [0, 1]")
+    conf = np.where(p >= 0.5, p, 1.0 - p)
+    correct = (p >= 0.5) == y  # the predicted class is 1[p >= 0.5]
+    idx = np.minimum(((conf - 0.5) * (2 * n_bins)).astype(np.int64), n_bins - 1)
     bins = []
     total = 0.0
-    for m, bucket in enumerate(members):
+    for m in range(n_bins):
         lower = 0.5 + m * width
         upper = 0.5 + (m + 1) * width
-        if not bucket:
+        member = idx == m
+        count = int(np.count_nonzero(member))
+        if not count:
             bins.append(ReliabilityBin(lower, upper, 0, None, None))
             continue
-        count = len(bucket)
-        mean_conf = math.fsum(c for c, _ in bucket) / count
-        mean_acc = math.fsum(a for _, a in bucket) / count
+        # fsum is exact, so the order of a bin's members does not matter
+        mean_conf = math.fsum(conf[member].tolist()) / count
+        mean_acc = int(np.count_nonzero(correct[member])) / count
         bins.append(ReliabilityBin(lower, upper, count, mean_conf, mean_acc))
         total += (count / n) * abs(mean_acc - mean_conf)
     return ReliabilityTable(bins=tuple(bins), ece=total, n=n)
@@ -207,8 +209,9 @@ def ece(
 
 def brier(probs: Sequence[float], labels: Sequence[int]) -> float:
     """Mean squared error between probabilities and binary labels."""
-    _validate_pairs(probs, labels)
-    return math.fsum((p - y) ** 2 for p, y in zip(probs, labels)) / len(probs)
+    p, y = _validate_pairs(probs, labels)
+    # Python's ** is libm pow, which numpy's square does not always match
+    return math.fsum(d ** 2 for d in (p - y).tolist()) / len(p)
 
 
 def nll(probs: Sequence[float], labels: Sequence[int]) -> float:
@@ -217,9 +220,7 @@ def nll(probs: Sequence[float], labels: Sequence[int]) -> float:
     Clipping happens only inside this metric, stored probabilities are never
     modified.
     """
-    _validate_pairs(probs, labels)
-    terms = []
-    for p, y in zip(probs, labels):
-        q = min(max(p, _PROB_CLIP), 1.0 - _PROB_CLIP)
-        terms.append(-math.log(q) if y == 1 else -math.log(1.0 - q))
-    return math.fsum(terms) / len(probs)
+    p, y = _validate_pairs(probs, labels)
+    q = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    likelihood = np.where(y == 1, q, 1.0 - q)
+    return -math.fsum(map(math.log, likelihood.tolist())) / len(p)

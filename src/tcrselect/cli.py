@@ -18,11 +18,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .calibration import brier, ece, nll
 from .config import ConfigError, RunConfig, load_config
 from .conformal import (
     DECISION_PREDICT,
     PipelineResult,
+    SelectiveDecision,
     decisions_from_tsv,
     decisions_to_tsv,
     quantile_index,
@@ -30,7 +33,7 @@ from .conformal import (
 )
 from .data import Dataset, deduplicate, generate_negatives, ingest_tsv
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
-from .scorer import TrainingConfig, export_logits, score, train_linear
+from .scorer import TrainingConfig, export_logits, score, sigmoid, train_linear
 from .splits import (
     PROTOCOL_DISTANCE_AWARE,
     PROTOCOL_EPITOPE_HELD_OUT,
@@ -135,11 +138,12 @@ def _training_config(config: RunConfig) -> TrainingConfig:
     )
 
 
-def _quality_row(probs: list[float], labels: list[int]) -> dict:
+def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
     """AUROC/AUPRC/ECE/Brier/NLL plus argmax error; rank metrics None when
     the labels are single-class."""
-    single_class = len(set(labels)) < 2
-    wrong = sum(1 for p, y in zip(probs, labels) if (1 if p >= 0.5 else 0) != y)
+    probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
+    single_class = len(np.unique(labels)) < 2
+    wrong = int(np.count_nonzero((probs >= 0.5) != labels))
     return {
         "auroc": None if single_class else auroc(probs, labels),
         "auprc": None if single_class else auprc(probs, labels),
@@ -150,37 +154,51 @@ def _quality_row(probs: list[float], labels: list[int]) -> dict:
     }
 
 
+def _retained_quality(
+    decisions: Sequence[SelectiveDecision], labels: dict[str, int], risk: float | None
+) -> dict:
+    """Quality row of the retained decisions, with the selective risk as
+    error_rate; every value None when all of them abstained."""
+    retained = [d for d in decisions if d.decision == DECISION_PREDICT]
+    if not retained:
+        return dict.fromkeys(("auroc", "auprc", "ece", "brier", "nll", "error_rate"))
+    quality = _quality_row(
+        [d.prob_calibrated for d in retained], [labels[d.example_id] for d in retained]
+    )
+    quality["error_rate"] = risk
+    return quality
+
+
+def _check_monotone(logits: np.ndarray, *probs: np.ndarray) -> None:
+    """Raise unless every probability array is non-decreasing in the logit.
+
+    Temperature scaling must keep the order of the logits. Equal AUROC before
+    and after scaling is no test of that: float rounding saturates distinct
+    logits into equal probabilities at one temperature and not at another,
+    and AUROC counts tied probabilities as half.
+    """
+    order = np.argsort(logits, kind="stable")
+    if any(np.any(np.diff(p[order]) < 0.0) for p in probs):
+        raise RuntimeError(
+            "probabilities are not monotone in the logit; temperature scaling "
+            "must keep the ranking"
+        )
+
+
 def _method_rows(result: PipelineResult, labels: dict[str, int]) -> dict:
-    test_labels = [rec.label for rec in result.test_records]
-    raw_probs = [rec.prob_raw for rec in result.test_records]
+    test_labels = result.test.labels
+    raw_probs = sigmoid(result.test.logits)
     cal_probs = result.test_probs_calibrated
+    _check_monotone(result.test.logits, raw_probs, cal_probs)
 
     baseline = dict(_quality_row(raw_probs, test_labels), coverage=1.0, abstained=0.0)
     temp_scaled = dict(_quality_row(cal_probs, test_labels), coverage=1.0, abstained=0.0)
-    if baseline["auroc"] is not None and baseline["auroc"] != temp_scaled["auroc"]:
-        raise RuntimeError(
-            "temperature scaling changed AUROC; the transform must be monotone"
-        )
-
     coverage, risk = selective_error(result.decisions, labels)
-    retained_probs = []
-    retained_labels = []
-    for decision in result.decisions:
-        if decision.decision == DECISION_PREDICT:
-            retained_probs.append(decision.prob_calibrated)
-            retained_labels.append(labels[decision.example_id])
-    if retained_probs:
-        selective = dict(
-            _quality_row(retained_probs, retained_labels),
-            coverage=coverage,
-            abstained=1.0 - coverage,
-        )
-        selective["error_rate"] = risk
-    else:
-        selective = {
-            "auroc": None, "auprc": None, "ece": None, "brier": None, "nll": None,
-            "error_rate": None, "coverage": coverage, "abstained": 1.0 - coverage,
-        }
+    selective = dict(
+        _retained_quality(result.decisions, labels, risk),
+        coverage=coverage,
+        abstained=1.0 - coverage,
+    )
     return {
         "baseline": baseline,
         "temp_scaled": temp_scaled,
@@ -209,20 +227,14 @@ def _run_shared(
     train = data.subset(manifest.train_ids)
     cal = data.subset(manifest.cal_ids)
     test = data.subset(manifest.test_ids)
-    if config.scorer.mode == "builtin":
-        result = run_pipeline(
-            train, cal, test,
-            epsilon=config.conformal.epsilon,
-            training=_training_config(config),
-            manifest=manifest,
-        )
-    else:
-        result = run_pipeline(
-            train, cal, test,
-            epsilon=config.conformal.epsilon,
-            logits_path=config.scorer.logits_path,
-            manifest=manifest,
-        )
+    builtin = config.scorer.mode == "builtin"
+    result = run_pipeline(
+        train, cal, test,
+        epsilon=config.conformal.epsilon,
+        training=_training_config(config) if builtin else None,
+        logits_path=None if builtin else config.scorer.logits_path,
+        manifest=manifest,
+    )
     return data, manifest, result
 
 
@@ -262,8 +274,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
         "decisions.tsv",
         decisions_to_tsv(result.decisions, comments=_comment_lines(provenance)),
     )
-    test_labels = [rec.label for rec in result.test_records]
-    table = ece(result.test_probs_calibrated, test_labels)
+    table = ece(result.test_probs_calibrated, result.test.labels)
     reliability_lines = "".join(
         f"# {text}\n" for text in _comment_lines(provenance)
     ) + table.to_csv()
@@ -285,7 +296,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     runner.write_json("metrics.json", report)
 
     selective = rows["conformal_selective"]
-    print(f"split {manifest.protocol}: test={len(result.test_records)} examples")
+    print(f"split {manifest.protocol}: test={len(result.test)} examples")
     print(
         f"temperature {result.temperature.temperature:.4f} "
         f"(nll {result.temperature.nll_before:.4f} -> {result.temperature.nll_after:.4f})"
@@ -293,7 +304,12 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     if result.rule.retain_all:
         print(f"epsilon {result.rule.epsilon}: retain-all (calibration set too small)")
     else:
-        print(f"epsilon {result.rule.epsilon}: threshold {result.rule.threshold:.6f}")
+        # the label-free test score is at most 0.5, so such a rule retains every row
+        vacuous = result.rule.threshold >= 0.5
+        print(
+            f"epsilon {result.rule.epsilon}: threshold {result.rule.threshold:.6f}"
+            + (" (rule cannot abstain: threshold >= 0.5)" if vacuous else "")
+        )
     for name in ("baseline", "temp_scaled", "conformal_selective"):
         row = rows[name]
         cells = [name]
@@ -307,12 +323,8 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
 def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
     data, manifest, result = _run_shared(runner, args)
     provenance = _provenance(runner, manifest, result)
-    records = [
-        (rec.example_id, prob)
-        for rec, prob in zip(result.test_records, result.test_probs_calibrated)
-    ]
     curve = coverage_risk_sweep(
-        records,
+        list(zip(result.test.ids, result.test_probs_calibrated.tolist())),
         data.labels(),
         grid=runner.config.sweep.grid,
         source=f"{manifest.protocol} test split",
@@ -340,11 +352,11 @@ def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
     manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
     train = data.subset(manifest.train_ids)
     model = train_linear(train, _training_config(config))
-    records = score(model, data)
+    table = score(model, data)
     runner.write_text("scorer.json", model.to_json())
-    export_logits(records, runner.out / "logits.tsv")
+    export_logits(table, runner.out / "logits.tsv")
     runner.log("wrote logits.tsv")
-    print(f"scored {len(records)} examples with model {model.fingerprint()[:12]}")
+    print(f"scored {len(table)} examples with model {model.fingerprint()[:12]}")
     return 0
 
 
@@ -422,18 +434,7 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     data = _load_dataset(runner.config)
     labels = data.labels()
     coverage, risk = selective_error(decisions, labels)
-    retained_probs = [d.prob_calibrated for d in decisions if d.decision == DECISION_PREDICT]
-    retained_labels = [
-        labels[d.example_id] for d in decisions if d.decision == DECISION_PREDICT
-    ]
-    if retained_probs:
-        quality = _quality_row(retained_probs, retained_labels)
-        quality["error_rate"] = risk
-    else:
-        quality = {
-            "auroc": None, "auprc": None, "ece": None,
-            "brier": None, "nll": None, "error_rate": None,
-        }
+    quality = _retained_quality(decisions, labels, risk)
     report = {
         "config": runner.config.semantic_dict(),
         "decisions_file": str(decisions_path),
@@ -484,16 +485,20 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scorer", choices=("builtin", "logits"), help="score source")
-    parser.add_argument("--logits", help="external logit TSV (with --scorer logits)")
+def _add_scorer_flags(parser: argparse.ArgumentParser, pipeline: bool) -> None:
+    """Builtin-scorer flags; with pipeline (run, sweep) also the score source
+    and epsilon."""
+    if pipeline:
+        parser.add_argument("--scorer", choices=("builtin", "logits"), help="score source")
+        parser.add_argument("--logits", help="external logit TSV (with --scorer logits)")
     parser.add_argument("--kmer-size", type=int, help="k-mer size for the builtin scorer")
     parser.add_argument(
         "--mask-cdr3a",
         action="store_true",
         help="train the builtin scorer without the cdr3a field",
     )
-    parser.add_argument("--epsilon", type=float, help="target error level")
+    if pipeline:
+        parser.add_argument("--epsilon", type=float, help="target error level")
     parser.add_argument("--manifest", help="reuse an existing manifest JSON")
 
 
@@ -511,12 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="full pipeline: score, calibrate, decide")
     _add_common(p_run)
     _add_split_flags(p_run)
-    _add_scorer_flags(p_run)
+    _add_scorer_flags(p_run, pipeline=True)
 
     p_sweep = sub.add_parser("sweep", help="coverage-risk curve over a grid")
     _add_common(p_sweep)
     _add_split_flags(p_sweep)
-    _add_scorer_flags(p_sweep)
+    _add_scorer_flags(p_sweep, pipeline=True)
     p_sweep.add_argument("--grid", help="comma-separated coverage targets")
 
     p_sim = sub.add_parser("simulate", help="synthetic coverage experiments")
@@ -528,12 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="train the builtin scorer, export logits")
     _add_common(p_score)
     _add_split_flags(p_score)
-    p_score.add_argument("--kmer-size", type=int, help="k-mer size for the builtin scorer")
-    p_score.add_argument(
-        "--mask-cdr3a", action="store_true",
-        help="train the builtin scorer without the cdr3a field",
-    )
-    p_score.add_argument("--manifest", help="reuse an existing manifest JSON")
+    _add_scorer_flags(p_score, pipeline=False)
 
     p_metrics = sub.add_parser("metrics", help="re-evaluate a saved decision TSV")
     _add_common(p_metrics)

@@ -13,6 +13,9 @@ The label-free score never exceeds the true-label score, so the retained
 fraction is at least that coverage. The epitope-held-out and distance-aware
 protocols break exchangeability by design; reports always record the protocol
 so the guarantee's scope stays visible.
+
+Each part's scores are one ScoreTable with a float64 array of calibrated
+probabilities; nonconformity scores are arrays too.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .calibration import TemperatureModel, apply_temperature, fit_temperature
 from .data import Dataset
 from .scorer import (
     LinearScorerModel,
-    ScoreRecord,
+    ScoreTable,
     TrainingConfig,
     ids_fingerprint,
     ingest_logits,
@@ -39,19 +44,22 @@ DECISION_PREDICT = "predict"
 DECISION_ABSTAIN = "abstain"
 
 
-def nonconformity_calibration(prob: float, label: int) -> float:
-    """One minus the probability assigned to the true label."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    return 1.0 - prob if label == 1 else prob
+def nonconformity_calibration(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """One minus the probability assigned to the true label, per element."""
+    probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if len(bad):
+        raise ValueError(f"label must be 0 or 1, got {labels[bad[0]].item()!r}")
+    return np.where(labels == 1, 1.0 - probs, probs)
 
 
-def nonconformity_test(prob: float) -> float:
-    """One minus the probability of the predicted (argmax) label.
+def nonconformity_test(probs: np.ndarray) -> np.ndarray:
+    """One minus the probability of the predicted (argmax) label, per element.
 
     Written branch-wise rather than as 1 - max(prob, 1 - prob) so the result
     is bitwise equal to nonconformity_calibration(prob, argmax_label)."""
-    return 1.0 - prob if prob >= 0.5 else prob
+    probs = np.asarray(probs, dtype=np.float64)
+    return np.where(probs >= 0.5, 1.0 - probs, probs)
 
 
 def quantile_index(n_cal: int, epsilon: float) -> int:
@@ -119,7 +127,8 @@ def fit_threshold(cal_scores: Sequence[float], epsilon: float) -> ConformalRule:
             stacklevel=2,
         )
         return ConformalRule(epsilon=epsilon, n_cal=n, quantile_index=k, threshold=None)
-    threshold = sorted(cal_scores)[k - 1]
+    # a stable sort, like sorted(): of equal scores (0.0 and -0.0) it keeps input order
+    threshold = np.sort(np.asarray(cal_scores, dtype=np.float64), kind="stable")[k - 1]
     return ConformalRule(epsilon=epsilon, n_cal=n, quantile_index=k, threshold=float(threshold))
 
 
@@ -144,9 +153,11 @@ def decide(
     records: Iterable[tuple[str, float]], rule: ConformalRule
 ) -> list[SelectiveDecision]:
     """Apply the rule to (example_id, calibrated probability) pairs, in order."""
+    pairs = list(records)
+    probs = np.array([prob for _, prob in pairs], dtype=np.float64)
+    ids = [example_id for example_id, _ in pairs]
     decisions = []
-    for example_id, prob in records:
-        s = nonconformity_test(prob)
+    for example_id, prob, s in zip(ids, probs.tolist(), nonconformity_test(probs).tolist()):
         if rule.retains(s):
             decisions.append(
                 SelectiveDecision(
@@ -172,15 +183,16 @@ def decide(
 
 @dataclass
 class PipelineResult:
-    """Everything a run produces: model, temperature, rule, scores, decisions."""
+    """Everything a run produces: model, temperature, rule, score tables and
+    their calibrated probabilities (float64, in table order), decisions."""
 
     scorer_model: LinearScorerModel | None
     temperature: TemperatureModel
     rule: ConformalRule
-    cal_records: list[ScoreRecord]
-    test_records: list[ScoreRecord]
-    cal_probs_calibrated: list[float]
-    test_probs_calibrated: list[float]
+    cal: ScoreTable
+    test: ScoreTable
+    cal_probs_calibrated: np.ndarray
+    test_probs_calibrated: np.ndarray
     decisions: list[SelectiveDecision]
     cal_fingerprint: str
 
@@ -236,32 +248,27 @@ def run_pipeline(
         _check_manifest(manifest, train, cal, test)
     if training is not None:
         model: LinearScorerModel | None = train_linear(train, training)
-        cal_records = score(model, cal)
-        test_records = score(model, test)
+        cal_table = score(model, cal)
+        test_table = score(model, test)
     else:
         model = None
-        cal_records = ingest_logits(logits_path, cal)
-        test_records = ingest_logits(logits_path, test)
-    temperature = fit_temperature(cal_records)
-    cal_probs = apply_temperature(cal_records, temperature)
-    cal_scores = [
-        nonconformity_calibration(p, rec.label) for p, rec in zip(cal_probs, cal_records)
-    ]
-    rule = fit_threshold(cal_scores, epsilon)
-    test_probs = apply_temperature(test_records, temperature)
-    decisions = decide(
-        ((rec.example_id, p) for rec, p in zip(test_records, test_probs)), rule
-    )
+        cal_table = ingest_logits(logits_path, cal)
+        test_table = ingest_logits(logits_path, test)
+    temperature = fit_temperature(cal_table)
+    cal_probs = apply_temperature(cal_table, temperature)
+    rule = fit_threshold(nonconformity_calibration(cal_probs, cal_table.labels), epsilon)
+    test_probs = apply_temperature(test_table, temperature)
+    decisions = decide(zip(test_table.ids, test_probs.tolist()), rule)
     return PipelineResult(
         scorer_model=model,
         temperature=temperature,
         rule=rule,
-        cal_records=cal_records,
-        test_records=test_records,
+        cal=cal_table,
+        test=test_table,
         cal_probs_calibrated=cal_probs,
         test_probs_calibrated=test_probs,
         decisions=decisions,
-        cal_fingerprint=ids_fingerprint(rec.example_id for rec in cal_records),
+        cal_fingerprint=ids_fingerprint(cal_table.ids),
     )
 
 

@@ -170,7 +170,7 @@ def coverage_risk_sweep(
         if example_id not in labels:
             raise ValueError(f"no label for id {example_id!r}")
         truths.append(labels[example_id])
-    scores = [nonconformity_test(p) for _, p in records]
+    scores = nonconformity_test([p for _, p in records]).tolist()
     order = sorted(range(n), key=lambda i: (scores[i], i))
     points = []
     for c in sorted(set(grid), reverse=True):

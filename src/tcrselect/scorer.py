@@ -31,38 +31,51 @@ DEFAULT_KMER_SIZE = 3
 DEFAULT_L2 = 1e-4
 
 
-def sigmoid(logit: float) -> float:
-    """Numerically stable logistic function."""
-    if logit >= 0.0:
-        return 1.0 / (1.0 + math.exp(-logit))
-    e = math.exp(logit)
-    return e / (1.0 + e)
+def sigmoid(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of every element of a 1-D array.
+
+    exp runs through math.exp one element at a time, because np.exp differs
+    from it in the last bit on a few percent of inputs and the probabilities
+    in every report must stay the same.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreRecord:
-    """A scored example: raw logit, its probability, and the true label."""
+@dataclass(frozen=True)
+class ScoreTable:
+    """Scored examples as columns: ids, raw logits (float64), true labels (int8).
 
-    example_id: str
-    logit: float
-    prob_raw: float
-    label: int
+    The columns are checked once on construction: equal lengths, finite
+    logits, labels in {0, 1}. Raw probabilities are sigmoid(table.logits).
+    """
+
+    ids: tuple[str, ...]
+    logits: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.logit):
-            raise ValueError(f"non-finite logit for {self.example_id!r}")
-        if not 0.0 <= self.prob_raw <= 1.0:
-            raise ValueError(f"prob_raw out of [0, 1] for {self.example_id!r}")
-        if abs(self.prob_raw - sigmoid(self.logit)) > 1e-12:
+        ids = tuple(self.ids)
+        logits = np.asarray(self.logits, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        if not len(ids) == len(logits) == len(labels):
             raise ValueError(
-                f"prob_raw does not match sigmoid(logit) for {self.example_id!r}"
+                f"column lengths differ: {len(ids)} ids, {len(logits)} logits, "
+                f"{len(labels)} labels"
             )
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1 for {self.example_id!r}")
+        bad = np.flatnonzero(~np.isfinite(logits))
+        if len(bad):
+            raise ValueError(f"non-finite logit for {ids[bad[0]]!r}")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if len(bad):
+            raise ValueError(f"label must be 0 or 1 for {ids[bad[0]]!r}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "labels", labels.astype(np.int8))
 
-    @classmethod
-    def from_logit(cls, example_id: str, logit: float, label: int) -> "ScoreRecord":
-        return cls(example_id=example_id, logit=logit, prob_raw=sigmoid(logit), label=label)
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -421,8 +434,12 @@ def train_linear(
     )
 
 
-def score(model: LinearScorerModel, data: Dataset) -> list[ScoreRecord]:
-    """Logit and probability for every example, preserving dataset order.
+def _labels(data: Dataset) -> np.ndarray:
+    return np.fromiter((ex.label for ex in data), np.int8, len(data))
+
+
+def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
+    """Logit of every example, in dataset order.
 
     A logit is the bias plus weight * count over the example's in-vocabulary
     k-mers, summed in order of first occurrence; see _scoring_matrix.
@@ -436,20 +453,17 @@ def score(model: LinearScorerModel, data: Dataset) -> list[ScoreRecord]:
         # term is -0.0; csr_matvec starts each row at +0.0 instead
         signed_zero = (x == 0.0) & np.signbit(x)
         logits[(X @ (~signed_zero).astype(float)) == 0.0] = -0.0
-    return [
-        ScoreRecord.from_logit(ex.id, logit, ex.label)
-        for ex, logit in zip(data, logits.tolist())
-    ]
+    return ScoreTable(data.ids(), logits, _labels(data))
 
 
-def export_logits(records: Sequence[ScoreRecord], path: str | Path) -> None:
-    """TSV of example_id and logit, one record per line, no header."""
+def export_logits(table: ScoreTable, path: str | Path) -> None:
+    """TSV of example_id and logit, one row per line, no header."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        for rec in records:
-            handle.write(f"{rec.example_id}\t{rec.logit!r}\n")
+        for example_id, logit in zip(table.ids, table.logits.tolist()):
+            handle.write(f"{example_id}\t{logit!r}\n")
 
 
-def ingest_logits(path: str | Path, data: Dataset) -> list[ScoreRecord]:
+def ingest_logits(path: str | Path, data: Dataset) -> ScoreTable:
     """Join an external logit TSV against a dataset's labels.
 
     Every dataset id must appear exactly once; ids in the file that are not in
@@ -475,9 +489,8 @@ def ingest_logits(path: str | Path, data: Dataset) -> list[ScoreRecord]:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite logit for id {ex_id!r}")
             logits[ex_id] = value
-    records = []
-    for ex in data:
-        if ex.id not in logits:
-            raise ValueError(f"missing logit for id {ex.id!r}")
-        records.append(ScoreRecord.from_logit(ex.id, logits[ex.id], ex.label))
-    return records
+    ids = data.ids()
+    missing = next((ex_id for ex_id in ids if ex_id not in logits), None)
+    if missing is not None:
+        raise ValueError(f"missing logit for id {missing!r}")
+    return ScoreTable(ids, [logits[ex_id] for ex_id in ids], _labels(data))

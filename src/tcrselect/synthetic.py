@@ -6,12 +6,15 @@ requested positive rate, labels are Bernoulli(p_i), and logits are the true
 log-odds multiplied by miscalibration_temperature. Fitting a temperature on
 such data should recover the planted factor. No sequence content here; the
 sequence-level path goes through the corpus and scorer modules.
+
+A draw is two score tables; a trial is array expressions over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from statistics import pstdev
 from typing import Sequence
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .calibration import apply_temperature, ece, fit_temperature
 from .conformal import fit_threshold, nonconformity_calibration, quantile_index
-from .scorer import ScoreRecord
+from .scorer import ScoreTable
 
 # mixture components for the true probabilities: binder-like and background
 HI_BETA = (8.0, 2.0)   # mean 0.8
@@ -52,8 +55,14 @@ class SyntheticSpec:
             )
 
 
-def generate(spec: SyntheticSpec) -> tuple[list[ScoreRecord], list[ScoreRecord]]:
-    """One seeded draw of (calibration records, test records).
+@lru_cache(maxsize=1)
+def _ids(n: int) -> tuple[str, ...]:
+    """syn-000000 ... for the n rows of a draw; kept while the draw size repeats."""
+    return tuple(f"syn-{i:06d}" for i in range(n))
+
+
+def generate(spec: SyntheticSpec) -> tuple[ScoreTable, ScoreTable]:
+    """One seeded draw of (calibration table, test table).
 
     Both sets come from a single i.i.d. stream, so they are exchangeable by
     construction. Expected positive rate equals spec.base_positive_rate.
@@ -68,13 +77,13 @@ def generate(spec: SyntheticSpec) -> tuple[list[ScoreRecord], list[ScoreRecord]]
         rng.beta(LO_BETA[0], LO_BETA[1], n),
     )
     p = np.clip(p, _P_CLIP, 1.0 - _P_CLIP)
-    labels = (rng.random(n) < p).astype(int)
+    labels = rng.random(n) < p
     logits = spec.miscalibration_temperature * np.log(p / (1.0 - p))
-    records = [
-        ScoreRecord.from_logit(f"syn-{i:06d}", float(z), int(y))
-        for i, (z, y) in enumerate(zip(logits, labels))
-    ]
-    return records[: spec.n_cal], records[spec.n_cal :]
+    ids, k = _ids(n), spec.n_cal
+    return (
+        ScoreTable(ids[:k], logits[:k], labels[:k]),
+        ScoreTable(ids[k:], logits[k:], labels[k:]),
+    )
 
 
 @dataclass(frozen=True)
@@ -99,22 +108,15 @@ def _one_trial(spec: SyntheticSpec, epsilon: float, want_ece: bool) -> tuple[flo
     """
     cal, test = generate(spec)
     temperature = fit_temperature(cal)
-    cal_probs = apply_temperature(cal, temperature)
-    cal_scores = [
-        nonconformity_calibration(p, rec.label) for p, rec in zip(cal_probs, cal)
-    ]
+    cal_scores = nonconformity_calibration(apply_temperature(cal, temperature), cal.labels)
     rule = fit_threshold(cal_scores, epsilon)
     test_probs = apply_temperature(test, temperature)
-    test_scores = [
-        nonconformity_calibration(p, rec.label) for p, rec in zip(test_probs, test)
-    ]
+    test_scores = nonconformity_calibration(test_probs, test.labels)
     if rule.retain_all:
         coverage = 1.0
     else:
-        coverage = sum(1 for s in test_scores if s <= rule.threshold) / len(test_scores)
-    ece_after = None
-    if want_ece:
-        ece_after = ece(test_probs, [rec.label for rec in test]).ece
+        coverage = int(np.count_nonzero(test_scores <= rule.threshold)) / len(test)
+    ece_after = ece(test_probs, test.labels).ece if want_ece else None
     return coverage, ece_after
 
 

@@ -10,12 +10,12 @@ from typing import Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from score_oracle import ScoreRecord
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.scorer import (
     PEPTIDE_NAMESPACE,
     TCR_NAMESPACE,
     LinearScorerModel,
-    ScoreRecord,
     _tcr_string,
 )
 

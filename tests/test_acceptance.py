@@ -26,7 +26,7 @@ from tcrselect.conformal import fit_threshold, run_pipeline
 from tcrselect.data import ingest_tsv
 from tcrselect.distance import identity, levenshtein
 from tcrselect.metrics import auroc, coverage_risk_sweep
-from tcrselect.scorer import TrainingConfig, class_weights, loss_and_grad
+from tcrselect.scorer import TrainingConfig, class_weights, loss_and_grad, sigmoid
 from tcrselect.splits import (
     split_distance_aware,
     split_epitope_held_out,
@@ -60,8 +60,8 @@ def test_criterion_1_coverage_guarantee():
 
 def oracle_temperature(records):
     """Two-stage grid search over the inverse temperature, plain mean NLL."""
-    logits = np.array([r.logit for r in records])
-    labels = np.array([r.label for r in records], dtype=float)
+    logits = records.logits
+    labels = records.labels.astype(float)
 
     def best(betas):
         z = np.outer(betas, logits)
@@ -84,8 +84,8 @@ def test_criterion_2_temperature_recovery():
         fit = fit_temperature(cal)
         assert 2.85 <= fit.temperature <= 3.15
         assert abs(fit.temperature - oracle_temperature(cal)) <= 1e-4
-        labels = [r.label for r in test]
-        pre = ece([r.prob_raw for r in test], labels).ece
+        labels = test.labels
+        pre = ece(sigmoid(test.logits), labels).ece
         post = ece(apply_temperature(test, fit), labels).ece
         assert post <= 0.5 * pre
 
@@ -102,8 +102,8 @@ def test_criterion_3_auroc_invariance():
             training=TrainingConfig(),
         )
         labels = data.labels()
-        test_labels = [labels[r.example_id] for r in result.test_records]
-        raw = auroc([r.prob_raw for r in result.test_records], test_labels)
+        test_labels = [labels[i] for i in result.test.ids]
+        raw = auroc(sigmoid(result.test.logits), test_labels)
         scaled = auroc(result.test_probs_calibrated, test_labels)
         assert raw == scaled
 
@@ -216,10 +216,7 @@ def test_criterion_7_coverage_risk_trend():
             epsilon=0.2,
             training=TrainingConfig(),
         )
-        records = [
-            (r.example_id, p)
-            for r, p in zip(result.test_records, result.test_probs_calibrated)
-        ]
+        records = list(zip(result.test.ids, result.test_probs_calibrated.tolist()))
         curve = coverage_risk_sweep(records, data.labels())
         by_coverage = {p.coverage: p.error_rate for p in curve.points}
         assert by_coverage[0.8] < by_coverage[1.0]

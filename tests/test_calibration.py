@@ -18,7 +18,7 @@ from tcrselect.calibration import (
     fit_temperature,
     nll,
 )
-from tcrselect.scorer import ScoreRecord
+from tcrselect.scorer import ScoreTable, sigmoid
 
 
 def records_from_miscalibrated_grid(factor, n=4001, seed=0):
@@ -26,16 +26,17 @@ def records_from_miscalibrated_grid(factor, n=4001, seed=0):
     rng = np.random.default_rng(seed)
     ps = np.linspace(0.02, 0.98, n)
     labels = rng.binomial(1, ps)
-    return [
-        ScoreRecord.from_logit(f"g{i}", factor * math.log(p / (1 - p)), int(y))
-        for i, (p, y) in enumerate(zip(ps, labels))
-    ]
+    return ScoreTable(
+        [f"g{i}" for i in range(n)],
+        [factor * math.log(p / (1 - p)) for p in ps],
+        labels,
+    )
 
 
 def oracle_beta(records, lo, hi):
     """Two-stage grid search over beta; resolution well under 1e-6."""
-    logits = np.array([r.logit for r in records])
-    labels = np.array([r.label for r in records], dtype=float)
+    logits = records.logits
+    labels = records.labels.astype(float)
 
     def mean_nll(beta):
         z = beta * logits
@@ -67,10 +68,7 @@ class TestFitTemperature:
         assert abs(1.0 / model.temperature - beta) <= 1e-6
 
     def test_separable_pair_clamps_low(self):
-        records = [
-            ScoreRecord.from_logit("a", 2.0, 1),
-            ScoreRecord.from_logit("b", -2.0, 0),
-        ]
+        records = ScoreTable(("a", "b"), [2.0, -2.0], [1, 0])
         model = fit_temperature(records)
         assert model.temperature == TEMPERATURE_MIN
         assert model.clamped
@@ -82,7 +80,7 @@ class TestFitTemperature:
             assert model.nll_after <= model.nll_before + 1e-9
 
     def test_single_class_rejected(self):
-        records = [ScoreRecord.from_logit(f"r{i}", 0.3 * i, 1) for i in range(4)]
+        records = ScoreTable([f"r{i}" for i in range(4)], [0.3 * i for i in range(4)], [1] * 4)
         with pytest.raises(ValueError, match="single class"):
             fit_temperature(records)
 
@@ -111,29 +109,27 @@ class TestApplyTemperature:
         )
 
     def test_unit_temperature_is_identity(self):
-        records = [
-            ScoreRecord.from_logit("a", 0.73, 1),
-            ScoreRecord.from_logit("b", -2.1, 0),
-        ]
+        records = ScoreTable(("a", "b"), [0.73, -2.1], [1, 0])
         probs = apply_temperature(records, self.make_model(1.0))
-        assert probs == [r.prob_raw for r in records]
+        assert probs.tolist() == sigmoid(records.logits).tolist()
 
     def test_halving_logit(self):
-        records = [ScoreRecord.from_logit("a", 2.0, 1)]
+        records = ScoreTable(("a",), [2.0], [1])
         probs = apply_temperature(records, self.make_model(2.0))
         assert probs[0] == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_zero_logit_stays_half(self):
-        records = [ScoreRecord.from_logit("a", 0.0, 1)]
+        records = ScoreTable(("a",), [0.0], [1])
         for t in (0.05, 1.0, 100.0):
-            assert apply_temperature(records, self.make_model(t)) == [0.5]
+            assert apply_temperature(records, self.make_model(t)).tolist() == [0.5]
 
     def test_order_preserved(self):
-        records = [
-            ScoreRecord.from_logit(f"r{i}", float(i) - 2.0, i % 2)
-            for i in range(5)
-        ]
-        probs = apply_temperature(records, self.make_model(3.0))
+        records = ScoreTable(
+            [f"r{i}" for i in range(5)],
+            [float(i) - 2.0 for i in range(5)],
+            [i % 2 for i in range(5)],
+        )
+        probs = apply_temperature(records, self.make_model(3.0)).tolist()
         assert probs == sorted(probs)
 
 

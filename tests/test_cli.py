@@ -3,10 +3,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tcrselect.cli import main
+from tcrselect.calibration import TemperatureModel, apply_temperature
+from tcrselect.cli import _check_monotone, _method_rows, main
+from tcrselect.conformal import ConformalRule, PipelineResult, decide
 from tcrselect.data import ingest_tsv
+from tcrselect.scorer import ScoreTable, sigmoid
 from tcrselect.toycorpus import toy_dataset_path
 
 RUN_OUTPUTS = (
@@ -158,6 +162,22 @@ class TestRun:
             assert (out / name).exists(), name
         stdout = capsys.readouterr().out
         assert "conformal_selective" in stdout
+
+    def test_vacuous_rule_is_announced(self, tmp_path, capsys):
+        # the label-free score is at most 0.5, so a threshold >= 0.5 keeps every row
+        assert main(run_args(tmp_path / "r")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rule_line = next(line for line in lines if line.startswith("epsilon 0.2: threshold"))
+        assert rule_line.endswith(" (rule cannot abstain: threshold >= 0.5)")
+        rule = json.loads((tmp_path / "r" / "conformal_rule.json").read_text())
+        assert rule["threshold"] >= 0.5
+        decisions = (tmp_path / "r" / "decisions.tsv").read_text()
+        assert "\tabstain\t" not in decisions
+
+    def test_abstaining_rule_has_no_note(self, tmp_path, capsys):
+        assert main(run_args(tmp_path / "r", ["--epsilon", "0.4"])) == 0
+        assert "cannot abstain" not in capsys.readouterr().out
+        assert "\tabstain\t" in (tmp_path / "r" / "decisions.tsv").read_text()
 
     def test_metrics_report_shape(self, tmp_path):
         out = tmp_path / "r"
@@ -349,3 +369,33 @@ class TestMetricsReeval:
         assert reeval["retained"]["error_rate"] == selective["error_rate"]
         assert reeval["retained"]["ece"] == selective["ece"]
         assert len(reeval["decisions_fingerprint"]) == 64
+
+
+class TestMonotoneCheck:
+    def result(self, logits, labels, temperature):
+        test = ScoreTable(tuple(f"t{i}" for i in range(len(logits))), logits, labels)
+        model = TemperatureModel(
+            temperature=temperature, nll_before=1.0, nll_after=1.0,
+            n_cal_fit=len(logits), clamped=False,
+        )
+        rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
+        probs = apply_temperature(test, model)
+        decisions = decide(zip(test.ids, probs.tolist()), rule)
+        result = PipelineResult(None, model, rule, test, test, probs, probs, decisions, "")
+        return result, dict(zip(test.ids, labels))
+
+    def test_saturation_ties_are_not_an_error(self):
+        # sigmoid(37) == sigmoid(38) == 1.0, while 0.37 and 0.38 stay apart at
+        # T = 100, so the AUROCs differ although scaling is monotone
+        result, labels = self.result([37.0, 38.0, -1.0, 0.5], [1, 0, 0, 1], 100.0)
+        raw = sigmoid(result.test.logits)
+        assert raw[0] == raw[1] == 1.0
+        rows = _method_rows(result, labels)
+        assert rows["baseline"]["auroc"] == 0.625
+        assert rows["temp_scaled"]["auroc"] == 0.5
+
+    def test_decreasing_probabilities_raise(self):
+        logits = np.array([2.0, 1.0, 3.0])
+        _check_monotone(logits, np.array([0.7, 0.6, 0.8]))
+        with pytest.raises(RuntimeError, match="monotone"):
+            _check_monotone(logits, np.array([0.7, 0.6, 0.8]), np.array([0.6, 0.7, 0.8]))

@@ -229,7 +229,7 @@ class TestRunPipeline:
             manifest=manifest,
         )
         assert len(result.decisions) == len(manifest.test_ids)
-        assert len(result.cal_records) == len(manifest.cal_ids)
+        assert len(result.cal) == len(manifest.cal_ids)
         assert result.rule.n_cal == len(manifest.cal_ids)
         assert result.scorer_model is not None
 

@@ -1,4 +1,4 @@
-"""Built-in linear scorer: features, loss gradient, training, score records."""
+"""Built-in linear scorer: features, loss gradient, training, score tables."""
 
 import math
 
@@ -12,7 +12,7 @@ import kmer_oracle as oracle
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.scorer import (
     LinearScorerModel,
-    ScoreRecord,
+    ScoreTable,
     TrainingConfig,
     _scoring_matrix,
     _training_matrix,
@@ -37,20 +37,34 @@ def make_example(ex_id="e0", cdr3a="CAVSDF", cdr3b="CASSLF",
     )
 
 
-class TestScoreRecord:
+class TestScoreTable:
     def test_from_logit_matches_sigmoid(self):
-        rec = ScoreRecord.from_logit("e0", 1.0, 1)
-        assert rec.prob_raw == pytest.approx(0.7310585786300049, abs=1e-15)
+        table = ScoreTable(("e0",), [1.0], [1])
+        assert sigmoid(table.logits)[0] == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_rejects_non_finite_logit(self):
         with pytest.raises(ValueError):
-            ScoreRecord.from_logit("e0", float("nan"), 1)
+            ScoreTable(("e0",), [float("nan")], [1])
         with pytest.raises(ValueError):
-            ScoreRecord.from_logit("e0", float("inf"), 0)
+            ScoreTable(("e0",), [float("inf")], [0])
 
-    def test_rejects_inconsistent_prob(self):
-        with pytest.raises(ValueError):
-            ScoreRecord(example_id="e0", logit=1.0, prob_raw=0.9, label=1)
+    def test_rejects_mismatched_column_lengths(self):
+        with pytest.raises(ValueError, match="column lengths"):
+            ScoreTable(("e0", "e1"), [1.0], [1, 0])
+
+    def test_errors_name_the_first_bad_row(self):
+        with pytest.raises(ValueError, match="'e1'"):
+            ScoreTable(("e0", "e1", "e2"), [1.0, float("-inf"), float("nan")], [1, 0, 1])
+        with pytest.raises(ValueError, match="'e2'"):
+            ScoreTable(("e0", "e1", "e2"), [1.0, 2.0, 3.0], [1, 0, 2])
+
+    def test_column_types(self):
+        table = ScoreTable(["e0", "e1"], [1, -2], [True, False])
+        assert table.ids == ("e0", "e1")
+        assert table.logits.dtype == np.float64
+        assert table.labels.dtype == np.int8
+        assert table.labels.tolist() == [1, 0]
+        assert len(table) == 2
 
 
 def kmer_counts(example, kmer_size, include_cdr3a=True):
@@ -134,9 +148,9 @@ def assert_same_csr(actual, expected):
 
 
 def assert_same_logits(actual, expected):
-    assert [r.example_id for r in actual] == [r.example_id for r in expected]
-    assert [r.logit.hex() for r in actual] == [r.logit.hex() for r in expected]
-    assert all(type(r.logit) is float for r in actual)
+    assert list(actual.ids) == [r.example_id for r in expected]
+    assert [z.hex() for z in actual.logits.tolist()] == [r.logit.hex() for r in expected]
+    assert actual.logits.dtype == np.float64
 
 
 def random_model(vocab, kmer_size, include_cdr3a, seed, bias):
@@ -311,7 +325,7 @@ class TestTrainLinear:
         data = toy_train_set()
         model = train_linear(data, TrainingConfig())
         records = score(model, data)
-        predicted = [1 if r.prob_raw >= 0.5 else 0 for r in records]
+        predicted = [1 if p >= 0.5 else 0 for p in sigmoid(records.logits)]
         assert predicted == [ex.label for ex in data]
 
     def test_zero_learning_rate_is_null_model(self):
@@ -322,7 +336,8 @@ class TestTrainLinear:
         assert np.all(model.weights == 0.0)
         assert model.bias == 0.0
         records = score(model, data)
-        assert all(r.logit == 0.0 and r.prob_raw == 0.5 for r in records)
+        probs = sigmoid(records.logits)
+        assert all(z == 0.0 and p == 0.5 for z, p in zip(records.logits, probs))
 
     def test_same_seed_identical_weights(self):
         data = toy_train_set()
@@ -359,11 +374,9 @@ class TestTrainLinear:
         forward = score(model, data)
         flipped = Dataset(list(reversed(list(data))))
         backward = score(model, flipped)
-        assert [r.example_id for r in backward] == [
-            r.example_id for r in reversed(forward)
-        ]
-        by_id = {r.example_id: r.logit for r in forward}
-        assert all(by_id[r.example_id] == r.logit for r in backward)
+        assert list(backward.ids) == list(reversed(forward.ids))
+        by_id = dict(zip(forward.ids, forward.logits))
+        assert all(by_id[i] == z for i, z in zip(backward.ids, backward.logits))
 
     def test_model_json_round_trip(self, tmp_path):
         data = toy_train_set(12)
@@ -391,15 +404,15 @@ class TestManualModel:
             bias=-1.0, class_weights=(1.0, 1.0),
         )
         records = score(model, Dataset([ex]))
-        assert records[0].logit == pytest.approx(1.0, abs=1e-15)
-        assert records[0].prob_raw == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert records.logits[0] == pytest.approx(1.0, abs=1e-15)
+        assert sigmoid(records.logits)[0] == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_empty_dataset(self):
         model = LinearScorerModel(
             kmer_size=3, vocabulary={}, weights=np.zeros(0),
             bias=0.0, class_weights=(1.0, 1.0),
         )
-        assert score(model, Dataset([])) == []
+        assert len(score(model, Dataset([]))) == 0
 
 
 class TestLogitFiles:
@@ -410,9 +423,9 @@ class TestLogitFiles:
         path = tmp_path / "logits.tsv"
         export_logits(records, path)
         loaded = ingest_logits(path, data)
-        assert [(r.example_id, r.logit, r.label) for r in loaded] == [
-            (r.example_id, r.logit, r.label) for r in records
-        ]
+        assert list(zip(loaded.ids, loaded.logits, loaded.labels)) == list(
+            zip(records.ids, records.logits, records.labels)
+        )
 
     def test_missing_id_named(self, tmp_path):
         data = toy_train_set(4)
@@ -440,11 +453,12 @@ class TestLogitFiles:
         path = tmp_path / "logits.tsv"
         path.write_text("t0\t0.5\nt1\t-0.5\nghost\t9.0\n", encoding="utf-8")
         records = ingest_logits(path, data)
-        assert [r.example_id for r in records] == ["t0", "t1"]
+        assert list(records.ids) == ["t0", "t1"]
 
 
 def test_sigmoid_extremes():
-    assert sigmoid(0.0) == 0.5
-    assert sigmoid(800.0) == 1.0
-    assert sigmoid(-800.0) == math.exp(-800.0) if sigmoid(-800.0) else True
-    assert 0.0 <= sigmoid(-800.0) < 1e-300
+    half, one, tiny = sigmoid(np.array([0.0, 800.0, -800.0])).tolist()
+    assert half == 0.5
+    assert one == 1.0
+    assert tiny == math.exp(-800.0) if tiny else True
+    assert 0.0 <= tiny < 1e-300
