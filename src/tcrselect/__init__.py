@@ -62,6 +62,7 @@ from .scorer import (
     TrainingConfig,
     export_logits,
     ingest_logits,
+    read_logits,
     score,
     sigmoid,
     train_linear,
@@ -132,6 +133,7 @@ __all__ = [
     "nonconformity_calibration",
     "nonconformity_test",
     "quantile_index",
+    "read_logits",
     "run_pipeline",
     "score",
     "selective_error",

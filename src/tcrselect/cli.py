@@ -118,7 +118,7 @@ def _get_manifest(
 ) -> SplitManifest:
     if manifest_path:
         manifest = SplitManifest.load(manifest_path)
-        manifest.check_covers(data.ids(), f"manifest {manifest_path}")
+        manifest.check_covers(data.ids, f"manifest {manifest_path}")
         runner.log(f"loaded manifest from {manifest_path}")
         return manifest
     manifest = _make_manifest(runner.config, data)
@@ -280,7 +280,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     ) + table.to_csv()
     runner.write_text("reliability_test.csv", reliability_lines)
 
-    rows = _method_rows(result, data.labels())
+    rows = _method_rows(result, data.labels_by_id())
     report = {
         "config": runner.config.semantic_dict(),
         "provenance": provenance,
@@ -325,7 +325,7 @@ def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
     provenance = _provenance(runner, manifest, result)
     curve = coverage_risk_sweep(
         list(zip(result.test.ids, result.test_probs_calibrated.tolist())),
-        data.labels(),
+        data.labels_by_id(),
         grid=runner.config.sweep.grid,
         source=f"{manifest.protocol} test split",
     )
@@ -432,7 +432,7 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     text = decisions_path.read_text(encoding="utf-8")
     decisions = decisions_from_tsv(text)
     data = _load_dataset(runner.config)
-    labels = data.labels()
+    labels = data.labels_by_id()
     coverage, risk = selective_error(decisions, labels)
     quality = _retained_quality(decisions, labels, risk)
     report = {

@@ -202,7 +202,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any] | None = N
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ConfigError(f"config file {path}: {err}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: top level must be an object")

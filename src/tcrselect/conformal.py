@@ -35,6 +35,7 @@ from .scorer import (
     TrainingConfig,
     ids_fingerprint,
     ingest_logits,
+    read_logits,
     score,
     train_linear,
 )
@@ -199,7 +200,7 @@ class PipelineResult:
 
 def _check_disjoint(train: Dataset, cal: Dataset, test: Dataset) -> None:
     names = ("train", "cal", "test")
-    sets = [set(part.ids()) for part in (train, cal, test)]
+    sets = [set(part.ids) for part in (train, cal, test)]
     for i in range(3):
         for j in range(i + 1, 3):
             overlap = sets[i] & sets[j]
@@ -217,7 +218,7 @@ def _check_manifest(
         ("cal", cal, set(manifest.cal_ids)),
         ("test", test, set(manifest.test_ids)),
     ):
-        extra = set(part.ids()) - allowed
+        extra = set(part.ids) - allowed
         if extra:
             raise ValueError(
                 f"{name} dataset contains id(s) outside the manifest's {name} set, "
@@ -252,8 +253,10 @@ def run_pipeline(
         test_table = score(model, test)
     else:
         model = None
-        cal_table = ingest_logits(logits_path, cal)
-        test_table = ingest_logits(logits_path, test)
+        # one parse of the file serves both joins
+        logits = read_logits(logits_path)
+        cal_table = ingest_logits(logits, cal)
+        test_table = ingest_logits(logits, test)
     temperature = fit_temperature(cal_table)
     cal_probs = apply_temperature(cal_table, temperature)
     rule = fit_threshold(nonconformity_calibration(cal_probs, cal_table.labels), epsilon)

@@ -16,12 +16,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .data import Dataset, SequenceExample
+from .data import Dataset
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
@@ -98,10 +100,6 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 0")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
-
-
-def _tcr_string(example: SequenceExample, include_cdr3a: bool) -> str:
-    return example.cdr3a + _JOIN + example.cdr3b if include_cdr3a else example.cdr3b
 
 
 # Residue digits of the k-mer codes: the 20 amino acids, then the joiner.
@@ -215,10 +213,9 @@ class KmerWindows:
 
 def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> KmerWindows:
     """The k-mer windows of every example of data; see KmerWindows."""
-    fields = []
-    for ex in data:
-        fields.append(_tcr_string(ex, include_cdr3a))
-        fields.append(ex.peptide)
+    fields = [""] * (2 * len(data))
+    fields[0::2] = map(_JOIN.join, zip(data.cdr3a, data.cdr3b)) if include_cdr3a else data.cdr3b
+    fields[1::2] = data.peptide
     namespaces = np.tile(np.arange(len(_NAMESPACES), dtype=np.int8), len(data))
     return KmerWindows(kmer_size, fields, *_kmer_codes(fields, namespaces, kmer_size))
 
@@ -237,6 +234,8 @@ def _training_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr
     row order, so each becomes a 1.0 entry of its row in place, and
     sum_duplicates sorts every row and adds up repeated k-mers.
     """
+    from scipy.sparse import csr_matrix  # deferred: runs without a matrix never load it
+
     per_row = np.bincount(windows.row, minlength=windows.n_rows)
     X = csr_matrix(
         (np.ones(len(windows.code)), windows.columns(vocabulary), np.append(0, np.cumsum(per_row))),
@@ -255,6 +254,8 @@ def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_
     logit is ((bias + w1 * c1) + w2 * c2) + ... in exactly that order; a
     sorted-order sum differs in the last bits.
     """
+    from scipy.sparse import csr_matrix
+
     columns = windows.columns(vocabulary)
     hit = columns >= 0
     row, col = windows.row[hit], columns[hit]
@@ -390,7 +391,7 @@ def train_linear(
     from the training split only. Raises if the loss goes non-finite (the
     learning rate is too large) or if a class is missing.
     """
-    labels = np.array([ex.label for ex in train], dtype=float)
+    labels = train.labels.astype(float)
     n_pos = int(labels.sum())
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
@@ -430,12 +431,8 @@ def train_linear(
         epochs=config.epochs,
         seed=config.seed,
         final_train_loss=loss,
-        train_fingerprint=ids_fingerprint(ex.id for ex in train),
+        train_fingerprint=ids_fingerprint(train.ids),
     )
-
-
-def _labels(data: Dataset) -> np.ndarray:
-    return np.fromiter((ex.label for ex in data), np.int8, len(data))
 
 
 def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
@@ -453,7 +450,7 @@ def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
         # term is -0.0; csr_matvec starts each row at +0.0 instead
         signed_zero = (x == 0.0) & np.signbit(x)
         logits[(X @ (~signed_zero).astype(float)) == 0.0] = -0.0
-    return ScoreTable(data.ids(), logits, _labels(data))
+    return ScoreTable(data.ids, logits, data.labels)
 
 
 def export_logits(table: ScoreTable, path: str | Path) -> None:
@@ -463,13 +460,10 @@ def export_logits(table: ScoreTable, path: str | Path) -> None:
             handle.write(f"{example_id}\t{logit!r}\n")
 
 
-def ingest_logits(path: str | Path, data: Dataset) -> ScoreTable:
-    """Join an external logit TSV against a dataset's labels.
-
-    Every dataset id must appear exactly once; ids in the file that are not in
-    the dataset are permitted (one file can serve several splits). Missing,
-    duplicate, or non-finite entries raise ValueError naming the id.
-    """
+def read_logits(path: str | Path) -> dict[str, float]:
+    """Parse an external logit TSV: one 'id<TAB>logit' per line, blank lines
+    skipped. The first malformed line (wrong field count, duplicate id,
+    unparseable or non-finite logit) raises ValueError naming it."""
     logits: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -489,8 +483,22 @@ def ingest_logits(path: str | Path, data: Dataset) -> ScoreTable:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite logit for id {ex_id!r}")
             logits[ex_id] = value
-    ids = data.ids()
-    missing = next((ex_id for ex_id in ids if ex_id not in logits), None)
-    if missing is not None:
-        raise ValueError(f"missing logit for id {missing!r}")
-    return ScoreTable(ids, [logits[ex_id] for ex_id in ids], _labels(data))
+    return logits
+
+
+def ingest_logits(logits: str | Path | Mapping[str, float], data: Dataset) -> ScoreTable:
+    """Join external logits against a dataset's ids and labels.
+
+    logits is a logit TSV (see read_logits) or the mapping read_logits
+    returned, so one parse can serve several splits. Every dataset id must
+    have a logit; ids that are not in the dataset are permitted. A missing id
+    raises ValueError naming the first one in dataset order.
+    """
+    if not isinstance(logits, Mapping):
+        logits = read_logits(logits)
+    try:
+        values = list(map(logits.__getitem__, data.ids))
+    except KeyError:
+        missing = next(ex_id for ex_id in data.ids if ex_id not in logits)
+        raise ValueError(f"missing logit for id {missing!r}") from None
+    return ScoreTable(data.ids, values, data.labels)

@@ -12,11 +12,16 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data import Dataset, SequenceExample
+import numpy as np
+
+from .data import Dataset
 from .distance import cluster_by_identity
 
 PROTOCOL_RANDOM = "random"
@@ -77,6 +82,12 @@ class SplitManifest:
         }
 
     def to_json(self) -> str:
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:
+        # serialized once: a manifest is frozen, and its text is both written
+        # out and hashed by fingerprint
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def fingerprint(self) -> str:
@@ -123,22 +134,25 @@ def _largest_remainder(total: int, fractions: Sequence[float]) -> list[int]:
 
 
 def _stratified_three_way(
-    examples: Sequence[SequenceExample],
+    ids: Sequence[str],
+    labels: np.ndarray,
     fractions: Sequence[float],
     rng: random.Random,
 ) -> tuple[list[str], list[str], list[str]]:
-    """Allocate ids to (train, cal, test) stratified by label.
+    """Allocate ids to (train, cal, test) stratified by their labels.
 
     Global part sizes come from largest-remainder on the total; the label-1
     stratum is allocated by largest-remainder on its own size and label-0 takes
     the residual, which keeps both the part sizes and each part's positive
-    count within one example of the ideal.
+    count within one example of the ideal. Each stratum keeps dataset order
+    until rng shuffles it.
     """
-    n = len(examples)
+    n = len(ids)
     nonzero_parts = sum(1 for f in fractions if f > 0)
-    strata: dict[int, list[SequenceExample]] = {}
-    for ex in examples:
-        strata.setdefault(ex.label, []).append(ex)
+    strata = {
+        label: list(compress(ids, (labels == label).tolist()))
+        for label in set(labels.tolist())
+    }
     for label, members in sorted(strata.items()):
         if len(members) < nonzero_parts:
             raise ValueError(
@@ -161,14 +175,21 @@ def _stratified_three_way(
         allocated = [a + c for a, c in zip(allocated, counts)]
     parts: tuple[list[str], list[str], list[str]] = ([], [], [])
     for label in labels_desc:
-        members = list(strata[label])
+        # shuffle permutes by list length alone, so shuffling ids moves them
+        # exactly as shuffling whole rows would
+        members = strata[label]
         rng.shuffle(members)
         counts = per_stratum[label]
         start = 0
         for part, count in zip(parts, counts):
-            part.extend(ex.id for ex in members[start : start + count])
+            part.extend(members[start : start + count])
             start += count
     return parts
+
+
+def _where(column: Sequence[str], mask: np.ndarray) -> list[str]:
+    """The entries of column where mask is True, in order."""
+    return list(compress(column, mask.tolist()))
 
 
 def split_random(
@@ -188,7 +209,7 @@ def split_random(
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
     rng = random.Random(seed)
-    train, cal, test = _stratified_three_way(data.examples, fractions, rng)
+    train, cal, test = _stratified_three_way(data.ids, data.labels, fractions, rng)
     return SplitManifest(
         protocol=PROTOCOL_RANDOM,
         seed=seed,
@@ -216,7 +237,7 @@ def split_epitope_held_out(
     """
     if not 0.0 < cal_fraction < 1.0:
         raise ValueError("cal_fraction must be in (0, 1)")
-    distinct = sorted({ex.epitope_id for ex in data})
+    distinct = sorted(set(data.epitope_id))
     if k_test_epitopes < 0:
         raise ValueError("k_test_epitopes must be >= 0")
     if k_test_epitopes >= len(distinct):
@@ -225,27 +246,28 @@ def split_epitope_held_out(
         )
     rng = random.Random(seed)
     held_out = set(rng.sample(distinct, k_test_epitopes))
-    test_ids = [ex.id for ex in data if ex.epitope_id in held_out]
-    remaining = [ex for ex in data if ex.epitope_id not in held_out]
+    in_test = np.fromiter(map(held_out.__contains__, data.epitope_id), bool, len(data))
+    test_ids = _where(data.ids, in_test)
+    rest_ids = _where(data.ids, ~in_test)
     if epitope_disjoint_cal:
-        rest_epitopes = sorted({ex.epitope_id for ex in remaining})
+        rest_epitope = _where(data.epitope_id, ~in_test)
+        rest_epitopes = sorted(set(rest_epitope))
         rng.shuffle(rest_epitopes)
-        budget = cal_fraction * len(remaining) - 1e-9
+        budget = cal_fraction * len(rest_ids) - 1e-9
         cal_epitopes: set[str] = set()
         total = 0
-        sizes = {}
-        for ex in remaining:
-            sizes[ex.epitope_id] = sizes.get(ex.epitope_id, 0) + 1
+        sizes = Counter(rest_epitope)
         for ep in rest_epitopes:
             if total >= budget:
                 break
             cal_epitopes.add(ep)
             total += sizes[ep]
-        cal_ids = [ex.id for ex in remaining if ex.epitope_id in cal_epitopes]
-        train_ids = [ex.id for ex in remaining if ex.epitope_id not in cal_epitopes]
+        in_cal = np.fromiter(map(cal_epitopes.__contains__, rest_epitope), bool, len(rest_ids))
+        cal_ids = _where(rest_ids, in_cal)
+        train_ids = _where(rest_ids, ~in_cal)
     else:
         train_ids, cal_ids, _ = _stratified_three_way(
-            remaining, (1.0 - cal_fraction, cal_fraction, 0.0), rng
+            rest_ids, data.labels[~in_test], (1.0 - cal_fraction, cal_fraction, 0.0), rng
         )
     return SplitManifest(
         protocol=PROTOCOL_EPITOPE_HELD_OUT,
@@ -284,16 +306,15 @@ def split_distance_aware(
         raise ValueError("test_fraction must be in (0, 1)")
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    distinct = sorted({ex.cdr3b for ex in data})
+    distinct = sorted(set(data.cdr3b))
     clusters = cluster_by_identity(distinct, identity_ceiling)
     cluster_of: dict[str, int] = {}
     for cluster_idx, members in enumerate(clusters):
         for string_idx in members:
             cluster_of[distinct[string_idx]] = cluster_idx
-    counts = [0] * len(clusters)
-    for ex in data:
-        counts[cluster_of[ex.cdr3b]] += 1
     n = len(data)
+    cluster = np.fromiter(map(cluster_of.__getitem__, data.cdr3b), np.intp, n)
+    counts = np.bincount(cluster, minlength=len(clusters)).tolist()
     biggest = max(counts)
     if biggest > 0.8 * n + 1e-9:
         raise ValueError(
@@ -304,17 +325,18 @@ def split_distance_aware(
     order = list(range(len(clusters)))
     rng.shuffle(order)
     budget = test_fraction * n - 1e-9
-    test_clusters: set[int] = set()
+    in_test_cluster = np.zeros(len(clusters), dtype=bool)
     total = 0
     for cluster_idx in order:
         if total >= budget:
             break
-        test_clusters.add(cluster_idx)
+        in_test_cluster[cluster_idx] = True
         total += counts[cluster_idx]
-    test_ids = [ex.id for ex in data if cluster_of[ex.cdr3b] in test_clusters]
-    remaining = [ex for ex in data if cluster_of[ex.cdr3b] not in test_clusters]
+    in_test = in_test_cluster[cluster]
+    test_ids = _where(data.ids, in_test)
     train_ids, cal_ids, _ = _stratified_three_way(
-        remaining, (1.0 - cal_fraction, cal_fraction, 0.0), rng
+        _where(data.ids, ~in_test), data.labels[~in_test],
+        (1.0 - cal_fraction, cal_fraction, 0.0), rng,
     )
     return SplitManifest(
         protocol=PROTOCOL_DISTANCE_AWARE,

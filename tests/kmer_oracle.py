@@ -16,8 +16,11 @@ from tcrselect.scorer import (
     PEPTIDE_NAMESPACE,
     TCR_NAMESPACE,
     LinearScorerModel,
-    _tcr_string,
 )
+
+
+def _tcr_string(example: SequenceExample, include_cdr3a: bool) -> str:
+    return example.cdr3a + "|" + example.cdr3b if include_cdr3a else example.cdr3b
 
 
 def kmer_counts(

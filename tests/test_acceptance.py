@@ -101,7 +101,7 @@ def test_criterion_3_auroc_invariance():
             epsilon=0.2,
             training=TrainingConfig(),
         )
-        labels = data.labels()
+        labels = data.labels_by_id()
         test_labels = [labels[i] for i in result.test.ids]
         raw = auroc(sigmoid(result.test.logits), test_labels)
         scaled = auroc(result.test_probs_calibrated, test_labels)
@@ -186,7 +186,7 @@ def test_criterion_5_metric_oracles():
 def test_criterion_6_split_guarantees():
     with criterion(6, "EHO epitope disjointness, DA identity <= 0.70, exhaustive"):
         toy = ingest_tsv(toy_dataset_path())
-        by_id = {ex.id: ex for ex in toy.examples}
+        by_id = {ex.id: ex for ex in toy}
         for seed in (0, 1, 2):
             manifest = split_epitope_held_out(toy, k_test_epitopes=2, seed=seed)
             test_epitopes = {by_id[i].epitope_id for i in manifest.test_ids}
@@ -217,7 +217,7 @@ def test_criterion_7_coverage_risk_trend():
             training=TrainingConfig(),
         )
         records = list(zip(result.test.ids, result.test_probs_calibrated.tolist()))
-        curve = coverage_risk_sweep(records, data.labels())
+        curve = coverage_risk_sweep(records, data.labels_by_id())
         by_coverage = {p.coverage: p.error_rate for p in curve.points}
         assert by_coverage[0.8] < by_coverage[1.0]
         risks = [p.error_rate for p in curve.points]

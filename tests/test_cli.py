@@ -1,11 +1,16 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcrselect
 from tcrselect.calibration import TemperatureModel, apply_temperature
 from tcrselect.cli import _check_monotone, _method_rows, main
 from tcrselect.conformal import ConformalRule, PipelineResult, decide
@@ -134,6 +139,74 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: threads: unknown key\n"
 
 
+TOY_HEADER = "id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
+DECISIONS_HEADER = "example_id\tprob_calibrated\tnonconformity\tdecision\tpredicted_label\n"
+# (input, file name, contents, expected exit code); each file replaces one
+# good input of an otherwise working command
+MALFORMED = {
+    "corpus-bad-residue": ("corpus", "c.tsv", TOY_HEADER + "a\tCAV\tCASB\tGIL\tEP1\t1\n", 1),
+    "corpus-short-row": ("corpus", "c.tsv", TOY_HEADER + "a\tCAV\tCASS\n", 1),
+    "corpus-no-label-column": ("corpus", "c.tsv", "id\tcdr3a\tcdr3b\tpeptide\tepitope\n", 1),
+    "corpus-duplicate-id": (
+        "corpus", "c.tsv", TOY_HEADER + "a\tCAV\tCASS\tGIL\tEP1\t1\n" * 2, 1,
+    ),
+    "corpus-huge-field": (
+        "corpus", "c.tsv", TOY_HEADER + "a\t" + "A" * 200_000 + "\tCASS\tGIL\tEP1\t1\n", 1,
+    ),
+    "corpus-not-utf8": ("corpus", "c.tsv", TOY_HEADER.encode() + b"\xff\n", 1),
+    "logits-three-fields": ("logits", "l.tsv", "ex00000\t0.5\t1\n", 1),
+    "logits-unparseable": ("logits", "l.tsv", "ex00000\tabc\n", 1),
+    "logits-missing-ids": ("logits", "l.tsv", "ex00000\t0.5\n", 1),
+    "manifest-not-json": ("manifest", "m.json", "{not json", 1),
+    "manifest-not-utf8": ("manifest", "m.json", b"\xff", 1),
+    "config-not-json": ("config", "cfg.json", "{not json", 2),
+    "config-not-utf8": ("config", "cfg.json", b"{\"a\": \"\xff\"}", 2),
+    "config-not-object": ("config", "cfg.json", json.dumps({"conformal": 3}), 2),
+    "config-bad-protocol": ("config", "cfg.json", json.dumps({"split": {"protocol": "x"}}), 2),
+    "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
+    "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
+    "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
+    kind, name, contents, expected = MALFORMED[case]
+    path = tmp_path / name
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    else:
+        path.write_text(contents, encoding="utf-8")
+    dataset = str(path if kind == "corpus" else toy_dataset_path())
+    out = str(tmp_path / "o")
+    if kind == "decisions":
+        argv = ["metrics", "--dataset", dataset, "--decisions", str(path), "--out", out]
+    else:
+        argv = ["sweep", "--dataset", dataset, "--out", out]
+        argv += {
+            "logits": ["--scorer", "logits", "--logits", str(path)],
+            "manifest": ["--manifest", str(path)],
+            "config": ["--config", str(path)],
+        }.get(kind, [])
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("config error: " if expected == 2 else "error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # sweep --scorer logits and simulate build no matrix, so they need not pay
+    # for scipy.sparse
+    package_root = Path(tcrselect.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, tcrselect.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert done.stdout == "False\n"
+
+
 class TestSplit:
     def test_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -152,6 +225,16 @@ class TestSplit:
         assert manifest["seed"] == 5
         sizes = {k: len(manifest[k]) for k in ("train_ids", "cal_ids", "test_ids")}
         assert sum(sizes.values()) == 200
+
+
+def test_manifest_fingerprint_is_hash_of_written_file(tmp_path):
+    # the manifest is serialized once per run; the provenance hash must be
+    # the hash of exactly the bytes written
+    out = tmp_path / "r"
+    assert main(run_args(out)) == 0
+    written = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    report = json.loads((out / "metrics.json").read_text())
+    assert report["provenance"]["manifest"] == written
 
 
 class TestRun:

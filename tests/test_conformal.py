@@ -253,7 +253,7 @@ class TestRunPipeline:
         data = pipeline_corpus()
         manifest = self.split(data)
         cal = data.subset(manifest.cal_ids)
-        with pytest.raises(ValueError, match=cal.ids()[0]):
+        with pytest.raises(ValueError, match=cal.ids[0]):
             run_pipeline(
                 data.subset(manifest.train_ids),
                 cal,
@@ -315,6 +315,33 @@ class TestRunPipeline:
         assert external.scorer_model is None
         assert external.temperature.temperature == builtin.temperature.temperature
         assert external.decisions == builtin.decisions
+
+    @pytest.mark.parametrize(
+        "drop, bad_line, message",
+        [
+            ("test", None, "missing logit for id {test!r}"),
+            ("cal", None, "missing logit for id {cal!r}"),
+            ("cal", "x\ty\tz", "line 1: expected 'id<TAB>logit', got 'x\\ty\\tz'"),
+        ],
+        ids=["missing-test-after-clean-cal", "missing-cal-first", "parse-error-first"],
+    )
+    def test_logit_errors_in_order(self, tmp_path, drop, bad_line, message):
+        # the file is parsed once for both joins; parse errors come first,
+        # then a missing calibration id, then a missing test id
+        data = pipeline_corpus()
+        manifest = self.split(data)
+        parts = [data.subset(ids) for ids in (
+            manifest.train_ids, manifest.cal_ids, manifest.test_ids,
+        )]
+        dropped = {"cal": parts[1].ids[0], "test": parts[2].ids[-1]}
+        # the test id is always missing; with drop == "cal" the cal id too
+        missing = {dropped["test"], dropped[drop]}
+        lines = [f"{i}\t0.5" for i in data.ids if i not in missing]
+        path = tmp_path / "logits.tsv"
+        path.write_text("\n".join(([bad_line] if bad_line else []) + lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            run_pipeline(*parts, epsilon=0.2, logits_path=path)
+        assert str(err.value) == message.format(**dropped)
 
 
 class TestSelectiveDecisionValidation:

@@ -89,8 +89,8 @@ class TestDataset:
                 ("CAVT", "CAST", "NLVPMVATV", "EP02", 0),
             ]
         )
-        assert data.subset(["e1", "e0"]).ids() == ("e0", "e1")
-        assert data.subset(["e0", "e1"]).ids() == ("e0", "e1")
+        assert data.subset(["e1", "e0"]).ids == ("e0", "e1")
+        assert data.subset(["e0", "e1"]).ids == ("e0", "e1")
 
     def test_subset_unknown_id(self):
         data = make_dataset([("CAVS", "CASS", "GILGFVFTL", "EP01", 1)])
@@ -150,7 +150,7 @@ class TestIngest:
             encoding="utf-8",
         )
         data = ingest_tsv(path)
-        assert data.examples[0].cdr3b == "CASS"
+        assert data[0].cdr3b == "CASS"
 
     def test_column_mapping(self, tmp_path):
         path = tmp_path / "renamed.tsv"
@@ -167,7 +167,7 @@ class TestIngest:
             },
         )
         assert len(data) == 1
-        assert data.examples[0].epitope_id == "EP01"
+        assert data[0].epitope_id == "EP01"
 
     def test_auto_ids_are_row_indices(self, tmp_path):
         path = tmp_path / "noid.tsv"
@@ -177,7 +177,7 @@ class TestIngest:
             "CAVT\tCAST\tNLVPMVATV\tEP02\t0\n",
             encoding="utf-8",
         )
-        assert ingest_tsv(path).ids() == ("0", "1")
+        assert ingest_tsv(path).ids == ("0", "1")
 
 
 class TestDeduplicate:
@@ -189,15 +189,15 @@ class TestDeduplicate:
         rows = [self.NEAR_A, self.NEAR_A]
         data = make_dataset(rows)
         kept = deduplicate(data, 1.0)
-        assert kept.ids() == ("e0",)
+        assert kept.ids == ("e0",)
 
     def test_near_duplicate_dropped_at_090(self):
         data = make_dataset([self.NEAR_A, self.NEAR_B])
-        assert deduplicate(data, 0.9).ids() == ("e0",)
+        assert deduplicate(data, 0.9).ids == ("e0",)
 
     def test_near_duplicate_retained_at_099(self):
         data = make_dataset([self.NEAR_A, self.NEAR_B])
-        assert deduplicate(data, 0.99).ids() == ("e0", "e1")
+        assert deduplicate(data, 0.99).ids == ("e0", "e1")
 
     def test_empty_dataset_ok(self):
         assert len(deduplicate(Dataset([]), 0.9)) == 0
@@ -205,7 +205,7 @@ class TestDeduplicate:
     def test_first_kept_order(self):
         rows = [self.NEAR_B, self.NEAR_A]
         data = make_dataset(rows)
-        assert deduplicate(data, 0.9).ids() == ("e0",)
+        assert deduplicate(data, 0.9).ids == ("e0",)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -220,7 +220,7 @@ class TestDeduplicate:
         data = make_dataset(rows)
         once = deduplicate(data, 0.8)
         twice = deduplicate(once, 0.8)
-        assert once.ids() == twice.ids()
+        assert once.ids == twice.ids
 
     @given(related_strings(min_size=1), st.sampled_from(["G", "GW", "GILGF"]), thresholds)
     @settings(max_examples=150, deadline=None)
@@ -228,7 +228,7 @@ class TestDeduplicate:
         data = make_dataset([("C", b, peptide, "EP01", 1) for b in cdr3bs])
         keys = [ex.concatenation for ex in data]
         expected = tuple(data[pos].id for pos in oracle_dedup(keys, threshold))
-        assert deduplicate(data, threshold).ids() == expected
+        assert deduplicate(data, threshold).ids == expected
 
 
 def positives_corpus(n_pos=50, n_epitopes=25):

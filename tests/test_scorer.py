@@ -22,6 +22,7 @@ from tcrselect.scorer import (
     export_logits,
     ingest_logits,
     loss_and_grad,
+    read_logits,
     score,
     sigmoid,
     train_linear,
@@ -454,6 +455,16 @@ class TestLogitFiles:
         path.write_text("t0\t0.5\nt1\t-0.5\nghost\t9.0\n", encoding="utf-8")
         records = ingest_logits(path, data)
         assert list(records.ids) == ["t0", "t1"]
+
+    def test_parsed_logits_serve_several_parts(self, tmp_path):
+        data = toy_train_set(4)
+        path = tmp_path / "logits.tsv"
+        path.write_text("t0\t0.5\nt1\t-0.5\nt2\t0.25\nt3\t1.5\n", encoding="utf-8")
+        logits = read_logits(path)
+        head, tail = data.subset(["t0", "t1"]), data.subset(["t2", "t3"])
+        assert ingest_logits(logits, head).logits.tolist() == [0.5, -0.5]
+        assert ingest_logits(logits, tail).logits.tolist() == [0.25, 1.5]
+        assert ingest_logits(path, tail).logits.tolist() == [0.25, 1.5]
 
 
 def test_sigmoid_extremes():

@@ -83,7 +83,7 @@ class TestSplitRandom:
         data = corpus(100, 5)
         manifest = split_random(data, seed=1)
         all_ids = sorted(manifest.train_ids + manifest.cal_ids + manifest.test_ids)
-        assert all_ids == sorted(data.ids())
+        assert all_ids == sorted(data.ids)
 
     def test_empty_test_fraction(self):
         data = corpus(40, 8)
@@ -210,7 +210,7 @@ class TestSplitDistanceAware:
         )
         manifest = split_distance_aware(data, seed=11)
         all_ids = sorted(manifest.train_ids + manifest.cal_ids + manifest.test_ids)
-        assert all_ids == sorted(data.ids())
+        assert all_ids == sorted(data.ids)
 
     def test_determinism(self):
         data = corpus(60, 20, cdr3b=lambda i: family_cdr3b(i % 4, i // 4))
