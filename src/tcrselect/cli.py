@@ -50,6 +50,10 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class _Runner:
     """Shared plumbing: output dir, sidecar log, deterministic writers."""
 
@@ -57,9 +61,7 @@ class _Runner:
         self.config = config
         self.out = Path(config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.config_fingerprint = hashlib.sha256(
-            config.semantic_json().encode("utf-8")
-        ).hexdigest()
+        self.config_fingerprint = _sha256(config.semantic_json())
 
     def log(self, message: str) -> None:
         with open(self.out / "run_log.txt", "a", encoding="utf-8") as handle:
@@ -238,13 +240,19 @@ def _run_shared(
     return data, manifest, result
 
 
-def _provenance(runner: _Runner, manifest: SplitManifest, result: PipelineResult) -> dict:
-    return {
+def _provenance(
+    runner: _Runner, manifest: SplitManifest, result: PipelineResult
+) -> tuple[dict, str | None]:
+    """The provenance block, and the builtin scorer's JSON text (None for
+    external logits): serialized once, hashed here and written by run."""
+    scorer_json = result.scorer_model.to_json() if result.scorer_model else None
+    provenance = {
         "config": runner.config_fingerprint,
         "manifest": manifest.fingerprint(),
-        "scorer": result.scorer_model.fingerprint() if result.scorer_model else None,
+        "scorer": None if scorer_json is None else _sha256(scorer_json),
         "calibration_ids": result.cal_fingerprint,
     }
+    return provenance, scorer_json
 
 
 def _comment_lines(provenance: dict) -> list[str]:
@@ -258,10 +266,10 @@ def _comment_lines(provenance: dict) -> list[str]:
 
 def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     data, manifest, result = _run_shared(runner, args)
-    provenance = _provenance(runner, manifest, result)
+    provenance, scorer_json = _provenance(runner, manifest, result)
 
-    if result.scorer_model is not None:
-        runner.write_text("scorer.json", result.scorer_model.to_json())
+    if scorer_json is not None:
+        runner.write_text("scorer.json", scorer_json)
     runner.write_json(
         "temperature.json",
         dict(result.temperature.to_json_dict(), provenance=provenance),
@@ -322,7 +330,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
 
 def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
     data, manifest, result = _run_shared(runner, args)
-    provenance = _provenance(runner, manifest, result)
+    provenance, _ = _provenance(runner, manifest, result)
     curve = coverage_risk_sweep(
         list(zip(result.test.ids, result.test_probs_calibrated.tolist())),
         data.labels_by_id(),
@@ -353,10 +361,11 @@ def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
     train = data.subset(manifest.train_ids)
     model = train_linear(train, _training_config(config))
     table = score(model, data)
-    runner.write_text("scorer.json", model.to_json())
+    scorer_json = model.to_json()
+    runner.write_text("scorer.json", scorer_json)
     export_logits(table, runner.out / "logits.tsv")
     runner.log("wrote logits.tsv")
-    print(f"scored {len(table)} examples with model {model.fingerprint()[:12]}")
+    print(f"scored {len(table)} examples with model {_sha256(scorer_json)[:12]}")
     return 0
 
 
@@ -438,7 +447,7 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     report = {
         "config": runner.config.semantic_dict(),
         "decisions_file": str(decisions_path),
-        "decisions_fingerprint": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "decisions_fingerprint": _sha256(text),
         "n_decisions": len(decisions),
         "coverage": coverage,
         "retained": dict(quality, coverage=coverage, abstained=1.0 - coverage),

@@ -1,16 +1,20 @@
 """Run configuration: one JSON file drives every subcommand.
 
 Every field has a default except the dataset path, which only the dataset
-bound commands require. Command-line flags override file values. Unknown keys
-and bad values raise ConfigError naming the dotted field path.
+bound commands require. Command-line flags override file values. Every value
+is checked against its field's declared type: an int field takes no bool or
+float, a float field takes an int but no bool, and null only goes where the
+type allows None. Unknown keys and bad values raise ConfigError naming the
+dotted field path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .splits import (
     DEFAULT_CAL_FRACTION,
@@ -119,45 +123,52 @@ class RunConfig:
         return json.dumps(self.semantic_dict(), indent=2, sort_keys=True) + "\n"
 
 
+# what a scalar field of each declared type accepts (bool is checked apart,
+# since it is an int subclass), and how its error names the type
+_SCALARS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _build(cls: type, raw: Mapping[str, Any], path: str) -> Any:
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(raw) - set(known)
+    hints = get_type_hints(cls)
+    unknown = set(raw) - set(hints)
     if unknown:
         first = sorted(unknown)[0]
         raise ConfigError(f"{path}{first}: unknown key")
-    kwargs: dict[str, Any] = {}
-    for name, value in raw.items():
-        where = f"{path}{name}"
-        if value is None:
-            kwargs[name] = None
-            continue
-        if name == "dataset":
-            kwargs[name] = _build(DatasetConfig, _as_map(value, where), where + ".")
-        elif name == "split":
-            kwargs[name] = _build(SplitConfig, _as_map(value, where), where + ".")
-        elif name == "scorer":
-            kwargs[name] = _build(ScorerSection, _as_map(value, where), where + ".")
-        elif name == "conformal":
-            kwargs[name] = _build(ConformalSection, _as_map(value, where), where + ".")
-        elif name == "sweep":
-            kwargs[name] = _build(SweepSection, _as_map(value, where), where + ".")
-        elif name == "simulate":
-            kwargs[name] = _build(SimulateSection, _as_map(value, where), where + ".")
-        elif name == "negatives":
-            kwargs[name] = _build(NegativesConfig, _as_map(value, where), where + ".")
-        elif name == "columns":
-            kwargs[name] = dict(_as_map(value, where))
-        elif name in ("fractions", "grid"):
-            kwargs[name] = tuple(float(v) for v in _as_list(value, where))
-        elif name == "sizes":
-            kwargs[name] = tuple(int(v) for v in _as_list(value, where))
-        else:
-            kwargs[name] = value
+    kwargs = {name: _typed(hints[name], value, f"{path}{name}") for name, value in raw.items()}
     try:
         built = cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path.rstrip('.')}: {err}") from None
     return built
+
+
+def _typed(tp: Any, value: Any, where: str) -> Any:
+    """value checked against the declared type tp. Scalars pass unchanged, so
+    a valid config keeps its fingerprint; list items become the declared
+    element type (1 -> 1.0 for a float list), as they always have."""
+    if get_origin(tp) in (Union, UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+    if is_dataclass(tp):
+        return _build(tp, _as_map(value, where), where + ".")
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is dict:
+        return {k: _typed(args[1], v, f"{where}.{k}") for k, v in _as_map(value, where).items()}
+    if origin is tuple:  # tuple[X, ...] or tuple[X, X, X]
+        items = _as_list(value, where)
+        if args[-1] is not Ellipsis and len(items) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {len(items)}")
+        return tuple(args[0](_typed(args[0], v, f"{where}[{i}]")) for i, v in enumerate(items))
+    accepted, name = _SCALARS[tp]
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    return value
 
 
 def _as_map(value: Any, where: str) -> Mapping[str, Any]:

@@ -283,6 +283,24 @@ def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
     return n / (2.0 * n_pos), n / (2.0 * n_neg)
 
 
+# Bound behind skipping the loss. With y in {0, 1}, a per-sample loss
+# softplus(z) - y*z lies in [0, |z| + log 2]: softplus(z) <= max(z, 0) + log 2,
+# and softplus(z) - z = softplus(-z). With non-negative sample weights, every
+# partial sum of the weighted mean is then at most n * max(sw) * (max|z| + 1),
+# and the penalty is 0.5*l2*w.w. When both are at most 1e300, the loss is at
+# most 2e300, far below overflow even after rounding, so it is finite.
+_LOSS_BOUND = 1e300
+
+
+def _loss_is_bounded(z: np.ndarray, sample_weights: np.ndarray, l2: float, ww: float) -> bool:
+    """True when _LOSS_BOUND proves the loss finite. A NaN anywhere fails a
+    comparison, so it fails the test."""
+    if not len(z):
+        return False  # the mean over no samples is NaN
+    data = len(z) * float(np.max(sample_weights)) * (float(np.max(np.abs(z))) + 1.0)
+    return data <= _LOSS_BOUND and math.isfinite(ww) and 0.5 * l2 * ww <= _LOSS_BOUND
+
+
 def loss_and_grad(
     X: csr_matrix,
     y: np.ndarray,
@@ -290,23 +308,39 @@ def loss_and_grad(
     weights: np.ndarray,
     bias: float,
     l2: float,
-) -> tuple[float, np.ndarray, float]:
+    want_loss: bool = True,
+) -> tuple[float | None, np.ndarray, float]:
     """Class-weighted mean BCE plus 0.5*l2*||w||^2 (bias unpenalized).
 
     Returns (loss, grad_weights, grad_bias). Per-sample cross-entropy is
-    computed as softplus(z) - y*z, which is exact and overflow-safe.
+    computed as softplus(z) - y*z, which is exact and overflow-safe. y holds
+    0/1 labels and sample_weights are non-negative. With want_loss=False the
+    loss is None whenever _LOSS_BOUND proves it finite, and exact otherwise.
     """
     n = X.shape[0]
     # overflow to inf is expected when training diverges; the caller checks
     # for a non-finite loss and reports it
     with np.errstate(over="ignore"):
-        z = X @ weights + bias
-        per_sample = np.logaddexp(0.0, z) - y * z
-        loss = float(np.mean(sample_weights * per_sample)) + 0.5 * l2 * float(weights @ weights)
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-        coef = sample_weights * (p - y) / n
-        grad_w = np.asarray(X.T @ coef) + l2 * weights
-        grad_b = float(np.sum(coef))
+        z = X @ weights
+        z += bias
+        ww = float(weights @ weights)
+        loss = None
+        if want_loss or not _loss_is_bounded(z, sample_weights, l2, ww):
+            per_sample = np.logaddexp(0.0, z) - y * z
+            loss = float(np.mean(sample_weights * per_sample)) + 0.5 * l2 * ww
+        # coef = sample_weights * (sigmoid(clip(z)) - y) / n, computed in place
+        # in z, one operation at a time in that expression's order, so every
+        # value rounds exactly as the expression would
+        np.clip(z, -500.0, 500.0, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        z -= y
+        np.multiply(sample_weights, z, out=z)
+        z /= n
+        grad_w = np.asarray(X.T @ z) + l2 * weights
+        grad_b = float(np.sum(z))
     return loss, grad_w, grad_b
 
 
@@ -388,8 +422,10 @@ def train_linear(
     """Fit the k-mer logistic scorer on the training split.
 
     Deterministic: zero initialization, full-batch updates. Class weights come
-    from the training split only. Raises if the loss goes non-finite (the
-    learning rate is too large) or if a class is missing.
+    from the training split only. Raises if a class is missing, or if the loss
+    goes non-finite (the learning rate is too large), naming the first such
+    epoch. An epoch computes its exact loss only for loss_callback or when
+    loss_and_grad's bound cannot prove it finite; final_train_loss is exact.
     """
     labels = train.labels.astype(float)
     n_pos = int(labels.sum())
@@ -401,10 +437,11 @@ def train_linear(
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     weights = np.zeros(len(vocabulary))
     bias = 0.0
-    loss = float("nan")
     for epoch in range(config.epochs):
-        loss, grad_w, grad_b = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)
-        if not math.isfinite(loss):
+        loss, grad_w, grad_b = loss_and_grad(
+            X, labels, sample_w, weights, bias, config.l2, want_loss=loss_callback is not None
+        )
+        if loss is not None and not math.isfinite(loss):
             raise ValueError(
                 f"training diverged at epoch {epoch} (loss not finite); "
                 f"reduce learning_rate from {config.learning_rate}"

@@ -163,6 +163,17 @@ MALFORMED = {
     "config-not-utf8": ("config", "cfg.json", b"{\"a\": \"\xff\"}", 2),
     "config-not-object": ("config", "cfg.json", json.dumps({"conformal": 3}), 2),
     "config-bad-protocol": ("config", "cfg.json", json.dumps({"split": {"protocol": "x"}}), 2),
+    "config-epsilon-string": ("config", "cfg.json", json.dumps({"conformal": {"epsilon": "x"}}), 2),
+    "config-grid-null": ("config", "cfg.json", json.dumps({"sweep": {"grid": [None]}}), 2),
+    "config-epochs-float": ("config", "cfg.json", json.dumps({"scorer": {"epochs": 1.5}}), 2),
+    "config-epochs-bool": ("config", "cfg.json", json.dumps({"scorer": {"epochs": True}}), 2),
+    "config-rate-string": (
+        "config", "cfg.json", json.dumps({"scorer": {"learning_rate": "x"}}), 2,
+    ),
+    "config-kmer-string": ("config", "cfg.json", json.dumps({"scorer": {"kmer_size": "3"}}), 2),
+    "config-two-fractions": (
+        "config", "cfg.json", json.dumps({"split": {"fractions": [0.5, 0.5]}}), 2,
+    ),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
@@ -235,6 +246,21 @@ def test_manifest_fingerprint_is_hash_of_written_file(tmp_path):
     written = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
     report = json.loads((out / "metrics.json").read_text())
     assert report["provenance"]["manifest"] == written
+
+
+def test_scorer_fingerprint_is_hash_of_written_file(tmp_path, capsys):
+    # scorer.json is serialized once; run's provenance and score's stdout
+    # name the hash of exactly the bytes written
+    out = tmp_path / "r"
+    assert main(run_args(out)) == 0
+    written = hashlib.sha256((out / "scorer.json").read_bytes()).hexdigest()
+    report = json.loads((out / "metrics.json").read_text())
+    assert report["provenance"]["scorer"] == written
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert main(["score", "--dataset", str(toy_dataset_path()), "--out", str(out)]) == 0
+    written = hashlib.sha256((out / "scorer.json").read_bytes()).hexdigest()
+    assert capsys.readouterr().out == f"scored 200 examples with model {written[:12]}\n"
 
 
 class TestRun:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import kmer_oracle as oracle
+import train_oracle
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.scorer import (
     LinearScorerModel,
@@ -349,10 +350,15 @@ class TestTrainLinear:
 
     def test_loss_non_increasing_at_default_settings(self):
         data = toy_train_set()
-        losses = []
+        losses, exact = [], []
         train_linear(
             data, TrainingConfig(), loss_callback=lambda epoch, loss: losses.append(loss)
         )
+        train_oracle.train_linear(
+            data, TrainingConfig(), loss_callback=lambda epoch, loss: exact.append(loss)
+        )
+        # the callback gets the exact loss of every epoch, never a skipped one
+        assert [loss.hex() for loss in losses] == [loss.hex() for loss in exact]
         assert len(losses) == TrainingConfig().epochs
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
