@@ -23,8 +23,8 @@ from .conformal import (
     DECISION_ABSTAIN,
     DECISION_PREDICT,
     ConformalRule,
+    DecisionTable,
     PipelineResult,
-    SelectiveDecision,
     decide,
     fit_threshold,
     nonconformity_calibration,
@@ -90,12 +90,12 @@ __all__ = [
     "DECISION_ABSTAIN",
     "DECISION_PREDICT",
     "Dataset",
+    "DecisionTable",
     "LinearScorerModel",
     "PipelineResult",
     "ReliabilityTable",
     "RunConfig",
     "ScoreTable",
-    "SelectiveDecision",
     "SequenceExample",
     "SplitManifest",
     "SyntheticSpec",

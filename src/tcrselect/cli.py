@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -23,9 +24,8 @@ import numpy as np
 from .calibration import brier, ece, nll
 from .config import ConfigError, RunConfig, load_config
 from .conformal import (
-    DECISION_PREDICT,
+    DecisionTable,
     PipelineResult,
-    SelectiveDecision,
     decisions_from_tsv,
     decisions_to_tsv,
     quantile_index,
@@ -157,16 +157,15 @@ def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
 
 
 def _retained_quality(
-    decisions: Sequence[SelectiveDecision], labels: dict[str, int], risk: float | None
+    decisions: DecisionTable, labels: np.ndarray, risk: float | None
 ) -> dict:
-    """Quality row of the retained decisions, with the selective risk as
-    error_rate; every value None when all of them abstained."""
-    retained = [d for d in decisions if d.decision == DECISION_PREDICT]
-    if not retained:
+    """Quality row of the retained decisions against their aligned labels,
+    with the selective risk as error_rate; every value None when all of them
+    abstained."""
+    retained = decisions.predicted >= 0
+    if not retained.any():
         return dict.fromkeys(("auroc", "auprc", "ece", "brier", "nll", "error_rate"))
-    quality = _quality_row(
-        [d.prob_calibrated for d in retained], [labels[d.example_id] for d in retained]
-    )
+    quality = _quality_row(decisions.probs[retained], labels[retained])
     quality["error_rate"] = risk
     return quality
 
@@ -187,7 +186,7 @@ def _check_monotone(logits: np.ndarray, *probs: np.ndarray) -> None:
         )
 
 
-def _method_rows(result: PipelineResult, labels: dict[str, int]) -> dict:
+def _method_rows(result: PipelineResult) -> dict:
     test_labels = result.test.labels
     raw_probs = sigmoid(result.test.logits)
     cal_probs = result.test_probs_calibrated
@@ -195,9 +194,9 @@ def _method_rows(result: PipelineResult, labels: dict[str, int]) -> dict:
 
     baseline = dict(_quality_row(raw_probs, test_labels), coverage=1.0, abstained=0.0)
     temp_scaled = dict(_quality_row(cal_probs, test_labels), coverage=1.0, abstained=0.0)
-    coverage, risk = selective_error(result.decisions, labels)
+    coverage, risk = selective_error(result.decisions, test_labels)
     selective = dict(
-        _retained_quality(result.decisions, labels, risk),
+        _retained_quality(result.decisions, test_labels, risk),
         coverage=coverage,
         abstained=1.0 - coverage,
     )
@@ -222,7 +221,7 @@ def cmd_split(runner: _Runner, args: argparse.Namespace) -> int:
 
 def _run_shared(
     runner: _Runner, args: argparse.Namespace
-) -> tuple[Dataset, SplitManifest, PipelineResult]:
+) -> tuple[SplitManifest, PipelineResult]:
     config = runner.config
     data = _load_dataset(config)
     manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
@@ -237,7 +236,7 @@ def _run_shared(
         logits_path=None if builtin else config.scorer.logits_path,
         manifest=manifest,
     )
-    return data, manifest, result
+    return manifest, result
 
 
 def _provenance(
@@ -265,7 +264,7 @@ def _comment_lines(provenance: dict) -> list[str]:
 
 
 def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
-    data, manifest, result = _run_shared(runner, args)
+    manifest, result = _run_shared(runner, args)
     provenance, scorer_json = _provenance(runner, manifest, result)
 
     if scorer_json is not None:
@@ -288,7 +287,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     ) + table.to_csv()
     runner.write_text("reliability_test.csv", reliability_lines)
 
-    rows = _method_rows(result, data.labels_by_id())
+    rows = _method_rows(result)
     report = {
         "config": runner.config.semantic_dict(),
         "provenance": provenance,
@@ -329,11 +328,11 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
-    data, manifest, result = _run_shared(runner, args)
+    manifest, result = _run_shared(runner, args)
     provenance, _ = _provenance(runner, manifest, result)
     curve = coverage_risk_sweep(
-        list(zip(result.test.ids, result.test_probs_calibrated.tolist())),
-        data.labels_by_id(),
+        result.test_probs_calibrated,
+        result.test.labels,
         grid=runner.config.sweep.grid,
         source=f"{manifest.protocol} test split",
     )
@@ -378,61 +377,33 @@ def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
         base_positive_rate=sim.base_positive_rate,
         seed=sim.seed,
     )
-    comments = [f"config={runner.config_fingerprint}"]
     if sim.sizes:
         rows = calibration_size_sweep(spec, sim.sizes, sim.epsilon, n_trials=sim.n_trials)
-        lines = [f"# {text}" for text in comments]
-        lines.append("n_cal,mean_ece_after,mean_coverage")
-        for row in rows:
-            lines.append(f"{row.n_cal},{row.mean_ece_after!r},{row.mean_coverage!r}")
-        runner.write_text("simulate.csv", "\n".join(lines) + "\n")
-        runner.write_json(
-            "simulate.json",
-            {
-                "config": runner.config.semantic_dict(),
-                "mode": "calibration_size_sweep",
-                "rows": [
-                    {
-                        "n_cal": row.n_cal,
-                        "mean_ece_after": row.mean_ece_after,
-                        "mean_coverage": row.mean_coverage,
-                    }
-                    for row in rows
-                ],
-            },
-        )
-        for row in rows:
-            print(
-                f"n_cal {row.n_cal}: ece_after {row.mean_ece_after:.4f} "
-                f"coverage {row.mean_coverage:.4f}"
-            )
-        return 0
-    summary = coverage_experiment(spec, sim.epsilon, sim.n_trials)
-    lines = [f"# {text}" for text in comments]
-    lines.append("trial,coverage")
-    for trial, coverage in enumerate(summary.coverages):
-        lines.append(f"{trial},{coverage!r}")
-    runner.write_text("simulate.csv", "\n".join(lines) + "\n")
-    runner.write_json(
-        "simulate.json",
-        {
-            "config": runner.config.semantic_dict(),
-            "mode": "coverage_experiment",
-            "epsilon": summary.epsilon,
-            "n_cal": summary.n_cal,
-            "n_trials": summary.n_trials,
-            "mean_coverage": summary.mean_coverage,
-            "sd_coverage": summary.sd_coverage,
-            "retain_all_trials": summary.retain_all_trials,
-        },
-    )
-    # expected coverage is at least k/(n_cal+1) >= 1 - epsilon, k the quantile index
-    bound = quantile_index(summary.n_cal, summary.epsilon) / (summary.n_cal + 1)
-    standard_error = summary.sd_coverage / math.sqrt(summary.n_trials)
-    print(
-        f"mean coverage {summary.mean_coverage:.4f} (standard error {standard_error:.4f}) "
-        f"over {summary.n_trials} trials (expected coverage guarantee >= {bound:.4f})"
-    )
+        header = "n_cal,mean_ece_after,mean_coverage"
+        lines = [f"{row.n_cal},{row.mean_ece_after!r},{row.mean_coverage!r}" for row in rows]
+        report = {"mode": "calibration_size_sweep", "rows": [asdict(row) for row in rows]}
+        summary = [
+            f"n_cal {row.n_cal}: ece_after {row.mean_ece_after:.4f} "
+            f"coverage {row.mean_coverage:.4f}"
+            for row in rows
+        ]
+    else:
+        result = coverage_experiment(spec, sim.epsilon, sim.n_trials)
+        header = "trial,coverage"
+        lines = [f"{trial},{coverage!r}" for trial, coverage in enumerate(result.coverages)]
+        report = dict(asdict(result), mode="coverage_experiment")
+        del report["coverages"]  # they are the rows of simulate.csv
+        # expected coverage is at least k/(n_cal+1) >= 1 - epsilon, k the quantile index
+        bound = quantile_index(result.n_cal, result.epsilon) / (result.n_cal + 1)
+        standard_error = result.sd_coverage / math.sqrt(result.n_trials)
+        summary = [
+            f"mean coverage {result.mean_coverage:.4f} (standard error {standard_error:.4f}) "
+            f"over {result.n_trials} trials (expected coverage guarantee >= {bound:.4f})"
+        ]
+    csv_lines = [f"# config={runner.config_fingerprint}", header, *lines]
+    runner.write_text("simulate.csv", "\n".join(csv_lines) + "\n")
+    runner.write_json("simulate.json", dict(report, config=runner.config.semantic_dict()))
+    print("\n".join(summary))
     return 0
 
 
@@ -440,8 +411,12 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     decisions_path = Path(args.decisions)
     text = decisions_path.read_text(encoding="utf-8")
     decisions = decisions_from_tsv(text)
-    data = _load_dataset(runner.config)
-    labels = data.labels_by_id()
+    # an external decision file is not aligned with the dataset: join by id
+    labels_by_id = _load_dataset(runner.config).labels_by_id()
+    try:
+        labels = np.array([labels_by_id[i] for i in decisions.ids], dtype=np.int8)
+    except KeyError as err:
+        raise ValueError(f"no label for id {err.args[0]!r}") from None
     coverage, risk = selective_error(decisions, labels)
     quality = _retained_quality(decisions, labels, risk)
     report = {
@@ -551,6 +526,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _list_flag(flag: str, text: str, parse: type, expected: str) -> list:
+    """The comma-separated items of a flag value, each parsed."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(parse(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: expected {expected}, got {item!r}") from None
+    return items
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     overrides: dict[str, object] = {}
     mapping = {
@@ -586,10 +572,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         overrides[key] = epsilon
     grid = getattr(args, "grid", None)
     if grid:
-        overrides["sweep.grid"] = [float(v) for v in grid.split(",")]
+        overrides["sweep.grid"] = _list_flag("--grid", grid, float, "a number")
     sizes = getattr(args, "sizes", None)
     if sizes:
-        overrides["simulate.sizes"] = [int(v) for v in sizes.split(",")]
+        overrides["simulate.sizes"] = _list_flag("--sizes", sizes, int, "an integer")
     return overrides
 
 

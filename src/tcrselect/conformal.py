@@ -15,15 +15,17 @@ protocols break exchangeability by design; reports always record the protocol
 so the guarantee's scope stays visible.
 
 Each part's scores are one ScoreTable with a float64 array of calibrated
-probabilities; nonconformity scores are arrays too.
+probabilities; nonconformity scores are arrays too, and the test decisions are
+one DecisionTable.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,9 +100,6 @@ class ConformalRule:
     def retain_all(self) -> bool:
         return self.threshold is None
 
-    def retains(self, nonconformity: float) -> bool:
-        return self.threshold is None or nonconformity <= self.threshold
-
     def to_json_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
@@ -133,53 +132,62 @@ def fit_threshold(cal_scores: Sequence[float], epsilon: float) -> ConformalRule:
     return ConformalRule(epsilon=epsilon, n_cal=n, quantile_index=k, threshold=float(threshold))
 
 
-@dataclass(frozen=True, slots=True)
-class SelectiveDecision:
-    """Per-example outcome: predict with a label, or abstain."""
+DECISION_COLUMNS = ("example_id", "prob_calibrated", "nonconformity", "decision", "predicted_label")
+# one decision as Python scalars, with the decisions.tsv fields
+DecisionRow = namedtuple("DecisionRow", DECISION_COLUMNS)
+# predicted code -> (decision, predicted_label); -1 encodes abstain
+_DECISION_CELLS = {-1: (DECISION_ABSTAIN, None), 0: (DECISION_PREDICT, 0), 1: (DECISION_PREDICT, 1)}
+# the (decision, predicted_label) cells of a valid decisions.tsv row -> code
+_DECISION_CODES = {
+    (DECISION_ABSTAIN, ""): -1, (DECISION_PREDICT, "0"): 0, (DECISION_PREDICT, "1"): 1,
+}
 
-    example_id: str
-    prob_calibrated: float
-    nonconformity: float
-    decision: str
-    predicted_label: int | None
+
+@dataclass(frozen=True)
+class DecisionTable:
+    """Per-example outcomes as columns: ids, calibrated probabilities and
+    nonconformity scores (float64 arrays), and predicted (int8 array): the
+    predicted label 0 or 1, or -1 for abstain.
+
+    A label is present exactly when predicting by construction of the
+    encoding. The columns are checked once: equal lengths, predicted in
+    {-1, 0, 1}. Iteration yields DecisionRow tuples, built on demand.
+    """
+
+    ids: tuple[str, ...]
+    probs: np.ndarray
+    nonconformity: np.ndarray
+    predicted: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.decision not in (DECISION_PREDICT, DECISION_ABSTAIN):
-            raise ValueError(f"unknown decision {self.decision!r}")
-        if (self.predicted_label is None) != (self.decision == DECISION_ABSTAIN):
-            raise ValueError("predicted_label must be present exactly when predicting")
+        if not len(self.ids) == len(self.probs) == len(self.nonconformity) == len(self.predicted):
+            raise ValueError("decision columns differ in length")
+        bad = np.flatnonzero(~np.isin(self.predicted, (-1, 0, 1)))
+        if len(bad):
+            raise ValueError(
+                f"predicted must be -1, 0 or 1, got {int(self.predicted[bad[0]])} "
+                f"for {self.ids[bad[0]]!r}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[DecisionRow]:
+        columns = (self.probs.tolist(), self.nonconformity.tolist(), self.predicted.tolist())
+        for example_id, prob, s, code in zip(self.ids, *columns):
+            yield DecisionRow(example_id, prob, s, *_DECISION_CELLS[code])
 
 
-def decide(
-    records: Iterable[tuple[str, float]], rule: ConformalRule
-) -> list[SelectiveDecision]:
-    """Apply the rule to (example_id, calibrated probability) pairs, in order."""
-    pairs = list(records)
-    probs = np.array([prob for _, prob in pairs], dtype=np.float64)
-    ids = [example_id for example_id, _ in pairs]
-    decisions = []
-    for example_id, prob, s in zip(ids, probs.tolist(), nonconformity_test(probs).tolist()):
-        if rule.retains(s):
-            decisions.append(
-                SelectiveDecision(
-                    example_id=example_id,
-                    prob_calibrated=prob,
-                    nonconformity=s,
-                    decision=DECISION_PREDICT,
-                    predicted_label=1 if prob >= 0.5 else 0,
-                )
-            )
-        else:
-            decisions.append(
-                SelectiveDecision(
-                    example_id=example_id,
-                    prob_calibrated=prob,
-                    nonconformity=s,
-                    decision=DECISION_ABSTAIN,
-                    predicted_label=None,
-                )
-            )
-    return decisions
+def decide(ids: Sequence[str], probs: np.ndarray, rule: ConformalRule) -> DecisionTable:
+    """Apply the rule to calibrated probabilities in table order: a row predicts
+    its argmax label when its label-free score is at most the threshold, and
+    abstains otherwise."""
+    probs = np.asarray(probs, dtype=np.float64)
+    scores = nonconformity_test(probs)
+    predicted = (probs >= 0.5).astype(np.int8)
+    if rule.threshold is not None:
+        predicted[~(scores <= rule.threshold)] = -1
+    return DecisionTable(tuple(ids), probs, scores, predicted)
 
 
 @dataclass
@@ -194,7 +202,7 @@ class PipelineResult:
     test: ScoreTable
     cal_probs_calibrated: np.ndarray
     test_probs_calibrated: np.ndarray
-    decisions: list[SelectiveDecision]
+    decisions: DecisionTable
     cal_fingerprint: str
 
 
@@ -261,7 +269,7 @@ def run_pipeline(
     cal_probs = apply_temperature(cal_table, temperature)
     rule = fit_threshold(nonconformity_calibration(cal_probs, cal_table.labels), epsilon)
     test_probs = apply_temperature(test_table, temperature)
-    decisions = decide(zip(test_table.ids, test_probs.tolist()), rule)
+    decisions = decide(test_table.ids, test_probs, rule)
     return PipelineResult(
         scorer_model=model,
         temperature=temperature,
@@ -275,12 +283,7 @@ def run_pipeline(
     )
 
 
-DECISION_COLUMNS = ("example_id", "prob_calibrated", "nonconformity", "decision", "predicted_label")
-
-
-def decisions_to_tsv(
-    decisions: Sequence[SelectiveDecision], comments: Sequence[str] = ()
-) -> str:
+def decisions_to_tsv(decisions: DecisionTable, comments: Sequence[str] = ()) -> str:
     """Render decisions as TSV; leading '#' lines carry provenance."""
     lines = [f"# {text}" for text in comments]
     lines.append("\t".join(DECISION_COLUMNS))
@@ -292,27 +295,35 @@ def decisions_to_tsv(
     return "\n".join(lines) + "\n"
 
 
-def decisions_from_tsv(text: str) -> list[SelectiveDecision]:
-    """Parse decisions_to_tsv output; '#' comment lines are skipped."""
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+def decisions_from_tsv(text: str) -> DecisionTable:
+    """Parse decisions_to_tsv output; '#' comment lines are skipped. A row
+    error names its 1-based line in the text."""
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(number, line) for number, line in numbered if line and not line.startswith("#")]
     if not lines:
         raise ValueError("no decision rows found")
-    header = tuple(lines[0].split("\t"))
+    header = tuple(lines[0][1].split("\t"))
     if header != DECISION_COLUMNS:
         raise ValueError(f"unexpected decision header {header!r}")
-    decisions = []
-    for line in lines[1:]:
+    ids, probs, scores, predicted = [], [], [], []
+    for number, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != len(DECISION_COLUMNS):
             raise ValueError(f"malformed decision row {line!r}")
         example_id, prob, nonconf, decision, label = fields
-        decisions.append(
-            SelectiveDecision(
-                example_id=example_id,
-                prob_calibrated=float(prob),
-                nonconformity=float(nonconf),
-                decision=decision,
-                predicted_label=int(label) if label else None,
+        probs.append(float(prob))
+        scores.append(float(nonconf))
+        code = _DECISION_CODES.get((decision, label))
+        if code is None:
+            raise ValueError(
+                f"decisions line {number}: expected predict with predicted_label 0 or 1, "
+                f"or abstain with none, got {decision!r} with {label!r}"
             )
-        )
-    return decisions
+        ids.append(example_id)
+        predicted.append(code)
+    return DecisionTable(
+        tuple(ids),
+        np.array(probs, dtype=np.float64),
+        np.array(scores, dtype=np.float64),
+        np.array(predicted, dtype=np.int8),
+    )

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calibration import DEFAULT_ECE_BINS, ece
-from .conformal import DECISION_PREDICT, SelectiveDecision, nonconformity_test
+from .conformal import DecisionTable, nonconformity_test
 
 DEFAULT_COVERAGE_GRID = (1.0, 0.9, 0.8, 0.7, 0.6)
 
@@ -60,37 +60,31 @@ def auprc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0:
         raise ValueError("average precision undefined without positives")
     order = np.argsort(-s, kind="mergesort")
-    hits = y[order]
-    terms = []
-    seen_pos = 0
-    for rank, hit in enumerate(hits, start=1):
-        if hit:
-            seen_pos += 1
-            terms.append(seen_pos / rank)
-    return math.fsum(terms) / n_pos
+    # precision at each positive's 1-based rank; int64 / int64 below 2**53
+    # rounds correctly, like Python's int / int
+    ranks = np.flatnonzero(y[order]) + 1
+    terms = np.arange(1, len(ranks) + 1) / ranks
+    return math.fsum(terms.tolist()) / n_pos
 
 
 def selective_error(
-    decisions: Sequence[SelectiveDecision], labels: Mapping[str, int]
+    decisions: DecisionTable, labels: Sequence[int]
 ) -> tuple[float, float | None]:
-    """(coverage, risk) of a decision list against true labels.
+    """(coverage, risk) of decisions against their aligned true labels.
 
     Coverage is the retained fraction; risk is the error rate among retained
-    predictions and None when everything abstained. Unknown ids raise.
+    predictions and None when everything abstained.
     """
-    if not decisions:
+    if not len(decisions):
         raise ValueError("no decisions given")
-    retained = 0
-    wrong = 0
-    for d in decisions:
-        if d.example_id not in labels:
-            raise ValueError(f"no label for id {d.example_id!r}")
-        if d.decision == DECISION_PREDICT:
-            retained += 1
-            if d.predicted_label != labels[d.example_id]:
-                wrong += 1
-    coverage = retained / len(decisions)
-    risk = (wrong / retained) if retained else None
+    labels = np.asarray(labels)
+    if len(labels) != len(decisions):
+        raise ValueError(f"length mismatch: {len(decisions)} decisions vs {len(labels)} labels")
+    retained = decisions.predicted >= 0
+    n_retained = int(np.count_nonzero(retained))
+    wrong = int(np.count_nonzero(decisions.predicted[retained] != labels[retained]))
+    coverage = n_retained / len(decisions)
+    risk = (wrong / n_retained) if n_retained else None
     return coverage, risk
 
 
@@ -141,51 +135,45 @@ class CoverageRiskCurve:
 
 
 def coverage_risk_sweep(
-    records: Sequence[tuple[str, float]],
-    labels: Mapping[str, int],
+    probs: Sequence[float],
+    labels: Sequence[int],
     grid: Sequence[float] = DEFAULT_COVERAGE_GRID,
     n_bins: int = DEFAULT_ECE_BINS,
     source: str = "",
 ) -> CoverageRiskCurve:
     """Quality of the retained set as coverage shrinks along the grid.
 
-    records are (example_id, calibrated probability). For each target coverage
-    c the round(c*n) records with the smallest label-free nonconformity are
-    retained (ties broken by input order). Retained-set metrics: error rate of
-    the argmax prediction, ECE, and AUPRC on the calibrated probabilities
-    (None when the retained subset is single-class or empty). Points are
-    ordered by descending coverage; coverage 1.0 reproduces the full-set error
-    exactly.
+    probs are calibrated probabilities, labels the aligned true labels. For
+    each target coverage c the round(c*n) rows with the smallest label-free
+    nonconformity are retained (ties broken by input order). Retained-set
+    metrics: error rate of the argmax prediction, ECE, and AUPRC on the
+    calibrated probabilities (None when the retained subset is single-class or
+    empty). Points are ordered by descending coverage; coverage 1.0 reproduces
+    the full-set error exactly.
     """
-    if not records:
+    probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
+    if not len(probs):
         raise ValueError("no records given")
+    if len(labels) != len(probs):
+        raise ValueError(f"length mismatch: {len(probs)} probs vs {len(labels)} labels")
     if not grid:
         raise ValueError("grid is empty")
     for c in grid:
         if not 0.0 < c <= 1.0:
             raise ValueError(f"coverage targets must be in (0, 1], got {c!r}")
-    n = len(records)
-    truths = []
-    for example_id, _ in records:
-        if example_id not in labels:
-            raise ValueError(f"no label for id {example_id!r}")
-        truths.append(labels[example_id])
-    scores = nonconformity_test([p for _, p in records]).tolist()
-    order = sorted(range(n), key=lambda i: (scores[i], i))
+    n = len(probs)
+    order = np.argsort(nonconformity_test(probs), kind="stable")
     points = []
     for c in sorted(set(grid), reverse=True):
         m = int(math.floor(c * n + 0.5))  # nearest achievable retained count
-        kept = order[:m]
         coverage = m / n
         abstained = 1.0 - coverage
         if m == 0:
             points.append(CoveragePoint(coverage, None, None, None, abstained))
             continue
-        probs = [records[i][1] for i in kept]
-        ys = [truths[i] for i in kept]
-        wrong = sum(1 for p, t in zip(probs, ys) if (1 if p >= 0.5 else 0) != t)
-        error_rate = wrong / m
-        table = ece(probs, ys, n_bins=n_bins)
-        ap = auprc(probs, ys) if 0 < sum(ys) < m else None
+        kept_probs, ys = probs[order[:m]], labels[order[:m]]
+        error_rate = int(np.count_nonzero((kept_probs >= 0.5) != ys)) / m
+        table = ece(kept_probs, ys, n_bins=n_bins)
+        ap = auprc(kept_probs, ys) if 0 < np.count_nonzero(ys) < m else None
         points.append(CoveragePoint(coverage, error_rate, table.ece, ap, abstained))
     return CoverageRiskCurve(points=tuple(points), source=source)

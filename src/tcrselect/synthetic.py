@@ -120,6 +120,17 @@ def _one_trial(spec: SyntheticSpec, epsilon: float, want_ece: bool) -> tuple[flo
     return coverage, ece_after
 
 
+def _trials(
+    spec: SyntheticSpec, epsilon: float, n_trials: int, want_ece: bool
+) -> tuple[list[float], list[float | None]]:
+    """Coverages and test ECEs of trials 0..n_trials-1; trial t uses seed spec.seed + t."""
+    outcomes = [
+        _one_trial(replace(spec, seed=spec.seed + t), epsilon, want_ece)
+        for t in range(n_trials)
+    ]
+    return [coverage for coverage, _ in outcomes], [e for _, e in outcomes]
+
+
 def coverage_experiment(
     spec: SyntheticSpec, epsilon: float, n_trials: int
 ) -> CoverageSummary:
@@ -133,11 +144,7 @@ def coverage_experiment(
         raise ValueError("n_trials must be >= 1")
     # the sentinel depends only on (n_cal, epsilon), so it hits every trial or none
     retain_all = quantile_index(spec.n_cal, epsilon) > spec.n_cal
-    coverages = []
-    for t in range(n_trials):
-        trial_spec = replace(spec, seed=spec.seed + t)
-        coverage, _ = _one_trial(trial_spec, epsilon, want_ece=False)
-        coverages.append(coverage)
+    coverages, _ = _trials(spec, epsilon, n_trials, want_ece=False)
     return CoverageSummary(
         epsilon=epsilon,
         n_cal=spec.n_cal,
@@ -174,13 +181,7 @@ def calibration_size_sweep(
         raise ValueError("n_trials must be >= 1")
     rows = []
     for size in sizes:
-        eces = []
-        coverages = []
-        for t in range(n_trials):
-            trial_spec = replace(spec, n_cal=size, seed=spec.seed + t)
-            coverage, ece_after = _one_trial(trial_spec, epsilon, want_ece=True)
-            coverages.append(coverage)
-            eces.append(ece_after)
+        coverages, eces = _trials(replace(spec, n_cal=size), epsilon, n_trials, want_ece=True)
         rows.append(
             SizeSweepRow(
                 n_cal=size,

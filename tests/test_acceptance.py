@@ -216,8 +216,7 @@ def test_criterion_7_coverage_risk_trend():
             epsilon=0.2,
             training=TrainingConfig(),
         )
-        records = list(zip(result.test.ids, result.test_probs_calibrated.tolist()))
-        curve = coverage_risk_sweep(records, data.labels_by_id())
+        curve = coverage_risk_sweep(result.test_probs_calibrated, result.test.labels)
         by_coverage = {p.coverage: p.error_rate for p in curve.points}
         assert by_coverage[0.8] < by_coverage[1.0]
         risks = [p.error_rate for p in curve.points]

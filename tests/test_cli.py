@@ -177,6 +177,25 @@ MALFORMED = {
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
+    "decisions-predict-minus-one": (
+        "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t-1\n", 1,
+    ),
+    "decisions-predict-seven": (
+        "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t7\n", 1,
+    ),
+    "decisions-abstain-with-label": (
+        "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.6\t0.4\tabstain\t1\n", 1,
+    ),
+    # a flag value instead of a file, which is not written: (command, flag, value)
+    "flag-grid-not-number": ("flag", "-", ("sweep", "--grid", "a,b"), 2),
+    "flag-sizes-not-integer": ("flag", "-", ("simulate", "--sizes", "1.5"), 2),
+}
+# the exact stderr of the cases whose message is part of the interface
+MALFORMED_MESSAGES = {
+    "decisions-predict-seven": "error: decisions line 2: expected predict with "
+    "predicted_label 0 or 1, or abstain with none, got 'predict' with '7'\n",
+    "flag-grid-not-number": "config error: --grid: expected a number, got 'a'\n",
+    "flag-sizes-not-integer": "config error: --sizes: expected an integer, got '1.5'\n",
 }
 
 
@@ -186,11 +205,14 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     path = tmp_path / name
     if isinstance(contents, bytes):
         path.write_bytes(contents)
-    else:
+    elif isinstance(contents, str):
         path.write_text(contents, encoding="utf-8")
     dataset = str(path if kind == "corpus" else toy_dataset_path())
     out = str(tmp_path / "o")
-    if kind == "decisions":
+    if kind == "flag":
+        command, flag, value = contents
+        argv = [command, "--dataset", dataset, "--out", out, flag, value]
+    elif kind == "decisions":
         argv = ["metrics", "--dataset", dataset, "--decisions", str(path), "--out", out]
     else:
         argv = ["sweep", "--dataset", dataset, "--out", out]
@@ -204,6 +226,34 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert err.startswith("config error: " if expected == 2 else "error: ")
     assert "Traceback" not in err
+    if case in MALFORMED_MESSAGES:
+        assert err == MALFORMED_MESSAGES[case]
+
+
+def test_benchmark_tracer_sees_every_target(tmp_path):
+    # perfbench/traced_cli.py rebinds package names from outside; a renamed
+    # target or a changed result type would silently drop its spans or counts
+    repo = Path(__file__).resolve().parents[1]
+    package_root = Path(tcrselect.__file__).resolve().parents[1]
+    spans_path, out = tmp_path / "spans.json", tmp_path / "out"
+    subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "traced_cli.py"), str(spans_path), "count",
+         "--", "run", "--dataset", str(toy_dataset_path()), "--epsilon", "0.5",
+         "--out", str(out)],
+        capture_output=True, text=True, check=True, cwd=repo,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    trace = json.loads(spans_path.read_text())
+    assert trace["missing_targets"] == []
+    assert [s["name"] for s in trace["spans"] if "count_error" in s] == []
+    (decide_span,) = [s for s in trace["spans"] if s["name"] == "conformal.decide"]
+    rows = [
+        line.split("\t") for line in (out / "decisions.tsv").read_text().splitlines()
+        if not line.startswith("#")
+    ][1:]
+    abstained = sum(row[3] == "abstain" for row in rows)
+    assert decide_span["counts"] == {"decisions": len(rows), "abstained": abstained}
+    assert 0 < abstained < len(rows)
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -489,17 +539,16 @@ class TestMonotoneCheck:
         )
         rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
         probs = apply_temperature(test, model)
-        decisions = decide(zip(test.ids, probs.tolist()), rule)
-        result = PipelineResult(None, model, rule, test, test, probs, probs, decisions, "")
-        return result, dict(zip(test.ids, labels))
+        decisions = decide(test.ids, probs, rule)
+        return PipelineResult(None, model, rule, test, test, probs, probs, decisions, "")
 
     def test_saturation_ties_are_not_an_error(self):
         # sigmoid(37) == sigmoid(38) == 1.0, while 0.37 and 0.38 stay apart at
         # T = 100, so the AUROCs differ although scaling is monotone
-        result, labels = self.result([37.0, 38.0, -1.0, 0.5], [1, 0, 0, 1], 100.0)
+        result = self.result([37.0, 38.0, -1.0, 0.5], [1, 0, 0, 1], 100.0)
         raw = sigmoid(result.test.logits)
         assert raw[0] == raw[1] == 1.0
-        rows = _method_rows(result, labels)
+        rows = _method_rows(result)
         assert rows["baseline"]["auroc"] == 0.625
         assert rows["temp_scaled"]["auroc"] == 0.5
 

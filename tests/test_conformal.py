@@ -12,7 +12,7 @@ from tcrselect.conformal import (
     DECISION_ABSTAIN,
     DECISION_PREDICT,
     ConformalRule,
-    SelectiveDecision,
+    DecisionTable,
     decide,
     decisions_from_tsv,
     decisions_to_tsv,
@@ -139,47 +139,48 @@ class TestDecide:
         )
 
     def test_confident_predicts_positive(self):
-        decisions = decide([("a", 0.95)], self.rule(0.1))
+        decisions = list(decide(["a"], [0.95], self.rule(0.1)))
         assert decisions[0].decision == DECISION_PREDICT
         assert decisions[0].predicted_label == 1
 
     def test_uncertain_abstains(self):
-        decisions = decide([("a", 0.6)], self.rule(0.1))
+        decisions = list(decide(["a"], [0.6], self.rule(0.1)))
         assert decisions[0].decision == DECISION_ABSTAIN
         assert decisions[0].predicted_label is None
 
     def test_boundary_tie_retains(self):
-        decisions = decide([("a", 0.9)], self.rule(0.1))
+        decisions = list(decide(["a"], [0.9], self.rule(0.1)))
         assert decisions[0].decision == DECISION_PREDICT
 
     def test_half_prob_predicts_one(self):
-        decisions = decide([("a", 0.5)], self.rule(0.6))
+        decisions = list(decide(["a"], [0.5], self.rule(0.6)))
         assert decisions[0].predicted_label == 1
 
     def test_retain_all_predicts_everything(self):
         rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
-        decisions = decide([("a", 0.51), ("b", 0.5)], rule)
+        decisions = decide(["a", "b"], [0.51, 0.5], rule)
         assert all(d.decision == DECISION_PREDICT for d in decisions)
         assert [d.predicted_label for d in decisions] == [1, 1]
 
     def test_order_preserving_under_permutation(self):
-        records = [(f"r{i}", 0.05 + 0.09 * i) for i in range(10)]
+        ids = [f"r{i}" for i in range(10)]
+        probs = [0.05 + 0.09 * i for i in range(10)]
         rule = self.rule(0.2)
-        forward = decide(records, rule)
-        backward = decide(records[::-1], rule)
+        forward = list(decide(ids, probs, rule))
+        backward = list(decide(ids[::-1], probs[::-1], rule))
         assert forward == backward[::-1]
 
 
 class TestDecisionTsv:
     def sample(self):
         rule = ConformalRule(epsilon=0.2, n_cal=10, quantile_index=9, threshold=0.2)
-        return decide([("a", 0.95), ("b", 0.6)], rule)
+        return decide(["a", "b"], [0.95, 0.6], rule)
 
     def test_round_trip(self):
         decisions = self.sample()
         text = decisions_to_tsv(decisions, comments=["origin=test"])
         assert text.startswith("# origin=test\n")
-        assert decisions_from_tsv(text) == decisions
+        assert list(decisions_from_tsv(text)) == list(decisions)
 
     def test_abstain_row_has_blank_label(self):
         decisions = self.sample()
@@ -229,6 +230,8 @@ class TestRunPipeline:
             manifest=manifest,
         )
         assert len(result.decisions) == len(manifest.test_ids)
+        assert result.decisions.ids is result.test.ids
+        assert result.decisions.probs is result.test_probs_calibrated
         assert len(result.cal) == len(manifest.cal_ids)
         assert result.rule.n_cal == len(manifest.cal_ids)
         assert result.scorer_model is not None
@@ -314,7 +317,7 @@ class TestRunPipeline:
         external = run_pipeline(*parts, epsilon=0.2, logits_path=path)
         assert external.scorer_model is None
         assert external.temperature.temperature == builtin.temperature.temperature
-        assert external.decisions == builtin.decisions
+        assert list(external.decisions) == list(builtin.decisions)
 
     @pytest.mark.parametrize(
         "drop, bad_line, message",
@@ -344,17 +347,60 @@ class TestRunPipeline:
         assert str(err.value) == message.format(**dropped)
 
 
-class TestSelectiveDecisionValidation:
+DECISION_HEADER = "example_id\tprob_calibrated\tnonconformity\tdecision\tpredicted_label\n"
+
+
+def bad_cells(decision, label):
+    return (
+        "expected predict with predicted_label 0 or 1, or abstain with none, "
+        f"got {decision!r} with {label!r}"
+    )
+
+
+class TestDecisionValidation:
     def test_predict_requires_label(self):
-        with pytest.raises(ValueError):
-            SelectiveDecision(
-                example_id="a", prob_calibrated=0.9, nonconformity=0.1,
-                decision=DECISION_PREDICT, predicted_label=None,
-            )
+        with pytest.raises(ValueError) as err:
+            decisions_from_tsv(DECISION_HEADER + "a\t0.9\t0.1\tpredict\t\n")
+        assert str(err.value) == "decisions line 2: " + bad_cells("predict", "")
 
     def test_abstain_forbids_label(self):
-        with pytest.raises(ValueError):
-            SelectiveDecision(
-                example_id="a", prob_calibrated=0.6, nonconformity=0.4,
-                decision=DECISION_ABSTAIN, predicted_label=1,
+        with pytest.raises(ValueError) as err:
+            decisions_from_tsv(DECISION_HEADER + "a\t0.6\t0.4\tabstain\t1\n")
+        assert str(err.value) == "decisions line 2: " + bad_cells("abstain", "1")
+
+    @pytest.mark.parametrize(
+        "decision, label",
+        [("predict", "-1"), ("predict", "7"), ("predict", "01"), ("abstain", "-1"),
+         ("maybe", "1"), ("PREDICT", "1")],
+    )
+    def test_bad_cells_name_the_line(self, decision, label):
+        # the bad row is line 4: a comment and the header come first
+        text = (
+            "# origin=test\n" + DECISION_HEADER + "b\t0.6\t0.4\tabstain\t\n"
+            + f"a\t0.9\t0.1\t{decision}\t{label}\n"
+        )
+        with pytest.raises(ValueError) as err:
+            decisions_from_tsv(text)
+        assert str(err.value) == "decisions line 4: " + bad_cells(decision, label)
+
+    def test_table_rejects_predicted_outside_codes(self):
+        with pytest.raises(ValueError, match="predicted must be -1, 0 or 1, got 7 for 'b'"):
+            DecisionTable(
+                ("a", "b"), np.array([0.9, 0.9]), np.array([0.1, 0.1]),
+                np.array([1, 7], dtype=np.int8),
             )
+
+    def test_table_rejects_unequal_columns(self):
+        with pytest.raises(ValueError, match="decision columns differ in length"):
+            DecisionTable(
+                ("a", "b"), np.array([0.9]), np.array([0.1, 0.1]),
+                np.array([1, 1], dtype=np.int8),
+            )
+
+    def test_table_shares_ids_and_probs(self):
+        ids, probs = ("a", "b"), np.array([0.9, 0.2])
+        rule = ConformalRule(epsilon=0.2, n_cal=10, quantile_index=9, threshold=0.15)
+        table = decide(ids, probs, rule)
+        assert table.ids is ids and table.probs is probs
+        assert table.predicted.dtype == np.int8
+        assert table.predicted.tolist() == [1, -1]

@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcrselect.conformal import (
-    DECISION_ABSTAIN,
-    DECISION_PREDICT,
-    ConformalRule,
-    SelectiveDecision,
-    decide,
-)
+from tcrselect.cli import main
+from tcrselect.conformal import DecisionTable, decisions_to_tsv
 from tcrselect.metrics import (
     DEFAULT_COVERAGE_GRID,
     auprc,
@@ -22,6 +17,7 @@ from tcrselect.metrics import (
     selective_error,
 )
 from tcrselect.scorer import sigmoid
+from tcrselect.toycorpus import toy_dataset_path
 
 
 def oracle_auroc(scores, labels):
@@ -111,26 +107,15 @@ class TestAuprc:
 
 
 def make_decisions(probs, retained_mask):
-    decisions = []
-    for i, (p, keep) in enumerate(zip(probs, retained_mask)):
-        if keep:
-            decisions.append(
-                SelectiveDecision(
-                    example_id=f"d{i}", prob_calibrated=p,
-                    nonconformity=1 - p if p >= 0.5 else p,
-                    decision=DECISION_PREDICT,
-                    predicted_label=1 if p >= 0.5 else 0,
-                )
-            )
-        else:
-            decisions.append(
-                SelectiveDecision(
-                    example_id=f"d{i}", prob_calibrated=p,
-                    nonconformity=1 - p if p >= 0.5 else p,
-                    decision=DECISION_ABSTAIN, predicted_label=None,
-                )
-            )
-    return decisions
+    return DecisionTable(
+        tuple(f"d{i}" for i in range(len(probs))),
+        np.array(probs),
+        np.array([1 - p if p >= 0.5 else p for p in probs]),
+        np.array(
+            [(1 if p >= 0.5 else 0) if keep else -1 for p, keep in zip(probs, retained_mask)],
+            dtype=np.int8,
+        ),
+    )
 
 
 class TestSelectiveError:
@@ -140,26 +125,44 @@ class TestSelectiveError:
         probs = [0.9] * 8 + [0.6, 0.6]
         decisions = make_decisions(probs, [True] * 8 + [False, False])
         labels = {f"d{i}": 1 if i < 6 else 0 for i in range(10)}
-        coverage, risk = selective_error(decisions, labels)
+        coverage, risk = selective_error(decisions, [labels[i] for i in decisions.ids])
         assert coverage == pytest.approx(0.8, abs=1e-15)
         assert risk == pytest.approx(0.25, abs=1e-15)
 
     def test_all_abstain(self):
         decisions = make_decisions([0.6, 0.55], [False, False])
-        coverage, risk = selective_error(decisions, {"d0": 1, "d1": 0})
+        coverage, risk = selective_error(decisions, [1, 0])
         assert coverage == 0.0
         assert risk is None
 
     def test_all_correct(self):
         decisions = make_decisions([0.9, 0.1], [True, True])
-        coverage, risk = selective_error(decisions, {"d0": 1, "d1": 0})
+        coverage, risk = selective_error(decisions, [1, 0])
         assert coverage == 1.0
         assert risk == 0.0
 
-    def test_unknown_id_rejected(self):
+    def test_unknown_id_rejected(self, tmp_path, capsys):
+        # labels reach selective_error aligned; a saved decision file is
+        # joined to the dataset by id, and an id it lacks is an error
         decisions = make_decisions([0.9], [True])
-        with pytest.raises(ValueError, match="d0"):
-            selective_error(decisions, {"other": 1})
+        path = tmp_path / "d.tsv"
+        path.write_text(decisions_to_tsv(decisions))
+        argv = ["metrics", "--dataset", str(toy_dataset_path()),
+                "--decisions", str(path), "--out", str(tmp_path / "m")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: no label for id 'd0'\n"
+
+    def test_misaligned_labels_rejected(self):
+        decisions = make_decisions([0.9, 0.1], [True, True])
+        with pytest.raises(ValueError, match="length mismatch"):
+            selective_error(decisions, [1])
+
+
+def sweep(records, labels, **kwargs):
+    """coverage_risk_sweep on (id, probability) records and an id -> label map."""
+    return coverage_risk_sweep(
+        [prob for _, prob in records], [labels[i] for i, _ in records], **kwargs
+    )
 
 
 def graded_records(n=100):
@@ -181,7 +184,7 @@ def graded_records(n=100):
 class TestCoverageRiskSweep:
     def test_full_coverage_matches_plain_error_rate(self):
         records, labels = graded_records()
-        curve = coverage_risk_sweep(records, labels, grid=(1.0,))
+        curve = sweep(records, labels, grid=(1.0,))
         point = curve.points[0]
         wrong = sum(
             1
@@ -194,14 +197,14 @@ class TestCoverageRiskSweep:
 
     def test_risk_decreases_when_errors_sit_at_low_confidence(self):
         records, labels = graded_records()
-        curve = coverage_risk_sweep(records, labels)
+        curve = sweep(records, labels)
         risks = [p.error_rate for p in curve.points]
         assert risks == sorted(risks, reverse=True)
         assert risks[-1] < risks[0]
 
     def test_points_follow_grid_order_and_sum_invariant(self):
         records, labels = graded_records()
-        curve = coverage_risk_sweep(records, labels)
+        curve = sweep(records, labels)
         assert [p.coverage for p in curve.points] == sorted(
             (p.coverage for p in curve.points), reverse=True
         )
@@ -211,7 +214,7 @@ class TestCoverageRiskSweep:
     def test_identical_probs_give_flat_risk(self):
         records = [(f"e{i}", 0.7) for i in range(40)]
         labels = {f"e{i}": 1 if i % 4 else 0 for i in range(40)}
-        curve = coverage_risk_sweep(records, labels)
+        curve = sweep(records, labels)
         risks = {round(p.error_rate, 12) for p in curve.points}
         # stable retention keeps prefix slices, where the error mix varies a
         # little; full coverage must equal the base rate exactly
@@ -221,19 +224,19 @@ class TestCoverageRiskSweep:
     def test_single_class_retained_reports_absent_auprc(self):
         records = [("a", 0.9), ("b", 0.8), ("c", 0.6)]
         labels = {"a": 1, "b": 1, "c": 1}
-        curve = coverage_risk_sweep(records, labels, grid=(1.0, 0.6))
+        curve = sweep(records, labels, grid=(1.0, 0.6))
         assert all(p.auprc is None for p in curve.points)
 
     def test_bad_grid_rejected(self):
         records = [("a", 0.9)]
         with pytest.raises(ValueError):
-            coverage_risk_sweep(records, {"a": 1}, grid=(0.0,))
+            sweep(records, {"a": 1}, grid=(0.0,))
         with pytest.raises(ValueError):
-            coverage_risk_sweep(records, {"a": 1}, grid=(1.2,))
+            sweep(records, {"a": 1}, grid=(1.2,))
 
     def test_csv_column_order(self):
         records, labels = graded_records(20)
-        curve = coverage_risk_sweep(records, labels)
+        curve = sweep(records, labels)
         lines = [
             line
             for line in curve.to_csv().splitlines()
@@ -259,7 +262,7 @@ class TestFlatRiskOnIndependentNoise:
             wrong = bool(rng.uniform() < 0.3)
             labels[f"f{i}"] = predicted ^ 1 if wrong else predicted
             records.append((f"f{i}", prob))
-        curve = coverage_risk_sweep(records, labels)
+        curve = sweep(records, labels)
         risks = [p.error_rate for p in curve.points]
         for r in risks:
             # 3 standard errors at the smallest retained size (0.6 * 4000)
