@@ -79,7 +79,7 @@ from .synthetic import (
     coverage_experiment,
     generate,
 )
-from .toycorpus import motif_corpus, toy_dataset_path, write_toy_dataset
+from .toycorpus import motif_corpus, toy_dataset_path
 
 __version__ = "0.1.0"
 
@@ -143,5 +143,4 @@ __all__ = [
     "split_random",
     "toy_dataset_path",
     "train_linear",
-    "write_toy_dataset",
 ]

@@ -14,7 +14,7 @@ their logs, squares and bin means stay per element in libm and math.fsum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,13 +51,7 @@ class TemperatureModel:
             raise ValueError("fitted temperature must not increase calibration NLL")
 
     def to_json_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "nll_before": self.nll_before,
-            "nll_after": self.nll_after,
-            "n_cal_fit": self.n_cal_fit,
-            "clamped": self.clamped,
-        }
+        return asdict(self)
 
 
 def _mean_nll_at_beta(logits: np.ndarray, labels: np.ndarray, beta: float) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import brier, ece, nll
-from .config import ConfigError, RunConfig, load_config
+from .config import PROTOCOLS, SCORER_MODES, ConfigError, RunConfig, load_config
 from .conformal import (
     DecisionTable,
     PipelineResult,
@@ -33,9 +33,8 @@ from .conformal import (
 )
 from .data import Dataset, deduplicate, generate_negatives, ingest_tsv
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
-from .scorer import TrainingConfig, export_logits, score, sigmoid, train_linear
+from .scorer import export_logits, score, sigmoid, train_linear
 from .splits import (
-    PROTOCOL_DISTANCE_AWARE,
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
     SplitManifest,
@@ -43,7 +42,7 @@ from .splits import (
     split_epitope_held_out,
     split_random,
 )
-from .synthetic import SyntheticSpec, calibration_size_sweep, coverage_experiment
+from .synthetic import calibration_size_sweep, coverage_experiment
 
 
 def _utc_now() -> str:
@@ -104,15 +103,13 @@ def _make_manifest(config: RunConfig, data: Dataset) -> SplitManifest:
             seed=split.seed,
             epitope_disjoint_cal=split.epitope_disjoint_cal,
         )
-    if split.protocol == PROTOCOL_DISTANCE_AWARE:
-        return split_distance_aware(
-            data,
-            identity_ceiling=split.identity_ceiling,
-            cal_fraction=split.cal_fraction,
-            test_fraction=split.test_fraction,
-            seed=split.seed,
-        )
-    raise ConfigError(f"split.protocol: unknown protocol {split.protocol!r}")
+    return split_distance_aware(
+        data,
+        identity_ceiling=split.identity_ceiling,
+        cal_fraction=split.cal_fraction,
+        test_fraction=split.test_fraction,
+        seed=split.seed,
+    )
 
 
 def _get_manifest(
@@ -126,18 +123,6 @@ def _get_manifest(
     manifest = _make_manifest(runner.config, data)
     runner.write_text("manifest.json", manifest.to_json())
     return manifest
-
-
-def _training_config(config: RunConfig) -> TrainingConfig:
-    s = config.scorer
-    return TrainingConfig(
-        kmer_size=s.kmer_size,
-        learning_rate=s.learning_rate,
-        epochs=s.epochs,
-        l2=s.l2,
-        seed=s.seed,
-        include_cdr3a=s.include_cdr3a,
-    )
 
 
 def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
@@ -232,7 +217,7 @@ def _run_shared(
     result = run_pipeline(
         train, cal, test,
         epsilon=config.conformal.epsilon,
-        training=_training_config(config) if builtin else None,
+        training=config.scorer if builtin else None,
         logits_path=None if builtin else config.scorer.logits_path,
         manifest=manifest,
     )
@@ -358,7 +343,7 @@ def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
     data = _load_dataset(config)
     manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
     train = data.subset(manifest.train_ids)
-    model = train_linear(train, _training_config(config))
+    model = train_linear(train, config.scorer)
     table = score(model, data)
     scorer_json = model.to_json()
     runner.write_text("scorer.json", scorer_json)
@@ -370,25 +355,20 @@ def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
 
 def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
     sim = runner.config.simulate
-    spec = SyntheticSpec(
-        n_cal=sim.n_cal,
-        n_test=sim.n_test,
-        miscalibration_temperature=sim.miscalibration_temperature,
-        base_positive_rate=sim.base_positive_rate,
-        seed=sim.seed,
-    )
     if sim.sizes:
-        rows = calibration_size_sweep(spec, sim.sizes, sim.epsilon, n_trials=sim.n_trials)
+        rows = calibration_size_sweep(sim, sim.sizes, sim.epsilon, n_trials=sim.n_trials)
         header = "n_cal,mean_ece_after,mean_coverage"
         lines = [f"{row.n_cal},{row.mean_ece_after!r},{row.mean_coverage!r}" for row in rows]
         report = {"mode": "calibration_size_sweep", "rows": [asdict(row) for row in rows]}
         summary = [
             f"n_cal {row.n_cal}: ece_after {row.mean_ece_after:.4f} "
             f"coverage {row.mean_coverage:.4f}"
+            + (f" ({row.single_class_trials} single-class trials skipped)"
+               if row.single_class_trials else "")
             for row in rows
         ]
     else:
-        result = coverage_experiment(spec, sim.epsilon, sim.n_trials)
+        result = coverage_experiment(sim, sim.epsilon, sim.n_trials)
         header = "trial,coverage"
         lines = [f"{trial},{coverage!r}" for trial, coverage in enumerate(result.coverages)]
         report = dict(asdict(result), mode="coverage_experiment")
@@ -456,7 +436,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--protocol",
-        choices=(PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE),
+        choices=PROTOCOLS,
         help="split protocol (overrides config)",
     )
     parser.add_argument("--split-seed", type=int, help="split shuffle seed")
@@ -473,7 +453,7 @@ def _add_scorer_flags(parser: argparse.ArgumentParser, pipeline: bool) -> None:
     """Builtin-scorer flags; with pipeline (run, sweep) also the score source
     and epsilon."""
     if pipeline:
-        parser.add_argument("--scorer", choices=("builtin", "logits"), help="score source")
+        parser.add_argument("--scorer", choices=SCORER_MODES, help="score source")
         parser.add_argument("--logits", help="external logit TSV (with --scorer logits)")
     parser.add_argument("--kmer-size", type=int, help="k-mer size for the builtin scorer")
     parser.add_argument(

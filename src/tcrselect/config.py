@@ -16,6 +16,9 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
+from .conformal import check_epsilon
+from .metrics import DEFAULT_COVERAGE_GRID
+from .scorer import TrainingConfig
 from .splits import (
     DEFAULT_CAL_FRACTION,
     DEFAULT_FRACTIONS,
@@ -26,9 +29,10 @@ from .splits import (
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
 )
+from .synthetic import SyntheticSpec
 
-_PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
-_SCORER_MODES = ("builtin", "logits")
+PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
+SCORER_MODES = ("builtin", "logits")
 
 
 class ConfigError(ValueError):
@@ -62,37 +66,41 @@ class SplitConfig:
 
 
 @dataclass(frozen=True)
-class ScorerSection:
+class ScorerSection(TrainingConfig):
+    """The built-in scorer's TrainingConfig, plus where the scores come from."""
+
+    seed: int = 7
     mode: str = "builtin"
     logits_path: str | None = None
-    kmer_size: int = 3
-    learning_rate: float = 0.1
-    epochs: int = 300
-    l2: float = 1e-4
-    seed: int = 7
-    include_cdr3a: bool = True
 
 
 @dataclass(frozen=True)
 class ConformalSection:
     epsilon: float = 0.2
 
+    def __post_init__(self) -> None:
+        check_epsilon(self.epsilon)
+
 
 @dataclass(frozen=True)
 class SweepSection:
-    grid: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6)
+    grid: tuple[float, ...] = DEFAULT_COVERAGE_GRID
 
 
 @dataclass(frozen=True)
-class SimulateSection:
+class SimulateSection(SyntheticSpec):
+    """The SyntheticSpec of trial 0, plus the experiment run over it."""
+
     n_cal: int = 2000
     n_test: int = 2000
-    miscalibration_temperature: float = 3.0
-    base_positive_rate: float = 0.045
     seed: int = 29
     epsilon: float = 0.2
     n_trials: int = 200
     sizes: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def semantic_dict(self) -> dict:
         """Config without output_dir. It chooses where results land, never
@@ -184,14 +189,14 @@ def _as_list(value: Any, where: str) -> list:
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    if config.split.protocol not in _PROTOCOLS:
+    if config.split.protocol not in PROTOCOLS:
         raise ConfigError(
-            f"split.protocol: must be one of {', '.join(_PROTOCOLS)}, "
+            f"split.protocol: must be one of {', '.join(PROTOCOLS)}, "
             f"got {config.split.protocol!r}"
         )
-    if config.scorer.mode not in _SCORER_MODES:
+    if config.scorer.mode not in SCORER_MODES:
         raise ConfigError(
-            f"scorer.mode: must be one of {', '.join(_SCORER_MODES)}, "
+            f"scorer.mode: must be one of {', '.join(SCORER_MODES)}, "
             f"got {config.scorer.mode!r}"
         )
     if config.scorer.mode == "logits" and not config.scorer.logits_path:

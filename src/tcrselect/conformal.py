@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,6 +65,12 @@ def nonconformity_test(probs: np.ndarray) -> np.ndarray:
     return np.where(probs >= 0.5, 1.0 - probs, probs)
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise unless the target error level lies in (0, 1)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+
+
 def quantile_index(n_cal: int, epsilon: float) -> int:
     """ceil((1 - epsilon) * (n_cal + 1)), the 1-based order statistic to take.
 
@@ -74,8 +80,7 @@ def quantile_index(n_cal: int, epsilon: float) -> int:
     """
     if n_cal < 1:
         raise ValueError("n_cal must be >= 1")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
+    check_epsilon(epsilon)
     return math.ceil((1.0 - epsilon) * (n_cal + 1) - 1e-9)
 
 
@@ -101,13 +106,7 @@ class ConformalRule:
         return self.threshold is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "n_cal": self.n_cal,
-            "quantile_index": self.quantile_index,
-            "threshold": self.threshold,
-            "retain_all": self.retain_all,
-        }
+        return dict(asdict(self), retain_all=self.retain_all)
 
 
 def fit_threshold(cal_scores: Sequence[float], epsilon: float) -> ConformalRule:
@@ -192,15 +191,14 @@ def decide(ids: Sequence[str], probs: np.ndarray, rule: ConformalRule) -> Decisi
 
 @dataclass
 class PipelineResult:
-    """Everything a run produces: model, temperature, rule, score tables and
-    their calibrated probabilities (float64, in table order), decisions."""
+    """Everything a run produces: model, temperature, rule, score tables, the
+    test calibrated probabilities (float64, in table order), decisions."""
 
     scorer_model: LinearScorerModel | None
     temperature: TemperatureModel
     rule: ConformalRule
     cal: ScoreTable
     test: ScoreTable
-    cal_probs_calibrated: np.ndarray
     test_probs_calibrated: np.ndarray
     decisions: DecisionTable
     cal_fingerprint: str
@@ -276,7 +274,6 @@ def run_pipeline(
         rule=rule,
         cal=cal_table,
         test=test_table,
-        cal_probs_calibrated=cal_probs,
         test_probs_calibrated=test_probs,
         decisions=decisions,
         cal_fingerprint=ids_fingerprint(cal_table.ids),

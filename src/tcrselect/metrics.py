@@ -8,7 +8,7 @@ sweep retains quantile-based fractions of the least nonconforming predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -110,28 +110,13 @@ class CoverageRiskCurve:
 
     def to_csv(self, comments: Sequence[str] = ()) -> str:
         lines = [f"# {text}" for text in comments]
-        lines.append("coverage,error_rate,ece,auprc,abstained")
+        lines.append(",".join(f.name for f in fields(CoveragePoint)))
         for p in self.points:
-            err = "" if p.error_rate is None else repr(p.error_rate)
-            e = "" if p.ece is None else repr(p.ece)
-            ap = "" if p.auprc is None else repr(p.auprc)
-            lines.append(f"{p.coverage!r},{err},{e},{ap},{p.abstained!r}")
+            lines.append(",".join("" if v is None else repr(v) for v in astuple(p)))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "points": [
-                {
-                    "coverage": p.coverage,
-                    "error_rate": p.error_rate,
-                    "ece": p.ece,
-                    "auprc": p.auprc,
-                    "abstained": p.abstained,
-                }
-                for p in self.points
-            ],
-        }
+        return asdict(self)
 
 
 def coverage_risk_sweep(

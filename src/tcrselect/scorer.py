@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -372,20 +372,12 @@ class LinearScorerModel:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     def to_json(self) -> str:
-        payload = {
-            "kmer_size": self.kmer_size,
-            "vocabulary": self.vocabulary,
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "class_weights": [float(c) for c in self.class_weights],
-            "include_cdr3a": self.include_cdr3a,
-            "l2": self.l2,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "final_train_loss": self.final_train_loss,
-            "train_fingerprint": self.train_fingerprint,
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        payload.update(
+            weights=self.weights.tolist(),
+            bias=float(self.bias),
+            class_weights=[float(c) for c in self.class_weights],
+        )
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> None:
@@ -394,20 +386,13 @@ class LinearScorerModel:
     @classmethod
     def load(cls, path: str | Path) -> "LinearScorerModel":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            kmer_size=raw["kmer_size"],
+        kwargs = {f.name: raw[f.name] for f in dataclass_fields(cls)}
+        # __post_init__ makes the weights a float array
+        kwargs.update(
             vocabulary={k: int(v) for k, v in raw["vocabulary"].items()},
-            weights=np.array(raw["weights"], dtype=float),
-            bias=raw["bias"],
-            class_weights=(raw["class_weights"][0], raw["class_weights"][1]),
-            include_cdr3a=raw["include_cdr3a"],
-            l2=raw["l2"],
-            learning_rate=raw["learning_rate"],
-            epochs=raw["epochs"],
-            seed=raw["seed"],
-            final_train_loss=raw["final_train_loss"],
-            train_fingerprint=raw["train_fingerprint"],
+            class_weights=tuple(raw["class_weights"]),
         )
+        return cls(**kwargs)
 
 
 def ids_fingerprint(ids: Iterable[str]) -> str:
@@ -457,18 +442,14 @@ def train_linear(
             f"reduce learning_rate from {config.learning_rate}"
         )
     return LinearScorerModel(
-        kmer_size=config.kmer_size,
         vocabulary=vocabulary,
         weights=weights,
         bias=bias,
         class_weights=(w_pos, w_neg),
-        include_cdr3a=config.include_cdr3a,
-        l2=config.l2,
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        seed=config.seed,
         final_train_loss=loss,
         train_fingerprint=ids_fingerprint(train.ids),
+        # the TrainingConfig fields only, also when config is a subclass of it
+        **{f.name: getattr(config, f.name) for f in dataclass_fields(TrainingConfig)},
     )
 
 

@@ -99,14 +99,20 @@ class CoverageSummary:
     coverages: tuple[float, ...]
 
 
-def _one_trial(spec: SyntheticSpec, epsilon: float, want_ece: bool) -> tuple[float, float | None]:
-    """(coverage, test ECE after scaling) for a single seeded draw.
+def _one_trial(
+    spec: SyntheticSpec, epsilon: float, want_ece: bool, skip_single_class: bool = False
+) -> tuple[float, float | None] | None:
+    """(coverage, test ECE after scaling) for a single seeded draw; None when
+    skip_single_class is set and the calibration draw holds a single class,
+    which leaves no temperature to fit.
 
     Coverage uses the same true-label nonconformity on calibration and test,
     the exchangeable quantity the marginal guarantee speaks about. The deployed
     label-free rule retains a superset of these points.
     """
     cal, test = generate(spec)
+    if skip_single_class and cal.labels.min() == cal.labels.max():
+        return None
     temperature = fit_temperature(cal)
     cal_scores = nonconformity_calibration(apply_temperature(cal, temperature), cal.labels)
     rule = fit_threshold(cal_scores, epsilon)
@@ -121,14 +127,16 @@ def _one_trial(spec: SyntheticSpec, epsilon: float, want_ece: bool) -> tuple[flo
 
 
 def _trials(
-    spec: SyntheticSpec, epsilon: float, n_trials: int, want_ece: bool
+    spec: SyntheticSpec, epsilon: float, n_trials: int, want_ece: bool,
+    skip_single_class: bool = False,
 ) -> tuple[list[float], list[float | None]]:
-    """Coverages and test ECEs of trials 0..n_trials-1; trial t uses seed spec.seed + t."""
+    """Coverages and test ECEs of the trials that ran; trial t uses seed spec.seed + t."""
     outcomes = [
-        _one_trial(replace(spec, seed=spec.seed + t), epsilon, want_ece)
+        _one_trial(replace(spec, seed=spec.seed + t), epsilon, want_ece, skip_single_class)
         for t in range(n_trials)
     ]
-    return [coverage for coverage, _ in outcomes], [e for _, e in outcomes]
+    ran = [outcome for outcome in outcomes if outcome is not None]
+    return [coverage for coverage, _ in ran], [e for _, e in ran]
 
 
 def coverage_experiment(
@@ -161,6 +169,7 @@ class SizeSweepRow:
     n_cal: int
     mean_ece_after: float
     mean_coverage: float
+    single_class_trials: int
 
 
 def calibration_size_sweep(
@@ -174,6 +183,9 @@ def calibration_size_sweep(
     spec supplies everything but n_cal, which the sweep overrides per row.
     Larger calibration sets estimate the temperature better, so the ECE column
     is non-increasing in expectation; coverage concentrates near 1 - epsilon.
+    A trial whose calibration draw holds a single class is skipped and counted
+    in single_class_trials; the means are over the trials that ran. A size at
+    which every trial is skipped raises.
     """
     if not sizes:
         raise ValueError("sizes is empty")
@@ -181,12 +193,20 @@ def calibration_size_sweep(
         raise ValueError("n_trials must be >= 1")
     rows = []
     for size in sizes:
-        coverages, eces = _trials(replace(spec, n_cal=size), epsilon, n_trials, want_ece=True)
+        coverages, eces = _trials(
+            replace(spec, n_cal=size), epsilon, n_trials, want_ece=True, skip_single_class=True
+        )
+        if not coverages:
+            raise ValueError(
+                f"n_cal {size}: the calibration draw holds a single class in all "
+                f"{n_trials} trials; cannot fit temperature"
+            )
         rows.append(
             SizeSweepRow(
                 n_cal=size,
-                mean_ece_after=math.fsum(eces) / n_trials,
-                mean_coverage=math.fsum(coverages) / n_trials,
+                mean_ece_after=math.fsum(eces) / len(eces),
+                mean_coverage=math.fsum(coverages) / len(coverages),
+                single_class_trials=n_trials - len(coverages),
             )
         )
     return rows

@@ -18,7 +18,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .data import Dataset, SequenceExample, export_tsv
+from .data import Dataset, SequenceExample
 
 MOTIF = "WFW"
 PARTIAL_MOTIF = "WF"
@@ -97,10 +97,6 @@ def motif_corpus(
             )
         )
     return Dataset(examples)
-
-
-def write_toy_dataset(path: str | Path, n_examples: int = 200, seed: int = 7) -> None:
-    export_tsv(motif_corpus(n_examples, seed), path)
 
 
 def toy_dataset_path() -> Path:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,9 @@ MALFORMED = {
     "config-two-fractions": (
         "config", "cfg.json", json.dumps({"split": {"fractions": [0.5, 0.5]}}), 2,
     ),
+    # range checks of the stage types run at load, before any file is read
+    "config-kmer-zero": ("config", "cfg.json", json.dumps({"scorer": {"kmer_size": 0}}), 2),
+    "config-ncal-zero": ("config", "cfg.json", json.dumps({"simulate": {"n_cal": 0}}), 2),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
@@ -189,6 +193,8 @@ MALFORMED = {
     # a flag value instead of a file, which is not written: (command, flag, value)
     "flag-grid-not-number": ("flag", "-", ("sweep", "--grid", "a,b"), 2),
     "flag-sizes-not-integer": ("flag", "-", ("simulate", "--sizes", "1.5"), 2),
+    "flag-epsilon-out-of-range": ("flag", "-", ("run", "--epsilon", "1.5"), 2),
+    "flag-simulate-epsilon-zero": ("flag", "-", ("simulate", "--epsilon", "0"), 2),
 }
 # the exact stderr of the cases whose message is part of the interface
 MALFORMED_MESSAGES = {
@@ -196,6 +202,10 @@ MALFORMED_MESSAGES = {
     "predicted_label 0 or 1, or abstain with none, got 'predict' with '7'\n",
     "flag-grid-not-number": "config error: --grid: expected a number, got 'a'\n",
     "flag-sizes-not-integer": "config error: --sizes: expected an integer, got '1.5'\n",
+    "config-kmer-zero": "config error: scorer: kmer_size must be >= 1\n",
+    "config-ncal-zero": "config error: simulate: n_cal and n_test must be >= 1\n",
+    "flag-epsilon-out-of-range": "config error: conformal: epsilon must be in (0, 1)\n",
+    "flag-simulate-epsilon-zero": "config error: simulate: epsilon must be in (0, 1)\n",
 }
 
 
@@ -226,6 +236,9 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert err.startswith("config error: " if expected == 2 else "error: ")
     assert "Traceback" not in err
+    if expected == 2:
+        # a configuration error stops the command before it writes anything
+        assert not os.path.exists(out)
     if case in MALFORMED_MESSAGES:
         assert err == MALFORMED_MESSAGES[case]
 
@@ -266,6 +279,26 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         env=dict(os.environ, PYTHONPATH=str(package_root)),
     )
     assert done.stdout == "False\n"
+
+
+def _readme_toy_commands() -> list[list[str]]:
+    """The `tcrselect run` lines of the README's quick start, as argv."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line)[1:]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith('tcrselect run --dataset "$TOY"')
+    ]
+
+
+def test_readme_toy_commands_run(tmp_path, capsys):
+    commands = _readme_toy_commands()
+    protocols = [argv[argv.index("--protocol") + 1] for argv in commands]
+    assert sorted(protocols) == ["distance_aware", "epitope_held_out", "random"]
+    for protocol, argv in zip(protocols, commands):
+        argv[argv.index("$TOY")] = str(toy_dataset_path())
+        argv[argv.index("--out") + 1] = str(tmp_path / protocol)
+        assert main(argv) == 0, protocol
 
 
 class TestSplit:
@@ -506,6 +539,19 @@ class TestSimulate:
         assert payload["mode"] == "calibration_size_sweep"
         assert [row["n_cal"] for row in payload["rows"]] == [100, 500]
 
+    def test_size_sweep_skips_single_class_draws(self, tmp_path, capsys):
+        # at seed 29, trials 1, 9, 11, 12 and 13 of the 50-row size draw no positive
+        out = tmp_path / "sizes"
+        argv = ["simulate", "--out", str(out), "--sizes", "50,200", "--trials", "15"]
+        assert main(argv) == 0
+        rows = json.loads((out / "simulate.json").read_text())["rows"]
+        assert [row["single_class_trials"] for row in rows] == [5, 0]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" (5 single-class trials skipped)")
+        assert "skipped" not in lines[1]
+        csv_lines = (out / "simulate.csv").read_text().splitlines()
+        assert csv_lines[1] == "n_cal,mean_ece_after,mean_coverage"
+
 
 class TestMetricsReeval:
     def test_round_trip_matches_run_report(self, tmp_path):
@@ -540,7 +586,7 @@ class TestMonotoneCheck:
         rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
         probs = apply_temperature(test, model)
         decisions = decide(test.ids, probs, rule)
-        return PipelineResult(None, model, rule, test, test, probs, probs, decisions, "")
+        return PipelineResult(None, model, rule, test, test, probs, decisions, "")
 
     def test_saturation_ties_are_not_an_error(self):
         # sigmoid(37) == sigmoid(38) == 1.0, while 0.37 and 0.38 stay apart at

@@ -126,3 +126,14 @@ class TestCalibrationSizeSweep:
         spec = SyntheticSpec(n_cal=10, n_test=10)
         with pytest.raises(ValueError):
             calibration_size_sweep(spec, sizes=(), epsilon=0.1)
+
+    def test_size_with_only_single_class_draws_is_named(self):
+        # one calibration row is always a single class, so no trial of size 1 runs
+        spec = SyntheticSpec(n_cal=10, n_test=100)
+        with pytest.raises(ValueError, match="n_cal 1: .* all 3 trials"):
+            calibration_size_sweep(spec, sizes=(200, 1), epsilon=0.2, n_trials=3)
+
+    def test_coverage_experiment_still_rejects_a_single_class_draw(self):
+        spec = SyntheticSpec(n_cal=1, n_test=100)
+        with pytest.raises(ValueError, match="single class"):
+            coverage_experiment(spec, epsilon=0.2, n_trials=3)
