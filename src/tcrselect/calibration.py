@@ -3,8 +3,14 @@
 Temperature scaling rescales logits by a single scalar T fitted to minimize
 mean negative log-likelihood on the calibration split. The fit runs over
 beta = 1/T, in which the objective mean(softplus(beta*z) - y*beta*z) is convex,
-using bracketed golden-section search. AUROC is untouched by scaling (the
-transform is strictly monotone); only probability quality changes.
+and solves for the zero of its slope by Newton's method with a bisection
+fallback. Each iteration is one pass over the calibration rows that gives the
+slope and the curvature from a single exp; the NLL itself is evaluated only
+for the reported values. The solve uses numpy's exp: its last bits move only
+the iterates of a root that converges to within ulps of the exact minimizer,
+and reported probabilities still go through the scorer's sigmoid. AUROC is
+untouched by scaling (the transform is strictly monotone); only probability
+quality changes.
 
 Temperatures are fitted on a score table and applied to one, giving a float64
 array. The metrics take probability and label arrays and return Python floats;
@@ -25,8 +31,9 @@ TEMPERATURE_MIN = 0.05
 TEMPERATURE_MAX = 100.0
 DEFAULT_ECE_BINS = 15
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-8
+_NEWTON_RTOL = 1e-12
+_MAX_ITERATIONS = 100
+_MIN_SHRINK = 0.8
 _CLAMP_TOL = 1e-6
 _PROB_CLIP = 1e-12
 
@@ -59,16 +66,83 @@ def _mean_nll_at_beta(logits: np.ndarray, labels: np.ndarray, beta: float) -> fl
     return float(np.mean(np.logaddexp(0.0, zb) - labels * zb))
 
 
+def _slope_terms(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-row constants of the NLL's derivatives in beta.
+
+    With e = exp(-|beta*z|), sigmoid(beta*z) - y is (p - y + (1 - p - y)*e) / (1 + e),
+    where p = 1[z >= 0]: each case is exact, with no 1 - s cancellation.
+    """
+    positive = (logits >= 0.0).astype(float)
+    return (
+        np.abs(logits),
+        (positive - labels) * logits,
+        (1.0 - positive - labels) * logits,
+        logits * logits,
+    )
+
+
+def _slope_and_curvature(terms: tuple[np.ndarray, ...], beta: float) -> tuple[float, float]:
+    """First and second derivative of the mean NLL at beta, from one exp pass:
+    g = mean((s - y)*z) and h = mean(s*(1 - s)*z^2) with s = sigmoid(beta*z)."""
+    abs_z, constant, slope, z_squared = terms
+    e = np.exp(-beta * abs_z)
+    d = 1.0 + e
+    g = np.mean((constant + slope * e) / d)
+    h = np.mean(e * z_squared / (d * d))
+    return float(g), float(h)
+
+
+def _newton_root(terms: tuple[np.ndarray, ...], a: float, b: float, g: float, h: float) -> float:
+    """The root of the NLL's slope in (a, b), given g(a) = g < 0 < g(b) and h = h(a).
+
+    Newton steps start from a. Each evaluated point narrows the bracket, and a
+    step that leaves it, needs a non-positive curvature, or is longer than 0.8
+    of the step before last (Newton creeps where the slope is exponential in
+    beta) bisects instead. Convergence is checked before the safeguard, so a
+    converged point is never bisected away.
+    """
+    beta = a
+    last = before_last = b - a
+    for _ in range(_MAX_ITERATIONS):
+        step = g / h if h > 0.0 else math.inf
+        if a < beta - step < b and abs(step) <= _MIN_SHRINK * before_last:
+            before_last, last = last, abs(step)
+            beta -= step
+        else:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:  # a and b are adjacent floats
+                return beta
+            before_last, last = last, mid - a
+            beta = mid
+        g, h = _slope_and_curvature(terms, beta)
+        if g == 0.0:
+            return beta
+        if h > 0.0 and abs(g) <= _NEWTON_RTOL * beta * h:
+            return beta - g / h  # the last step is free and squares the error
+        if g < 0.0:
+            a = beta
+        else:
+            b = beta
+    raise RuntimeError(f"temperature fit did not converge in {_MAX_ITERATIONS} iterations")
+
+
 def fit_temperature(
     cal: ScoreTable,
     t_min: float = TEMPERATURE_MIN,
     t_max: float = TEMPERATURE_MAX,
 ) -> TemperatureModel:
-    """Fit T on a calibration table by golden-section search over beta = 1/T.
+    """Fit T on a calibration table by safeguarded Newton on beta = 1/T.
 
-    The bracket [1/t_max, 1/t_min] is shrunk to width 1e-8; if the optimum sits
-    on a bracket end the temperature snaps to that bound and `clamped` is set.
-    A single-class calibration set is rejected (the objective would push T to a
+    The slope g of the convex mean NLL is nondecreasing in beta, so its sign
+    at the ends of [1/t_max, 1/t_min] decides the answer: g(1/t_min) <= 0 puts
+    the optimum at t_min, else g(1/t_max) >= 0 puts it at t_max, else Newton
+    finds the interior root. An optimum within 1e-6 of a bracket end snaps to
+    that bound, and snapped results report the bound exactly with `clamped`
+    set. An NLL at t_min no higher than at the optimum means the objective is
+    flat to rounding in between (exactly flat when every logit is 0), and the
+    fit gives t_min, clamped, as the golden-section search it replaces did.
+    The fitted NLL never exceeds the one at T = 1 when 1 is in range. A
+    single-class calibration set is rejected (the objective would push T to a
     bound for a degenerate reason).
     """
     if len(cal) == 0:
@@ -81,21 +155,12 @@ def fit_temperature(
     logits = cal.logits
 
     lo, hi = 1.0 / t_max, 1.0 / t_min
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _mean_nll_at_beta(logits, labels, c)
-    fd = _mean_nll_at_beta(logits, labels, d)
-    while b - a > _BRACKET_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _mean_nll_at_beta(logits, labels, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _mean_nll_at_beta(logits, labels, d)
-    beta = 0.5 * (a + b)
+    terms = _slope_terms(logits, labels)
+    if _slope_and_curvature(terms, hi)[0] <= 0.0:
+        beta = hi
+    else:
+        g_lo, h_lo = _slope_and_curvature(terms, lo)
+        beta = lo if g_lo >= 0.0 else _newton_root(terms, lo, hi, g_lo, h_lo)
 
     clamped = False
     if beta >= hi - _CLAMP_TOL:
@@ -105,6 +170,12 @@ def fit_temperature(
 
     nll_before = _mean_nll_at_beta(logits, labels, 1.0)
     nll_opt = _mean_nll_at_beta(logits, labels, beta)
+    if beta != hi:
+        # an NLL flat to the last bit from the optimum to 1/t_min gives t_min,
+        # as an exactly flat one (every logit 0) always has
+        nll_hi = _mean_nll_at_beta(logits, labels, hi)
+        if nll_hi <= nll_opt:
+            beta, nll_opt, clamped = hi, nll_hi, True
     if lo <= 1.0 <= hi and nll_before < nll_opt:
         beta, nll_opt, clamped = 1.0, nll_before, False
 

@@ -28,8 +28,11 @@ from .splits import (
     PROTOCOL_DISTANCE_AWARE,
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
+    check_fractions,
+    check_k_test_epitopes,
+    check_open_unit,
 )
-from .synthetic import SyntheticSpec
+from .synthetic import SyntheticSpec, check_n_trials, check_sizes
 
 PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
 SCORER_MODES = ("builtin", "logits")
@@ -63,6 +66,13 @@ class SplitConfig:
     identity_ceiling: float = DEFAULT_IDENTITY_CEILING
     test_fraction: float = DEFAULT_TEST_FRACTION
     epitope_disjoint_cal: bool = False
+
+    def __post_init__(self) -> None:
+        check_fractions(self.fractions)
+        check_k_test_epitopes(self.k_test_epitopes)
+        check_open_unit("cal_fraction", self.cal_fraction)
+        check_open_unit("identity_ceiling", self.identity_ceiling)
+        check_open_unit("test_fraction", self.test_fraction)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,9 @@ class SimulateSection(SyntheticSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_epsilon(self.epsilon)
+        check_n_trials(self.n_trials)
+        if self.sizes:  # None or empty runs the coverage experiment instead
+            check_sizes(self.sizes)
 
 
 @dataclass(frozen=True)

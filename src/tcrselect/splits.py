@@ -192,6 +192,28 @@ def _where(column: Sequence[str], mask: np.ndarray) -> list[str]:
     return list(compress(column, mask.tolist()))
 
 
+def check_fractions(fractions: Sequence[float]) -> None:
+    """Raise unless fractions are three non-negative shares summing to 1."""
+    if len(fractions) != 3:
+        raise ValueError("fractions must have exactly 3 entries")
+    if any(f < 0 for f in fractions):
+        raise ValueError("fractions must be non-negative")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
+
+
+def check_open_unit(name: str, value: float) -> None:
+    """Raise unless a share or identity setting lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1)")
+
+
+def check_k_test_epitopes(k_test_epitopes: int) -> None:
+    """Raise unless the number of held-out epitopes is non-negative."""
+    if k_test_epitopes < 0:
+        raise ValueError("k_test_epitopes must be >= 0")
+
+
 def split_random(
     data: Dataset,
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
@@ -202,12 +224,7 @@ def split_random(
     fractions are (train, cal, test) shares, each >= 0, summing to 1 within
     1e-9. The middle share is the calibration set.
     """
-    if len(fractions) != 3:
-        raise ValueError("fractions must have exactly 3 entries")
-    if any(f < 0 for f in fractions):
-        raise ValueError("fractions must be non-negative")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
+    check_fractions(fractions)
     rng = random.Random(seed)
     train, cal, test = _stratified_three_way(data.ids, data.labels, fractions, rng)
     return SplitManifest(
@@ -235,11 +252,9 @@ def split_epitope_held_out(
     instead built from whole held-out epitopes too (three-way epitope split),
     greedily accumulated to about cal_fraction of the non-test examples.
     """
-    if not 0.0 < cal_fraction < 1.0:
-        raise ValueError("cal_fraction must be in (0, 1)")
+    check_open_unit("cal_fraction", cal_fraction)
     distinct = sorted(set(data.epitope_id))
-    if k_test_epitopes < 0:
-        raise ValueError("k_test_epitopes must be >= 0")
+    check_k_test_epitopes(k_test_epitopes)
     if k_test_epitopes >= len(distinct):
         raise ValueError(
             f"k_test_epitopes={k_test_epitopes} but only {len(distinct)} distinct epitope(s)"
@@ -298,12 +313,9 @@ def split_distance_aware(
     reaches test_fraction (the last cluster may overshoot); the rest splits
     into train/cal at the pair level, stratified by label.
     """
-    if not 0.0 < identity_ceiling < 1.0:
-        raise ValueError("identity_ceiling must be in (0, 1)")
-    if not 0.0 < cal_fraction < 1.0:
-        raise ValueError("cal_fraction must be in (0, 1)")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    check_open_unit("identity_ceiling", identity_ceiling)
+    check_open_unit("cal_fraction", cal_fraction)
+    check_open_unit("test_fraction", test_fraction)
     if len(data) == 0:
         raise ValueError("dataset is empty")
     distinct = sorted(set(data.cdr3b))

@@ -55,6 +55,20 @@ class SyntheticSpec:
             )
 
 
+def check_n_trials(n_trials: int) -> None:
+    """Raise unless an experiment runs at least one trial."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+
+
+def check_sizes(sizes: Sequence[int]) -> None:
+    """Raise unless a size sweep has calibration sizes, each at least 1."""
+    if not sizes:
+        raise ValueError("sizes is empty")
+    if min(sizes) < 1:
+        raise ValueError(f"sizes must all be >= 1, got {min(sizes)}")
+
+
 @lru_cache(maxsize=1)
 def _ids(n: int) -> tuple[str, ...]:
     """syn-000000 ... for the n rows of a draw; kept while the draw size repeats."""
@@ -148,8 +162,7 @@ def coverage_experiment(
     coverage is at least quantile_index(n_cal, epsilon) / (n_cal + 1), which
     is >= 1 - epsilon; without ties it is below 1 - epsilon + 1/(n_cal + 1).
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_n_trials(n_trials)
     # the sentinel depends only on (n_cal, epsilon), so it hits every trial or none
     retain_all = quantile_index(spec.n_cal, epsilon) > spec.n_cal
     coverages, _ = _trials(spec, epsilon, n_trials, want_ece=False)
@@ -187,10 +200,8 @@ def calibration_size_sweep(
     in single_class_trials; the means are over the trials that ran. A size at
     which every trial is skipped raises.
     """
-    if not sizes:
-        raise ValueError("sizes is empty")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_sizes(sizes)
+    check_n_trials(n_trials)
     rows = []
     for size in sizes:
         coverages, eces = _trials(

@@ -178,6 +178,19 @@ MALFORMED = {
     # range checks of the stage types run at load, before any file is read
     "config-kmer-zero": ("config", "cfg.json", json.dumps({"scorer": {"kmer_size": 0}}), 2),
     "config-ncal-zero": ("config", "cfg.json", json.dumps({"simulate": {"n_cal": 0}}), 2),
+    "config-fractions-sum": (
+        "config", "cfg.json", json.dumps({"split": {"fractions": [0.5, 0.5, 0.5]}}), 2,
+    ),
+    "config-fractions-negative": (
+        "config", "cfg.json", json.dumps({"split": {"fractions": [1.2, -0.2, 0.0]}}), 2,
+    ),
+    "config-k-epitopes-negative": (
+        "config", "cfg.json", json.dumps({"split": {"k_test_epitopes": -1}}), 2,
+    ),
+    "config-ceiling-one": ("config", "cfg.json", json.dumps({"split": {"identity_ceiling": 1}}), 2),
+    "config-test-fraction-zero": (
+        "config", "cfg.json", json.dumps({"split": {"test_fraction": 0}}), 2,
+    ),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
@@ -195,6 +208,9 @@ MALFORMED = {
     "flag-sizes-not-integer": ("flag", "-", ("simulate", "--sizes", "1.5"), 2),
     "flag-epsilon-out-of-range": ("flag", "-", ("run", "--epsilon", "1.5"), 2),
     "flag-simulate-epsilon-zero": ("flag", "-", ("simulate", "--epsilon", "0"), 2),
+    "flag-trials-zero": ("flag", "-", ("simulate", "--trials", "0"), 2),
+    "flag-sizes-zero": ("flag", "-", ("simulate", "--sizes", "0,100"), 2),
+    "flag-cal-fraction-out-of-range": ("flag", "-", ("split", "--cal-fraction", "1.5"), 2),
 }
 # the exact stderr of the cases whose message is part of the interface
 MALFORMED_MESSAGES = {
@@ -206,6 +222,10 @@ MALFORMED_MESSAGES = {
     "config-ncal-zero": "config error: simulate: n_cal and n_test must be >= 1\n",
     "flag-epsilon-out-of-range": "config error: conformal: epsilon must be in (0, 1)\n",
     "flag-simulate-epsilon-zero": "config error: simulate: epsilon must be in (0, 1)\n",
+    "flag-trials-zero": "config error: simulate: n_trials must be >= 1\n",
+    "flag-sizes-zero": "config error: simulate: sizes must all be >= 1, got 0\n",
+    "flag-cal-fraction-out-of-range": "config error: split: cal_fraction must be in (0, 1)\n",
+    "config-fractions-sum": "config error: split: fractions must sum to 1, got 1.5\n",
 }
 
 
