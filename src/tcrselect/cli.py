@@ -33,7 +33,7 @@ from .conformal import (
 )
 from .data import Dataset, deduplicate, generate_negatives, ingest_tsv
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
-from .scorer import export_logits, score, sigmoid, train_linear
+from .scorer import export_logits, ids_fingerprint, score, sigmoid, train_linear
 from .splits import (
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
@@ -174,7 +174,7 @@ def _check_monotone(logits: np.ndarray, *probs: np.ndarray) -> None:
 def _method_rows(result: PipelineResult) -> dict:
     test_labels = result.test.labels
     raw_probs = sigmoid(result.test.logits)
-    cal_probs = result.test_probs_calibrated
+    cal_probs = result.decisions.probs
     _check_monotone(result.test.logits, raw_probs, cal_probs)
 
     baseline = dict(_quality_row(raw_probs, test_labels), coverage=1.0, abstained=0.0)
@@ -210,18 +210,9 @@ def _run_shared(
     config = runner.config
     data = _load_dataset(config)
     manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
-    train = data.subset(manifest.train_ids)
-    cal = data.subset(manifest.cal_ids)
-    test = data.subset(manifest.test_ids)
     builtin = config.scorer.mode == "builtin"
-    result = run_pipeline(
-        train, cal, test,
-        epsilon=config.conformal.epsilon,
-        training=config.scorer if builtin else None,
-        logits_path=None if builtin else config.scorer.logits_path,
-        manifest=manifest,
-    )
-    return manifest, result
+    scorer = config.scorer if builtin else config.scorer.logits_path
+    return manifest, run_pipeline(data, manifest, config.conformal.epsilon, scorer)
 
 
 def _provenance(
@@ -234,7 +225,7 @@ def _provenance(
         "config": runner.config_fingerprint,
         "manifest": manifest.fingerprint(),
         "scorer": None if scorer_json is None else _sha256(scorer_json),
-        "calibration_ids": result.cal_fingerprint,
+        "calibration_ids": ids_fingerprint(result.cal.ids),
     }
     return provenance, scorer_json
 
@@ -266,7 +257,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
         "decisions.tsv",
         decisions_to_tsv(result.decisions, comments=_comment_lines(provenance)),
     )
-    table = ece(result.test_probs_calibrated, result.test.labels)
+    table = ece(result.decisions.probs, result.test.labels)
     reliability_lines = "".join(
         f"# {text}\n" for text in _comment_lines(provenance)
     ) + table.to_csv()
@@ -316,7 +307,7 @@ def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
     manifest, result = _run_shared(runner, args)
     provenance, _ = _provenance(runner, manifest, result)
     curve = coverage_risk_sweep(
-        result.test_probs_calibrated,
+        result.decisions.probs,
         result.test.labels,
         grid=runner.config.sweep.grid,
         source=f"{manifest.protocol} test split",

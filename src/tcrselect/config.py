@@ -17,6 +17,7 @@ from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .conformal import check_epsilon
+from .data import check_column_keys, check_identity_threshold, check_open_unit
 from .metrics import DEFAULT_COVERAGE_GRID
 from .scorer import TrainingConfig
 from .splits import (
@@ -30,7 +31,6 @@ from .splits import (
     PROTOCOL_RANDOM,
     check_fractions,
     check_k_test_epitopes,
-    check_open_unit,
 )
 from .synthetic import SyntheticSpec, check_n_trials, check_sizes
 
@@ -47,6 +47,9 @@ class NegativesConfig:
     target_positive_rate: float = 0.045
     seed: int = 11
 
+    def __post_init__(self) -> None:
+        check_open_unit("target_positive_rate", self.target_positive_rate)
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -54,6 +57,12 @@ class DatasetConfig:
     columns: dict[str, str] | None = None
     dedup_identity: float | None = None
     negatives: NegativesConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.columns is not None:
+            check_column_keys(self.columns)
+        if self.dedup_identity is not None:
+            check_identity_threshold("dedup_identity", self.dedup_identity)
 
 
 @dataclass(frozen=True)

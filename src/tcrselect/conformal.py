@@ -25,6 +25,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from .scorer import (
     LinearScorerModel,
     ScoreTable,
     TrainingConfig,
-    ids_fingerprint,
     ingest_logits,
     read_logits,
     score,
@@ -191,76 +191,41 @@ def decide(ids: Sequence[str], probs: np.ndarray, rule: ConformalRule) -> Decisi
 
 @dataclass
 class PipelineResult:
-    """Everything a run produces: model, temperature, rule, score tables, the
-    test calibrated probabilities (float64, in table order), decisions."""
+    """Everything a run produces: model (None for external logits),
+    temperature, rule, the cal and test score tables, and the test decisions,
+    whose probs are the calibrated test probabilities in table order."""
 
     scorer_model: LinearScorerModel | None
     temperature: TemperatureModel
     rule: ConformalRule
     cal: ScoreTable
     test: ScoreTable
-    test_probs_calibrated: np.ndarray
     decisions: DecisionTable
-    cal_fingerprint: str
-
-
-def _check_disjoint(train: Dataset, cal: Dataset, test: Dataset) -> None:
-    names = ("train", "cal", "test")
-    sets = [set(part.ids) for part in (train, cal, test)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            overlap = sets[i] & sets[j]
-            if overlap:
-                raise ValueError(
-                    f"{names[i]}/{names[j]} share id(s), e.g. {sorted(overlap)[0]!r}"
-                )
-
-
-def _check_manifest(
-    manifest: SplitManifest, train: Dataset, cal: Dataset, test: Dataset
-) -> None:
-    for name, part, allowed in (
-        ("train", train, set(manifest.train_ids)),
-        ("cal", cal, set(manifest.cal_ids)),
-        ("test", test, set(manifest.test_ids)),
-    ):
-        extra = set(part.ids) - allowed
-        if extra:
-            raise ValueError(
-                f"{name} dataset contains id(s) outside the manifest's {name} set, "
-                f"e.g. {sorted(extra)[0]!r}"
-            )
 
 
 def run_pipeline(
-    train: Dataset,
-    cal: Dataset,
-    test: Dataset,
+    data: Dataset,
+    manifest: SplitManifest,
     epsilon: float,
-    training: TrainingConfig | None = None,
-    logits_path: str | None = None,
-    manifest: SplitManifest | None = None,
+    scorer: TrainingConfig | str | Path,
 ) -> PipelineResult:
-    """Train (or ingest) scores, fit temperature and threshold, decide on test.
+    """Score the manifest's parts of data, fit temperature and threshold on
+    cal, decide on test.
 
-    Exactly one of `training` (built-in k-mer scorer) and `logits_path`
-    (external logit TSV covering cal and test ids) must be given. The three
-    datasets must be id-disjoint and, when a manifest is supplied, each must
-    stay inside its manifest id set.
+    scorer is a TrainingConfig (train the built-in k-mer scorer on the train
+    part) or the path of an external logit TSV covering the cal and test ids.
+    The manifest keeps its parts disjoint, and Dataset.subset rejects an id
+    the dataset lacks.
     """
-    if (training is None) == (logits_path is None):
-        raise ValueError("provide exactly one of training (builtin) or logits_path")
-    _check_disjoint(train, cal, test)
-    if manifest is not None:
-        _check_manifest(manifest, train, cal, test)
-    if training is not None:
-        model: LinearScorerModel | None = train_linear(train, training)
+    cal, test = data.subset(manifest.cal_ids), data.subset(manifest.test_ids)
+    if isinstance(scorer, TrainingConfig):
+        model: LinearScorerModel | None = train_linear(data.subset(manifest.train_ids), scorer)
         cal_table = score(model, cal)
         test_table = score(model, test)
     else:
         model = None
         # one parse of the file serves both joins
-        logits = read_logits(logits_path)
+        logits = read_logits(scorer)
         cal_table = ingest_logits(logits, cal)
         test_table = ingest_logits(logits, test)
     temperature = fit_temperature(cal_table)
@@ -268,16 +233,7 @@ def run_pipeline(
     rule = fit_threshold(nonconformity_calibration(cal_probs, cal_table.labels), epsilon)
     test_probs = apply_temperature(test_table, temperature)
     decisions = decide(test_table.ids, test_probs, rule)
-    return PipelineResult(
-        scorer_model=model,
-        temperature=temperature,
-        rule=rule,
-        cal=cal_table,
-        test=test_table,
-        test_probs_calibrated=test_probs,
-        decisions=decisions,
-        cal_fingerprint=ids_fingerprint(cal_table.ids),
-    )
+    return PipelineResult(model, temperature, rule, cal_table, test_table, decisions)
 
 
 def decisions_to_tsv(decisions: DecisionTable, comments: Sequence[str] = ()) -> str:
@@ -290,6 +246,15 @@ def decisions_to_tsv(decisions: DecisionTable, comments: Sequence[str] = ()) -> 
             f"{d.example_id}\t{d.prob_calibrated!r}\t{d.nonconformity!r}\t{d.decision}\t{label}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _number_cell(number: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(
+            f"decisions line {number}: {column} must be a number, got {cell!r}"
+        ) from None
 
 
 def decisions_from_tsv(text: str) -> DecisionTable:
@@ -307,9 +272,14 @@ def decisions_from_tsv(text: str) -> DecisionTable:
         fields = line.split("\t")
         if len(fields) != len(DECISION_COLUMNS):
             raise ValueError(f"malformed decision row {line!r}")
-        example_id, prob, nonconf, decision, label = fields
-        probs.append(float(prob))
-        scores.append(float(nonconf))
+        example_id, prob_cell, nonconf_cell, decision, label = fields
+        prob = _number_cell(number, "prob_calibrated", prob_cell)
+        if not 0.0 <= prob <= 1.0:  # NaN fails too
+            raise ValueError(
+                f"decisions line {number}: prob_calibrated must be in [0, 1], got {prob_cell!r}"
+            )
+        probs.append(prob)
+        scores.append(_number_cell(number, "nonconformity", nonconf_cell))
         code = _DECISION_CODES.get((decision, label))
         if code is None:
             raise ValueError(

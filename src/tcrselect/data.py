@@ -54,6 +54,25 @@ class TsvRowError(ValueError):
         self.line = line
 
 
+def check_open_unit(name: str, value: float) -> None:
+    """Raise unless a share, rate or identity setting lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1)")
+
+
+def check_identity_threshold(name: str, value: float) -> None:
+    """Raise unless a dedup identity threshold lies in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1]")
+
+
+def check_column_keys(columns: Mapping[str, str]) -> None:
+    """Raise unless every key of a column mapping is a key of DEFAULT_COLUMNS."""
+    unknown = set(columns) - set(DEFAULT_COLUMNS)
+    if unknown:
+        raise TsvSchemaError(f"unknown column key(s): {sorted(unknown)!r}")
+
+
 def _row_error(
     ex_id: str, cdr3a: str, cdr3b: str, peptide: str, epitope_id: str, label: int
 ) -> str | None:
@@ -242,9 +261,7 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
-        unknown = set(columns) - set(DEFAULT_COLUMNS)
-        if unknown:
-            raise TsvSchemaError(f"unknown column key(s): {sorted(unknown)!r}")
+        check_column_keys(columns)
         colmap.update(columns)
     cells: tuple[list[str], ...] = ([], [], [], [], [], [])
     blank: list[int] = []
@@ -344,8 +361,7 @@ def deduplicate(data: Dataset, identity_threshold: float) -> Dataset:
     identity_threshold with any previously retained example. Keeps input order;
     idempotent. threshold 1.0 removes exactly byte-identical concatenations.
     """
-    if not 0.0 < identity_threshold <= 1.0:
-        raise ValueError("identity_threshold must be in (0, 1]")
+    check_identity_threshold("identity_threshold", identity_threshold)
     keys = list(map("".join, zip(data.cdr3a, data.cdr3b, data.peptide)))
     # the index holds the kept keys, so its ids are positions in kept_keys
     index = CandidateIndex(identity_threshold, max(map(len, keys), default=0))
@@ -372,8 +388,7 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
     ids; the returned dataset is positives (input order) followed by negatives,
     with positive_rate within one example of the target.
     """
-    if not 0.0 < target_positive_rate < 1.0:
-        raise ValueError("target_positive_rate must be in (0, 1)")
+    check_open_unit("target_positive_rate", target_positive_rate)
     if np.any(positives.labels != 1):
         raise ValueError("positives must contain only label=1 examples")
     n_pos = len(positives)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_open_unit
 from .distance import cluster_by_identity
 
 PROTOCOL_RANDOM = "random"
@@ -53,7 +53,13 @@ class SplitManifest:
     test_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        train, cal, test = set(self.train_ids), set(self.cal_ids), set(self.test_ids)
+        parts = {"train": self.train_ids, "cal": self.cal_ids, "test": self.test_ids}
+        sets = {name: set(ids) for name, ids in parts.items()}
+        for name, ids in parts.items():
+            if len(sets[name]) < len(ids):
+                repeated = next(i for i, count in Counter(ids).items() if count > 1)
+                raise ValueError(f"manifest {name}_ids lists id {repeated!r} more than once")
+        train, cal, test = sets.values()
         if (train & cal) or (train & test) or (cal & test):
             raise ValueError("manifest id sets overlap")
 
@@ -200,12 +206,6 @@ def check_fractions(fractions: Sequence[float]) -> None:
         raise ValueError("fractions must be non-negative")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
-
-
-def check_open_unit(name: str, value: float) -> None:
-    """Raise unless a share or identity setting lies in (0, 1)."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1)")
 
 
 def check_k_test_epitopes(k_test_epitopes: int) -> None:

@@ -64,9 +64,12 @@ def oracle_temperature(records):
     labels = records.labels.astype(float)
 
     def best(betas):
-        z = np.outer(betas, logits)
-        per = np.logaddexp(0.0, z) - labels * z
-        return betas[int(np.argmin(per.mean(axis=1)))]
+        # 1,000 betas at a time keep each (betas x rows) temporary near 40 MB
+        means = []
+        for start in range(0, len(betas), 1000):
+            z = np.outer(betas[start:start + 1000], logits)
+            means.append((np.logaddexp(0.0, z) - labels * z).mean(axis=1))
+        return betas[int(np.argmin(np.concatenate(means)))]
 
     coarse = best(np.linspace(0.01, 20.0, 20001))
     step = (20.0 - 0.01) / 20000
@@ -94,17 +97,11 @@ def test_criterion_3_auroc_invariance():
     with criterion(3, "AUROC identical before and after temperature scaling"):
         data = motif_corpus(600, seed=5)
         manifest = split_random(data, seed=5)
-        result = run_pipeline(
-            data.subset(manifest.train_ids),
-            data.subset(manifest.cal_ids),
-            data.subset(manifest.test_ids),
-            epsilon=0.2,
-            training=TrainingConfig(),
-        )
+        result = run_pipeline(data, manifest, 0.2, TrainingConfig())
         labels = data.labels_by_id()
         test_labels = [labels[i] for i in result.test.ids]
         raw = auroc(sigmoid(result.test.logits), test_labels)
-        scaled = auroc(result.test_probs_calibrated, test_labels)
+        scaled = auroc(result.decisions.probs, test_labels)
         assert raw == scaled
 
 
@@ -209,14 +206,8 @@ def test_criterion_7_coverage_risk_trend():
     with criterion(7, "risk(0.8) < risk(1.0), non-increasing along grid"):
         data = motif_corpus(2000, seed=0)
         manifest = split_random(data, seed=0)
-        result = run_pipeline(
-            data.subset(manifest.train_ids),
-            data.subset(manifest.cal_ids),
-            data.subset(manifest.test_ids),
-            epsilon=0.2,
-            training=TrainingConfig(),
-        )
-        curve = coverage_risk_sweep(result.test_probs_calibrated, result.test.labels)
+        result = run_pipeline(data, manifest, 0.2, TrainingConfig())
+        curve = coverage_risk_sweep(result.decisions.probs, result.test.labels)
         by_coverage = {p.coverage: p.error_rate for p in curve.points}
         assert by_coverage[0.8] < by_coverage[1.0]
         risks = [p.error_rate for p in curve.points]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -142,6 +143,7 @@ class TestExitCodes:
 
 TOY_HEADER = "id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
 DECISIONS_HEADER = "example_id\tprob_calibrated\tnonconformity\tdecision\tpredicted_label\n"
+TOY_IDS = ingest_tsv(toy_dataset_path()).ids
 # (input, file name, contents, expected exit code); each file replaces one
 # good input of an otherwise working command
 MALFORMED = {
@@ -160,6 +162,11 @@ MALFORMED = {
     "logits-missing-ids": ("logits", "l.tsv", "ex00000\t0.5\n", 1),
     "manifest-not-json": ("manifest", "m.json", "{not json", 1),
     "manifest-not-utf8": ("manifest", "m.json", b"\xff", 1),
+    "manifest-duplicate-id": ("manifest", "m.json", json.dumps({
+        "protocol": "random", "seed": 0, "parameters": {},
+        "train_ids": [*TOY_IDS[:120], TOY_IDS[0]], "cal_ids": TOY_IDS[120:160],
+        "test_ids": TOY_IDS[160:],
+    }), 1),
     "config-not-json": ("config", "cfg.json", "{not json", 2),
     "config-not-utf8": ("config", "cfg.json", b"{\"a\": \"\xff\"}", 2),
     "config-not-object": ("config", "cfg.json", json.dumps({"conformal": 3}), 2),
@@ -191,8 +198,25 @@ MALFORMED = {
     "config-test-fraction-zero": (
         "config", "cfg.json", json.dumps({"split": {"test_fraction": 0}}), 2,
     ),
+    "config-dedup-identity-high": (
+        "config", "cfg.json", json.dumps({"dataset": {"dedup_identity": 1.5}}), 2,
+    ),
+    "config-dedup-identity-zero": (
+        "config", "cfg.json", json.dumps({"dataset": {"dedup_identity": 0.0}}), 2,
+    ),
+    "config-negatives-rate": (
+        "config", "cfg.json",
+        json.dumps({"dataset": {"negatives": {"target_positive_rate": 1.5}}}), 2,
+    ),
+    "config-columns-unknown-key": (
+        "config", "cfg.json", json.dumps({"dataset": {"columns": {"epitope": "x"}}}), 2,
+    ),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
+    "decisions-nan-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tnan\t0.1\tpredict\t1\n", 1),
+    "decisions-bad-nonconformity": (
+        "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\tx\tpredict\t1\n", 1,
+    ),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
     "decisions-predict-minus-one": (
         "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t-1\n", 1,
@@ -226,6 +250,20 @@ MALFORMED_MESSAGES = {
     "flag-sizes-zero": "config error: simulate: sizes must all be >= 1, got 0\n",
     "flag-cal-fraction-out-of-range": "config error: split: cal_fraction must be in (0, 1)\n",
     "config-fractions-sum": "config error: split: fractions must sum to 1, got 1.5\n",
+    "config-dedup-identity-high": "config error: dataset: dedup_identity must be in (0, 1]\n",
+    "config-dedup-identity-zero": "config error: dataset: dedup_identity must be in (0, 1]\n",
+    "config-negatives-rate":
+        "config error: dataset.negatives: target_positive_rate must be in (0, 1)\n",
+    "config-columns-unknown-key":
+        "config error: dataset: unknown column key(s): ['epitope']\n",
+    "manifest-duplicate-id":
+        f"error: manifest train_ids lists id {TOY_IDS[0]!r} more than once\n",
+    "decisions-bad-prob":
+        "error: decisions line 2: prob_calibrated must be a number, got 'abc'\n",
+    "decisions-nan-prob":
+        "error: decisions line 2: prob_calibrated must be in [0, 1], got 'nan'\n",
+    "decisions-bad-nonconformity":
+        "error: decisions line 2: nonconformity must be a number, got 'x'\n",
 }
 
 
@@ -301,14 +339,26 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert done.stdout == "False\n"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_toy_commands() -> list[list[str]]:
     """The `tcrselect run` lines of the README's quick start, as argv."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     return [
         shlex.split(line)[1:]
-        for line in readme.read_text(encoding="utf-8").splitlines()
+        for line in README.read_text(encoding="utf-8").splitlines()
         if line.startswith('tcrselect run --dataset "$TOY"')
     ]
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's one python block, so an API change cannot leave it stale
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                          flags=re.DOTALL | re.MULTILINE)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("abstained on ") and lines[0].endswith(" test rows")
+    assert len(lines) == 6
 
 
 def test_readme_toy_commands_run(tmp_path, capsys):
@@ -606,7 +656,7 @@ class TestMonotoneCheck:
         rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
         probs = apply_temperature(test, model)
         decisions = decide(test.ids, probs, rule)
-        return PipelineResult(None, model, rule, test, test, probs, decisions, "")
+        return PipelineResult(None, model, rule, test, test, decisions)
 
     def test_saturation_ties_are_not_an_error(self):
         # sigmoid(37) == sigmoid(38) == 1.0, while 0.37 and 0.38 stay apart at

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcrselect.calibration import apply_temperature
 from tcrselect.conformal import (
     DECISION_ABSTAIN,
     DECISION_PREDICT,
@@ -221,17 +222,11 @@ class TestRunPipeline:
     def test_end_to_end_wiring(self):
         data = pipeline_corpus()
         manifest = self.split(data)
-        result = run_pipeline(
-            data.subset(manifest.train_ids),
-            data.subset(manifest.cal_ids),
-            data.subset(manifest.test_ids),
-            epsilon=0.2,
-            training=TrainingConfig(epochs=50),
-            manifest=manifest,
-        )
+        result = run_pipeline(data, manifest, 0.2, TrainingConfig(epochs=50))
         assert len(result.decisions) == len(manifest.test_ids)
         assert result.decisions.ids is result.test.ids
-        assert result.decisions.probs is result.test_probs_calibrated
+        calibrated = apply_temperature(result.test, result.temperature)
+        np.testing.assert_array_equal(result.decisions.probs, calibrated)
         assert len(result.cal) == len(manifest.cal_ids)
         assert result.rule.n_cal == len(manifest.cal_ids)
         assert result.scorer_model is not None
@@ -240,81 +235,31 @@ class TestRunPipeline:
         data = pipeline_corpus()
         manifest = self.split(data)
         with pytest.warns(RuntimeWarning):
-            result = run_pipeline(
-                data.subset(manifest.train_ids),
-                data.subset(manifest.cal_ids),
-                data.subset(manifest.test_ids),
-                epsilon=0.01,
-                training=TrainingConfig(epochs=50),
-            )
+            result = run_pipeline(data, manifest, 0.01, TrainingConfig(epochs=50))
         assert result.rule.retain_all
-        for decision, prob in zip(result.decisions, result.test_probs_calibrated):
+        for decision, prob in zip(result.decisions, result.decisions.probs):
             assert decision.decision == DECISION_PREDICT
             assert decision.predicted_label == (1 if prob >= 0.5 else 0)
 
-    def test_overlapping_cal_and_test_rejected(self):
+    def test_manifest_id_outside_dataset_rejected(self):
         data = pipeline_corpus()
-        manifest = self.split(data)
-        cal = data.subset(manifest.cal_ids)
-        with pytest.raises(ValueError, match=cal.ids[0]):
-            run_pipeline(
-                data.subset(manifest.train_ids),
-                cal,
-                cal,
-                epsilon=0.2,
-                training=TrainingConfig(epochs=5),
-            )
-
-    def test_manifest_mismatch_rejected(self):
-        data = pipeline_corpus()
-        manifest = self.split(data)
-        other = SplitManifest(
+        manifest = SplitManifest(
             protocol="random", seed=99, parameters={},
-            train_ids=("c000",), cal_ids=("c001",), test_ids=("c002",),
+            train_ids=("c000",), cal_ids=("c001", "x999"), test_ids=("c002",),
         )
-        with pytest.raises(ValueError, match="manifest"):
-            run_pipeline(
-                data.subset(manifest.train_ids),
-                data.subset(manifest.cal_ids),
-                data.subset(manifest.test_ids),
-                epsilon=0.2,
-                training=TrainingConfig(epochs=5),
-                manifest=other,
-            )
-
-    def test_requires_exactly_one_score_source(self):
-        data = pipeline_corpus()
-        manifest = self.split(data)
-        parts = (
-            data.subset(manifest.train_ids),
-            data.subset(manifest.cal_ids),
-            data.subset(manifest.test_ids),
-        )
-        with pytest.raises(ValueError):
-            run_pipeline(*parts, epsilon=0.2)
-        with pytest.raises(ValueError):
-            run_pipeline(
-                *parts, epsilon=0.2,
-                training=TrainingConfig(), logits_path="logits.tsv",
-            )
+        with pytest.raises(ValueError, match=r"unknown id\(s\): \['x999'\]"):
+            run_pipeline(data, manifest, 0.2, TrainingConfig(epochs=5))
 
     def test_external_logits_route(self, tmp_path):
         data = pipeline_corpus()
         manifest = self.split(data)
-        parts = (
-            data.subset(manifest.train_ids),
-            data.subset(manifest.cal_ids),
-            data.subset(manifest.test_ids),
-        )
-        builtin = run_pipeline(
-            *parts, epsilon=0.2, training=TrainingConfig(epochs=50)
-        )
+        builtin = run_pipeline(data, manifest, 0.2, TrainingConfig(epochs=50))
         from tcrselect.scorer import export_logits, score
 
         records = score(builtin.scorer_model, data)
         path = tmp_path / "logits.tsv"
         export_logits(records, path)
-        external = run_pipeline(*parts, epsilon=0.2, logits_path=path)
+        external = run_pipeline(data, manifest, 0.2, path)
         assert external.scorer_model is None
         assert external.temperature.temperature == builtin.temperature.temperature
         assert list(external.decisions) == list(builtin.decisions)
@@ -333,17 +278,15 @@ class TestRunPipeline:
         # then a missing calibration id, then a missing test id
         data = pipeline_corpus()
         manifest = self.split(data)
-        parts = [data.subset(ids) for ids in (
-            manifest.train_ids, manifest.cal_ids, manifest.test_ids,
-        )]
-        dropped = {"cal": parts[1].ids[0], "test": parts[2].ids[-1]}
+        cal, test = data.subset(manifest.cal_ids), data.subset(manifest.test_ids)
+        dropped = {"cal": cal.ids[0], "test": test.ids[-1]}
         # the test id is always missing; with drop == "cal" the cal id too
         missing = {dropped["test"], dropped[drop]}
         lines = [f"{i}\t0.5" for i in data.ids if i not in missing]
         path = tmp_path / "logits.tsv"
         path.write_text("\n".join(([bad_line] if bad_line else []) + lines) + "\n")
         with pytest.raises(ValueError) as err:
-            run_pipeline(*parts, epsilon=0.2, logits_path=path)
+            run_pipeline(data, manifest, 0.2, path)
         assert str(err.value) == message.format(**dropped)
 
 

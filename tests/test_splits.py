@@ -52,6 +52,14 @@ class TestManifest:
                 train_ids=("a", "b"), cal_ids=("b",), test_ids=(),
             )
 
+    @pytest.mark.parametrize("part", ["train", "cal", "test"])
+    def test_rejects_duplicate_id_in_a_part(self, part):
+        parts = {"train_ids": ("a", "b"), "cal_ids": ("c",), "test_ids": ("d",)}
+        parts[f"{part}_ids"] += ("e", "e", "e")
+        with pytest.raises(ValueError) as err:
+            SplitManifest(protocol="random", seed=0, parameters={}, **parts)
+        assert str(err.value) == f"manifest {part}_ids lists id 'e' more than once"
+
     def test_json_round_trip(self, tmp_path):
         manifest = split_random(corpus(40, 8), seed=3)
         path = tmp_path / "manifest.json"
