@@ -140,6 +140,8 @@ _DECISION_CELLS = {-1: (DECISION_ABSTAIN, None), 0: (DECISION_PREDICT, 0), 1: (D
 _DECISION_CODES = {
     (DECISION_ABSTAIN, ""): -1, (DECISION_PREDICT, "0"): 0, (DECISION_PREDICT, "1"): 1,
 }
+# code -> those two cells as decisions_to_tsv writes them
+_DECISION_TEXT = {code: "\t".join(cells) for cells, code in _DECISION_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -240,11 +242,13 @@ def decisions_to_tsv(decisions: DecisionTable, comments: Sequence[str] = ()) -> 
     """Render decisions as TSV; leading '#' lines carry provenance."""
     lines = [f"# {text}" for text in comments]
     lines.append("\t".join(DECISION_COLUMNS))
-    for d in decisions:
-        label = "" if d.predicted_label is None else str(d.predicted_label)
-        lines.append(
-            f"{d.example_id}\t{d.prob_calibrated!r}\t{d.nonconformity!r}\t{d.decision}\t{label}"
-        )
+    rows = zip(
+        decisions.ids,
+        decisions.probs.tolist(),
+        decisions.nonconformity.tolist(),
+        decisions.predicted.tolist(),
+    )
+    lines.extend(f"{i}\t{prob!r}\t{s!r}\t{_DECISION_TEXT[code]}" for i, prob, s, code in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -267,12 +271,18 @@ def decisions_from_tsv(text: str) -> DecisionTable:
     header = tuple(lines[0][1].split("\t"))
     if header != DECISION_COLUMNS:
         raise ValueError(f"unexpected decision header {header!r}")
-    ids, probs, scores, predicted = [], [], [], []
+    line_of: dict[str, int] = {}  # example_id -> its line, in file order
+    probs, scores, predicted = [], [], []
     for number, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != len(DECISION_COLUMNS):
             raise ValueError(f"malformed decision row {line!r}")
         example_id, prob_cell, nonconf_cell, decision, label = fields
+        seen = line_of.setdefault(example_id, number)
+        if seen != number:
+            raise ValueError(
+                f"decisions line {number}: example_id {example_id!r} repeats line {seen}"
+            )
         prob = _number_cell(number, "prob_calibrated", prob_cell)
         if not 0.0 <= prob <= 1.0:  # NaN fails too
             raise ValueError(
@@ -286,10 +296,9 @@ def decisions_from_tsv(text: str) -> DecisionTable:
                 f"decisions line {number}: expected predict with predicted_label 0 or 1, "
                 f"or abstain with none, got {decision!r} with {label!r}"
             )
-        ids.append(example_id)
         predicted.append(code)
     return DecisionTable(
-        tuple(ids),
+        tuple(line_of),
         np.array(probs, dtype=np.float64),
         np.array(scores, dtype=np.float64),
         np.array(predicted, dtype=np.int8),

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -151,6 +152,46 @@ def _kmer_codes(
     return field, code
 
 
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number every value of codes by its first occurrence.
+
+    Returns (rank, first): rank[i] (int32) is r when codes[i] holds the r-th
+    distinct value to appear, counting from 0, and first[r] is the position
+    where that value first appears, so first ascends. Integer codes in
+    [0, 2**(62 - bits)), where bits is the width of a position, take one sort
+    of the int64 key code << bits | position. Object codes, negative ones and
+    wider ones take np.unique.
+    """
+    n = len(codes)
+    bits = max(n - 1, 1).bit_length()
+    if codes.dtype == object or (n and (codes.min() < 0 or int(codes.max()) >> (62 - bits))):
+        _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+        position = np.arange(n)  # group is in position order already
+    else:
+        key = codes.astype(np.int64)
+        key <<= bits
+        key |= np.arange(n)
+        key.sort()
+        # equal codes sort together in position order; a group starts where a
+        # bit above the position changes
+        start = np.empty(n, dtype=bool)
+        start[:1] = True
+        np.greater(key[1:] ^ key[:-1], (1 << bits) - 1, out=start[1:])
+        key &= (1 << bits) - 1
+        position = key.astype(np.int32)
+        del key
+        first = position[start]
+        group = np.cumsum(start, dtype=np.int32)
+        group -= 1
+    # first holds each group's first position, in code order; rank the groups by it
+    order = np.argsort(first)
+    group_rank = np.empty(len(first), dtype=np.int32)
+    group_rank[order] = np.arange(len(first), dtype=np.int32)
+    rank = np.empty(n, dtype=np.int32)
+    rank[position] = group_rank[group]
+    return rank, first[order]
+
+
 @dataclass(frozen=True)
 class KmerWindows:
     """Every k-mer window of a dataset, in dataset order.
@@ -185,11 +226,19 @@ class KmerWindows:
             for f, i in zip(field.tolist(), start.tolist())
         ]
 
+    @cached_property
+    def first_seen(self) -> tuple[np.ndarray, np.ndarray]:
+        """_first_seen(code): every window's k-mer numbered by first occurrence,
+        which is its column in build_vocabulary(self)."""
+        return _first_seen(self.code)
+
     def columns(self, vocabulary: Mapping[str, int]) -> np.ndarray:
         """Vocabulary index of every window, -1 where its k-mer is not a key.
 
         Keys that no sequence can produce (unknown namespace, wrong length,
-        residues outside the alphabet) match nothing.
+        residues outside the alphabet) match nothing. The key codes go first
+        into one first-seen numbering, so key i has rank i and a window's rank
+        either names its key or is at least the key count.
         """
         kmers, namespaces, indices = [], [], []
         for key, index in vocabulary.items():
@@ -198,17 +247,10 @@ class KmerWindows:
                 kmers.append(kmer)
                 namespaces.append(_NAMESPACES.index(namespace))
                 indices.append(index)
-        if not kmers:
-            return np.full(len(self.code), -1, dtype=np.int32)
         _, key_code = _kmer_codes(kmers, np.array(namespaces, dtype=np.int8), self.kmer_size)
-        order = np.argsort(key_code)
-        key_code = key_code[order]
-        key_index = np.array(indices, dtype=np.int32)[order]
-        pos = np.searchsorted(key_code, self.code)
-        np.minimum(pos, len(key_code) - 1, out=pos)
-        columns = key_index[pos]
-        columns[key_code[pos] != self.code] = -1
-        return columns
+        rank, _ = _first_seen(np.concatenate((key_code, self.code)))
+        lookup = np.array([*indices, -1], dtype=np.int32)
+        return lookup[np.minimum(rank[len(kmers) :], len(kmers))]
 
 
 def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> KmerWindows:
@@ -222,24 +264,25 @@ def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> K
 
 def build_vocabulary(windows: KmerWindows) -> dict[str, int]:
     """Map each k-mer of windows to a stable index, in first-seen order."""
-    _, first = np.unique(windows.code, return_index=True)
-    first.sort()
+    _, first = windows.first_seen
     return dict(zip(windows.kmers(first), range(len(first))))
 
 
-def _training_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_matrix:
-    """Row-by-k-mer float64 counts, each row's columns ascending.
+def _training_matrix(windows: KmerWindows) -> csr_matrix:
+    """Row-by-k-mer float64 counts over build_vocabulary(windows), each row's
+    columns ascending.
 
-    Every k-mer of windows must be in vocabulary. The windows already come in
-    row order, so each becomes a 1.0 entry of its row in place, and
-    sum_duplicates sorts every row and adds up repeated k-mers.
+    A window's column is its first-seen rank. The windows already come in row
+    order, so each becomes a 1.0 entry of its row in place, and sum_duplicates
+    sorts every row and adds up repeated k-mers.
     """
     from scipy.sparse import csr_matrix  # deferred: runs without a matrix never load it
 
+    rank, first = windows.first_seen
     per_row = np.bincount(windows.row, minlength=windows.n_rows)
     X = csr_matrix(
-        (np.ones(len(windows.code)), windows.columns(vocabulary), np.append(0, np.cumsum(per_row))),
-        shape=(windows.n_rows, len(vocabulary)),
+        (np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))),
+        shape=(windows.n_rows, len(first)),
     )
     X.sum_duplicates()
     return X
@@ -259,11 +302,9 @@ def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_
     columns = windows.columns(vocabulary)
     hit = columns >= 0
     row, col = windows.row[hit], columns[hit]
-    _, first, count = np.unique(
-        row.astype(np.int64) * len(vocabulary) + col, return_index=True, return_counts=True
-    )
-    order = np.argsort(first)
-    row, col, count = row[first[order]], col[first[order]], count[order]
+    rank, first = _first_seen(row.astype(np.int64) * len(vocabulary) + col)
+    count = np.bincount(rank, minlength=len(first))
+    row, col = row[first], col[first]
     starts = np.searchsorted(row, np.arange(windows.n_rows))
     return csr_matrix(
         (
@@ -417,7 +458,7 @@ def train_linear(
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    X = _training_matrix(windows, vocabulary)
+    X = _training_matrix(windows)
     del windows  # frees the per-window arrays before gradient descent
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     weights = np.zeros(len(vocabulary))

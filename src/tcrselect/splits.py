@@ -13,9 +13,9 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -52,16 +52,20 @@ class SplitManifest:
     cal_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    # how errors name the manifest; load adds its file
+    source: InitVar[str] = "manifest"
+
+    def __post_init__(self, source: str) -> None:
         parts = {"train": self.train_ids, "cal": self.cal_ids, "test": self.test_ids}
         sets = {name: set(ids) for name, ids in parts.items()}
         for name, ids in parts.items():
             if len(sets[name]) < len(ids):
                 repeated = next(i for i, count in Counter(ids).items() if count > 1)
-                raise ValueError(f"manifest {name}_ids lists id {repeated!r} more than once")
-        train, cal, test = sets.values()
-        if (train & cal) or (train & test) or (cal & test):
-            raise ValueError("manifest id sets overlap")
+                raise ValueError(f"{source} {name}_ids lists id {repeated!r} more than once")
+        for a, b in combinations(parts, 2):
+            if not sets[a].isdisjoint(sets[b]):
+                shared = next(i for i in parts[a] if i in sets[b])
+                raise ValueError(f"{source} {a}_ids and {b}_ids share id {shared!r}")
 
     def check_covers(self, ids: Sequence[str], where: str) -> None:
         """Raise ValueError naming `where` unless the parts list exactly ids."""
@@ -126,6 +130,7 @@ class SplitManifest:
             train_ids=tuple(raw["train_ids"]),
             cal_ids=tuple(raw["cal_ids"]),
             test_ids=tuple(raw["test_ids"]),
+            source=f"{where}:",
         )
 
 

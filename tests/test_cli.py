@@ -16,9 +16,9 @@ import tcrselect
 from tcrselect.calibration import TemperatureModel, apply_temperature
 from tcrselect.cli import _check_monotone, _method_rows, main
 from tcrselect.conformal import ConformalRule, PipelineResult, decide
-from tcrselect.data import ingest_tsv
+from tcrselect.data import export_tsv, ingest_tsv
 from tcrselect.scorer import ScoreTable, sigmoid
-from tcrselect.toycorpus import toy_dataset_path
+from tcrselect.toycorpus import motif_corpus, toy_dataset_path
 
 RUN_OUTPUTS = (
     "manifest.json",
@@ -167,6 +167,11 @@ MALFORMED = {
         "train_ids": [*TOY_IDS[:120], TOY_IDS[0]], "cal_ids": TOY_IDS[120:160],
         "test_ids": TOY_IDS[160:],
     }), 1),
+    "manifest-overlap": ("manifest", "m.json", json.dumps({
+        "protocol": "random", "seed": 0, "parameters": {},
+        "train_ids": TOY_IDS[:120], "cal_ids": [*TOY_IDS[120:160], TOY_IDS[7]],
+        "test_ids": TOY_IDS[160:],
+    }), 1),
     "config-not-json": ("config", "cfg.json", "{not json", 2),
     "config-not-utf8": ("config", "cfg.json", b"{\"a\": \"\xff\"}", 2),
     "config-not-object": ("config", "cfg.json", json.dumps({"conformal": 3}), 2),
@@ -217,6 +222,10 @@ MALFORMED = {
     "decisions-bad-nonconformity": (
         "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\tx\tpredict\t1\n", 1,
     ),
+    "decisions-repeated-id": (
+        "decisions", "d.tsv",
+        DECISIONS_HEADER + "# note\n" + "a\t0.9\t0.1\tpredict\t1\n" * 2, 1,
+    ),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
     "decisions-predict-minus-one": (
         "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t-1\n", 1,
@@ -236,7 +245,8 @@ MALFORMED = {
     "flag-sizes-zero": ("flag", "-", ("simulate", "--sizes", "0,100"), 2),
     "flag-cal-fraction-out-of-range": ("flag", "-", ("split", "--cal-fraction", "1.5"), 2),
 }
-# the exact stderr of the cases whose message is part of the interface
+# the exact stderr of the cases whose message is part of the interface, with
+# {path} standing for the malformed file
 MALFORMED_MESSAGES = {
     "decisions-predict-seven": "error: decisions line 2: expected predict with "
     "predicted_label 0 or 1, or abstain with none, got 'predict' with '7'\n",
@@ -257,7 +267,10 @@ MALFORMED_MESSAGES = {
     "config-columns-unknown-key":
         "config error: dataset: unknown column key(s): ['epitope']\n",
     "manifest-duplicate-id":
-        f"error: manifest train_ids lists id {TOY_IDS[0]!r} more than once\n",
+        f"error: manifest {{path}}: train_ids lists id {TOY_IDS[0]!r} more than once\n",
+    "manifest-overlap":
+        f"error: manifest {{path}}: train_ids and cal_ids share id {TOY_IDS[7]!r}\n",
+    "decisions-repeated-id": "error: decisions line 4: example_id 'a' repeats line 3\n",
     "decisions-bad-prob":
         "error: decisions line 2: prob_calibrated must be a number, got 'abc'\n",
     "decisions-nan-prob":
@@ -298,7 +311,7 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
         # a configuration error stops the command before it writes anything
         assert not os.path.exists(out)
     if case in MALFORMED_MESSAGES:
-        assert err == MALFORMED_MESSAGES[case]
+        assert err == MALFORMED_MESSAGES[case].replace("{path}", str(path))
 
 
 def test_benchmark_tracer_sees_every_target(tmp_path):
@@ -325,6 +338,29 @@ def test_benchmark_tracer_sees_every_target(tmp_path):
     abstained = sum(row[3] == "abstain" for row in rows)
     assert decide_span["counts"] == {"decisions": len(rows), "abstained": abstained}
     assert 0 < abstained < len(rows)
+
+
+def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a float64 dot product of 50,000 or more elements across
+    # its threads, and the split changes the rounding; training computes
+    # weights @ weights, so a vocabulary that large must still give the same
+    # scorer.json and logits.tsv at one and at two threads
+    package_root = Path(tcrselect.__file__).resolve().parents[1]
+    corpus, config = tmp_path / "corpus.tsv", tmp_path / "config.json"
+    export_tsv(motif_corpus(9000, 1), corpus)
+    config.write_text(json.dumps({"scorer": {"epochs": 5}}))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "tcrselect.cli", "score", "--dataset", str(corpus),
+             "--kmer-size", "5", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(package_root), OPENBLAS_NUM_THREADS=threads),
+        )
+        outputs[threads] = [(out / name).read_bytes() for name in ("scorer.json", "logits.tsv")]
+    assert len(json.loads(outputs["1"][0])["vocabulary"]) > 50_000
+    assert outputs["1"] == outputs["2"]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

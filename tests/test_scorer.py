@@ -15,6 +15,7 @@ from tcrselect.scorer import (
     LinearScorerModel,
     ScoreTable,
     TrainingConfig,
+    _first_seen,
     _scoring_matrix,
     _training_matrix,
     build_vocabulary,
@@ -73,7 +74,7 @@ def kmer_counts(example, kmer_size, include_cdr3a=True):
     """The encoder's k-mer counts for one example, keyed like the vocabulary."""
     windows = encode_kmers(Dataset([example]), kmer_size, include_cdr3a)
     vocab = build_vocabulary(windows)
-    row = _training_matrix(windows, vocab)
+    row = _training_matrix(windows)
     keys = list(vocab)
     return {keys[i]: int(c) for i, c in zip(row.indices, row.data)}
 
@@ -188,7 +189,7 @@ class TestEncoderMatchesOracle:
         expected = oracle.build_vocabulary(train, kmer_size, include_cdr3a)
         assert list(vocab.items()) == list(expected.items())
         assert_same_csr(
-            _training_matrix(windows, vocab),
+            _training_matrix(windows),
             oracle._design_matrix(train, kmer_size, expected, include_cdr3a),
         )
         # scoring rows over the full alphabet are mostly outside a vocabulary
@@ -196,8 +197,33 @@ class TestEncoderMatchesOracle:
         fresh = data.draw(example_sets(AMINO, "s"))
         kept = data.draw(st.lists(st.sampled_from(list(train)), unique=True)) if len(train) else []
         scored = Dataset([*kept, *fresh])
+        assert_same_csr(
+            _scoring_matrix(encode_kmers(scored, kmer_size, include_cdr3a), vocab),
+            oracle.scoring_matrix(scored, kmer_size, vocab, include_cdr3a),
+        )
         model = random_model(vocab, kmer_size, include_cdr3a, seed, bias)
         assert_same_logits(score(model, scored), oracle.score(model, scored))
+
+    # the code paths of _first_seen on these windows: 3 packs int32 codes, 9
+    # packs int64 codes, 14 has int64 codes too wide to pack, 15 object codes
+    # (TestFirstSeen.test_encoder_codes_take_each_path)
+    @pytest.mark.parametrize("kmer_size", [3, 9, 14, 15])
+    def test_every_code_path_matches_oracle(self, kmer_size):
+        data = motif_corpus(300, 1)
+        train = Dataset(list(data)[:200])
+        windows = encode_kmers(train, kmer_size)
+        vocab = build_vocabulary(windows)
+        expected = oracle.build_vocabulary(train, kmer_size)
+        assert list(vocab.items()) == list(expected.items())
+        assert_same_csr(
+            _training_matrix(windows), oracle._design_matrix(train, kmer_size, expected, True)
+        )
+        assert_same_csr(
+            _scoring_matrix(encode_kmers(data, kmer_size), vocab),
+            oracle.scoring_matrix(data, kmer_size, vocab),
+        )
+        model = random_model(vocab, kmer_size, True, kmer_size, 0.5)
+        assert_same_logits(score(model, data), oracle.score(model, data))
 
     def test_motif_corpus_regression(self):
         data = motif_corpus(2000, 1)
@@ -206,7 +232,7 @@ class TestEncoderMatchesOracle:
         expected = oracle.build_vocabulary(data, 3)
         assert list(vocab.items()) == list(expected.items())
         assert_same_csr(
-            _training_matrix(windows, vocab), oracle._design_matrix(data, 3, expected, True)
+            _training_matrix(windows), oracle._design_matrix(data, 3, expected, True)
         )
         model = train_linear(Dataset(list(data)[:1400]), TrainingConfig(epochs=20))
         assert_same_logits(score(model, data), oracle.score(model, data))
@@ -226,6 +252,81 @@ class TestEncoderMatchesOracle:
         # tcr string CA|CA: A|C; peptide: GIL ILG LGI GIL
         assert X.indices.tolist() == [0, 3, 2, 1]
         assert X.data.tolist() == [1.0, 1.0, 2.0, 1.0]
+
+
+def first_seen_oracle(values: list) -> tuple[list[int], list[int]]:
+    """(rank, first) by a dict: the r-th distinct value to appear has rank r
+    and first appears at first[r]."""
+    rank_of: dict = {}
+    first: list[int] = []
+    for i, value in enumerate(values):
+        if value not in rank_of:
+            rank_of[value] = len(first)
+            first.append(i)
+    return [rank_of[value] for value in values], first
+
+
+def assert_first_seen_matches_oracle(codes: np.ndarray) -> None:
+    rank, first = _first_seen(codes)
+    expected_rank, expected_first = first_seen_oracle(codes.tolist())
+    assert rank.dtype == np.int32
+    assert rank.tolist() == expected_rank
+    assert first.tolist() == expected_first
+
+
+@st.composite
+def code_arrays(draw):
+    """Codes with repeats, drawn from a few values of one kind: int32 codes,
+    which always pack; int64 codes below 2**40, which pack; int64 codes up to
+    2**63 - 1, mostly too wide to pack; int64 codes that may be negative,
+    which do not pack; Python ints beyond int64."""
+    dtype, values = draw(st.sampled_from([
+        (np.int32, st.integers(0, 2**31 - 1)),
+        (np.int32, st.integers(0, 40)),
+        (np.int64, st.integers(0, 2**40)),
+        (np.int64, st.integers(0, 2**63 - 1)),
+        (np.int64, st.integers(-(2**40), 2**40)),
+        (object, st.integers(0, 2**80)),
+    ]))
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=60)), dtype=dtype)
+
+
+class TestFirstSeen:
+    @settings(max_examples=300, deadline=None)
+    @given(codes=code_arrays())
+    def test_matches_dict_oracle(self, codes):
+        assert_first_seen_matches_oracle(codes)
+
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            np.zeros(0, np.int32),
+            np.zeros(0, np.int64),
+            np.zeros(0, object),
+            np.full(1, 7, np.int32),
+            np.full(9, 7, np.int32),
+            np.full(9, 2**62, np.int64),
+            np.full(9, 2**70, object),
+        ],
+        ids=["empty-int32", "empty-int64", "empty-object", "one", "repeated",
+             "repeated-wide", "repeated-object"],
+    )
+    def test_empty_and_one_repeated_value(self, codes):
+        assert_first_seen_matches_oracle(codes)
+
+    @pytest.mark.parametrize(
+        "kmer_size, dtype, packed",
+        [(3, np.int32, True), (9, np.int64, True), (14, np.int64, False), (15, object, False)],
+    )
+    def test_encoder_codes_take_each_path(self, monkeypatch, kmer_size, dtype, packed):
+        # the fallback is np.unique; the packed path never calls it
+        windows = encode_kmers(motif_corpus(40, 1), kmer_size)
+        assert windows.code.dtype == dtype
+        unique, calls = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        assert_first_seen_matches_oracle(windows.code)
+        assert calls == ([] if packed else [1])
 
 
 def test_vocabulary_indices_must_be_a_permutation():

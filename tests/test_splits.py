@@ -52,6 +52,20 @@ class TestManifest:
                 train_ids=("a", "b"), cal_ids=("b",), test_ids=(),
             )
 
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((("a", "b", "c"), ("d", "c", "b"), ()), "train_ids and cal_ids share id 'b'"),
+            ((("a", "b"), ("c",), ("d", "b")), "train_ids and test_ids share id 'b'"),
+            ((("a",), ("b", "c"), ("c",)), "cal_ids and test_ids share id 'c'"),
+        ],
+    )
+    def test_overlap_error_names_both_parts_and_an_id(self, parts, message):
+        train, cal, test = parts
+        with pytest.raises(ValueError) as err:
+            SplitManifest("random", 0, {}, train, cal, test)
+        assert str(err.value) == f"manifest {message}"
+
     @pytest.mark.parametrize("part", ["train", "cal", "test"])
     def test_rejects_duplicate_id_in_a_part(self, part):
         parts = {"train_ids": ("a", "b"), "cal_ids": ("c",), "test_ids": ("d",)}

@@ -67,7 +67,7 @@ def train_linear(
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    X = _training_matrix(windows, vocabulary)
+    X = _training_matrix(windows)
     del windows  # frees the per-window arrays before gradient descent
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     weights = np.zeros(len(vocabulary))
