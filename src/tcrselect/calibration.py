@@ -126,12 +126,9 @@ def _newton_root(terms: tuple[np.ndarray, ...], a: float, b: float, g: float, h:
     raise RuntimeError(f"temperature fit did not converge in {_MAX_ITERATIONS} iterations")
 
 
-def fit_temperature(
-    cal: ScoreTable,
-    t_min: float = TEMPERATURE_MIN,
-    t_max: float = TEMPERATURE_MAX,
-) -> TemperatureModel:
-    """Fit T on a calibration table by safeguarded Newton on beta = 1/T.
+def fit_temperature(cal: ScoreTable) -> TemperatureModel:
+    """Fit T in [t_min, t_max] = [TEMPERATURE_MIN, TEMPERATURE_MAX] on a
+    calibration table by safeguarded Newton on beta = 1/T.
 
     The slope g of the convex mean NLL is nondecreasing in beta, so its sign
     at the ends of [1/t_max, 1/t_min] decides the answer: g(1/t_min) <= 0 puts
@@ -147,14 +144,12 @@ def fit_temperature(
     """
     if len(cal) == 0:
         raise ValueError("calibration set is empty")
-    if not 0.0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
     labels = cal.labels.astype(float)
     if labels.min() == labels.max():
         raise ValueError("calibration set contains a single class; cannot fit temperature")
     logits = cal.logits
 
-    lo, hi = 1.0 / t_max, 1.0 / t_min
+    lo, hi = 1.0 / TEMPERATURE_MAX, 1.0 / TEMPERATURE_MIN
     terms = _slope_terms(logits, labels)
     if _slope_and_curvature(terms, hi)[0] <= 0.0:
         beta = hi
@@ -182,7 +177,7 @@ def fit_temperature(
     temperature = 1.0 / beta
     if clamped:
         # remove float residue so the reported bound is exact
-        temperature = t_max if beta == lo else t_min
+        temperature = TEMPERATURE_MAX if beta == lo else TEMPERATURE_MIN
     return TemperatureModel(
         temperature=temperature,
         nll_before=nll_before,

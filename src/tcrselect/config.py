@@ -18,7 +18,7 @@ from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .conformal import check_epsilon
 from .data import check_column_keys, check_identity_threshold, check_open_unit
-from .metrics import DEFAULT_COVERAGE_GRID
+from .metrics import DEFAULT_COVERAGE_GRID, check_grid
 from .scorer import TrainingConfig
 from .splits import (
     DEFAULT_CAL_FRACTION,
@@ -104,6 +104,9 @@ class ConformalSection:
 @dataclass(frozen=True)
 class SweepSection:
     grid: tuple[float, ...] = DEFAULT_COVERAGE_GRID
+
+    def __post_init__(self) -> None:
+        check_grid(self.grid)
 
 
 @dataclass(frozen=True)

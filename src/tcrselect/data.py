@@ -255,9 +255,10 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
 
     columns maps logical field names (keys of DEFAULT_COLUMNS) to header names.
     The id column is optional; absent, ids are the 0-based data-row index,
-    counting blank rows. Cells are stripped and sequences uppercased. The
-    first malformed row (short, bad label, empty field, invalid residue)
-    raises TsvRowError with its file line number, a data row's index + 2.
+    counting blank rows. A leading UTF-8 byte-order mark is skipped. Cells
+    are stripped and sequences uppercased. The first malformed row (short,
+    bad label, empty field, invalid residue) raises TsvRowError with its file
+    line number, a data row's index + 2.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -266,7 +267,7 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     cells: tuple[list[str], ...] = ([], [], [], [], [], [])
     blank: list[int] = []
     failure: Exception | None = None
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         try:
             header = next(reader)

@@ -119,6 +119,15 @@ class CoverageRiskCurve:
         return asdict(self)
 
 
+def check_grid(grid: Sequence[float]) -> None:
+    """Raise ValueError unless grid is a non-empty list of coverages in (0, 1]."""
+    if not grid:
+        raise ValueError("grid is empty")
+    for c in grid:
+        if not 0.0 < c <= 1.0:
+            raise ValueError(f"coverage targets must be in (0, 1], got {c!r}")
+
+
 def coverage_risk_sweep(
     probs: Sequence[float],
     labels: Sequence[int],
@@ -141,11 +150,7 @@ def coverage_risk_sweep(
         raise ValueError("no records given")
     if len(labels) != len(probs):
         raise ValueError(f"length mismatch: {len(probs)} probs vs {len(labels)} labels")
-    if not grid:
-        raise ValueError("grid is empty")
-    for c in grid:
-        if not 0.0 < c <= 1.0:
-            raise ValueError(f"coverage targets must be in (0, 1], got {c!r}")
+    check_grid(grid)
     n = len(probs)
     order = np.argsort(nonconformity_test(probs), kind="stable")
     points = []

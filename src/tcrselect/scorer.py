@@ -106,7 +106,6 @@ class TrainingConfig:
 # Residue digits of the k-mer codes: the 20 amino acids, then the joiner.
 _ALPHABET = "ACDEFGHIKLMNPQRSTVWY" + _JOIN
 _DIGITS = bytes.maketrans(_ALPHABET.encode("ascii"), bytes(range(len(_ALPHABET))))
-_RESIDUES = frozenset(_ALPHABET)
 _NAMESPACES = (TCR_NAMESPACE, PEPTIDE_NAMESPACE)
 
 
@@ -120,15 +119,14 @@ def _code_dtype(kmer_size: int) -> type:
     return object
 
 
-def _kmer_codes(
-    fields: Sequence[str], namespaces: np.ndarray, kmer_size: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _kmer_codes(fields: Sequence[str], kmer_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Field and code of every length-k window of fields.
 
     Windows come in field order, then left to right; a field shorter than k
-    has none. A code is the field's namespace number followed by the k residue
-    digits in base 21, so two windows share a code exactly when they share
-    namespace and k-mer.
+    has none. Fields alternate tcr and peptide, so field f has namespace
+    number f & 1. A code is that number followed by the k residue digits in
+    base 21, so two windows share a code exactly when they share namespace
+    and k-mer.
     """
     lengths = np.fromiter(map(len, fields), np.int64, len(fields))
     per_field = np.maximum(lengths - kmer_size + 1, 0)
@@ -148,7 +146,7 @@ def _kmer_codes(
         np.column_stack((per_field, lengths + 1 - per_field)).ravel(),
     )
     code = code[inside[:n]]
-    code += namespaces[field].astype(dtype) * len(_ALPHABET) ** kmer_size
+    code += (field & 1).astype(dtype) * len(_ALPHABET) ** kmer_size
     return field, code
 
 
@@ -215,42 +213,34 @@ class KmerWindows:
     def row(self) -> np.ndarray:
         return self.field >> 1
 
-    def kmers(self, index: np.ndarray) -> list[str]:
-        """Vocabulary keys, like "tcr:CAS", of the windows at the given positions."""
-        per_field = np.bincount(self.field, minlength=len(self.fields))
-        field = self.field[index]
-        start = index - (np.cumsum(per_field) - per_field)[field]
-        k = self.kmer_size
-        return [
-            _NAMESPACES[f & 1] + ":" + self.fields[f][i : i + k]
-            for f, i in zip(field.tolist(), start.tolist())
-        ]
-
     @cached_property
     def first_seen(self) -> tuple[np.ndarray, np.ndarray]:
         """_first_seen(code): every window's k-mer numbered by first occurrence,
         which is its column in build_vocabulary(self)."""
         return _first_seen(self.code)
 
+    @cached_property
+    def keys(self) -> list[str]:
+        """Vocabulary key, like "tcr:CAS", of each distinct k-mer in
+        first-seen order: keys[r] names the windows of rank r."""
+        _, first = self.first_seen
+        per_field = np.bincount(self.field, minlength=len(self.fields))
+        field = self.field[first]
+        start = first - (np.cumsum(per_field) - per_field)[field]
+        k = self.kmer_size
+        return [
+            _NAMESPACES[f & 1] + ":" + self.fields[f][i : i + k]
+            for f, i in zip(field.tolist(), start.tolist())
+        ]
+
     def columns(self, vocabulary: Mapping[str, int]) -> np.ndarray:
         """Vocabulary index of every window, -1 where its k-mer is not a key.
 
-        Keys that no sequence can produce (unknown namespace, wrong length,
-        residues outside the alphabet) match nothing. The key codes go first
-        into one first-seen numbering, so key i has rank i and a window's rank
-        either names its key or is at least the key count.
+        Each distinct k-mer is looked up once, by its key; keys that no window
+        produces are never asked for.
         """
-        kmers, namespaces, indices = [], [], []
-        for key, index in vocabulary.items():
-            namespace, _, kmer = key.partition(":")
-            if namespace in _NAMESPACES and len(kmer) == self.kmer_size and set(kmer) <= _RESIDUES:
-                kmers.append(kmer)
-                namespaces.append(_NAMESPACES.index(namespace))
-                indices.append(index)
-        _, key_code = _kmer_codes(kmers, np.array(namespaces, dtype=np.int8), self.kmer_size)
-        rank, _ = _first_seen(np.concatenate((key_code, self.code)))
-        lookup = np.array([*indices, -1], dtype=np.int32)
-        return lookup[np.minimum(rank[len(kmers) :], len(kmers))]
+        lookup = [vocabulary.get(key, -1) for key in self.keys]
+        return np.array(lookup, dtype=np.int32)[self.first_seen[0]]
 
 
 def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> KmerWindows:
@@ -258,14 +248,12 @@ def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> K
     fields = [""] * (2 * len(data))
     fields[0::2] = map(_JOIN.join, zip(data.cdr3a, data.cdr3b)) if include_cdr3a else data.cdr3b
     fields[1::2] = data.peptide
-    namespaces = np.tile(np.arange(len(_NAMESPACES), dtype=np.int8), len(data))
-    return KmerWindows(kmer_size, fields, *_kmer_codes(fields, namespaces, kmer_size))
+    return KmerWindows(kmer_size, fields, *_kmer_codes(fields, kmer_size))
 
 
 def build_vocabulary(windows: KmerWindows) -> dict[str, int]:
     """Map each k-mer of windows to a stable index, in first-seen order."""
-    _, first = windows.first_seen
-    return dict(zip(windows.kmers(first), range(len(first))))
+    return dict(zip(windows.keys, range(len(windows.keys))))
 
 
 def _training_matrix(windows: KmerWindows) -> csr_matrix:
@@ -520,11 +508,11 @@ def export_logits(table: ScoreTable, path: str | Path) -> None:
 
 
 def read_logits(path: str | Path) -> dict[str, float]:
-    """Parse an external logit TSV: one 'id<TAB>logit' per line, blank lines
-    skipped. The first malformed line (wrong field count, duplicate id,
-    unparseable or non-finite logit) raises ValueError naming it."""
+    """Parse an external logit TSV: one 'id<TAB>logit' per line, blank lines and
+    a leading byte-order mark skipped. The first malformed line (wrong field
+    count, duplicate id, unparseable or non-finite logit) raises ValueError naming it."""
     logits: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -545,16 +533,12 @@ def read_logits(path: str | Path) -> dict[str, float]:
     return logits
 
 
-def ingest_logits(logits: str | Path | Mapping[str, float], data: Dataset) -> ScoreTable:
-    """Join external logits against a dataset's ids and labels.
-
-    logits is a logit TSV (see read_logits) or the mapping read_logits
-    returned, so one parse can serve several splits. Every dataset id must
-    have a logit; ids that are not in the dataset are permitted. A missing id
-    raises ValueError naming the first one in dataset order.
+def ingest_logits(logits: Mapping[str, float], data: Dataset) -> ScoreTable:
+    """Join external logits, as read_logits returns them, against a dataset's
+    ids and labels, so one parse can serve several splits. Every dataset id
+    must have a logit; ids that are not in the dataset are permitted. A
+    missing id raises ValueError naming the first one in dataset order.
     """
-    if not isinstance(logits, Mapping):
-        logits = read_logits(logits)
     try:
         values = list(map(logits.__getitem__, data.ids))
     except KeyError:

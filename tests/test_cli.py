@@ -216,6 +216,7 @@ MALFORMED = {
     "config-columns-unknown-key": (
         "config", "cfg.json", json.dumps({"dataset": {"columns": {"epitope": "x"}}}), 2,
     ),
+    "config-grid-empty": ("config", "cfg.json", json.dumps({"sweep": {"grid": []}}), 2),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-nan-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tnan\t0.1\tpredict\t1\n", 1),
@@ -238,6 +239,7 @@ MALFORMED = {
     ),
     # a flag value instead of a file, which is not written: (command, flag, value)
     "flag-grid-not-number": ("flag", "-", ("sweep", "--grid", "a,b"), 2),
+    "flag-grid-out-of-range": ("flag", "-", ("sweep", "--grid", "1.5,0.5"), 2),
     "flag-sizes-not-integer": ("flag", "-", ("simulate", "--sizes", "1.5"), 2),
     "flag-epsilon-out-of-range": ("flag", "-", ("run", "--epsilon", "1.5"), 2),
     "flag-simulate-epsilon-zero": ("flag", "-", ("simulate", "--epsilon", "0"), 2),
@@ -251,6 +253,8 @@ MALFORMED_MESSAGES = {
     "decisions-predict-seven": "error: decisions line 2: expected predict with "
     "predicted_label 0 or 1, or abstain with none, got 'predict' with '7'\n",
     "flag-grid-not-number": "config error: --grid: expected a number, got 'a'\n",
+    "flag-grid-out-of-range": "config error: sweep: coverage targets must be in (0, 1], got 1.5\n",
+    "config-grid-empty": "config error: sweep: grid is empty\n",
     "flag-sizes-not-integer": "config error: --sizes: expected an integer, got '1.5'\n",
     "config-kmer-zero": "config error: scorer: kmer_size must be >= 1\n",
     "config-ncal-zero": "config error: simulate: n_cal and n_test must be >= 1\n",

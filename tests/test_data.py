@@ -15,6 +15,7 @@ from tcrselect.data import (
     generate_negatives,
     ingest_tsv,
 )
+from tcrselect.scorer import ingest_logits, read_logits
 
 
 def make_example(
@@ -178,6 +179,24 @@ class TestIngest:
             encoding="utf-8",
         )
         assert ingest_tsv(path).ids == ("0", "1")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # editors that save "UTF-8 with BOM" prefix the first header cell;
+        # read as text it would hide the id column and number the rows instead
+        path = tmp_path / "bom.tsv"
+        path.write_text(
+            "id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
+            "x1\tCAVS\tCASS\tGILGFVFTL\tEP01\t1\n"
+            "x2\tCAVT\tCAST\tNLVPMVATV\tEP02\t0\n",
+            encoding="utf-8-sig",
+        )
+        logits = tmp_path / "bom_logits.tsv"
+        logits.write_text("x1\t0.5\nx2\t-1.5\n", encoding="utf-8-sig")
+        assert path.read_bytes()[:3] == logits.read_bytes()[:3] == b"\xef\xbb\xbf"
+        data = ingest_tsv(path)
+        assert data.ids == ("x1", "x2")
+        assert read_logits(logits) == {"x1": 0.5, "x2": -1.5}
+        assert ingest_logits(read_logits(logits), data).logits.tolist() == [0.5, -1.5]
 
 
 class TestDeduplicate:

@@ -204,6 +204,22 @@ class TestEncoderMatchesOracle:
         model = random_model(vocab, kmer_size, include_cdr3a, seed, bias)
         assert_same_logits(score(model, scored), oracle.score(model, scored))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alphabet=st.sampled_from(["AC", AMINO]),
+        data=st.data(),
+        kmer_size=st.integers(1, 16),
+        include_cdr3a=st.booleans(),
+    )
+    def test_training_and_scoring_share_one_numbering(
+        self, alphabet, data, kmer_size, include_cdr3a
+    ):
+        windows = encode_kmers(data.draw(example_sets(alphabet, "t")), kmer_size, include_cdr3a)
+        vocab = build_vocabulary(windows)
+        assert list(vocab) == windows.keys
+        rank, _ = windows.first_seen
+        assert windows.columns(vocab).tolist() == rank.tolist()
+
     # the code paths of _first_seen on these windows: 3 packs int32 codes, 9
     # packs int64 codes, 14 has int64 codes too wide to pack, 15 object codes
     # (TestFirstSeen.test_encoder_codes_take_each_path)
@@ -530,7 +546,7 @@ class TestLogitFiles:
         records = score(model, data)
         path = tmp_path / "logits.tsv"
         export_logits(records, path)
-        loaded = ingest_logits(path, data)
+        loaded = ingest_logits(read_logits(path), data)
         assert list(zip(loaded.ids, loaded.logits, loaded.labels)) == list(
             zip(records.ids, records.logits, records.labels)
         )
@@ -540,27 +556,27 @@ class TestLogitFiles:
         path = tmp_path / "logits.tsv"
         path.write_text("t0\t0.5\nt1\t-0.5\nt2\t0.1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="t3"):
-            ingest_logits(path, data)
+            ingest_logits(read_logits(path), data)
 
     def test_duplicate_id_named(self, tmp_path):
         data = toy_train_set(2)
         path = tmp_path / "logits.tsv"
         path.write_text("t0\t0.5\nt0\t0.6\nt1\t-0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="t0"):
-            ingest_logits(path, data)
+            ingest_logits(read_logits(path), data)
 
     def test_non_finite_logit_named(self, tmp_path):
         data = toy_train_set(2)
         path = tmp_path / "logits.tsv"
         path.write_text("t0\tnan\nt1\t-0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="t0"):
-            ingest_logits(path, data)
+            ingest_logits(read_logits(path), data)
 
     def test_extra_ids_tolerated(self, tmp_path):
         data = toy_train_set(2)
         path = tmp_path / "logits.tsv"
         path.write_text("t0\t0.5\nt1\t-0.5\nghost\t9.0\n", encoding="utf-8")
-        records = ingest_logits(path, data)
+        records = ingest_logits(read_logits(path), data)
         assert list(records.ids) == ["t0", "t1"]
 
     def test_parsed_logits_serve_several_parts(self, tmp_path):
@@ -571,7 +587,7 @@ class TestLogitFiles:
         head, tail = data.subset(["t0", "t1"]), data.subset(["t2", "t3"])
         assert ingest_logits(logits, head).logits.tolist() == [0.5, -0.5]
         assert ingest_logits(logits, tail).logits.tolist() == [0.25, 1.5]
-        assert ingest_logits(path, tail).logits.tolist() == [0.25, 1.5]
+        assert ingest_logits(read_logits(path), tail).logits.tolist() == [0.25, 1.5]
 
 
 def test_sigmoid_extremes():
