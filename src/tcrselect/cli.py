@@ -380,7 +380,7 @@ def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
 
 def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     decisions_path = Path(args.decisions)
-    text = decisions_path.read_text(encoding="utf-8")
+    text = decisions_path.read_text(encoding="utf-8-sig")
     decisions = decisions_from_tsv(text)
     # an external decision file is not aligned with the dataset: join by id
     labels_by_id = _load_dataset(runner.config).labels_by_id()
@@ -529,7 +529,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     if getattr(args, "mask_cdr3a", False):
         overrides["scorer.include_cdr3a"] = False
     columns = getattr(args, "columns", None)
-    if columns:
+    if columns is not None:
         pairs = {}
         for item in columns.split(","):
             field, _, name = item.partition("=")
@@ -542,10 +542,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         key = "simulate.epsilon" if args.command == "simulate" else "conformal.epsilon"
         overrides[key] = epsilon
     grid = getattr(args, "grid", None)
-    if grid:
+    if grid is not None:
         overrides["sweep.grid"] = _list_flag("--grid", grid, float, "a number")
     sizes = getattr(args, "sizes", None)
-    if sizes:
+    if sizes is not None:
         overrides["simulate.sizes"] = _list_flag("--sizes", sizes, int, "an integer")
     return overrides
 

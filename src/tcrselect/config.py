@@ -242,7 +242,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any] | None = N
     raw: dict[str, Any] = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ConfigError(f"config file {path}: {err}") from None
         if not isinstance(raw, dict):

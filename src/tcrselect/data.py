@@ -6,8 +6,8 @@ peptide and epitope_id as tuples of str, and labels as an int8 array.
 Sequences are uppercased on ingest and validated against the 20-letter
 amino-acid alphabet. Validation runs once, in bulk over whole columns; only
 when a check fails is a single row examined, to name the first bad row.
-SequenceExample is the row type: Dataset(rows) builds columns from rows, and
-iteration, indexing and by_id build rows on demand.
+Dataset(ids, cdr3a, cdr3b, peptide, epitope_id, labels) and ingest_tsv run
+the same checks. SequenceExample is the plain row tuple that iteration yields.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import csv
 import math
 import random
 import sys
-from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +36,6 @@ DEFAULT_COLUMNS: dict[str, str] = {
 }
 
 _EXPORT_ORDER = ("id", "cdr3a", "cdr3b", "peptide", "epitope", "label")
-# SequenceExample fields behind the five text columns, in column order
-_ROW_FIELDS = ("id", "cdr3a", "cdr3b", "peptide", "epitope_id")
 
 
 class TsvSchemaError(ValueError):
@@ -74,18 +70,18 @@ def check_column_keys(columns: Mapping[str, str]) -> None:
 
 
 def _row_error(
-    ex_id: str, cdr3a: str, cdr3b: str, peptide: str, epitope_id: str, label: int
+    ex_id: str, cdr3a: str, cdr3b: str, peptide: str, epitope_id: str, label: str
 ) -> str | None:
     """The message of the first check one row fails, or None if it passes.
 
-    Sequences must already be uppercased.
+    Sequences must already be uppercased; the label is its text.
     """
+    if label not in ("0", "1"):
+        return f"label must be 0 or 1, got {label!r}"
     if not ex_id:
         return "id is empty"
     if not epitope_id:
         return "epitope_id is empty"
-    if label not in (0, 1):
-        return f"label must be 0 or 1, got {label!r}"
     for field, seq in (("cdr3a", cdr3a), ("cdr3b", cdr3b), ("peptide", peptide)):
         if not seq:
             return f"{field} is empty"
@@ -103,6 +99,27 @@ def _all_residues(seqs: Sequence[str]) -> bool:
         and joined.isascii()
         and not joined.encode("ascii").translate(None, _RESIDUE_BYTES)
     )
+
+
+def _uppercased(seqs: Iterable[str]) -> tuple[str, ...]:
+    """The strings uppercased, as the same objects when none would change."""
+    column = tuple(seqs)
+    joined = "".join(column)
+    return column if joined == joined.upper() else tuple(map(str.upper, column))
+
+
+def _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> tuple[int, str] | None:
+    """(position, message) of the first row that fails a check, or None. The
+    checks run in bulk over whole columns, and on single rows only after one
+    fails. Sequences must already be uppercased; labels are text."""
+    residues_ok = all(map(_all_residues, (cdr3a, cdr3b, peptide)))
+    if set(labels) <= {"0", "1"} and all(ids) and all(epitope_id) and residues_ok:
+        return None
+    for pos, row in enumerate(zip(ids, cdr3a, cdr3b, peptide, epitope_id, labels)):
+        error = _row_error(*row)
+        if error is not None:
+            return pos, error
+    raise AssertionError("bulk and per-row checks disagree")
 
 
 def _check_unique(
@@ -127,9 +144,8 @@ def _check_unique(
     raise AssertionError("bulk and per-row id checks disagree")
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceExample:
-    """One TCR/peptide pair with a binary binding label."""
+class SequenceExample(NamedTuple):
+    """One TCR/peptide pair with a binary binding label; the unchecked row type."""
 
     id: str
     cdr3a: str
@@ -138,39 +154,37 @@ class SequenceExample:
     epitope_id: str
     label: int
 
-    def __post_init__(self) -> None:
-        for field in ("cdr3a", "cdr3b", "peptide"):
-            object.__setattr__(self, field, getattr(self, field).upper())
-        error = _row_error(
-            self.id, self.cdr3a, self.cdr3b, self.peptide, self.epitope_id, self.label
-        )
-        if error is not None:
-            raise ValueError(error)
-
-    @property
-    def concatenation(self) -> str:
-        """cdr3a + cdr3b + peptide, the dedup comparison key."""
-        return self.cdr3a + self.cdr3b + self.peptide
-
 
 class Dataset:
     """Immutable ordered examples as columns, with unique ids.
 
     ids, cdr3a, cdr3b, peptide and epitope_id are tuples of str; labels is a
     read-only int8 array. Examples sharing an epitope_id carry the same
-    peptide. Dataset(rows) checks ids and epitopes; rows come out as
-    SequenceExample objects built on demand.
+    peptide. Dataset(*zip(*rows)) builds one from rows; iteration yields
+    SequenceExample rows.
     """
 
     __slots__ = ("ids", "cdr3a", "cdr3b", "peptide", "epitope_id", "labels")
 
-    def __init__(self, examples: Iterable[SequenceExample]) -> None:
-        rows = tuple(examples)
-        ids, cdr3a, cdr3b, peptide, epitope_id = (
-            tuple(map(attrgetter(name), rows)) for name in _ROW_FIELDS
+    def __init__(self, ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> None:
+        """Six columns of any iterables, checked as ingest_tsv checks a file,
+        with each label read as its text; sequences are uppercased. Unequal
+        lengths, the first bad row ("row <position>: ..."), a duplicate id or
+        an epitope with two peptides raise ValueError."""
+        columns = (
+            tuple(ids),
+            *map(_uppercased, (cdr3a, cdr3b, peptide)),
+            tuple(epitope_id),
+            tuple(map(str, labels)),
         )
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns have unequal lengths {list(map(len, columns))}")
+        bad = _first_bad_row(*columns)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
+        ids, cdr3a, cdr3b, peptide, epitope_id, labels = columns
         _check_unique(ids, epitope_id, peptide)
-        labels = np.fromiter(map(attrgetter("label"), rows), np.int8, len(rows))
+        labels = np.fromiter(map("1".__eq__, labels), np.int8, len(ids))
         self._assign(ids, cdr3a, cdr3b, peptide, epitope_id, labels)
 
     def _assign(self, ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> None:
@@ -202,29 +216,12 @@ class Dataset:
     def __iter__(self) -> Iterator[SequenceExample]:
         return map(SequenceExample, *self._text_columns(), self.labels.tolist())
 
-    def __getitem__(self, pos: int) -> SequenceExample:
-        return SequenceExample(
-            *(column[pos] for column in self._text_columns()), int(self.labels[pos])
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self._text_columns() == other._text_columns() and np.array_equal(
             self.labels, other.labels
         )
-
-    @property
-    def positive_rate(self) -> float:
-        if not len(self):
-            raise ValueError("positive_rate of an empty dataset")
-        return int(self.labels.sum()) / len(self)
-
-    def by_id(self, example_id: str) -> SequenceExample:
-        try:
-            return self[self.ids.index(example_id)]
-        except ValueError:
-            raise KeyError(example_id) from None
 
     def labels_by_id(self) -> dict[str, int]:
         return dict(zip(self.ids, self.labels.tolist()))
@@ -325,19 +322,9 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     peptide = _clean(cells[3], str.strip, str.upper, sys.intern)
     epitope_id = _clean(cells[4], str.strip, sys.intern)
     raw_labels = _clean(cells[5], str.strip)
-    if not (
-        set(raw_labels) <= {"0", "1"}
-        and all(ids)
-        and all(epitope_id)
-        and all(map(_all_residues, (cdr3a, cdr3b, peptide)))
-    ):
-        rows = zip(data_lines(), ids, cdr3a, cdr3b, peptide, epitope_id, raw_labels)
-        for line, ex_id, a, b, pep, epitope, raw_label in rows:
-            if raw_label not in ("0", "1"):
-                raise TsvRowError(line, f"label must be 0 or 1, got {raw_label!r}")
-            error = _row_error(ex_id, a, b, pep, epitope, int(raw_label))
-            if error is not None:
-                raise TsvRowError(line, error)
+    bad = _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, raw_labels)
+    if bad is not None:
+        raise TsvRowError(data_lines()[bad[0]], bad[1])
     if failure is not None:
         raise failure
     _check_unique(ids, epitope_id, peptide)
@@ -387,7 +374,7 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
     replacement from the combinations where the peptide's epitope differs from
     every epitope the TCR is seen binding. Negatives carry label 0 and fresh
     ids; the returned dataset is positives (input order) followed by negatives,
-    with positive_rate within one example of the target.
+    with its positive rate within one example of the target.
     """
     check_open_unit("target_positive_rate", target_positive_rate)
     if np.any(positives.labels != 1):

@@ -397,9 +397,6 @@ class LinearScorerModel:
         if sorted(self.vocabulary.values()) != list(range(len(self.vocabulary))):
             raise ValueError("vocabulary indices must be 0 .. size-1, each once")
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
         payload.update(
@@ -408,20 +405,6 @@ class LinearScorerModel:
             class_weights=[float(c) for c in self.class_weights],
         )
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LinearScorerModel":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        kwargs = {f.name: raw[f.name] for f in dataclass_fields(cls)}
-        # __post_init__ makes the weights a float array
-        kwargs.update(
-            vocabulary={k: int(v) for k, v in raw["vocabulary"].items()},
-            class_weights=tuple(raw["class_weights"]),
-        )
-        return cls(**kwargs)
 
 
 def ids_fingerprint(ids: Iterable[str]) -> str:

@@ -103,16 +103,13 @@ class SplitManifest:
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
-        """Read a manifest written by save. Malformed JSON, a missing key, or
+        """Read a manifest written by to_json. Malformed JSON, a missing key, or
         a field of the wrong type raises ValueError naming the file."""
         where = f"manifest {path}"
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as err:
             raise ValueError(f"{where}: {err}") from None
         if not isinstance(raw, dict):

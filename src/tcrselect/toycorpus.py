@@ -18,7 +18,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .data import Dataset, SequenceExample
+from .data import Dataset
 
 MOTIF = "WFW"
 PARTIAL_MOTIF = "WF"
@@ -73,7 +73,7 @@ def motif_corpus(
     tiers = ["full"] * n_full + ["partial"] * n_partial
     tiers += ["clean"] * (n_examples - len(tiers))
     rng.shuffle(tiers)
-    examples = []
+    rows = []
     for idx, tier in enumerate(tiers):
         cdr3a = "CA" + _random_seq(rng, rng.randint(6, 9)) + "F"
         cdr3b = _mutate(rng, rng.choice(bases))
@@ -86,17 +86,10 @@ def motif_corpus(
         else:
             label = 0
         epitope_id = rng.choice(epitope_ids)
-        examples.append(
-            SequenceExample(
-                id=f"ex{idx:05d}",
-                cdr3a=cdr3a,
-                cdr3b=cdr3b,
-                peptide=peptide_of[epitope_id],
-                epitope_id=epitope_id,
-                label=label,
-            )
-        )
-    return Dataset(examples)
+        rows.append((f"ex{idx:05d}", cdr3a, cdr3b, peptide_of[epitope_id], epitope_id, label))
+    columns = tuple(zip(*rows))
+    del rows  # lowers the peak memory of a large corpus: the tuples go before the checks
+    return Dataset(*columns)
 
 
 def toy_dataset_path() -> Path:

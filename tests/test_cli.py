@@ -15,6 +15,7 @@ import pytest
 import tcrselect
 from tcrselect.calibration import TemperatureModel, apply_temperature
 from tcrselect.cli import _check_monotone, _method_rows, main
+from tcrselect.config import load_config
 from tcrselect.conformal import ConformalRule, PipelineResult, decide
 from tcrselect.data import export_tsv, ingest_tsv
 from tcrselect.scorer import ScoreTable, sigmoid
@@ -240,6 +241,9 @@ MALFORMED = {
     # a flag value instead of a file, which is not written: (command, flag, value)
     "flag-grid-not-number": ("flag", "-", ("sweep", "--grid", "a,b"), 2),
     "flag-grid-out-of-range": ("flag", "-", ("sweep", "--grid", "1.5,0.5"), 2),
+    "flag-grid-empty": ("flag", "-", ("sweep", "--grid", ""), 2),
+    "flag-sizes-empty": ("flag", "-", ("simulate", "--sizes", ""), 2),
+    "flag-columns-empty": ("flag", "-", ("sweep", "--columns", ""), 2),
     "flag-sizes-not-integer": ("flag", "-", ("simulate", "--sizes", "1.5"), 2),
     "flag-epsilon-out-of-range": ("flag", "-", ("run", "--epsilon", "1.5"), 2),
     "flag-simulate-epsilon-zero": ("flag", "-", ("simulate", "--epsilon", "0"), 2),
@@ -256,6 +260,9 @@ MALFORMED_MESSAGES = {
     "flag-grid-out-of-range": "config error: sweep: coverage targets must be in (0, 1], got 1.5\n",
     "config-grid-empty": "config error: sweep: grid is empty\n",
     "flag-sizes-not-integer": "config error: --sizes: expected an integer, got '1.5'\n",
+    "flag-grid-empty": "config error: --grid: expected a number, got ''\n",
+    "flag-sizes-empty": "config error: --sizes: expected an integer, got ''\n",
+    "flag-columns-empty": "config error: --columns: expected field=name, got ''\n",
     "config-kmer-zero": "config error: scorer: kmer_size must be >= 1\n",
     "config-ncal-zero": "config error: simulate: n_cal and n_test must be >= 1\n",
     "flag-epsilon-out-of-range": "config error: conformal: epsilon must be in (0, 1)\n",
@@ -684,6 +691,35 @@ class TestMetricsReeval:
         assert reeval["retained"]["error_rate"] == selective["error_rate"]
         assert reeval["retained"]["ece"] == selective["ece"]
         assert len(reeval["decisions_fingerprint"]) == 64
+
+
+class TestByteOrderMark:
+    """Editors that save "UTF-8 with BOM" prefix the file; the readers skip it."""
+
+    def test_decisions(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(run_args(out)) == 0
+        plain = out / "decisions.tsv"
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for name, path in (("a", plain), ("b", bom)):
+            argv = ["metrics", "--dataset", str(toy_dataset_path()),
+                    "--decisions", str(path), "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+            report = json.loads((tmp_path / name / "metrics_reeval.json").read_text())
+            assert report.pop("decisions_file") == str(path)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_config(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"conformal": {"epsilon": 0.3}}), encoding="utf-8")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        config = load_config(bom)
+        assert config.conformal.epsilon == 0.3
+        assert config.semantic_json() == load_config(plain).semantic_json()
 
 
 class TestMonotoneCheck:

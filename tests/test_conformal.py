@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataset_rows import dataset_of
 from tcrselect.calibration import apply_temperature
 from tcrselect.conformal import (
     DECISION_ABSTAIN,
@@ -23,7 +24,7 @@ from tcrselect.conformal import (
     quantile_index,
     run_pipeline,
 )
-from tcrselect.data import Dataset, SequenceExample
+from tcrselect.data import SequenceExample
 from tcrselect.scorer import TrainingConfig
 from tcrselect.splits import SplitManifest, split_random
 
@@ -212,7 +213,7 @@ def pipeline_corpus(n=120, n_pos=40):
                 label=1 if pos else 0,
             )
         )
-    return Dataset(examples)
+    return dataset_of(examples)
 
 
 class TestRunPipeline:

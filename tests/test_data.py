@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataset_rows import dataset_of
 from pair_oracle import oracle_dedup, related_strings, thresholds
 from tcrselect.data import (
-    Dataset,
     SequenceExample,
     TsvRowError,
     TsvSchemaError,
@@ -28,40 +28,34 @@ def make_example(
     )
 
 
-def make_dataset(rows):
-    return Dataset(
-        [
-            make_example(
-                ex_id=f"e{i}", cdr3a=a, cdr3b=b, peptide=p, epitope_id=ep, label=y
-            )
-            for i, (a, b, p, ep, y) in enumerate(rows)
-        ]
+def make_dataset(rows, prefix="e"):
+    return dataset_of(
+        (f"{prefix}{i}", a, b, p, ep, y) for i, (a, b, p, ep, y) in enumerate(rows)
     )
 
 
 class TestSequenceExample:
+    """A row's checks, which run when it goes into a Dataset."""
+
     def test_uppercases_on_construction(self):
-        ex = make_example(cdr3b="cassLF")
-        assert ex.cdr3b == "CASSLF"
+        data = dataset_of([make_example(cdr3b="cassLF")])
+        assert data.cdr3b == ("CASSLF",)
+        assert next(iter(data)) == make_example(cdr3b="CASSLF")
 
     def test_rejects_invalid_residue(self):
         with pytest.raises(ValueError, match="X"):
-            make_example(cdr3b="CASSXB")
+            dataset_of([make_example(cdr3b="CASSXB")])
 
     def test_rejects_non_binary_label(self):
-        with pytest.raises(ValueError):
-            make_example(label=2)
-
-    def test_concatenation(self):
-        ex = make_example(cdr3a="CAV", cdr3b="CAS", peptide="GIL")
-        assert ex.concatenation == "CAVCASGIL"
+        with pytest.raises(ValueError, match="^row 0: label must be 0 or 1, got '2'$"):
+            dataset_of([make_example(label=2)])
 
 
 class TestDataset:
     def test_rejects_duplicate_ids(self):
         ex = make_example()
         with pytest.raises(ValueError, match="e1"):
-            Dataset([ex, ex])
+            dataset_of([ex, ex])
 
     def test_rejects_epitope_peptide_mismatch(self):
         rows = [
@@ -70,17 +64,6 @@ class TestDataset:
         ]
         with pytest.raises(ValueError, match="EP01"):
             make_dataset(rows)
-
-    def test_positive_rate(self):
-        data = make_dataset(
-            [
-                ("CAVS", "CASS", "GILGFVFTL", "EP01", 1),
-                ("CAVT", "CAST", "NLVPMVATV", "EP02", 0),
-                ("CAVR", "CASR", "NLVPMVATV", "EP02", 0),
-                ("CAVQ", "CASQ", "NLVPMVATV", "EP02", 0),
-            ]
-        )
-        assert data.positive_rate == 0.25
 
     def test_subset_keeps_dataset_order(self):
         # id order in the argument must not matter: loaded manifests sort ids
@@ -151,7 +134,7 @@ class TestIngest:
             encoding="utf-8",
         )
         data = ingest_tsv(path)
-        assert data[0].cdr3b == "CASS"
+        assert data.cdr3b == ("CASS",)
 
     def test_column_mapping(self, tmp_path):
         path = tmp_path / "renamed.tsv"
@@ -167,8 +150,7 @@ class TestIngest:
                 "epitope_id": "antigen", "label": "bound",
             },
         )
-        assert len(data) == 1
-        assert data[0].epitope_id == "EP01"
+        assert data.epitope_id == ("EP01",)
 
     def test_auto_ids_are_row_indices(self, tmp_path):
         path = tmp_path / "noid.tsv"
@@ -219,7 +201,7 @@ class TestDeduplicate:
         assert deduplicate(data, 0.99).ids == ("e0", "e1")
 
     def test_empty_dataset_ok(self):
-        assert len(deduplicate(Dataset([]), 0.9)) == 0
+        assert len(deduplicate(dataset_of([]), 0.9)) == 0
 
     def test_first_kept_order(self):
         rows = [self.NEAR_B, self.NEAR_A]
@@ -245,8 +227,8 @@ class TestDeduplicate:
     @settings(max_examples=150, deadline=None)
     def test_matches_pair_oracle(self, cdr3bs, peptide, threshold):
         data = make_dataset([("C", b, peptide, "EP01", 1) for b in cdr3bs])
-        keys = [ex.concatenation for ex in data]
-        expected = tuple(data[pos].id for pos in oracle_dedup(keys, threshold))
+        keys = list(map("".join, zip(data.cdr3a, data.cdr3b, data.peptide)))
+        expected = tuple(data.ids[pos] for pos in oracle_dedup(keys, threshold))
         assert deduplicate(data, threshold).ids == expected
 
 
@@ -259,11 +241,11 @@ def positives_corpus(n_pos=50, n_epitopes=25):
         + "".join(residues[(3 * k) % 19] for k in range(7))
         for e in range(n_epitopes)
     ]
-    examples = []
+    rows = []
     for i in range(n_pos):
         ep = i % n_epitopes
         tag = residues[i % 19] + residues[(i // 19) % 19]
-        examples.append(
+        rows.append(
             make_example(
                 ex_id=f"p{i}",
                 cdr3a="CAV" + tag + "F",
@@ -273,7 +255,7 @@ def positives_corpus(n_pos=50, n_epitopes=25):
                 label=1,
             )
         )
-    return Dataset(examples)
+    return dataset_of(rows)
 
 
 class TestGenerateNegatives:
@@ -293,13 +275,7 @@ class TestGenerateNegatives:
 
     def test_single_epitope_rejected(self):
         rows = [("CAVS", "CASS", "GILGFVFTL", "EP01", 1)] * 3
-        data = Dataset(
-            [
-                make_example(ex_id=f"p{i}", cdr3a=a, cdr3b=b, peptide=p,
-                             epitope_id=ep, label=y)
-                for i, (a, b, p, ep, y) in enumerate(rows)
-            ]
-        )
+        data = make_dataset(rows, prefix="p")
         with pytest.raises(ValueError, match="epitope"):
             generate_negatives(data, 0.5, seed=0)
 
@@ -346,12 +322,6 @@ class TestGenerateNegatives:
             ("CAVS", "CASS", "GILGFVFTL", "EP01", 1),
             ("CAVT", "CAST", "NLVPMVATV", "EP02", 1),
         ]
-        data = Dataset(
-            [
-                make_example(ex_id=f"p{i}", cdr3a=a, cdr3b=b, peptide=p,
-                             epitope_id=ep, label=y)
-                for i, (a, b, p, ep, y) in enumerate(rows)
-            ]
-        )
+        data = make_dataset(rows, prefix="p")
         with pytest.raises(ValueError):
             generate_negatives(data, 0.2, seed=0)

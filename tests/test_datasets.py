@@ -1,10 +1,15 @@
 """The column store against the row-object oracle in dataset_oracle."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dataset_oracle as oracle
+from dataset_rows import dataset_of
 from tcrselect.data import Dataset, deduplicate, export_tsv, ingest_tsv
 from tcrselect.splits import split_distance_aware, split_epitope_held_out, split_random
 from tcrselect.toycorpus import motif_corpus
@@ -160,10 +165,97 @@ def test_rows_are_built_on_demand():
     data = motif_corpus(30, 3)
     rows = list(data)
     assert [row.id for row in rows] == list(data.ids)
-    assert data[4] == rows[4]
-    assert data.by_id(data.ids[7]) == rows[7]
-    assert Dataset(rows) == data
+    assert rows[7] == tuple(column[7] for column in columns_of(data))
+    assert Dataset(*zip(*rows)) == data
     assert not data.labels.flags.writeable
+
+
+# one defect per kind, each injected into a row that is otherwise valid
+DEFECTS = ("none", "empty id", "empty epitope", "empty cdr3a", "bad residue", "lowercase",
+           "label 2", "repeated id", "second peptide")
+
+
+@st.composite
+def defective_rows(draw):
+    """Rows of (id, cdr3a, cdr3b, peptide, epitope_id, label), some with a defect."""
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        epitope = draw(st.sampled_from(sorted(PEPTIDE_OF)))
+        row = {
+            "id": f"r{i}",
+            "cdr3a": draw(st.text(RESIDUES, min_size=1, max_size=6)),
+            "cdr3b": draw(st.text(RESIDUES, min_size=1, max_size=6)),
+            "peptide": PEPTIDE_OF[epitope],
+            "epitope_id": epitope,
+            "label": draw(st.sampled_from([0, 1])),
+        }
+        defect = draw(st.sampled_from(DEFECTS[:1] * 6 + DEFECTS[1:]))
+        if defect == "empty id":
+            row["id"] = ""
+        elif defect == "empty epitope":
+            row["epitope_id"] = ""
+        elif defect == "empty cdr3a":
+            row["cdr3a"] = ""
+        elif defect == "bad residue":
+            row["cdr3b"] += draw(st.sampled_from("BJOUXZ1*"))
+        elif defect == "lowercase":
+            row["cdr3a"] = row["cdr3a"].lower()
+        elif defect == "label 2":
+            row["label"] = 2
+        elif defect == "repeated id":
+            row["id"] = "dup"
+        elif defect == "second peptide":
+            row["peptide"] = draw(st.text(RESIDUES, min_size=1, max_size=6))
+        rows.append(tuple(row.values()))
+    return rows
+
+
+def checked(build):
+    """The six columns built, or the message of the ValueError raised."""
+    try:
+        return columns_of(build())
+    except ValueError as err:
+        return str(err)
+
+
+@given(defective_rows())
+@settings(max_examples=300, deadline=None)
+def test_columns_and_file_share_one_row_checker(tmp_path_factory, rows):
+    """Dataset(*columns) and ingest_tsv on the same rows: both succeed with
+    equal columns, or both fail at the same row with the same message."""
+    path = tmp_path_factory.mktemp("tsv") / "corpus.tsv"
+    lines = ["id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel"]
+    lines += ["\t".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    from_file = checked(lambda: ingest_tsv(path))
+    from_columns = checked(lambda: dataset_of(rows))
+    if isinstance(from_columns, str) and from_columns.startswith("row "):
+        # a row error names the row position; the file names its line
+        position, message = from_columns[len("row "):].split(": ", 1)
+        from_columns = f"line {int(position) + 2}: {message}"
+    assert from_file == from_columns
+
+
+def test_unequal_column_lengths_raise():
+    row = ("a", "CAS", "CAS", "GILGF", "EP1", 1)
+    columns = [(cell,) for cell in row]
+    columns[3] = ("GILGF", "GILGF")
+    with pytest.raises(ValueError, match=r"^columns have unequal lengths \[1, 1, 1, 2, 1, 1\]$"):
+        Dataset(*columns)
+    assert Dataset(*(column[:1] for column in columns)).ids == ("a",)
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "input_sha256.json"
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_benchmark_corpus_matches_its_pin(tmp_path, seed):
+    # the cluster_distance workload exports motif_corpus(800, seed); a change
+    # to the corpus generator's draws would change the benchmark's input
+    pin = json.loads(PINS.read_text())["cluster_distance"][str(seed)]["corpus.tsv"]
+    path = tmp_path / "corpus.tsv"
+    export_tsv(motif_corpus(800, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pin
 
 
 @pytest.fixture(scope="module")

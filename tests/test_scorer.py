@@ -10,7 +10,8 @@ from scipy.sparse import csr_matrix
 
 import kmer_oracle as oracle
 import train_oracle
-from tcrselect.data import Dataset, SequenceExample
+from dataset_rows import dataset_of
+from tcrselect.data import SequenceExample
 from tcrselect.scorer import (
     LinearScorerModel,
     ScoreTable,
@@ -72,7 +73,7 @@ class TestScoreTable:
 
 def kmer_counts(example, kmer_size, include_cdr3a=True):
     """The encoder's k-mer counts for one example, keyed like the vocabulary."""
-    windows = encode_kmers(Dataset([example]), kmer_size, include_cdr3a)
+    windows = encode_kmers(dataset_of([example]), kmer_size, include_cdr3a)
     vocab = build_vocabulary(windows)
     row = _training_matrix(windows)
     keys = list(vocab)
@@ -81,7 +82,7 @@ def kmer_counts(example, kmer_size, include_cdr3a=True):
 
 def featurize(example, kmer_size, vocabulary, include_cdr3a=True):
     """Vocabulary indices the encoder finds in one example."""
-    windows = encode_kmers(Dataset([example]), kmer_size, include_cdr3a)
+    windows = encode_kmers(dataset_of([example]), kmer_size, include_cdr3a)
     return {int(i) for i in windows.columns(vocabulary) if i >= 0}
 
 
@@ -118,7 +119,7 @@ class TestKmers:
 
     def test_featurize_ignores_oov(self):
         ex = make_example()
-        vocab = build_vocabulary(encode_kmers(Dataset([ex]), 3))
+        vocab = build_vocabulary(encode_kmers(dataset_of([ex]), 3))
         other = make_example(ex_id="e1", peptide="WWWWWWWWW", label=0)
         vec = featurize(other, 3, vocab)
         seen = {idx for idx in vec}
@@ -135,7 +136,7 @@ def example_sets(draw, alphabet, prefix, max_rows=8):
     peptide so rows sharing one always agree on it."""
     seqs = st.text(alphabet=alphabet, min_size=1, max_size=16)
     rows = draw(st.lists(st.tuples(seqs, seqs, seqs, st.integers(0, 1)), max_size=max_rows))
-    return Dataset(
+    return dataset_of(
         SequenceExample(
             id=f"{prefix}{i}", cdr3a=a, cdr3b=b, peptide=p, epitope_id="E" + p, label=y
         )
@@ -196,7 +197,7 @@ class TestEncoderMatchesOracle:
         # built on two or five residues
         fresh = data.draw(example_sets(AMINO, "s"))
         kept = data.draw(st.lists(st.sampled_from(list(train)), unique=True)) if len(train) else []
-        scored = Dataset([*kept, *fresh])
+        scored = dataset_of([*kept, *fresh])
         assert_same_csr(
             _scoring_matrix(encode_kmers(scored, kmer_size, include_cdr3a), vocab),
             oracle.scoring_matrix(scored, kmer_size, vocab, include_cdr3a),
@@ -226,7 +227,7 @@ class TestEncoderMatchesOracle:
     @pytest.mark.parametrize("kmer_size", [3, 9, 14, 15])
     def test_every_code_path_matches_oracle(self, kmer_size):
         data = motif_corpus(300, 1)
-        train = Dataset(list(data)[:200])
+        train = dataset_of(list(data)[:200])
         windows = encode_kmers(train, kmer_size)
         vocab = build_vocabulary(windows)
         expected = oracle.build_vocabulary(train, kmer_size)
@@ -250,7 +251,7 @@ class TestEncoderMatchesOracle:
         assert_same_csr(
             _training_matrix(windows), oracle._design_matrix(data, 3, expected, True)
         )
-        model = train_linear(Dataset(list(data)[:1400]), TrainingConfig(epochs=20))
+        model = train_linear(dataset_of(list(data)[:1400]), TrainingConfig(epochs=20))
         assert_same_logits(score(model, data), oracle.score(model, data))
 
     def test_unproducible_keys_are_ignored(self):
@@ -264,7 +265,7 @@ class TestEncoderMatchesOracle:
     def test_scoring_matrix_puts_bias_first_then_first_occurrence(self):
         ex = make_example(cdr3a="CA", cdr3b="CA", peptide="GILGIL")
         vocab = {"pep:ILG": 0, "pep:GIL": 1, "tcr:A|C": 2}
-        X = _scoring_matrix(encode_kmers(Dataset([ex]), 3), vocab)
+        X = _scoring_matrix(encode_kmers(dataset_of([ex]), 3), vocab)
         # tcr string CA|CA: A|C; peptide: GIL ILG LGI GIL
         assert X.indices.tolist() == [0, 3, 2, 1]
         assert X.data.tolist() == [1.0, 1.0, 2.0, 1.0]
@@ -436,7 +437,7 @@ def toy_train_set(n=40):
                 label=1 if pos else 0,
             )
         )
-    return Dataset(examples)
+    return dataset_of(examples)
 
 
 class TestTrainLinear:
@@ -490,28 +491,17 @@ class TestTrainLinear:
     def test_single_class_rejected(self):
         examples = [make_example(ex_id=f"p{i}", label=1) for i in range(3)]
         with pytest.raises(ValueError):
-            train_linear(Dataset(examples), TrainingConfig())
+            train_linear(dataset_of(examples), TrainingConfig())
 
     def test_score_order_follows_dataset(self):
         data = toy_train_set(12)
         model = train_linear(data, TrainingConfig(epochs=5))
         forward = score(model, data)
-        flipped = Dataset(list(reversed(list(data))))
+        flipped = dataset_of(list(reversed(list(data))))
         backward = score(model, flipped)
         assert list(backward.ids) == list(reversed(forward.ids))
         by_id = dict(zip(forward.ids, forward.logits))
         assert all(by_id[i] == z for i, z in zip(backward.ids, backward.logits))
-
-    def test_model_json_round_trip(self, tmp_path):
-        data = toy_train_set(12)
-        model = train_linear(data, TrainingConfig(epochs=5))
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = LinearScorerModel.load(path)
-        assert loaded.vocabulary == model.vocabulary
-        assert np.array_equal(loaded.weights, model.weights)
-        assert loaded.bias == model.bias
-        assert loaded.fingerprint() == model.fingerprint()
 
     def test_fingerprint_tracks_train_split(self):
         a = train_linear(toy_train_set(12), TrainingConfig(epochs=2))
@@ -527,7 +517,7 @@ class TestManualModel:
             kmer_size=3, vocabulary=vocab, weights=np.array([2.0]),
             bias=-1.0, class_weights=(1.0, 1.0),
         )
-        records = score(model, Dataset([ex]))
+        records = score(model, dataset_of([ex]))
         assert records.logits[0] == pytest.approx(1.0, abs=1e-15)
         assert sigmoid(records.logits)[0] == pytest.approx(0.7310585786300049, abs=1e-15)
 
@@ -536,7 +526,7 @@ class TestManualModel:
             kmer_size=3, vocabulary={}, weights=np.zeros(0),
             bias=0.0, class_weights=(1.0, 1.0),
         )
-        assert len(score(model, Dataset([]))) == 0
+        assert len(score(model, dataset_of([]))) == 0
 
 
 class TestLogitFiles:

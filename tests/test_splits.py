@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataset_rows import dataset_of
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.distance import identity
 from tcrselect.splits import (
@@ -37,11 +38,16 @@ def corpus(n: int, n_pos: int, n_epitopes: int = 4, cdr3b=None) -> Dataset:
                 label=1 if i < n_pos else 0,
             )
         )
-    return Dataset(examples)
+    return dataset_of(examples)
+
+
+def by_id(data: Dataset) -> dict[str, SequenceExample]:
+    return {ex.id: ex for ex in data}
 
 
 def labels_of(data: Dataset, ids) -> list[int]:
-    return [data.by_id(i).label for i in ids]
+    labels = data.labels_by_id()
+    return [labels[i] for i in ids]
 
 
 class TestManifest:
@@ -77,12 +83,19 @@ class TestManifest:
     def test_json_round_trip(self, tmp_path):
         manifest = split_random(corpus(40, 8), seed=3)
         path = tmp_path / "manifest.json"
-        manifest.save(path)
+        path.write_text(manifest.to_json())
         loaded = SplitManifest.load(path)
         assert loaded.protocol == manifest.protocol
         assert loaded.seed == manifest.seed
         assert sorted(loaded.train_ids) == sorted(manifest.train_ids)
         assert loaded.fingerprint() == manifest.fingerprint()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        manifest = split_random(corpus(40, 8), seed=3)
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest.to_json(), encoding="utf-8-sig")
+        assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert SplitManifest.load(path).fingerprint() == manifest.fingerprint()
 
     def test_serialized_ids_sorted(self):
         manifest = split_random(corpus(40, 8), seed=3)
@@ -143,9 +156,10 @@ class TestSplitEpitopeHeldOut:
     def test_held_out_epitopes_absent_from_train_and_cal(self):
         data = corpus(80, 20, n_epitopes=8)
         manifest = split_epitope_held_out(data, k_test_epitopes=3, seed=5)
-        test_eps = {data.by_id(i).epitope_id for i in manifest.test_ids}
+        rows = by_id(data)
+        test_eps = {rows[i].epitope_id for i in manifest.test_ids}
         held_in = {
-            data.by_id(i).epitope_id
+            rows[i].epitope_id
             for i in manifest.train_ids + manifest.cal_ids
         }
         assert len(test_eps) == 3
@@ -154,7 +168,8 @@ class TestSplitEpitopeHeldOut:
     def test_every_held_out_example_lands_in_test(self):
         data = corpus(80, 20, n_epitopes=8)
         manifest = split_epitope_held_out(data, k_test_epitopes=3, seed=5)
-        test_eps = {data.by_id(i).epitope_id for i in manifest.test_ids}
+        rows = by_id(data)
+        test_eps = {rows[i].epitope_id for i in manifest.test_ids}
         expected = [ex.id for ex in data if ex.epitope_id in test_eps]
         assert sorted(expected) == sorted(manifest.test_ids)
 
@@ -183,9 +198,10 @@ class TestSplitEpitopeHeldOut:
             data, k_test_epitopes=2, cal_fraction=0.3, seed=5,
             epitope_disjoint_cal=True,
         )
-        train_eps = {data.by_id(i).epitope_id for i in manifest.train_ids}
-        cal_eps = {data.by_id(i).epitope_id for i in manifest.cal_ids}
-        test_eps = {data.by_id(i).epitope_id for i in manifest.test_ids}
+        rows = by_id(data)
+        train_eps = {rows[i].epitope_id for i in manifest.train_ids}
+        cal_eps = {rows[i].epitope_id for i in manifest.cal_ids}
+        test_eps = {rows[i].epitope_id for i in manifest.test_ids}
         assert train_eps & cal_eps == set()
         assert (train_eps | cal_eps) & test_eps == set()
 
@@ -202,9 +218,10 @@ class TestSplitDistanceAware:
             60, 20, n_epitopes=4, cdr3b=lambda i: family_cdr3b(i % 4, i // 4)
         )
         manifest = split_distance_aware(data, seed=11)
-        test_b = {data.by_id(i).cdr3b for i in manifest.test_ids}
+        rows = by_id(data)
+        test_b = {rows[i].cdr3b for i in manifest.test_ids}
         held_b = {
-            data.by_id(i).cdr3b
+            rows[i].cdr3b
             for i in manifest.train_ids + manifest.cal_ids
         }
         assert test_b

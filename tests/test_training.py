@@ -15,7 +15,8 @@ from scipy.sparse import csr_matrix
 
 import tcrselect.scorer as scorer
 import train_oracle
-from tcrselect.data import Dataset, SequenceExample
+from dataset_rows import dataset_of
+from tcrselect.data import SequenceExample
 from tcrselect.scorer import TrainingConfig, class_weights, loss_and_grad, train_linear
 from tcrselect.toycorpus import motif_corpus
 
@@ -44,7 +45,7 @@ def training_sets(draw):
     seqs = st.text(alphabet=alphabet, min_size=1, max_size=12)
     rows = draw(st.lists(st.tuples(seqs, seqs, seqs, st.integers(0, 1)), min_size=2, max_size=12))
     rows[0], rows[1] = (*rows[0][:3], 1), (*rows[1][:3], 0)
-    return Dataset(
+    return dataset_of(
         SequenceExample(
             id=f"t{i}", cdr3a=a, cdr3b=b, peptide=p, epitope_id="E" + p, label=y
         )
