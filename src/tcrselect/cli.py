@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -416,26 +416,26 @@ _COMMANDS = {
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--dataset", help="input TSV corpus (overrides config)")
+    parser.add_argument("--dataset", dest="dataset.path", help="input TSV corpus")
     parser.add_argument(
         "--columns",
+        dest="dataset.columns",
         help="rename input columns, e.g. cdr3b=beta,label=bound",
     )
-    parser.add_argument("--out", help="output directory (overrides config)")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--protocol",
-        choices=PROTOCOLS,
-        help="split protocol (overrides config)",
+        "--protocol", dest="split.protocol", choices=PROTOCOLS, help="split protocol"
     )
-    parser.add_argument("--split-seed", type=int, help="split shuffle seed")
+    parser.add_argument("--split-seed", dest="split.seed", type=int, help="split shuffle seed")
     parser.add_argument(
-        "--k-epitopes", type=int, help="held-out test epitope count (epitope_held_out)"
+        "--k-epitopes", dest="split.k_test_epitopes", type=int,
+        help="held-out test epitope count (epitope_held_out)",
     )
     parser.add_argument(
-        "--cal-fraction", type=float,
+        "--cal-fraction", dest="split.cal_fraction", type=float,
         help="calibration share of non-test examples (epitope_held_out, distance_aware)",
     )
 
@@ -444,60 +444,72 @@ def _add_scorer_flags(parser: argparse.ArgumentParser, pipeline: bool) -> None:
     """Builtin-scorer flags; with pipeline (run, sweep) also the score source
     and epsilon."""
     if pipeline:
-        parser.add_argument("--scorer", choices=SCORER_MODES, help="score source")
-        parser.add_argument("--logits", help="external logit TSV (with --scorer logits)")
-    parser.add_argument("--kmer-size", type=int, help="k-mer size for the builtin scorer")
+        parser.add_argument(
+            "--scorer", dest="scorer.mode", choices=SCORER_MODES, help="score source"
+        )
+        parser.add_argument(
+            "--logits", dest="scorer.logits_path", help="external logit TSV (with --scorer logits)"
+        )
+    parser.add_argument(
+        "--kmer-size", dest="scorer.kmer_size", type=int, help="k-mer size for the builtin scorer"
+    )
     parser.add_argument(
         "--mask-cdr3a",
-        action="store_true",
-        help="train the builtin scorer without the cdr3a field",
+        action="store_false",
+        dest="scorer.include_cdr3a",
+        help="train the builtin scorer without the cdr3a field (scorer.include_cdr3a false)",
     )
     if pipeline:
-        parser.add_argument("--epsilon", type=float, help="target error level")
+        parser.add_argument(
+            "--epsilon", dest="conformal.epsilon", type=float, help="target error level"
+        )
     parser.add_argument("--manifest", help="reuse an existing manifest JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser. A setting flag's dest is the dotted config
+    field it overrides, and an absent flag sets nothing."""
     parser = argparse.ArgumentParser(
         prog="tcrselect",
         description="Calibrated selective prediction for TCR/peptide binding pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_split = sub.add_parser("split", help="write a train/cal/test manifest")
-    _add_common(p_split)
+    def add_parser(name: str, summary: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        _add_common(command)
+        return command
+
+    p_split = add_parser("split", "write a train/cal/test manifest")
     _add_split_flags(p_split)
 
-    p_run = sub.add_parser("run", help="full pipeline: score, calibrate, decide")
-    _add_common(p_run)
+    p_run = add_parser("run", "full pipeline: score, calibrate, decide")
     _add_split_flags(p_run)
     _add_scorer_flags(p_run, pipeline=True)
 
-    p_sweep = sub.add_parser("sweep", help="coverage-risk curve over a grid")
-    _add_common(p_sweep)
+    p_sweep = add_parser("sweep", "coverage-risk curve over a grid")
     _add_split_flags(p_sweep)
     _add_scorer_flags(p_sweep, pipeline=True)
-    p_sweep.add_argument("--grid", help="comma-separated coverage targets")
+    p_sweep.add_argument("--grid", dest="sweep.grid", help="comma-separated coverage targets")
 
-    p_sim = sub.add_parser("simulate", help="synthetic coverage experiments")
-    _add_common(p_sim)
-    p_sim.add_argument("--trials", type=int, help="number of seeded trials")
-    p_sim.add_argument("--sizes", help="comma-separated calibration sizes")
-    p_sim.add_argument("--epsilon", type=float, help="target error level")
+    p_sim = add_parser("simulate", "synthetic coverage experiments")
+    p_sim.add_argument(
+        "--trials", dest="simulate.n_trials", type=int, help="number of seeded trials"
+    )
+    p_sim.add_argument("--sizes", dest="simulate.sizes", help="comma-separated calibration sizes")
+    p_sim.add_argument("--epsilon", dest="simulate.epsilon", type=float, help="target error level")
 
-    p_score = sub.add_parser("score", help="train the builtin scorer, export logits")
-    _add_common(p_score)
+    p_score = add_parser("score", "train the builtin scorer, export logits")
     _add_split_flags(p_score)
     _add_scorer_flags(p_score, pipeline=False)
 
-    p_metrics = sub.add_parser("metrics", help="re-evaluate a saved decision TSV")
-    _add_common(p_metrics)
+    p_metrics = add_parser("metrics", "re-evaluate a saved decision TSV")
     p_metrics.add_argument("--decisions", required=True, help="decisions.tsv to re-evaluate")
 
     return parser
 
 
-def _list_flag(flag: str, text: str, parse: type, expected: str) -> list:
+def _list_flag(flag: str, text: str, parse: Callable[[str], object], expected: str) -> list:
     """The comma-separated items of a flag value, each parsed."""
     items = []
     for item in text.split(","):
@@ -508,45 +520,29 @@ def _list_flag(flag: str, text: str, parse: type, expected: str) -> list:
     return items
 
 
+def _column_pair(item: str) -> tuple[str, str]:
+    field, _, name = item.partition("=")
+    if not name:
+        raise ValueError(item)
+    return field.strip(), name.strip()
+
+
+# the text flags, by config field: parsed after argparse, so that a bad item
+# is a config error naming the flag and the item
+_TEXT_FLAGS = {
+    "dataset.columns": lambda text: dict(_list_flag("--columns", text, _column_pair, "field=name")),
+    "sweep.grid": lambda text: _list_flag("--grid", text, float, "a number"),
+    "simulate.sizes": lambda text: _list_flag("--sizes", text, int, "an integer"),
+}
+# the parsed arguments that name no config field
+_NOT_SETTINGS = ("command", "config", "manifest", "decisions")
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict[str, object] = {}
-    mapping = {
-        "dataset": "dataset.path",
-        "out": "output_dir",
-        "protocol": "split.protocol",
-        "split_seed": "split.seed",
-        "k_epitopes": "split.k_test_epitopes",
-        "cal_fraction": "split.cal_fraction",
-        "scorer": "scorer.mode",
-        "logits": "scorer.logits_path",
-        "kmer_size": "scorer.kmer_size",
-        "trials": "simulate.n_trials",
-    }
-    for attr, dotted in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[dotted] = value
-    if getattr(args, "mask_cdr3a", False):
-        overrides["scorer.include_cdr3a"] = False
-    columns = getattr(args, "columns", None)
-    if columns is not None:
-        pairs = {}
-        for item in columns.split(","):
-            field, _, name = item.partition("=")
-            if not name:
-                raise ConfigError(f"--columns: expected field=name, got {item!r}")
-            pairs[field.strip()] = name.strip()
-        overrides["dataset.columns"] = pairs
-    epsilon = getattr(args, "epsilon", None)
-    if epsilon is not None:
-        key = "simulate.epsilon" if args.command == "simulate" else "conformal.epsilon"
-        overrides[key] = epsilon
-    grid = getattr(args, "grid", None)
-    if grid is not None:
-        overrides["sweep.grid"] = _list_flag("--grid", grid, float, "a number")
-    sizes = getattr(args, "sizes", None)
-    if sizes is not None:
-        overrides["simulate.sizes"] = _list_flag("--sizes", sizes, int, "an integer")
+    overrides = {dest: value for dest, value in vars(args).items() if dest not in _NOT_SETTINGS}
+    for dest, parse in _TEXT_FLAGS.items():
+        if dest in overrides:
+            overrides[dest] = parse(overrides[dest])
     return overrides
 
 
@@ -554,7 +550,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, _overrides_from_args(args))
+        config = load_config(getattr(args, "config", None), _overrides_from_args(args))
         runner = _Runner(config)
         runner.log(f"command {args.command} started")
         runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")

@@ -88,7 +88,6 @@ class SplitConfig:
 class ScorerSection(TrainingConfig):
     """The built-in scorer's TrainingConfig, plus where the scores come from."""
 
-    seed: int = 7
     mode: str = "builtin"
     logits_path: str | None = None
 

@@ -217,8 +217,11 @@ def run_pipeline(
     scorer is a TrainingConfig (train the built-in k-mer scorer on the train
     part) or the path of an external logit TSV covering the cal and test ids.
     The manifest keeps its parts disjoint, and Dataset.subset rejects an id
-    the dataset lacks.
+    the dataset lacks. An empty cal or test part raises before training.
     """
+    for part, ids in (("cal", manifest.cal_ids), ("test", manifest.test_ids)):
+        if not ids:
+            raise ValueError(f"the {part} part of the split is empty")
     cal, test = data.subset(manifest.cal_ids), data.subset(manifest.test_ids)
     if isinstance(scorer, TrainingConfig):
         model: LinearScorerModel | None = train_linear(data.subset(manifest.train_ids), scorer)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ if TYPE_CHECKING:
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
 _JOIN = "|"  # keeps k-mers spanning the cdr3a/cdr3b junction distinct
-
-DEFAULT_KMER_SIZE = 3
-DEFAULT_L2 = 1e-4
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -85,22 +82,26 @@ class ScoreTable:
 class TrainingConfig:
     """Hyperparameters for the built-in scorer."""
 
-    kmer_size: int = DEFAULT_KMER_SIZE
+    kmer_size: int = 3
     learning_rate: float = 0.1
     epochs: int = 300
-    l2: float = DEFAULT_L2
-    seed: int = 0
+    l2: float = 1e-4
     include_cdr3a: bool = True
 
     def __post_init__(self) -> None:
         if self.kmer_size < 1:
             raise ValueError("kmer_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        _check_finite_non_negative("learning_rate", self.learning_rate)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        _check_finite_non_negative("l2", self.l2)
+
+
+def _check_finite_non_negative(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 # Residue digits of the k-mer codes: the 20 amino acids, then the joiner.
@@ -373,25 +374,21 @@ def loss_and_grad(
     return loss, grad_w, grad_b
 
 
-@dataclass
-class LinearScorerModel:
-    """Trained linear scorer plus everything needed to reproduce its features."""
+@dataclass(frozen=True, kw_only=True)
+class LinearScorerModel(TrainingConfig):
+    """Trained linear scorer: the TrainingConfig it was trained with, which
+    also reproduces its features, plus what training learned."""
 
-    kmer_size: int
     vocabulary: dict[str, int]
     weights: np.ndarray
     bias: float
     class_weights: tuple[float, float]
-    include_cdr3a: bool = True
-    l2: float = DEFAULT_L2
-    learning_rate: float = 0.1
-    epochs: int = 300
-    seed: int = 0
     final_train_loss: float = float("nan")
     train_fingerprint: str = ""
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
+        super().__post_init__()
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.shape != (len(self.vocabulary),):
             raise ValueError("weights length must equal vocabulary size")
         if sorted(self.vocabulary.values()) != list(range(len(self.vocabulary))):
@@ -411,18 +408,14 @@ def ids_fingerprint(ids: Iterable[str]) -> str:
     return hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()
 
 
-def train_linear(
-    train: Dataset,
-    config: TrainingConfig = TrainingConfig(),
-    loss_callback: Callable[[int, float], None] | None = None,
-) -> LinearScorerModel:
+def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> LinearScorerModel:
     """Fit the k-mer logistic scorer on the training split.
 
     Deterministic: zero initialization, full-batch updates. Class weights come
     from the training split only. Raises if a class is missing, or if the loss
     goes non-finite (the learning rate is too large), naming the first such
-    epoch. An epoch computes its exact loss only for loss_callback or when
-    loss_and_grad's bound cannot prove it finite; final_train_loss is exact.
+    epoch. An epoch computes its exact loss only when loss_and_grad's bound
+    cannot prove it finite; final_train_loss is exact.
     """
     labels = train.labels.astype(float)
     n_pos = int(labels.sum())
@@ -436,15 +429,13 @@ def train_linear(
     bias = 0.0
     for epoch in range(config.epochs):
         loss, grad_w, grad_b = loss_and_grad(
-            X, labels, sample_w, weights, bias, config.l2, want_loss=loss_callback is not None
+            X, labels, sample_w, weights, bias, config.l2, want_loss=False
         )
         if loss is not None and not math.isfinite(loss):
             raise ValueError(
                 f"training diverged at epoch {epoch} (loss not finite); "
                 f"reduce learning_rate from {config.learning_rate}"
             )
-        if loss_callback is not None:
-            loss_callback(epoch, loss)
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
     loss, _, _ = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)

@@ -35,9 +35,11 @@ DEFAULT_IDENTITY_CEILING = 0.7
 DEFAULT_TEST_FRACTION = 0.2
 
 
+# each key of a manifest file, its type, and how an error names that type
 _MANIFEST_TYPES = {
-    "protocol": str, "seed": int, "parameters": dict,
-    "train_ids": list, "cal_ids": list, "test_ids": list,
+    "protocol": (str, "a str"), "seed": (int, "an int"), "parameters": (dict, "a dict"),
+    "train_ids": (list, "a list of strings"), "cal_ids": (list, "a list of strings"),
+    "test_ids": (list, "a list of strings"),
 }
 
 
@@ -117,9 +119,12 @@ class SplitManifest:
         missing = [key for key in _MANIFEST_TYPES if key not in raw]
         if missing:
             raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
-        for key, kind in _MANIFEST_TYPES.items():
-            if not isinstance(raw[key], kind):
-                raise ValueError(f"{where}: {key} must be a {kind.__name__}")
+        for key, (kind, name) in _MANIFEST_TYPES.items():
+            value = raw[key]
+            if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(i, str) for i in value)
+            ):
+                raise ValueError(f"{where}: {key} must be {name}")
         return cls(
             protocol=raw["protocol"],
             seed=raw["seed"],
@@ -204,9 +209,9 @@ def check_fractions(fractions: Sequence[float]) -> None:
     """Raise unless fractions are three non-negative shares summing to 1."""
     if len(fractions) != 3:
         raise ValueError("fractions must have exactly 3 entries")
-    if any(f < 0 for f in fractions):
+    if not all(f >= 0 for f in fractions):  # NaN fails too
         raise ValueError("fractions must be non-negative")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
 
 

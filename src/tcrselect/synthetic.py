@@ -46,7 +46,10 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_cal < 1 or self.n_test < 1:
             raise ValueError("n_cal and n_test must be >= 1")
-        if self.miscalibration_temperature <= 0:
+        temperature = self.miscalibration_temperature
+        if not math.isfinite(temperature):
+            raise ValueError(f"miscalibration_temperature must be finite, got {temperature!r}")
+        if temperature <= 0:
             raise ValueError("miscalibration_temperature must be > 0")
         if not _LO_MEAN < self.base_positive_rate < _HI_MEAN:
             raise ValueError(
@@ -113,44 +116,35 @@ class CoverageSummary:
     coverages: tuple[float, ...]
 
 
-def _one_trial(
-    spec: SyntheticSpec, epsilon: float, want_ece: bool, skip_single_class: bool = False
-) -> tuple[float, float | None] | None:
-    """(coverage, test ECE after scaling) for a single seeded draw; None when
-    skip_single_class is set and the calibration draw holds a single class,
-    which leaves no temperature to fit.
+def _trials(
+    spec: SyntheticSpec, epsilon: float, n_trials: int, sweep: bool
+) -> tuple[list[float], list[float]]:
+    """Coverages of the trials that ran, and with sweep their test ECEs after
+    scaling; trial t uses seed spec.seed + t. With sweep a trial whose
+    calibration draw holds a single class, which leaves no temperature to fit,
+    is skipped.
 
     Coverage uses the same true-label nonconformity on calibration and test,
     the exchangeable quantity the marginal guarantee speaks about. The deployed
     label-free rule retains a superset of these points.
     """
-    cal, test = generate(spec)
-    if skip_single_class and cal.labels.min() == cal.labels.max():
-        return None
-    temperature = fit_temperature(cal)
-    cal_scores = nonconformity_calibration(apply_temperature(cal, temperature), cal.labels)
-    rule = fit_threshold(cal_scores, epsilon)
-    test_probs = apply_temperature(test, temperature)
-    test_scores = nonconformity_calibration(test_probs, test.labels)
-    if rule.retain_all:
-        coverage = 1.0
-    else:
-        coverage = int(np.count_nonzero(test_scores <= rule.threshold)) / len(test)
-    ece_after = ece(test_probs, test.labels).ece if want_ece else None
-    return coverage, ece_after
-
-
-def _trials(
-    spec: SyntheticSpec, epsilon: float, n_trials: int, want_ece: bool,
-    skip_single_class: bool = False,
-) -> tuple[list[float], list[float | None]]:
-    """Coverages and test ECEs of the trials that ran; trial t uses seed spec.seed + t."""
-    outcomes = [
-        _one_trial(replace(spec, seed=spec.seed + t), epsilon, want_ece, skip_single_class)
-        for t in range(n_trials)
-    ]
-    ran = [outcome for outcome in outcomes if outcome is not None]
-    return [coverage for coverage, _ in ran], [e for _, e in ran]
+    coverages, eces = [], []
+    for t in range(n_trials):
+        cal, test = generate(replace(spec, seed=spec.seed + t))
+        if sweep and cal.labels.min() == cal.labels.max():
+            continue
+        temperature = fit_temperature(cal)
+        cal_scores = nonconformity_calibration(apply_temperature(cal, temperature), cal.labels)
+        rule = fit_threshold(cal_scores, epsilon)
+        test_probs = apply_temperature(test, temperature)
+        test_scores = nonconformity_calibration(test_probs, test.labels)
+        if rule.retain_all:
+            coverages.append(1.0)
+        else:
+            coverages.append(int(np.count_nonzero(test_scores <= rule.threshold)) / len(test))
+        if sweep:
+            eces.append(ece(test_probs, test.labels).ece)
+    return coverages, eces
 
 
 def coverage_experiment(
@@ -165,7 +159,7 @@ def coverage_experiment(
     check_n_trials(n_trials)
     # the sentinel depends only on (n_cal, epsilon), so it hits every trial or none
     retain_all = quantile_index(spec.n_cal, epsilon) > spec.n_cal
-    coverages, _ = _trials(spec, epsilon, n_trials, want_ece=False)
+    coverages, _ = _trials(spec, epsilon, n_trials, sweep=False)
     return CoverageSummary(
         epsilon=epsilon,
         n_cal=spec.n_cal,
@@ -204,9 +198,7 @@ def calibration_size_sweep(
     check_n_trials(n_trials)
     rows = []
     for size in sizes:
-        coverages, eces = _trials(
-            replace(spec, n_cal=size), epsilon, n_trials, want_ece=True, skip_single_class=True
-        )
+        coverages, eces = _trials(replace(spec, n_cal=size), epsilon, n_trials, sweep=True)
         if not coverages:
             raise ValueError(
                 f"n_cal {size}: the calibration draw holds a single class in all "

@@ -1,5 +1,7 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +9,8 @@ import re
 import shlex
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +18,8 @@ import pytest
 
 import tcrselect
 from tcrselect.calibration import TemperatureModel, apply_temperature
-from tcrselect.cli import _check_monotone, _method_rows, main
-from tcrselect.config import load_config
+from tcrselect.cli import _check_monotone, _method_rows, build_parser, main
+from tcrselect.config import ConfigError, RunConfig, load_config
 from tcrselect.conformal import ConformalRule, PipelineResult, decide
 from tcrselect.data import export_tsv, ingest_tsv
 from tcrselect.scorer import ScoreTable, sigmoid
@@ -134,6 +138,23 @@ class TestExitCodes:
         assert err.startswith(f"error: manifest {manifest}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_empty_test_part_fails_before_training(self, tmp_path, capsys, command):
+        # no held-out epitope leaves the test part empty
+        out = tmp_path / "o"
+        argv = [command, "--dataset", str(toy_dataset_path()), "--out", str(out),
+                "--protocol", "epitope_held_out", "--k-epitopes", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: the test part of the split is empty\n"
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "run_log.txt"]
+
+    def test_split_writes_an_empty_test_part(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["split", "--dataset", str(toy_dataset_path()), "--out", str(out),
+                "--protocol", "epitope_held_out", "--k-epitopes", "0"]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["test_ids"] == []
+
     def test_threads_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"threads": 2}))
@@ -145,6 +166,7 @@ class TestExitCodes:
 TOY_HEADER = "id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
 DECISIONS_HEADER = "example_id\tprob_calibrated\tnonconformity\tdecision\tpredicted_label\n"
 TOY_IDS = ingest_tsv(toy_dataset_path()).ids
+NAN, INF = float("nan"), float("inf")
 # (input, file name, contents, expected exit code); each file replaces one
 # good input of an otherwise working command
 MALFORMED = {
@@ -172,6 +194,18 @@ MALFORMED = {
         "protocol": "random", "seed": 0, "parameters": {},
         "train_ids": TOY_IDS[:120], "cal_ids": [*TOY_IDS[120:160], TOY_IDS[7]],
         "test_ids": TOY_IDS[160:],
+    }), 1),
+    "manifest-id-not-string": ("manifest", "m.json", json.dumps({
+        "protocol": "random", "seed": 0, "parameters": {},
+        "train_ids": TOY_IDS[:120], "cal_ids": TOY_IDS[120:160], "test_ids": [1],
+    }), 1),
+    "manifest-id-null": ("manifest", "m.json", json.dumps({
+        "protocol": "random", "seed": 0, "parameters": {},
+        "train_ids": TOY_IDS[:120], "cal_ids": TOY_IDS[120:160], "test_ids": [None, 3],
+    }), 1),
+    "manifest-seed-string": ("manifest", "m.json", json.dumps({
+        "protocol": "random", "seed": "0", "parameters": {},
+        "train_ids": TOY_IDS[:120], "cal_ids": TOY_IDS[120:160], "test_ids": TOY_IDS[160:],
     }), 1),
     "config-not-json": ("config", "cfg.json", "{not json", 2),
     "config-not-utf8": ("config", "cfg.json", b"{\"a\": \"\xff\"}", 2),
@@ -218,6 +252,20 @@ MALFORMED = {
         "config", "cfg.json", json.dumps({"dataset": {"columns": {"epitope": "x"}}}), 2,
     ),
     "config-grid-empty": ("config", "cfg.json", json.dumps({"sweep": {"grid": []}}), 2),
+    # json reads NaN and Infinity; a comparison that NaN fails must reject them
+    "config-rate-nan": (
+        "config", "cfg.json", json.dumps({"scorer": {"learning_rate": NAN}}), 2,
+    ),
+    "config-l2-infinity": ("config", "cfg.json", json.dumps({"scorer": {"l2": INF}}), 2),
+    "config-fractions-nan": (
+        "config", "cfg.json", json.dumps({"split": {"fractions": [0.7, NAN, 0.3]}}), 2,
+    ),
+    "config-temperature-nan": (
+        "config", "cfg.json", json.dumps({"simulate": {"miscalibration_temperature": NAN}}), 2,
+    ),
+    "config-temperature-infinity": (
+        "config", "cfg.json", json.dumps({"simulate": {"miscalibration_temperature": INF}}), 2,
+    ),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-nan-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tnan\t0.1\tpredict\t1\n", 1),
@@ -288,6 +336,16 @@ MALFORMED_MESSAGES = {
         "error: decisions line 2: prob_calibrated must be in [0, 1], got 'nan'\n",
     "decisions-bad-nonconformity":
         "error: decisions line 2: nonconformity must be a number, got 'x'\n",
+    "config-rate-nan": "config error: scorer: learning_rate must be finite, got nan\n",
+    "config-l2-infinity": "config error: scorer: l2 must be finite, got inf\n",
+    "config-fractions-nan": "config error: split: fractions must be non-negative\n",
+    "config-temperature-nan":
+        "config error: simulate: miscalibration_temperature must be finite, got nan\n",
+    "config-temperature-infinity":
+        "config error: simulate: miscalibration_temperature must be finite, got inf\n",
+    "manifest-id-not-string": "error: manifest {path}: test_ids must be a list of strings\n",
+    "manifest-id-null": "error: manifest {path}: test_ids must be a list of strings\n",
+    "manifest-seed-string": "error: manifest {path}: seed must be an int\n",
 }
 
 
@@ -384,6 +442,62 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         env=dict(os.environ, PYTHONPATH=str(package_root)),
     )
     assert done.stdout == "False\n"
+
+
+def _is_config_field(dotted):
+    """Whether a dotted path such as "split.seed" names a field of RunConfig."""
+    *sections, name = dotted.split(".")
+    node = RunConfig()
+    for section in sections:
+        node = getattr(node, section, None)
+    return dataclasses.is_dataclass(node) and name in {f.name for f in dataclasses.fields(node)}
+
+
+def test_every_setting_flag_names_its_config_field():
+    # a flag's dest is the dotted field it overrides; there is no second table
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(commands.choices) == ["metrics", "run", "score", "simulate", "split", "sweep"]
+    for name, parser in commands.choices.items():
+        assert parser.argument_default == argparse.SUPPRESS, name
+        for action in parser._actions:
+            if action.dest in ("help", "command", "config", "manifest", "decisions"):
+                continue
+            assert _is_config_field(action.dest), (name, action.dest)
+
+
+def _float_settings(cls=RunConfig, prefix=""):
+    """(dotted path, item count or None for a scalar) of every float field,
+    through the nested config sections."""
+    for f in dataclasses.fields(cls):
+        kind = typing.get_type_hints(cls)[f.name]
+        if isinstance(kind, types.UnionType):  # X | None
+            (kind,) = [t for t in typing.get_args(kind) if t is not type(None)]
+        if dataclasses.is_dataclass(kind):
+            yield from _float_settings(kind, f"{prefix}{f.name}.")
+        elif kind is float:
+            yield f"{prefix}{f.name}", None
+        elif typing.get_origin(kind) is tuple and typing.get_args(kind)[0] is float:
+            yield f"{prefix}{f.name}", len(typing.get_args(kind))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_every_float_setting_rejects_non_finite_values(value):
+    settings = dict(_float_settings())
+    expected = {"scorer.learning_rate": None, "split.fractions": 3, "sweep.grid": 2}
+    assert expected.items() <= settings.items()
+    for dotted, count in settings.items():
+        with pytest.raises(ConfigError):
+            load_config(None, {dotted: value if count is None else [value] * count})
+
+
+def test_default_config_fingerprint_is_pinned():
+    # every provenance block names this hash; a config field or default that
+    # changes it has to change this line on purpose
+    digest = hashlib.sha256(RunConfig().semantic_json().encode("utf-8")).hexdigest()
+    assert digest == "e228992c07a38b8332749f916f825a83a0d3eb3ece0679449d39ad04b8661f2f"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -50,6 +50,15 @@ class TestSequenceExample:
         with pytest.raises(ValueError, match="^row 0: label must be 0 or 1, got '2'$"):
             dataset_of([make_example(label=2)])
 
+    def test_label_is_checked_before_id(self, tmp_path):
+        # a row with two defects reports the label, in a file and in code alike
+        path = tmp_path / "c.tsv"
+        path.write_text("id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n\tCAV\tCASS\tGIL\tEP1\t2\n")
+        with pytest.raises(TsvRowError, match="^line 2: label must be 0 or 1, got '2'$"):
+            ingest_tsv(path)
+        with pytest.raises(ValueError, match="^row 0: label must be 0 or 1, got '2'$"):
+            dataset_of([make_example(ex_id="", label=2)])
+
 
 class TestDataset:
     def test_rejects_duplicate_ids(self):

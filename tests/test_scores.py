@@ -16,7 +16,7 @@ from tcrselect.calibration import (
 )
 from tcrselect.conformal import nonconformity_calibration, nonconformity_test
 from tcrselect.scorer import ScoreTable, sigmoid
-from tcrselect.synthetic import SyntheticSpec, _one_trial, coverage_experiment, generate
+from tcrselect.synthetic import SyntheticSpec, _trials, coverage_experiment, generate
 
 # signed zeros, the edge of sigmoid saturation near |z| = 37, the ends of
 # math.exp's range, and the largest magnitudes drawn
@@ -118,9 +118,9 @@ class TestColumnarMatchesOracle:
         for n_cal, n_test, seed in ((30, 40, 0), (200, 1, 5), (500, 700, 9)):
             spec = SyntheticSpec(n_cal=n_cal, n_test=n_test, base_positive_rate=0.3, seed=seed)
             for epsilon in (0.1, 0.2):
-                coverage, ece_after = _one_trial(spec, epsilon, want_ece=True)
+                coverages, eces = _trials(spec, epsilon, 1, sweep=True)
                 expected = oracle.one_trial(spec, epsilon, want_ece=True)
-                assert hexes([coverage, ece_after]) == hexes(list(expected))
+                assert hexes(coverages + eces) == hexes(list(expected))
 
     def test_coverage_experiment_regression(self):
         for seed in (1, 7919):

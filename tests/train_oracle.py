@@ -100,7 +100,6 @@ def train_linear(
         l2=config.l2,
         learning_rate=config.learning_rate,
         epochs=config.epochs,
-        seed=config.seed,
         final_train_loss=loss,
         train_fingerprint=ids_fingerprint(train.ids),
     )
