@@ -333,8 +333,8 @@ def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
     config = runner.config
     data = _load_dataset(config)
     manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
-    train = data.subset(manifest.train_ids)
-    model = train_linear(train, config.scorer)
+    manifest.check_nonempty("train")
+    model = train_linear(data.subset(manifest.train_ids), config.scorer)
     table = score(model, data)
     scorer_json = model.to_json()
     runner.write_text("scorer.json", scorer_json)

@@ -217,11 +217,11 @@ def run_pipeline(
     scorer is a TrainingConfig (train the built-in k-mer scorer on the train
     part) or the path of an external logit TSV covering the cal and test ids.
     The manifest keeps its parts disjoint, and Dataset.subset rejects an id
-    the dataset lacks. An empty cal or test part raises before training.
+    the dataset lacks. An empty cal or test part, or an empty train part for
+    the built-in scorer, raises before training.
     """
-    for part, ids in (("cal", manifest.cal_ids), ("test", manifest.test_ids)):
-        if not ids:
-            raise ValueError(f"the {part} part of the split is empty")
+    parts = ("train", "cal", "test") if isinstance(scorer, TrainingConfig) else ("cal", "test")
+    manifest.check_nonempty(*parts)
     cal, test = data.subset(manifest.cal_ids), data.subset(manifest.test_ids)
     if isinstance(scorer, TrainingConfig):
         model: LinearScorerModel | None = train_linear(data.subset(manifest.train_ids), scorer)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 
@@ -28,7 +30,8 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def levenshtein_bounded(a: str, b: str, limit: int) -> int:
-    """Edit distance if it is <= limit, else limit + 1. Banded DP, O(len * limit)."""
+    """Edit distance if it is <= limit, else limit + 1. Banded DP, O(len * limit),
+    over what is left once the shared prefix and suffix are trimmed."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if a == b:
@@ -36,6 +39,21 @@ def levenshtein_bounded(a: str, b: str, limit: int) -> int:
     la, lb = len(a), len(b)
     if abs(la - lb) > limit:
         return limit + 1
+    # a shared prefix or suffix leaves the distance unchanged, so trim both
+    # before the band; the length difference, and so the check above, is kept
+    shared = min(la, lb)
+    start = 0
+    while start < shared and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shared - start and a[la - 1 - end] == b[lb - 1 - end]:
+        end += 1
+    la, lb = la - start - end, lb - start - end
+    # one edit leaves at most one character on each side once the shared
+    # affixes are gone, so within one edit the trimmed lengths decide
+    if limit <= 1:
+        return min(max(la, lb), limit + 1)
+    a, b = a[start : start + la], b[start : start + lb]
     if lb > la:
         a, b, la, lb = b, a, lb, la
     if lb == 0:
@@ -95,6 +113,10 @@ def identity_at_least(a: str, b: str, threshold: float) -> bool:
     return levenshtein_bounded(a, b, allowed) <= allowed
 
 
+# one lookup of a probe plan: (segment, table, start, stop)
+_Window = tuple[int, dict[str, list[int]], int, int]
+
+
 class CandidateIndex:
     """Exact candidate filter for identity_at_least at one threshold.
 
@@ -118,6 +140,8 @@ class CandidateIndex:
         self._buckets: dict[
             int, tuple[list[tuple[int, int]], list[dict[str, list[int]]], list[int]]
         ] = {}
+        # query length -> its probe plan, see _plan
+        self._plans: dict[int, list[tuple[int, list[int], list[_Window]]]] = {}
 
     def _segment_budget(self, length: int) -> int:
         # the pair budget grows with the partner's length, so D is the budget
@@ -142,46 +166,65 @@ class CandidateIndex:
                 bounds = [length * k // parts for k in range(parts + 1)]
                 spans = [(bounds[k], bounds[k + 1] - bounds[k]) for k in range(parts)]
             bucket = self._buckets[length] = (spans, [{} for _ in spans], [])
+            # a plan lists the buckets that existed when it was made
+            self._plans.clear()
         spans, tables, members = bucket
         for (offset, size), table in zip(spans, tables):
             table.setdefault(string[offset : offset + size], []).append(ident)
         members.append(ident)
 
-    def candidates(self, query: str) -> list[int]:
-        """Ascending ids of every stored string that may be within the
-        identity threshold of query."""
-        lq = len(query)
-        found: list[int] = []
+    def _plan(self, lq: int) -> list[tuple[int, list[int], list[_Window]]]:
+        # per compatible bucket: how many segments a candidate must match, the
+        # bucket's ids, and every (segment, table, start, stop) lookup of
+        # query[start:stop], over shifts s with |s| + |delta - s| <= budget
+        plan = []
         for length, (spans, tables, members) in self._buckets.items():
             budget = max_edits_for_identity(self.threshold, max(length, lq))
             delta = lq - length
             if abs(delta) > budget:
                 continue
-            need = len(spans) - budget
+            lo = -((budget - delta) // 2)
+            hi = (budget + delta) // 2
+            windows = [
+                (seg, table, pos, pos + size)
+                for seg, ((offset, size), table) in enumerate(zip(spans, tables))
+                for pos in range(max(0, offset + lo), min(lq - size, offset + hi) + 1)
+            ]
+            plan.append((len(spans) - budget, members, windows))
+        return plan
+
+    def candidates(self, query: str) -> list[int]:
+        """Ascending ids of every stored string that may be within the
+        identity threshold of query: those matching at least parts - budget
+        of their segments inside the shift window."""
+        plan = self._plans.get(len(query))
+        if plan is None:
+            plan = self._plans[len(query)] = self._plan(len(query))
+        found: list[int] = []
+        for need, members, windows in plan:
             if need <= 0:
                 found.extend(members)
                 continue
-            # an id that matches `need` segments matches one of the first
-            # budget + 1, so later segments only count ids already hit
-            opening = budget + 1
-            # shifts s with |s| + |delta - s| <= budget
-            lo = -((budget - delta) // 2)
-            hi = (budget + delta) // 2
-            hits: dict[int, int] = {}
-            for seg, ((offset, size), table) in enumerate(zip(spans, tables)):
-                matched: set[int] = set()
-                for pos in range(max(0, offset + lo), min(lq - size, offset + hi) + 1):
-                    ids = table.get(query[pos : pos + size])
-                    if ids:
-                        matched.update(ids)
-                if seg < opening:
-                    for ident in matched:
-                        hits[ident] = hits.get(ident, 0) + 1
-                else:
-                    for ident in matched:
-                        if ident in hits:
-                            hits[ident] += 1
-            found.extend(ident for ident, count in hits.items() if count >= need)
+            # segment -> the distinct id lists it hit; an id sits in one list
+            # per table, so distinct lists of one segment are disjoint
+            hits: dict[int, list[list[int]]] = {}
+            for seg, table, start, stop in windows:
+                ids = table.get(query[start:stop])
+                if ids:
+                    lists = hits.setdefault(seg, [])
+                    if ids not in lists:
+                        lists.append(ids)
+            if len(hits) < need:
+                continue
+            # an id matching `need` of the hit segments matches one of any
+            # len(hits) - need + 1 of them, so count ids from the rarest ones;
+            # the rest only add to ids already counted
+            ranked = sorted(hits.values(), key=lambda lists: sum(map(len, lists)))
+            opening = len(ranked) - need + 1
+            counts = Counter(chain.from_iterable(chain.from_iterable(ranked[:opening])))
+            rest = chain.from_iterable(chain.from_iterable(ranked[opening:]))
+            counts.update(filter(counts.__contains__, rest))
+            found.extend(ident for ident, count in counts.items() if count >= need)
         found.sort()
         return found
 

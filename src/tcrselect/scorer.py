@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset
 
 if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csc_matrix, csr_matrix
 
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
@@ -333,6 +333,7 @@ def _loss_is_bounded(z: np.ndarray, sample_weights: np.ndarray, l2: float, ww: f
 
 def loss_and_grad(
     X: csr_matrix,
+    X_T: csc_matrix,
     y: np.ndarray,
     sample_weights: np.ndarray,
     weights: np.ndarray,
@@ -342,6 +343,7 @@ def loss_and_grad(
 ) -> tuple[float | None, np.ndarray, float]:
     """Class-weighted mean BCE plus 0.5*l2*||w||^2 (bias unpenalized).
 
+    X_T is X.T, built once by the caller rather than on every call.
     Returns (loss, grad_weights, grad_bias). Per-sample cross-entropy is
     computed as softplus(z) - y*z, which is exact and overflow-safe. y holds
     0/1 labels and sample_weights are non-negative. With want_loss=False the
@@ -369,7 +371,7 @@ def loss_and_grad(
         z -= y
         np.multiply(sample_weights, z, out=z)
         z /= n
-        grad_w = np.asarray(X.T @ z) + l2 * weights
+        grad_w = np.asarray(X_T @ z) + l2 * weights
         grad_b = float(np.sum(z))
     return loss, grad_w, grad_b
 
@@ -423,13 +425,14 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
     X = _training_matrix(windows)
+    X_T = X.T  # a view on X's arrays
     del windows  # frees the per-window arrays before gradient descent
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     weights = np.zeros(len(vocabulary))
     bias = 0.0
     for epoch in range(config.epochs):
         loss, grad_w, grad_b = loss_and_grad(
-            X, labels, sample_w, weights, bias, config.l2, want_loss=False
+            X, X_T, labels, sample_w, weights, bias, config.l2, want_loss=False
         )
         if loss is not None and not math.isfinite(loss):
             raise ValueError(
@@ -438,7 +441,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
             )
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
-    loss, _, _ = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)
+    loss, _, _ = loss_and_grad(X, X_T, labels, sample_w, weights, bias, config.l2)
     if not math.isfinite(loss):
         raise ValueError(
             f"training diverged (final loss not finite); "

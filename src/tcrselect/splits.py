@@ -83,6 +83,13 @@ class SplitManifest:
                 f"{where}: {len(unknown)} id(s) not in the dataset, e.g. {sorted(unknown)[:5]!r}"
             )
 
+    def check_nonempty(self, *parts: str) -> None:
+        """Raise ValueError naming the first of parts (train, cal, test) that
+        lists no id."""
+        for part in parts:
+            if not getattr(self, f"{part}_ids"):
+                raise ValueError(f"the {part} part of the split is empty")
+
     def to_json_dict(self) -> dict:
         return {
             "protocol": self.protocol,

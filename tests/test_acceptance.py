@@ -232,18 +232,18 @@ def test_criterion_8_gradient_check():
             weights = rng.normal(scale=0.5, size=d)
             bias = float(rng.normal(scale=0.5))
             l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
-            _, grad_w, grad_b = loss_and_grad(X, y, sw, weights, bias, l2)
+            _, grad_w, grad_b = loss_and_grad(X, X.T, y, sw, weights, bias, l2)
             analytic = np.append(grad_w, grad_b)
             numeric = np.empty(d + 1)
             for k in range(d):
                 bump = weights.copy()
                 bump[k] += h
-                up, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
+                up, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
                 bump[k] -= 2 * h
-                down, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
+                down, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
                 numeric[k] = (up - down) / (2 * h)
-            up, _, _ = loss_and_grad(X, y, sw, weights, bias + h, l2)
-            down, _, _ = loss_and_grad(X, y, sw, weights, bias - h, l2)
+            up, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias + h, l2)
+            down, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias - h, l2)
             numeric[d] = (up - down) / (2 * h)
             # vector-norm relative error: per-component ratios blow up on
             # near-zero components where central differences are pure roundoff

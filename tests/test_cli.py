@@ -252,6 +252,14 @@ MALFORMED = {
         "config", "cfg.json", json.dumps({"dataset": {"columns": {"epitope": "x"}}}), 2,
     ),
     "config-grid-empty": ("config", "cfg.json", json.dumps({"sweep": {"grid": []}}), 2),
+    # a valid config whose split leaves nothing to train the built-in scorer
+    # on; "config:<command>" runs that command in place of sweep
+    "config-empty-train-part-run": (
+        "config:run", "cfg.json", json.dumps({"split": {"fractions": [0.0, 0.5, 0.5]}}), 1,
+    ),
+    "config-empty-train-part-score": (
+        "config:score", "cfg.json", json.dumps({"split": {"fractions": [0.0, 0.5, 0.5]}}), 1,
+    ),
     # json reads NaN and Infinity; a comparison that NaN fails must reject them
     "config-rate-nan": (
         "config", "cfg.json", json.dumps({"scorer": {"learning_rate": NAN}}), 2,
@@ -346,12 +354,15 @@ MALFORMED_MESSAGES = {
     "manifest-id-not-string": "error: manifest {path}: test_ids must be a list of strings\n",
     "manifest-id-null": "error: manifest {path}: test_ids must be a list of strings\n",
     "manifest-seed-string": "error: manifest {path}: seed must be an int\n",
+    "config-empty-train-part-run": "error: the train part of the split is empty\n",
+    "config-empty-train-part-score": "error: the train part of the split is empty\n",
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     kind, name, contents, expected = MALFORMED[case]
+    kind, _, command = kind.partition(":")
     path = tmp_path / name
     if isinstance(contents, bytes):
         path.write_bytes(contents)
@@ -365,7 +376,7 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     elif kind == "decisions":
         argv = ["metrics", "--dataset", dataset, "--decisions", str(path), "--out", out]
     else:
-        argv = ["sweep", "--dataset", dataset, "--out", out]
+        argv = [command or "sweep", "--dataset", dataset, "--out", out]
         argv += {
             "logits": ["--scorer", "logits", "--logits", str(path)],
             "manifest": ["--manifest", str(path)],

@@ -1,12 +1,17 @@
 """Edit distance, identity, and clustering against a recursive reference."""
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import candidate_oracle
 from pair_oracle import oracle_clusters, related_strings, thresholds
+from tcrselect import data as data_module
+from tcrselect import distance as distance_module
+from tcrselect.data import deduplicate
 from tcrselect.distance import (
     CandidateIndex,
     cluster_by_identity,
@@ -71,6 +76,23 @@ def test_bounded_kernel_agrees_within_limit(a, b, limit):
         assert bounded == exact
     else:
         assert bounded > limit
+
+
+@given(short_strings, short_strings, short_strings, short_strings,
+       st.integers(min_value=0, max_value=12))
+@example("CASS", "", "", "F", 0)  # empty middles
+@example("CASS", "LG", "", "", 1)  # one string a prefix of the other
+@example("", "CA", "", "QYF", 3)  # one string a suffix of the other
+@example("CA", "SLGQ", "SRGE", "YF", 0)
+@settings(max_examples=300)
+def test_bounded_kernel_with_shared_affixes(prefix, x, y, suffix, drawn):
+    # the kernel trims the shared prefix and suffix; that must not move the
+    # distance, at limits below, at and above it
+    a, b = prefix + x + suffix, prefix + y + suffix
+    exact = levenshtein(a, b)
+    for limit in {0, max(exact - 1, 0), exact, exact + 1, drawn}:
+        assert levenshtein_bounded(a, b, limit) == (exact if exact <= limit else limit + 1)
+        assert levenshtein_bounded(b, a, limit) == (exact if exact <= limit else limit + 1)
 
 
 def test_identity_values():
@@ -142,6 +164,49 @@ def test_candidates_include_every_true_pair(stored, queries, threshold, longest)
     for query in queries:
         truth = [i for i, s in enumerate(stored) if identity_at_least(s, query, threshold)]
         assert set(truth) <= set(index.candidates(query))
+
+
+# thresholds in [0.5, 1]: exact budget boundaries 1 - budget/length for pair
+# budgets 0 to 3, and arbitrary floats
+oracle_thresholds = st.one_of(
+    st.builds(lambda budget, length: 1 - budget / length,
+              st.integers(min_value=0, max_value=3), st.integers(min_value=6, max_value=24)),
+    st.floats(min_value=0.5, max_value=1.0),
+)
+
+
+@given(related_strings(max_count=16), related_strings(max_count=6), oracle_thresholds,
+       st.integers(min_value=0, max_value=30))
+# one segment's window meets the same substring twice
+@example(["ACAC", "CACA"], ["CCCCC"], 0.7, 30)
+@settings(max_examples=200, deadline=None)
+def test_candidates_match_fixed_opening_oracle(stored, queries, threshold, longest):
+    # the probe plans and rarest-first counting give the same list as the
+    # fixed first-budget+1 opening; queries between adds exercise the plan
+    # cache as new length buckets appear, and `longest` may undercut them
+    index = CandidateIndex(threshold, longest)
+    oracle = candidate_oracle.CandidateIndex(threshold, longest)
+    for string in stored:
+        assert index.candidates(string) == oracle.candidates(string)
+        index.add(string)
+        oracle.add(string)
+    for query in queries:
+        assert index.candidates(query) == oracle.candidates(query)
+
+
+def test_identity_tests_on_motif_corpus_are_pinned(monkeypatch):
+    # the candidate lists decide which pairs reach identity_at_least: these
+    # are the benchmark's cluster_distance counts at seed 1
+    tested = Counter()
+    for module, name in ((data_module, "dedup"), (distance_module, "cluster")):
+        def counted(a, b, threshold, name=name):
+            tested[name] += 1
+            return identity_at_least(a, b, threshold)
+
+        monkeypatch.setattr(module, "identity_at_least", counted)
+    kept = deduplicate(motif_corpus(800, 1), 0.9)
+    cluster_by_identity(sorted(set(kept.cdr3b)), 0.9)
+    assert tested == {"dedup": 141, "cluster": 1179}
 
 
 def test_cluster_motif_corpus_matches_pair_oracle():

@@ -394,18 +394,18 @@ class TestLossAndGrad:
         h = 1e-6
         for _ in range(10):
             X, y, sw, weights, bias, l2 = random_instance(rng)
-            _, grad_w, grad_b = loss_and_grad(X, y, sw, weights, bias, l2)
+            _, grad_w, grad_b = loss_and_grad(X, X.T, y, sw, weights, bias, l2)
             for k in range(len(weights)):
                 bump = weights.copy()
                 bump[k] += h
-                up, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
+                up, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
                 bump[k] -= 2 * h
-                down, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
+                down, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(grad_w[k]), 1e-8)
                 assert abs(numeric - grad_w[k]) / denom <= 1e-5
-            up, _, _ = loss_and_grad(X, y, sw, weights, bias + h, l2)
-            down, _, _ = loss_and_grad(X, y, sw, weights, bias - h, l2)
+            up, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias + h, l2)
+            down, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias - h, l2)
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad_b), 1e-8)
             assert abs(numeric - grad_b) / denom <= 1e-5
@@ -414,7 +414,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(11)
         X, y, _, weights, bias, _ = random_instance(rng)
         ones = np.ones(X.shape[0])
-        loss, _, _ = loss_and_grad(X, y, ones, weights, bias, 0.0)
+        loss, _, _ = loss_and_grad(X, X.T, y, ones, weights, bias, 0.0)
         z = X @ weights + bias
         p = 1.0 / (1.0 + np.exp(-z))
         plain = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))

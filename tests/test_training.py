@@ -125,7 +125,7 @@ def instance(weight):
 def test_loss_is_skipped_only_under_the_bound(bias, weight, l2, skipped):
     X, y, sw, weights = instance(weight)
     with np.errstate(invalid="ignore"):
-        loss, grad_w, grad_b = loss_and_grad(X, y, sw, weights, bias, l2, want_loss=False)
+        loss, grad_w, grad_b = loss_and_grad(X, X.T, y, sw, weights, bias, l2, want_loss=False)
         exact = train_oracle.loss_and_grad(X, y, sw, weights, bias, l2)
     assert grad_w.tobytes() == exact[1].tobytes()
     assert grad_b.hex() == exact[2].hex()
