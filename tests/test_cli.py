@@ -215,8 +215,9 @@ MALFORMED = {
     "config-grid-null": ("config", "cfg.json", json.dumps({"sweep": {"grid": [None]}}), 2),
     "config-epochs-float": ("config", "cfg.json", json.dumps({"scorer": {"epochs": 1.5}}), 2),
     "config-epochs-bool": ("config", "cfg.json", json.dumps({"scorer": {"epochs": True}}), 2),
-    "config-rate-string": (
-        "config", "cfg.json", json.dumps({"scorer": {"learning_rate": "x"}}), 2,
+    "config-l2-string": ("config", "cfg.json", json.dumps({"scorer": {"l2": "x"}}), 2),
+    "config-learning-rate-removed": (
+        "config", "cfg.json", json.dumps({"scorer": {"learning_rate": 0.1}}), 2,
     ),
     "config-kmer-string": ("config", "cfg.json", json.dumps({"scorer": {"kmer_size": "3"}}), 2),
     "config-two-fractions": (
@@ -261,9 +262,7 @@ MALFORMED = {
         "config:score", "cfg.json", json.dumps({"split": {"fractions": [0.0, 0.5, 0.5]}}), 1,
     ),
     # json reads NaN and Infinity; a comparison that NaN fails must reject them
-    "config-rate-nan": (
-        "config", "cfg.json", json.dumps({"scorer": {"learning_rate": NAN}}), 2,
-    ),
+    "config-l2-nan": ("config", "cfg.json", json.dumps({"scorer": {"l2": NAN}}), 2),
     "config-l2-infinity": ("config", "cfg.json", json.dumps({"scorer": {"l2": INF}}), 2),
     "config-fractions-nan": (
         "config", "cfg.json", json.dumps({"split": {"fractions": [0.7, NAN, 0.3]}}), 2,
@@ -344,7 +343,9 @@ MALFORMED_MESSAGES = {
         "error: decisions line 2: prob_calibrated must be in [0, 1], got 'nan'\n",
     "decisions-bad-nonconformity":
         "error: decisions line 2: nonconformity must be a number, got 'x'\n",
-    "config-rate-nan": "config error: scorer: learning_rate must be finite, got nan\n",
+    "config-l2-string": "config error: scorer.l2: expected a number, got 'x'\n",
+    "config-learning-rate-removed": "config error: scorer.learning_rate: unknown key\n",
+    "config-l2-nan": "config error: scorer: l2 must be finite, got nan\n",
     "config-l2-infinity": "config error: scorer: l2 must be finite, got inf\n",
     "config-fractions-nan": "config error: split: fractions must be non-negative\n",
     "config-temperature-nan":
@@ -497,7 +498,7 @@ def _float_settings(cls=RunConfig, prefix=""):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_every_float_setting_rejects_non_finite_values(value):
     settings = dict(_float_settings())
-    expected = {"scorer.learning_rate": None, "split.fractions": 3, "sweep.grid": 2}
+    expected = {"scorer.l2": None, "split.fractions": 3, "sweep.grid": 2}
     assert expected.items() <= settings.items()
     for dotted, count in settings.items():
         with pytest.raises(ConfigError):
@@ -508,7 +509,7 @@ def test_default_config_fingerprint_is_pinned():
     # every provenance block names this hash; a config field or default that
     # changes it has to change this line on purpose
     digest = hashlib.sha256(RunConfig().semantic_json().encode("utf-8")).hexdigest()
-    assert digest == "e228992c07a38b8332749f916f825a83a0d3eb3ece0679449d39ad04b8661f2f"
+    assert digest == "4dd5762a3ec6495aae72cd9e8561870d1dcd8fa4c62c42bcc613826edbf5001d"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,8 +1,8 @@
-"""Gradient descent against the exact-loss loop in train_oracle, bit for bit.
+"""Nesterov-accelerated training against the plain loop in train_oracle, bit for bit.
 
-train_linear skips the per-epoch loss whenever a bound proves it finite. Its
-weights, bias and final_train_loss must equal the oracle's by float.hex, and
-a diverging run must raise the oracle's error, naming the same epoch.
+train_linear computes no loss until the last epoch. Its step, weights, bias
+and final_train_loss must equal the oracle's by float.hex; the oracle's exact
+loss at every epoch checks what the certified step promises.
 """
 
 import math
@@ -13,26 +13,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-import tcrselect.scorer as scorer
 import train_oracle
 from dataset_rows import dataset_of
 from tcrselect.data import SequenceExample
-from tcrselect.scorer import TrainingConfig, class_weights, loss_and_grad, train_linear
+from tcrselect.scorer import (
+    TrainingConfig,
+    _smoothness_bound,
+    _training_matrix,
+    class_weights,
+    encode_kmers,
+    train_linear,
+)
+from tcrselect.splits import split_random
 from tcrselect.toycorpus import motif_corpus
 
 AMINO = "ACDEFGHIKLMNPQRSTVWY"
 
 
 def outcome(train, data, config):
-    """("model", weight hexes, bias hex, final loss hex) or ("error", message)."""
-    try:
-        # diverging runs overflow on purpose; the loop reports it as an error
-        with np.errstate(invalid="ignore", divide="ignore"):
-            model = train(data, config)
-    except ValueError as err:
-        return ("error", str(err))
+    """(weight hexes, bias hex, step hex, final loss hex) of a trained model."""
+    model = train(data, config)
     weights = [w.hex() for w in model.weights.tolist()]
-    return ("model", weights, float(model.bias).hex(), model.final_train_loss.hex())
+    return weights, float(model.bias).hex(), model.step.hex(), model.final_train_loss.hex()
 
 
 @st.composite
@@ -53,16 +55,14 @@ def training_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     data=training_sets(),
-    log_rate=st.floats(-3.0, 300.0),
     l2=st.sampled_from([0.0, 1e-4, 1e3]),
     epochs=st.integers(0, 40),
     kmer_size=st.integers(1, 4),
     include_cdr3a=st.booleans(),
 )
-def test_training_matches_oracle(data, log_rate, l2, epochs, kmer_size, include_cdr3a):
+def test_training_matches_oracle(data, l2, epochs, kmer_size, include_cdr3a):
     config = TrainingConfig(
-        kmer_size=kmer_size, learning_rate=10.0**log_rate, epochs=epochs, l2=l2,
-        include_cdr3a=include_cdr3a,
+        kmer_size=kmer_size, epochs=epochs, l2=l2, include_cdr3a=include_cdr3a,
     )
     assert outcome(train_linear, data, config) == outcome(train_oracle.train_linear, data, config)
 
@@ -71,65 +71,73 @@ def test_training_matches_oracle(data, log_rate, l2, epochs, kmer_size, include_
 def test_motif_corpus_regression(seed):
     data = motif_corpus(2000, seed)
     expected = outcome(train_oracle.train_linear, data, TrainingConfig())
-    assert expected[0] == "model"
     assert outcome(train_linear, data, TrainingConfig()) == expected
 
 
-@pytest.mark.parametrize(
-    "learning_rate, l2",
-    [(1e10, 1e-4), (100.0, 1e3)],
+@settings(max_examples=150, deadline=None)
+@given(
+    data=training_sets(),
+    l2=st.sampled_from([0.0, 1e-4, 1.0, 1e3]),
+    kmer_size=st.integers(1, 3),
+    include_cdr3a=st.booleans(),
 )
-def test_epochs_past_the_bound_take_the_exact_loss(monkeypatch, learning_rate, l2):
-    # these runs reach epochs whose loss is finite but above the bound, then
-    # diverge; the loop must compute those losses and fail at the oracle's epoch
-    data = motif_corpus(40, 3)
-    calls = []
-
-    def spy(*args, **kwargs):
-        result = loss_and_grad(*args, **kwargs)
-        calls.append((kwargs.get("want_loss", True), result[0]))
-        return result
-
-    monkeypatch.setattr(scorer, "loss_and_grad", spy)
-    config = TrainingConfig(learning_rate=learning_rate, l2=l2, epochs=40)
-    got = outcome(train_linear, data, config)
-    assert got == outcome(train_oracle.train_linear, data, config)
-    assert got[0] == "error" and "at epoch" in got[1]
-    skipped = [loss for want, loss in calls if not want]
-    assert None in skipped
-    assert any(loss is not None and math.isfinite(loss) for loss in skipped)
+def test_no_iterate_loss_exceeds_the_loss_at_zero(data, l2, kmer_size, include_cdr3a):
+    # FISTA at a step of at most 1/L keeps F(x_k) <= F(x_0) for every k, so
+    # the loss stays finite; the slack covers rounding when x_k barely moves
+    losses = []
+    config = TrainingConfig(kmer_size=kmer_size, epochs=40, l2=l2, include_cdr3a=include_cdr3a)
+    train_oracle.train_linear(data, config, loss_callback=lambda _, loss: losses.append(loss))
+    assert len(losses) == 41
+    assert all(loss <= losses[0] + 1e-12 for loss in losses)
 
 
-def instance(weight):
-    """Forty rows with balanced labels and class weights, and one feature that
-    every row has once, so every logit is weight + bias."""
-    X = csr_matrix(np.ones((40, 1)))
-    y = np.tile([1.0, 0.0], 20)
-    sw = np.where(y == 1.0, *class_weights(20, 20))
-    return X, y, sw, np.array([weight])
+def test_empty_vocabulary_trains_the_bias_alone():
+    # every field is shorter than k, so the training matrix has no columns
+    model = train_linear(motif_corpus(50, 1), TrainingConfig(kmer_size=40))
+    assert model.vocabulary == {} and model.weights.shape == (0,)
+    assert math.isfinite(model.bias) and math.isfinite(model.final_train_loss)
+    # A is the bias entry alone: sum(sw) / 4n = 1/4
+    assert model.step == pytest.approx(1.0 / (0.25 + model.l2), rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "bias, weight, l2, skipped",
-    [
-        (3.0, 0.5, 1e-4, True),
-        (1e298, 0.0, 0.0, True),  # 40 * 1 * (1e298 + 1) is within 1e300
-        (1e299, 0.0, 0.0, False),  # above the bound, and the loss is finite
-        (-1e299, 0.0, 1e-4, False),
-        (0.0, 1e150, 1e3, False),  # 0.5 * l2 * w.w = 5e302, finite
-        (0.0, 1e200, 0.0, False),  # w.w overflows, and 0 * inf is a NaN loss
-        (float("nan"), 0.0, 1e-4, False),
-        (float("inf"), 0.0, 1e-4, False),
-    ],
-)
-def test_loss_is_skipped_only_under_the_bound(bias, weight, l2, skipped):
-    X, y, sw, weights = instance(weight)
-    with np.errstate(invalid="ignore"):
-        loss, grad_w, grad_b = loss_and_grad(X, X.T, y, sw, weights, bias, l2, want_loss=False)
-        exact = train_oracle.loss_and_grad(X, y, sw, weights, bias, l2)
-    assert grad_w.tobytes() == exact[1].tobytes()
-    assert grad_b.hex() == exact[2].hex()
-    if skipped:
-        assert loss is None and math.isfinite(exact[0])
-    else:
-        assert loss is not None and loss.hex() == exact[0].hex()
+def gram_eigenvalue(X, sample_weights):
+    """Largest eigenvalue of [X 1]^T diag(sw) [X 1] / (4n), from the smaller
+    of the two Gram matrices that share its nonzero eigenvalues."""
+    n = X.shape[0]
+    B = np.hstack([X, np.ones((n, 1))]) * np.sqrt(sample_weights / (4 * n))[:, None]
+    small = B @ B.T if n <= B.shape[1] else B.T @ B
+    return float(np.linalg.eigvalsh(small)[-1])
+
+
+@st.composite
+def count_matrices(draw):
+    """(X, labels): 2-9 rows of 1-8 small counts, no empty column, both labels."""
+    n, d = draw(st.integers(2, 9)), draw(st.integers(1, 8))
+    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    X[0] += X.sum(axis=0) == 0  # a training matrix has no empty column
+    y = np.array([1, 0] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)))
+    return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=count_matrices(), l2=st.sampled_from([0.0, 1e-4, 1.0, 1e3]))
+def test_smoothness_bound_is_an_upper_bound(instance, l2):
+    X, y = instance
+    n_pos = int(y.sum())
+    sw = np.where(y == 1, *class_weights(n_pos, len(y) - n_pos))
+    sparse = csr_matrix(X)
+    bound = _smoothness_bound(sparse, sparse.T, sw, l2)
+    assert bound >= (gram_eigenvalue(X, sw) + l2) * (1.0 - 1e-12)
+
+
+def test_smoothness_bound_is_tight_on_motif_corpus():
+    data = motif_corpus(2000, 1)
+    train = data.subset(split_random(data, seed=13).train_ids)
+    X = _training_matrix(encode_kmers(train, 3))
+    y = train.labels.astype(float)
+    n_pos = int(y.sum())
+    sw = np.where(y == 1.0, *class_weights(n_pos, len(y) - n_pos))
+    exact = gram_eigenvalue(X.toarray(), sw) + 1e-4
+    bound = _smoothness_bound(X, X.T, sw, 1e-4)
+    assert exact * (1.0 - 1e-12) <= bound <= 1.01 * exact

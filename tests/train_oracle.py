@@ -1,9 +1,8 @@
-"""Gradient descent with the exact loss at every epoch, the oracle for train_linear.
+"""Nesterov-accelerated gradient descent written plainly, the oracle for train_linear.
 
-These are the loss function and training loop the scorer used before its loop
-skipped the per-epoch loss whenever a bound proves it finite. The package must
-reproduce their weights, bias and final_train_loss bit for bit, and raise the
-same divergence error at the same epoch.
+The step comes from a plain power iteration, and every epoch evaluates the
+exact loss of its iterate. The package must reproduce the weights, bias, step
+and final_train_loss bit for bit.
 """
 
 import math
@@ -38,17 +37,27 @@ def loss_and_grad(
     computed as softplus(z) - y*z, which is exact and overflow-safe.
     """
     n = X.shape[0]
-    # overflow to inf is expected when training diverges; the caller checks
-    # for a non-finite loss and reports it
-    with np.errstate(over="ignore"):
-        z = X @ weights + bias
-        per_sample = np.logaddexp(0.0, z) - y * z
-        loss = float(np.mean(sample_weights * per_sample)) + 0.5 * l2 * float(weights @ weights)
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-        coef = sample_weights * (p - y) / n
-        grad_w = np.asarray(X.T @ coef) + l2 * weights
-        grad_b = float(np.sum(coef))
+    z = X @ weights + bias
+    per_sample = np.logaddexp(0.0, z) - y * z
+    loss = float(np.mean(sample_weights * per_sample)) + 0.5 * l2 * float(weights @ weights)
+    p = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    coef = sample_weights * (p - y) / n
+    grad_w = np.asarray(X.T @ coef) + l2 * weights
+    grad_b = float(np.sum(coef))
     return loss, grad_w, grad_b
+
+
+def smoothness_bound(X: csr_matrix, sample_weights: np.ndarray, l2: float) -> float:
+    """Ten power iterations on A = [X 1]^T diag(sw) [X 1] / (4n) from the
+    all-ones vector; the last max_j (Av)_j / v_j, plus l2."""
+    n = X.shape[0]
+    v = np.ones(X.shape[1] + 1)
+    for _ in range(10):
+        u = sample_weights * (X @ v[:-1] + v[-1])
+        Av = np.append(X.T @ u, np.sum(u)) / (4 * n)
+        bound = float(np.max(Av / v))
+        v = Av / np.max(Av)
+    return bound + l2
 
 
 def train_linear(
@@ -58,9 +67,9 @@ def train_linear(
 ) -> LinearScorerModel:
     """Fit the k-mer logistic scorer on the training split.
 
-    Deterministic: zero initialization, full-batch updates. Class weights come
-    from the training split only. Raises if the loss goes non-finite (the
-    learning rate is too large) or if a class is missing.
+    FISTA without a prox step at step 1 / smoothness_bound, from zero.
+    loss_callback, if given, receives (k, exact loss of the k-th iterate) for
+    k = 0 .. epochs, the zero start first.
     """
     labels = train.labels.astype(float)
     n_pos = int(labels.sum())
@@ -68,28 +77,25 @@ def train_linear(
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
     X = _training_matrix(windows)
-    del windows  # frees the per-window arrays before gradient descent
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
-    weights = np.zeros(len(vocabulary))
-    bias = 0.0
-    loss = float("nan")
+    step = 1.0 / smoothness_bound(X, sample_w, config.l2)
+    weights, bias = np.zeros(len(vocabulary)), 0.0
+    at_w, at_b = weights, bias
+    t = 1.0
+    loss = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)[0]
     for epoch in range(config.epochs):
-        loss, grad_w, grad_b = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)
-        if not math.isfinite(loss):
-            raise ValueError(
-                f"training diverged at epoch {epoch} (loss not finite); "
-                f"reduce learning_rate from {config.learning_rate}"
-            )
         if loss_callback is not None:
             loss_callback(epoch, loss)
-        weights = weights - config.learning_rate * grad_w
-        bias = bias - config.learning_rate * grad_b
-    loss, _, _ = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)
-    if not math.isfinite(loss):
-        raise ValueError(
-            f"training diverged (final loss not finite); "
-            f"reduce learning_rate from {config.learning_rate}"
-        )
+        _, grad_w, grad_b = loss_and_grad(X, labels, sample_w, at_w, at_b, config.l2)
+        next_w = at_w - step * grad_w
+        next_b = at_b - step * grad_b
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        at_w = next_w + (t - 1.0) / t_next * (next_w - weights)
+        at_b = next_b + (t - 1.0) / t_next * (next_b - bias)
+        weights, bias, t = next_w, next_b, t_next
+        loss = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)[0]
+    if loss_callback is not None:
+        loss_callback(config.epochs, loss)
     return LinearScorerModel(
         kmer_size=config.kmer_size,
         vocabulary=vocabulary,
@@ -98,8 +104,8 @@ def train_linear(
         class_weights=(w_pos, w_neg),
         include_cdr3a=config.include_cdr3a,
         l2=config.l2,
-        learning_rate=config.learning_rate,
         epochs=config.epochs,
+        step=step,
         final_train_loss=loss,
         train_fingerprint=ids_fingerprint(train.ids),
     )
