@@ -216,6 +216,10 @@ MALFORMED = {
     "config-epochs-float": ("config", "cfg.json", json.dumps({"scorer": {"epochs": 1.5}}), 2),
     "config-epochs-bool": ("config", "cfg.json", json.dumps({"scorer": {"epochs": True}}), 2),
     "config-l2-string": ("config", "cfg.json", json.dumps({"scorer": {"l2": "x"}}), 2),
+    "config-rate-string": (
+        "config", "cfg.json",
+        json.dumps({"dataset": {"negatives": {"target_positive_rate": "x"}}}), 2,
+    ),
     "config-learning-rate-removed": (
         "config", "cfg.json", json.dumps({"scorer": {"learning_rate": 0.1}}), 2,
     ),
@@ -263,6 +267,10 @@ MALFORMED = {
     ),
     # json reads NaN and Infinity; a comparison that NaN fails must reject them
     "config-l2-nan": ("config", "cfg.json", json.dumps({"scorer": {"l2": NAN}}), 2),
+    "config-rate-nan": (
+        "config", "cfg.json",
+        json.dumps({"dataset": {"negatives": {"target_positive_rate": NAN}}}), 2,
+    ),
     "config-l2-infinity": ("config", "cfg.json", json.dumps({"scorer": {"l2": INF}}), 2),
     "config-fractions-nan": (
         "config", "cfg.json", json.dumps({"split": {"fractions": [0.7, NAN, 0.3]}}), 2,
@@ -346,6 +354,9 @@ MALFORMED_MESSAGES = {
     "config-l2-string": "config error: scorer.l2: expected a number, got 'x'\n",
     "config-learning-rate-removed": "config error: scorer.learning_rate: unknown key\n",
     "config-l2-nan": "config error: scorer: l2 must be finite, got nan\n",
+    "config-rate-string":
+        "config error: dataset.negatives.target_positive_rate: expected a number, got 'x'\n",
+    "config-rate-nan": "config error: dataset.negatives: target_positive_rate must be in (0, 1)\n",
     "config-l2-infinity": "config error: scorer: l2 must be finite, got inf\n",
     "config-fractions-nan": "config error: split: fractions must be non-negative\n",
     "config-temperature-nan":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import kmer_oracle as oracle
+import train_oracle
 from dataset_rows import dataset_of
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import (
@@ -462,6 +463,23 @@ class TestTrainLinear:
         b = train_linear(data, TrainingConfig())
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias == b.bias
+
+    def test_loss_non_increasing_at_default_settings(self):
+        # momentum alone does not promise a monotone loss; on this separable
+        # set at the default settings every epoch still lowers it
+        data = toy_train_set()
+        losses = []
+        # the oracle computes the exact loss of every iterate; train_linear
+        # only the final one, which must be the oracle's
+        oracle = train_oracle.train_linear(
+            data, TrainingConfig(), loss_callback=lambda k, loss: losses.append(loss)
+        )
+        model = train_linear(data, TrainingConfig())
+        assert model.final_train_loss.hex() == oracle.final_train_loss.hex()
+        assert len(losses) == TrainingConfig().epochs + 1
+        assert losses[-1].hex() == model.final_train_loss.hex()
+        for earlier, later in zip(losses, losses[1:]):
+            assert later <= earlier + 1e-12
 
     def test_single_class_rejected(self):
         examples = [make_example(ex_id=f"p{i}", label=1) for i in range(3)]
