@@ -68,6 +68,7 @@ from .scorer import (
     train_linear,
 )
 from .splits import (
+    SplitConfig,
     SplitManifest,
     split_distance_aware,
     split_epitope_held_out,
@@ -97,6 +98,7 @@ __all__ = [
     "RunConfig",
     "ScoreTable",
     "SequenceExample",
+    "SplitConfig",
     "SplitManifest",
     "SyntheticSpec",
     "TemperatureModel",

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import brier, ece, nll
-from .config import PROTOCOLS, SCORER_MODES, ConfigError, RunConfig, load_config
+from .config import SCORER_MODES, ConfigError, RunConfig, load_config
 from .conformal import (
     DecisionTable,
     PipelineResult,
@@ -37,6 +37,7 @@ from .scorer import export_logits, ids_fingerprint, score, sigmoid, train_linear
 from .splits import (
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
+    PROTOCOLS,
     SplitManifest,
     split_distance_aware,
     split_epitope_held_out,
@@ -92,24 +93,14 @@ def _load_dataset(config: RunConfig) -> Dataset:
 
 
 def _make_manifest(config: RunConfig, data: Dataset) -> SplitManifest:
+    # the split functions are looked up when called, so a wrapper bound to
+    # this module's names sees every split
     split = config.split
     if split.protocol == PROTOCOL_RANDOM:
-        return split_random(data, fractions=split.fractions, seed=split.seed)
+        return split_random(data, split)
     if split.protocol == PROTOCOL_EPITOPE_HELD_OUT:
-        return split_epitope_held_out(
-            data,
-            k_test_epitopes=split.k_test_epitopes,
-            cal_fraction=split.cal_fraction,
-            seed=split.seed,
-            epitope_disjoint_cal=split.epitope_disjoint_cal,
-        )
-    return split_distance_aware(
-        data,
-        identity_ceiling=split.identity_ceiling,
-        cal_fraction=split.cal_fraction,
-        test_fraction=split.test_fraction,
-        seed=split.seed,
-    )
+        return split_epitope_held_out(data, split)
+    return split_distance_aware(data, split)
 
 
 def _get_manifest(

@@ -20,21 +20,9 @@ from .conformal import check_epsilon
 from .data import check_column_keys, check_identity_threshold, check_open_unit
 from .metrics import DEFAULT_COVERAGE_GRID, check_grid
 from .scorer import TrainingConfig
-from .splits import (
-    DEFAULT_CAL_FRACTION,
-    DEFAULT_FRACTIONS,
-    DEFAULT_IDENTITY_CEILING,
-    DEFAULT_K_TEST_EPITOPES,
-    DEFAULT_TEST_FRACTION,
-    PROTOCOL_DISTANCE_AWARE,
-    PROTOCOL_EPITOPE_HELD_OUT,
-    PROTOCOL_RANDOM,
-    check_fractions,
-    check_k_test_epitopes,
-)
+from .splits import SplitConfig
 from .synthetic import SyntheticSpec, check_n_trials, check_sizes
 
-PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
 SCORER_MODES = ("builtin", "logits")
 
 
@@ -63,25 +51,6 @@ class DatasetConfig:
             check_column_keys(self.columns)
         if self.dedup_identity is not None:
             check_identity_threshold("dedup_identity", self.dedup_identity)
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    protocol: str = PROTOCOL_RANDOM
-    seed: int = 13
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
-    k_test_epitopes: int = DEFAULT_K_TEST_EPITOPES
-    cal_fraction: float = DEFAULT_CAL_FRACTION
-    identity_ceiling: float = DEFAULT_IDENTITY_CEILING
-    test_fraction: float = DEFAULT_TEST_FRACTION
-    epitope_disjoint_cal: bool = False
-
-    def __post_init__(self) -> None:
-        check_fractions(self.fractions)
-        check_k_test_epitopes(self.k_test_epitopes)
-        check_open_unit("cal_fraction", self.cal_fraction)
-        check_open_unit("identity_ceiling", self.identity_ceiling)
-        check_open_unit("test_fraction", self.test_fraction)
 
 
 @dataclass(frozen=True)
@@ -213,11 +182,6 @@ def _as_list(value: Any, where: str) -> list:
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    if config.split.protocol not in PROTOCOLS:
-        raise ConfigError(
-            f"split.protocol: must be one of {', '.join(PROTOCOLS)}, "
-            f"got {config.split.protocol!r}"
-        )
     if config.scorer.mode not in SCORER_MODES:
         raise ConfigError(
             f"scorer.mode: must be one of {', '.join(SCORER_MODES)}, "

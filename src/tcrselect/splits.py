@@ -27,12 +27,38 @@ from .distance import cluster_by_identity
 PROTOCOL_RANDOM = "random"
 PROTOCOL_EPITOPE_HELD_OUT = "epitope_held_out"
 PROTOCOL_DISTANCE_AWARE = "distance_aware"
+PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
 
-DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
-DEFAULT_CAL_FRACTION = 0.107  # calibration share of the non-test pairs
-DEFAULT_K_TEST_EPITOPES = 15
-DEFAULT_IDENTITY_CEILING = 0.7
-DEFAULT_TEST_FRACTION = 0.2
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """Every split setting, checked once here. protocol chooses the split a
+    command makes; each split function reads only its own fields."""
+
+    protocol: str = PROTOCOL_RANDOM
+    seed: int = 13
+    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)  # train, cal, test
+    k_test_epitopes: int = 15
+    cal_fraction: float = 0.107  # calibration share of the non-test pairs
+    identity_ceiling: float = 0.7
+    test_fraction: float = 0.2
+    epitope_disjoint_cal: bool = False
+
+    def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(
+                f"protocol must be one of {', '.join(PROTOCOLS)}, got {self.protocol!r}"
+            )
+        if len(self.fractions) != 3:
+            raise ValueError("fractions must have exactly 3 entries")
+        if not all(f >= 0 for f in self.fractions):  # NaN fails too
+            raise ValueError("fractions must be non-negative")
+        if not abs(sum(self.fractions) - 1.0) <= 1e-9:
+            raise ValueError(f"fractions must sum to 1, got {sum(self.fractions)!r}")
+        if self.k_test_epitopes < 0:
+            raise ValueError("k_test_epitopes must be >= 0")
+        for name in ("cal_fraction", "identity_ceiling", "test_fraction"):
+            check_open_unit(name, getattr(self, name))
 
 
 # each key of a manifest file, its type, and how an error names that type
@@ -128,7 +154,8 @@ class SplitManifest:
             raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
         for key, (kind, name) in _MANIFEST_TYPES.items():
             value = raw[key]
-            if not isinstance(value, kind) or (
+            # bool is an int subclass, and no manifest key takes one
+            if not isinstance(value, kind) or isinstance(value, bool) or (
                 kind is list and not all(isinstance(i, str) for i in value)
             ):
                 raise ValueError(f"{where}: {key} must be {name}")
@@ -212,85 +239,64 @@ def _where(column: Sequence[str], mask: np.ndarray) -> list[str]:
     return list(compress(column, mask.tolist()))
 
 
-def check_fractions(fractions: Sequence[float]) -> None:
-    """Raise unless fractions are three non-negative shares summing to 1."""
-    if len(fractions) != 3:
-        raise ValueError("fractions must have exactly 3 entries")
-    if not all(f >= 0 for f in fractions):  # NaN fails too
-        raise ValueError("fractions must be non-negative")
-    if not abs(sum(fractions) - 1.0) <= 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
+def _fill(order: Sequence, sizes: Mapping | Sequence[int], target: float) -> list:
+    """The groups of order, taken one at a time until they hold at least
+    target rows; the last group taken may overshoot."""
+    taken, total = [], 0
+    for group in order:
+        if total >= target - 1e-9:
+            break
+        taken.append(group)
+        total += sizes[group]
+    return taken
 
 
-def check_k_test_epitopes(k_test_epitopes: int) -> None:
-    """Raise unless the number of held-out epitopes is non-negative."""
-    if k_test_epitopes < 0:
-        raise ValueError("k_test_epitopes must be >= 0")
-
-
-def split_random(
-    data: Dataset,
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    seed: int = 0,
-) -> SplitManifest:
+def split_random(data: Dataset, config: SplitConfig) -> SplitManifest:
     """Label-stratified random split into train/cal/test.
 
-    fractions are (train, cal, test) shares, each >= 0, summing to 1 within
-    1e-9. The middle share is the calibration set.
+    config.fractions are the (train, cal, test) shares; the middle one is the
+    calibration set.
     """
-    check_fractions(fractions)
-    rng = random.Random(seed)
-    train, cal, test = _stratified_three_way(data.ids, data.labels, fractions, rng)
+    rng = random.Random(config.seed)
+    train, cal, test = _stratified_three_way(data.ids, data.labels, config.fractions, rng)
     return SplitManifest(
         protocol=PROTOCOL_RANDOM,
-        seed=seed,
-        parameters={"fractions": list(fractions)},
+        seed=config.seed,
+        parameters={"fractions": list(config.fractions)},
         train_ids=tuple(train),
         cal_ids=tuple(cal),
         test_ids=tuple(test),
     )
 
 
-def split_epitope_held_out(
-    data: Dataset,
-    k_test_epitopes: int = DEFAULT_K_TEST_EPITOPES,
-    cal_fraction: float = DEFAULT_CAL_FRACTION,
-    seed: int = 0,
-    epitope_disjoint_cal: bool = False,
-) -> SplitManifest:
-    """Hold out k whole epitopes as the test set.
+def split_epitope_held_out(data: Dataset, config: SplitConfig) -> SplitManifest:
+    """Hold out config.k_test_epitopes whole epitopes as the test set.
 
     Test epitopes are sampled without replacement from the sorted distinct
     epitope ids. Remaining examples split into train/cal at the pair level,
-    stratified by label. With epitope_disjoint_cal the calibration set is
-    instead built from whole held-out epitopes too (three-way epitope split),
-    greedily accumulated to about cal_fraction of the non-test examples.
+    stratified by label. With config.epitope_disjoint_cal the calibration set
+    is instead built from whole held-out epitopes too (three-way epitope
+    split), shuffled epitopes taken until they hold cal_fraction of the
+    non-test examples.
     """
-    check_open_unit("cal_fraction", cal_fraction)
+    k_test_epitopes, cal_fraction = config.k_test_epitopes, config.cal_fraction
     distinct = sorted(set(data.epitope_id))
-    check_k_test_epitopes(k_test_epitopes)
     if k_test_epitopes >= len(distinct):
         raise ValueError(
             f"k_test_epitopes={k_test_epitopes} but only {len(distinct)} distinct epitope(s)"
         )
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     held_out = set(rng.sample(distinct, k_test_epitopes))
     in_test = np.fromiter(map(held_out.__contains__, data.epitope_id), bool, len(data))
     test_ids = _where(data.ids, in_test)
     rest_ids = _where(data.ids, ~in_test)
-    if epitope_disjoint_cal:
+    if config.epitope_disjoint_cal:
         rest_epitope = _where(data.epitope_id, ~in_test)
         rest_epitopes = sorted(set(rest_epitope))
         rng.shuffle(rest_epitopes)
-        budget = cal_fraction * len(rest_ids) - 1e-9
-        cal_epitopes: set[str] = set()
-        total = 0
-        sizes = Counter(rest_epitope)
-        for ep in rest_epitopes:
-            if total >= budget:
-                break
-            cal_epitopes.add(ep)
-            total += sizes[ep]
+        cal_epitopes = set(
+            _fill(rest_epitopes, Counter(rest_epitope), cal_fraction * len(rest_ids))
+        )
         in_cal = np.fromiter(map(cal_epitopes.__contains__, rest_epitope), bool, len(rest_ids))
         cal_ids = _where(rest_ids, in_cal)
         train_ids = _where(rest_ids, ~in_cal)
@@ -300,11 +306,11 @@ def split_epitope_held_out(
         )
     return SplitManifest(
         protocol=PROTOCOL_EPITOPE_HELD_OUT,
-        seed=seed,
+        seed=config.seed,
         parameters={
             "k_test_epitopes": k_test_epitopes,
             "cal_fraction": cal_fraction,
-            "epitope_disjoint_cal": epitope_disjoint_cal,
+            "epitope_disjoint_cal": config.epitope_disjoint_cal,
         },
         train_ids=tuple(train_ids),
         cal_ids=tuple(cal_ids),
@@ -312,24 +318,16 @@ def split_epitope_held_out(
     )
 
 
-def split_distance_aware(
-    data: Dataset,
-    identity_ceiling: float = DEFAULT_IDENTITY_CEILING,
-    cal_fraction: float = DEFAULT_CAL_FRACTION,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
-    seed: int = 0,
-) -> SplitManifest:
+def split_distance_aware(data: Dataset, config: SplitConfig) -> SplitManifest:
     """Assign whole cdr3b identity clusters to test.
 
     Single-linkage clusters over distinct cdr3b strings at identity >=
-    identity_ceiling guarantee every test cdr3b has identity < ceiling to every
-    train/cal cdr3b. Shuffled clusters accumulate into test until its share
-    reaches test_fraction (the last cluster may overshoot); the rest splits
-    into train/cal at the pair level, stratified by label.
+    config.identity_ceiling guarantee every test cdr3b has identity < ceiling
+    to every train/cal cdr3b. Shuffled clusters are taken into test until it
+    holds test_fraction of the examples (the last cluster may overshoot); the
+    rest splits into train/cal at the pair level, stratified by label.
     """
-    check_open_unit("identity_ceiling", identity_ceiling)
-    check_open_unit("cal_fraction", cal_fraction)
-    check_open_unit("test_fraction", test_fraction)
+    identity_ceiling, cal_fraction = config.identity_ceiling, config.cal_fraction
     if len(data) == 0:
         raise ValueError("dataset is empty")
     distinct = sorted(set(data.cdr3b))
@@ -347,17 +345,11 @@ def split_distance_aware(
             f"largest cdr3b cluster holds {biggest}/{n} examples (> 80%); "
             f"a distance-aware split at ceiling {identity_ceiling} is unsatisfiable"
         )
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     order = list(range(len(clusters)))
     rng.shuffle(order)
-    budget = test_fraction * n - 1e-9
     in_test_cluster = np.zeros(len(clusters), dtype=bool)
-    total = 0
-    for cluster_idx in order:
-        if total >= budget:
-            break
-        in_test_cluster[cluster_idx] = True
-        total += counts[cluster_idx]
+    in_test_cluster[_fill(order, counts, config.test_fraction * n)] = True
     in_test = in_test_cluster[cluster]
     test_ids = _where(data.ids, in_test)
     train_ids, cal_ids, _ = _stratified_three_way(
@@ -366,11 +358,11 @@ def split_distance_aware(
     )
     return SplitManifest(
         protocol=PROTOCOL_DISTANCE_AWARE,
-        seed=seed,
+        seed=config.seed,
         parameters={
             "identity_ceiling": identity_ceiling,
             "cal_fraction": cal_fraction,
-            "test_fraction": test_fraction,
+            "test_fraction": config.test_fraction,
         },
         train_ids=tuple(train_ids),
         cal_ids=tuple(cal_ids),

@@ -5,8 +5,9 @@ columns: a validated SequenceExample per row, the tuple-backed Dataset with
 its subset, the row-by-row ingest_tsv, deduplicate, and the three split
 protocols with the stratified allocator they share. The column store must
 give the same columns, the same errors (class, message and line) and the
-same manifests. The TSV errors, defaults and the manifest type are the
-package's own.
+same manifests. The TSV errors, column defaults and the manifest type are
+the package's own. The splits keep their old keyword API, with SplitConfig's
+default shares written out as literals.
 """
 
 import csv
@@ -18,11 +19,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from tcrselect.data import AMINO_ACIDS, DEFAULT_COLUMNS, TsvRowError, TsvSchemaError
 from tcrselect.distance import CandidateIndex, cluster_by_identity, identity_at_least
 from tcrselect.splits import (
-    DEFAULT_CAL_FRACTION,
-    DEFAULT_FRACTIONS,
-    DEFAULT_IDENTITY_CEILING,
-    DEFAULT_K_TEST_EPITOPES,
-    DEFAULT_TEST_FRACTION,
     PROTOCOL_DISTANCE_AWARE,
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
@@ -266,7 +262,7 @@ def _stratified_three_way(
 
 def split_random(
     data: Dataset,
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
+    fractions: Sequence[float] = (0.7, 0.1, 0.2),
     seed: int = 0,
 ) -> SplitManifest:
     """Label-stratified random split into train/cal/test.
@@ -294,8 +290,8 @@ def split_random(
 
 def split_epitope_held_out(
     data: Dataset,
-    k_test_epitopes: int = DEFAULT_K_TEST_EPITOPES,
-    cal_fraction: float = DEFAULT_CAL_FRACTION,
+    k_test_epitopes: int = 15,
+    cal_fraction: float = 0.107,
     seed: int = 0,
     epitope_disjoint_cal: bool = False,
 ) -> SplitManifest:
@@ -356,9 +352,9 @@ def split_epitope_held_out(
 
 def split_distance_aware(
     data: Dataset,
-    identity_ceiling: float = DEFAULT_IDENTITY_CEILING,
-    cal_fraction: float = DEFAULT_CAL_FRACTION,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
+    identity_ceiling: float = 0.7,
+    cal_fraction: float = 0.107,
+    test_fraction: float = 0.2,
     seed: int = 0,
 ) -> SplitManifest:
     """Assign whole cdr3b identity clusters to test.

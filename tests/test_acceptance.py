@@ -28,6 +28,7 @@ from tcrselect.distance import identity, levenshtein
 from tcrselect.metrics import auroc, coverage_risk_sweep
 from tcrselect.scorer import TrainingConfig, class_weights, loss_and_grad, sigmoid
 from tcrselect.splits import (
+    SplitConfig,
     split_distance_aware,
     split_epitope_held_out,
     split_random,
@@ -96,7 +97,7 @@ def test_criterion_2_temperature_recovery():
 def test_criterion_3_auroc_invariance():
     with criterion(3, "AUROC identical before and after temperature scaling"):
         data = motif_corpus(600, seed=5)
-        manifest = split_random(data, seed=5)
+        manifest = split_random(data, SplitConfig(seed=5))
         result = run_pipeline(data, manifest, 0.2, TrainingConfig())
         labels = data.labels_by_id()
         test_labels = [labels[i] for i in result.test.ids]
@@ -185,7 +186,7 @@ def test_criterion_6_split_guarantees():
         toy = ingest_tsv(toy_dataset_path())
         by_id = {ex.id: ex for ex in toy}
         for seed in (0, 1, 2):
-            manifest = split_epitope_held_out(toy, k_test_epitopes=2, seed=seed)
+            manifest = split_epitope_held_out(toy, SplitConfig(k_test_epitopes=2, seed=seed))
             test_epitopes = {by_id[i].epitope_id for i in manifest.test_ids}
             rest_epitopes = {
                 by_id[i].epitope_id
@@ -193,7 +194,7 @@ def test_criterion_6_split_guarantees():
             }
             assert not (test_epitopes & rest_epitopes)
         for seed in (0, 1):
-            manifest = split_distance_aware(toy, identity_ceiling=0.7, seed=seed)
+            manifest = split_distance_aware(toy, SplitConfig(identity_ceiling=0.7, seed=seed))
             worst = max(
                 identity(by_id[t].cdr3b, by_id[r].cdr3b)
                 for t in manifest.test_ids
@@ -205,7 +206,7 @@ def test_criterion_6_split_guarantees():
 def test_criterion_7_coverage_risk_trend():
     with criterion(7, "risk(0.8) < risk(1.0), non-increasing along grid"):
         data = motif_corpus(2000, seed=0)
-        manifest = split_random(data, seed=0)
+        manifest = split_random(data, SplitConfig(seed=0))
         result = run_pipeline(data, manifest, 0.2, TrainingConfig())
         curve = coverage_risk_sweep(result.decisions.probs, result.test.labels)
         by_coverage = {p.coverage: p.error_rate for p in curve.points}

@@ -207,6 +207,10 @@ MALFORMED = {
         "protocol": "random", "seed": "0", "parameters": {},
         "train_ids": TOY_IDS[:120], "cal_ids": TOY_IDS[120:160], "test_ids": TOY_IDS[160:],
     }), 1),
+    "manifest-seed-bool": ("manifest", "m.json", json.dumps({
+        "protocol": "random", "seed": True, "parameters": {},
+        "train_ids": TOY_IDS[:120], "cal_ids": TOY_IDS[120:160], "test_ids": TOY_IDS[160:],
+    }), 1),
     "config-not-json": ("config", "cfg.json", "{not json", 2),
     "config-not-utf8": ("config", "cfg.json", b"{\"a\": \"\xff\"}", 2),
     "config-not-object": ("config", "cfg.json", json.dumps({"conformal": 3}), 2),
@@ -366,6 +370,9 @@ MALFORMED_MESSAGES = {
     "manifest-id-not-string": "error: manifest {path}: test_ids must be a list of strings\n",
     "manifest-id-null": "error: manifest {path}: test_ids must be a list of strings\n",
     "manifest-seed-string": "error: manifest {path}: seed must be an int\n",
+    "manifest-seed-bool": "error: manifest {path}: seed must be an int\n",
+    "config-bad-protocol": "config error: split: protocol must be one of random, "
+    "epitope_held_out, distance_aware, got 'x'\n",
     "config-empty-train-part-run": "error: the train part of the split is empty\n",
     "config-empty-train-part-score": "error: the train part of the split is empty\n",
 }
@@ -408,28 +415,33 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
 
 def test_benchmark_tracer_sees_every_target(tmp_path):
     # perfbench/traced_cli.py rebinds package names from outside; a renamed
-    # target or a changed result type would silently drop its spans or counts
+    # target, a changed result type or a split function captured before the
+    # rebinding would silently drop its spans or counts
     repo = Path(__file__).resolve().parents[1]
     package_root = Path(tcrselect.__file__).resolve().parents[1]
-    spans_path, out = tmp_path / "spans.json", tmp_path / "out"
-    subprocess.run(
-        [sys.executable, str(repo / "perfbench" / "traced_cli.py"), str(spans_path), "count",
-         "--", "run", "--dataset", str(toy_dataset_path()), "--epsilon", "0.5",
-         "--out", str(out)],
-        capture_output=True, text=True, check=True, cwd=repo,
-        env=dict(os.environ, PYTHONPATH=str(package_root)),
-    )
-    trace = json.loads(spans_path.read_text())
-    assert trace["missing_targets"] == []
-    assert [s["name"] for s in trace["spans"] if "count_error" in s] == []
-    (decide_span,) = [s for s in trace["spans"] if s["name"] == "conformal.decide"]
-    rows = [
-        line.split("\t") for line in (out / "decisions.tsv").read_text().splitlines()
-        if not line.startswith("#")
-    ][1:]
-    abstained = sum(row[3] == "abstain" for row in rows)
-    assert decide_span["counts"] == {"decisions": len(rows), "abstained": abstained}
-    assert 0 < abstained < len(rows)
+    for protocol in ("random", "epitope_held_out", "distance_aware"):
+        spans_path, out = tmp_path / f"{protocol}.json", tmp_path / protocol
+        subprocess.run(
+            [sys.executable, str(repo / "perfbench" / "traced_cli.py"), str(spans_path), "count",
+             "--", "run", "--dataset", str(toy_dataset_path()), "--epsilon", "0.5",
+             "--protocol", protocol, "--k-epitopes", "2", "--out", str(out)],
+            capture_output=True, text=True, check=True, cwd=repo,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        trace = json.loads(spans_path.read_text())
+        assert trace["missing_targets"] == []
+        assert [s["name"] for s in trace["spans"] if "count_error" in s] == []
+        (split_span,) = [s for s in trace["spans"] if s["name"] == "splits.split"]
+        test_ids = json.loads((out / "manifest.json").read_text())["test_ids"]
+        assert split_span["counts"] == {"test": len(test_ids), "rows": 200}, protocol
+        (decide_span,) = [s for s in trace["spans"] if s["name"] == "conformal.decide"]
+        rows = [
+            line.split("\t") for line in (out / "decisions.tsv").read_text().splitlines()
+            if not line.startswith("#")
+        ][1:]
+        abstained = sum(row[3] == "abstain" for row in rows)
+        assert decide_span["counts"] == {"decisions": len(rows), "abstained": abstained}
+        assert 0 < abstained < len(rows), protocol
 
 
 def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -573,6 +585,35 @@ class TestSplit:
         assert manifest["seed"] == 5
         sizes = {k: len(manifest[k]) for k in ("train_ids", "cal_ids", "test_ids")}
         assert sum(sizes.values()) == 200
+
+
+OUTPUT_PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
+# the split flags of each pinned case; epitope_disjoint_cal also loads a config
+SPLIT_CASES = {
+    "random": ["--protocol", "random"],
+    "epitope_held_out": ["--protocol", "epitope_held_out", "--k-epitopes", "2"],
+    "epitope_disjoint_cal": ["--protocol", "epitope_held_out", "--k-epitopes", "2"],
+    "distance_aware": ["--protocol", "distance_aware"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUT_PINS["split"]))
+def test_split_manifest_bytes_are_pinned(tmp_path, capsys, key):
+    # a split that moves any id shows up as a changed pin in output_pins.json;
+    # no float arithmetic that depends on the CPU reaches a manifest
+    case, seed = key.split("/")
+    out = tmp_path / "s"
+    argv = ["split", "--dataset", str(toy_dataset_path()), "--out", str(out),
+            *SPLIT_CASES[case], "--split-seed", seed]
+    if case == "epitope_disjoint_cal":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"split": {"epitope_disjoint_cal": True,
+                                                "cal_fraction": 0.3}}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
+    written = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert capsys.readouterr().out.endswith(f"manifest fingerprint {written}\n")
+    assert written == OUTPUT_PINS["split"][key]
 
 
 def test_manifest_fingerprint_is_hash_of_written_file(tmp_path):

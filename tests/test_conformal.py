@@ -26,7 +26,7 @@ from tcrselect.conformal import (
 )
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import TrainingConfig
-from tcrselect.splits import SplitManifest, split_random
+from tcrselect.splits import SplitConfig, SplitManifest, split_random
 
 
 def oracle_threshold(scores, epsilon):
@@ -218,7 +218,7 @@ def pipeline_corpus(n=120, n_pos=40):
 
 class TestRunPipeline:
     def split(self, data, seed=2):
-        return split_random(data, seed=seed)
+        return split_random(data, SplitConfig(seed=seed))
 
     def test_end_to_end_wiring(self):
         data = pipeline_corpus()

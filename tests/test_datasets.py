@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 import dataset_oracle as oracle
 from dataset_rows import dataset_of
 from tcrselect.data import Dataset, deduplicate, export_tsv, ingest_tsv
-from tcrselect.splits import split_distance_aware, split_epitope_held_out, split_random
+from tcrselect.splits import (
+    SplitConfig,
+    split_distance_aware,
+    split_epitope_held_out,
+    split_random,
+)
 from tcrselect.toycorpus import motif_corpus
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -289,7 +294,7 @@ SPLITS = {
 def test_splits_match_oracle(corpus_pair, protocol, seed):
     _, data, old = corpus_pair
     split, split_oracle, kwargs = SPLITS[protocol]
-    manifest = split(data, seed=seed, **kwargs)
+    manifest = split(data, SplitConfig(seed=seed, **kwargs))
     assert manifest.to_json() == split_oracle(old, seed=seed, **kwargs).to_json()
     for ids in (manifest.train_ids, manifest.cal_ids, manifest.test_ids):
         assert columns_of(data.subset(ids)) == columns_of(old.subset(ids))

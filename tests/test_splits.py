@@ -10,6 +10,7 @@ from dataset_rows import dataset_of
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.distance import identity
 from tcrselect.splits import (
+    SplitConfig,
     SplitManifest,
     split_distance_aware,
     split_epitope_held_out,
@@ -81,7 +82,7 @@ class TestManifest:
         assert str(err.value) == f"manifest {part}_ids lists id 'e' more than once"
 
     def test_json_round_trip(self, tmp_path):
-        manifest = split_random(corpus(40, 8), seed=3)
+        manifest = split_random(corpus(40, 8), SplitConfig(seed=3))
         path = tmp_path / "manifest.json"
         path.write_text(manifest.to_json())
         loaded = SplitManifest.load(path)
@@ -91,14 +92,14 @@ class TestManifest:
         assert loaded.fingerprint() == manifest.fingerprint()
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
-        manifest = split_random(corpus(40, 8), seed=3)
+        manifest = split_random(corpus(40, 8), SplitConfig(seed=3))
         path = tmp_path / "manifest.json"
         path.write_text(manifest.to_json(), encoding="utf-8-sig")
         assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
         assert SplitManifest.load(path).fingerprint() == manifest.fingerprint()
 
     def test_serialized_ids_sorted(self):
-        manifest = split_random(corpus(40, 8), seed=3)
+        manifest = split_random(corpus(40, 8), SplitConfig(seed=3))
         payload = json.loads(manifest.to_json())
         assert payload["train_ids"] == sorted(payload["train_ids"])
 
@@ -106,7 +107,7 @@ class TestManifest:
 class TestSplitRandom:
     def test_worked_sizes_and_strata(self):
         data = corpus(100, 5)
-        manifest = split_random(data, fractions=(0.7, 0.1, 0.2), seed=1)
+        manifest = split_random(data, SplitConfig(fractions=(0.7, 0.1, 0.2), seed=1))
         assert len(manifest.train_ids) == 70
         assert len(manifest.cal_ids) == 10
         assert len(manifest.test_ids) == 20
@@ -116,37 +117,37 @@ class TestSplitRandom:
 
     def test_partition_is_complete(self):
         data = corpus(100, 5)
-        manifest = split_random(data, seed=1)
+        manifest = split_random(data, SplitConfig(seed=1))
         all_ids = sorted(manifest.train_ids + manifest.cal_ids + manifest.test_ids)
         assert all_ids == sorted(data.ids)
 
     def test_empty_test_fraction(self):
         data = corpus(40, 8)
-        manifest = split_random(data, fractions=(0.5, 0.5, 0.0), seed=2)
+        manifest = split_random(data, SplitConfig(fractions=(0.5, 0.5, 0.0), seed=2))
         assert manifest.test_ids == ()
         assert len(manifest.train_ids) == 20
         assert len(manifest.cal_ids) == 20
 
     def test_determinism_across_equal_datasets(self):
-        a = split_random(corpus(60, 12), seed=9)
-        b = split_random(corpus(60, 12), seed=9)
+        a = split_random(corpus(60, 12), SplitConfig(seed=9))
+        b = split_random(corpus(60, 12), SplitConfig(seed=9))
         assert a.to_json() == b.to_json()
 
     def test_stratum_too_small(self):
         data = corpus(30, 1)
         with pytest.raises(ValueError, match="label=1"):
-            split_random(data, fractions=(0.4, 0.3, 0.3), seed=0)
+            split_random(data, SplitConfig(fractions=(0.4, 0.3, 0.3), seed=0))
 
     def test_bad_fractions(self):
         data = corpus(30, 6)
         with pytest.raises(ValueError):
-            split_random(data, fractions=(0.7, 0.1, 0.1), seed=0)
+            split_random(data, SplitConfig(fractions=(0.7, 0.1, 0.1), seed=0))
 
     @given(st.integers(min_value=0, max_value=999))
     @settings(max_examples=25, deadline=None)
     def test_rates_near_global(self, seed):
         data = corpus(100, 30)
-        manifest = split_random(data, seed=seed)
+        manifest = split_random(data, SplitConfig(seed=seed))
         for ids in (manifest.train_ids, manifest.cal_ids, manifest.test_ids):
             n_pos = sum(labels_of(data, ids))
             assert abs(n_pos - 0.3 * len(ids)) <= 1.0
@@ -155,7 +156,7 @@ class TestSplitRandom:
 class TestSplitEpitopeHeldOut:
     def test_held_out_epitopes_absent_from_train_and_cal(self):
         data = corpus(80, 20, n_epitopes=8)
-        manifest = split_epitope_held_out(data, k_test_epitopes=3, seed=5)
+        manifest = split_epitope_held_out(data, SplitConfig(k_test_epitopes=3, seed=5))
         rows = by_id(data)
         test_eps = {rows[i].epitope_id for i in manifest.test_ids}
         held_in = {
@@ -167,7 +168,7 @@ class TestSplitEpitopeHeldOut:
 
     def test_every_held_out_example_lands_in_test(self):
         data = corpus(80, 20, n_epitopes=8)
-        manifest = split_epitope_held_out(data, k_test_epitopes=3, seed=5)
+        manifest = split_epitope_held_out(data, SplitConfig(k_test_epitopes=3, seed=5))
         rows = by_id(data)
         test_eps = {rows[i].epitope_id for i in manifest.test_ids}
         expected = [ex.id for ex in data if ex.epitope_id in test_eps]
@@ -175,19 +176,19 @@ class TestSplitEpitopeHeldOut:
 
     def test_k_zero_gives_empty_test(self):
         data = corpus(40, 10, n_epitopes=4)
-        manifest = split_epitope_held_out(data, k_test_epitopes=0, seed=5)
+        manifest = split_epitope_held_out(data, SplitConfig(k_test_epitopes=0, seed=5))
         assert manifest.test_ids == ()
         assert len(manifest.train_ids) + len(manifest.cal_ids) == 40
 
     def test_k_equal_to_epitope_count_rejected(self):
         data = corpus(40, 10, n_epitopes=4)
         with pytest.raises(ValueError):
-            split_epitope_held_out(data, k_test_epitopes=4, seed=5)
+            split_epitope_held_out(data, SplitConfig(k_test_epitopes=4, seed=5))
 
     def test_cal_fraction_respected(self):
         data = corpus(800, 200, n_epitopes=8)
         manifest = split_epitope_held_out(
-            data, k_test_epitopes=2, cal_fraction=0.25, seed=5
+            data, SplitConfig(k_test_epitopes=2, cal_fraction=0.25, seed=5)
         )
         held_in = len(manifest.train_ids) + len(manifest.cal_ids)
         assert len(manifest.cal_ids) == pytest.approx(0.25 * held_in, abs=1)
@@ -195,8 +196,8 @@ class TestSplitEpitopeHeldOut:
     def test_epitope_disjoint_cal_flag(self):
         data = corpus(200, 40, n_epitopes=10)
         manifest = split_epitope_held_out(
-            data, k_test_epitopes=2, cal_fraction=0.3, seed=5,
-            epitope_disjoint_cal=True,
+            data,
+            SplitConfig(k_test_epitopes=2, cal_fraction=0.3, seed=5, epitope_disjoint_cal=True),
         )
         rows = by_id(data)
         train_eps = {rows[i].epitope_id for i in manifest.train_ids}
@@ -217,7 +218,7 @@ class TestSplitDistanceAware:
         data = corpus(
             60, 20, n_epitopes=4, cdr3b=lambda i: family_cdr3b(i % 4, i // 4)
         )
-        manifest = split_distance_aware(data, seed=11)
+        manifest = split_distance_aware(data, SplitConfig(seed=11))
         rows = by_id(data)
         test_b = {rows[i].cdr3b for i in manifest.test_ids}
         held_b = {
@@ -232,12 +233,12 @@ class TestSplitDistanceAware:
     def test_all_identical_cdr3b_rejected(self):
         data = corpus(40, 10, cdr3b=lambda i: "CASSAAAAAAF")
         with pytest.raises(ValueError, match="cluster"):
-            split_distance_aware(data, seed=0)
+            split_distance_aware(data, SplitConfig(seed=0))
 
     def test_singleton_clusters_give_near_target_test(self):
         data = corpus(100, 25)
         manifest = split_distance_aware(
-            data, identity_ceiling=0.999, test_fraction=0.2, seed=3
+            data, SplitConfig(identity_ceiling=0.999, test_fraction=0.2, seed=3)
         )
         # all-distinct cdr3b at ceiling 0.999: clusters are singletons, so the
         # greedy accumulation can hit the budget exactly
@@ -247,12 +248,12 @@ class TestSplitDistanceAware:
         data = corpus(
             60, 20, n_epitopes=4, cdr3b=lambda i: family_cdr3b(i % 4, i // 4)
         )
-        manifest = split_distance_aware(data, seed=11)
+        manifest = split_distance_aware(data, SplitConfig(seed=11))
         all_ids = sorted(manifest.train_ids + manifest.cal_ids + manifest.test_ids)
         assert all_ids == sorted(data.ids)
 
     def test_determinism(self):
         data = corpus(60, 20, cdr3b=lambda i: family_cdr3b(i % 4, i // 4))
-        a = split_distance_aware(data, seed=7)
-        b = split_distance_aware(data, seed=7)
+        a = split_distance_aware(data, SplitConfig(seed=7))
+        b = split_distance_aware(data, SplitConfig(seed=7))
         assert a.to_json() == b.to_json()

@@ -24,7 +24,7 @@ from tcrselect.scorer import (
     encode_kmers,
     train_linear,
 )
-from tcrselect.splits import split_random
+from tcrselect.splits import SplitConfig, split_random
 from tcrselect.toycorpus import motif_corpus
 
 AMINO = "ACDEFGHIKLMNPQRSTVWY"
@@ -133,7 +133,7 @@ def test_smoothness_bound_is_an_upper_bound(instance, l2):
 
 def test_smoothness_bound_is_tight_on_motif_corpus():
     data = motif_corpus(2000, 1)
-    train = data.subset(split_random(data, seed=13).train_ids)
+    train = data.subset(split_random(data, SplitConfig(seed=13)).train_ids)
     X = _training_matrix(encode_kmers(train, 3))
     y = train.labels.astype(float)
     n_pos = int(y.sum())
