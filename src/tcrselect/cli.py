@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -81,6 +82,8 @@ def _load_dataset(config: RunConfig) -> Dataset:
     if config.dataset.path is None:
         raise ConfigError("dataset.path: required for this command")
     data = ingest_tsv(config.dataset.path, columns=config.dataset.columns)
+    if len(data) == 0:
+        raise ValueError(f"dataset {config.dataset.path}: no data rows")
     if config.dataset.dedup_identity is not None:
         data = deduplicate(data, config.dataset.dedup_identity)
     if config.dataset.negatives is not None:
@@ -338,7 +341,7 @@ def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
 def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
     sim = runner.config.simulate
     if sim.sizes:
-        rows = calibration_size_sweep(sim, sim.sizes, sim.epsilon, n_trials=sim.n_trials)
+        rows = calibration_size_sweep(sim)
         header = "n_cal,mean_ece_after,mean_coverage"
         lines = [f"{row.n_cal},{row.mean_ece_after!r},{row.mean_coverage!r}" for row in rows]
         report = {"mode": "calibration_size_sweep", "rows": [asdict(row) for row in rows]}
@@ -350,7 +353,7 @@ def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
             for row in rows
         ]
     else:
-        result = coverage_experiment(sim, sim.epsilon, sim.n_trials)
+        result = coverage_experiment(sim)
         header = "trial,coverage"
         lines = [f"{trial},{coverage!r}" for trial, coverage in enumerate(result.coverages)]
         report = dict(asdict(result), mode="coverage_experiment")
@@ -537,23 +540,30 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one stderr line, without its source file and code line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = load_config(getattr(args, "config", None), _overrides_from_args(args))
-        runner = _Runner(config)
-        runner.log(f"command {args.command} started")
-        runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")
-        code = _COMMANDS[args.command](runner, args)
-        runner.log(f"command {args.command} finished with code {code}")
-        return code
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            config = load_config(getattr(args, "config", None), _overrides_from_args(args))
+            runner = _Runner(config)
+            runner.log(f"command {args.command} started")
+            runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")
+            code = _COMMANDS[args.command](runner, args)
+            runner.log(f"command {args.command} finished with code {code}")
+            return code
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError, RuntimeError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .data import check_column_keys, check_identity_threshold, check_open_unit
 from .metrics import DEFAULT_COVERAGE_GRID, check_grid
 from .scorer import TrainingConfig
 from .splits import SplitConfig
-from .synthetic import SyntheticSpec, check_n_trials, check_sizes
+from .synthetic import SyntheticSpec
 
 SCORER_MODES = ("builtin", "logits")
 
@@ -60,6 +60,13 @@ class ScorerSection(TrainingConfig):
     mode: str = "builtin"
     logits_path: str | None = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.mode not in SCORER_MODES:
+            raise ValueError(f"mode must be one of {', '.join(SCORER_MODES)}, got {self.mode!r}")
+        if self.mode == "logits" and not self.logits_path:
+            raise ValueError("logits_path is required when mode is 'logits'")
+
 
 @dataclass(frozen=True)
 class ConformalSection:
@@ -78,32 +85,13 @@ class SweepSection:
 
 
 @dataclass(frozen=True)
-class SimulateSection(SyntheticSpec):
-    """The SyntheticSpec of trial 0, plus the experiment run over it."""
-
-    n_cal: int = 2000
-    n_test: int = 2000
-    seed: int = 29
-    epsilon: float = 0.2
-    n_trials: int = 200
-    sizes: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_epsilon(self.epsilon)
-        check_n_trials(self.n_trials)
-        if self.sizes:  # None or empty runs the coverage experiment instead
-            check_sizes(self.sizes)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     scorer: ScorerSection = field(default_factory=ScorerSection)
     conformal: ConformalSection = field(default_factory=ConformalSection)
     sweep: SweepSection = field(default_factory=SweepSection)
-    simulate: SimulateSection = field(default_factory=SimulateSection)
+    simulate: SyntheticSpec = field(default_factory=SyntheticSpec)
     output_dir: str = "out"
 
     def to_dict(self) -> dict:
@@ -181,19 +169,8 @@ def _as_list(value: Any, where: str) -> list:
     return list(value)
 
 
-def _validate(config: RunConfig) -> RunConfig:
-    if config.scorer.mode not in SCORER_MODES:
-        raise ConfigError(
-            f"scorer.mode: must be one of {', '.join(SCORER_MODES)}, "
-            f"got {config.scorer.mode!r}"
-        )
-    if config.scorer.mode == "logits" and not config.scorer.logits_path:
-        raise ConfigError("scorer.logits_path: required when scorer.mode is 'logits'")
-    return config
-
-
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
-    return _validate(_build(RunConfig, raw, ""))
+    return _build(RunConfig, raw, "")
 
 
 def load_config(path: str | Path | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:

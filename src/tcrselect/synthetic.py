@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from statistics import pstdev
-from typing import Sequence
 
 import numpy as np
 
 from .calibration import apply_temperature, ece, fit_temperature
-from .conformal import fit_threshold, nonconformity_calibration, quantile_index
+from .conformal import check_epsilon, fit_threshold, nonconformity_calibration, quantile_index
 from .scorer import ScoreTable
 
 # mixture components for the true probabilities: binder-like and background
@@ -35,13 +34,18 @@ _LO_MEAN = LO_BETA[0] / (LO_BETA[0] + LO_BETA[1])
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape of one synthetic draw; trial t of an experiment uses seed + t."""
+    """Shape of one synthetic draw, plus the experiment run over it; trial t
+    of an experiment uses seed + t. sizes, when set, runs
+    calibration_size_sweep over those calibration sizes."""
 
-    n_cal: int
-    n_test: int
+    n_cal: int = 2000
+    n_test: int = 2000
     miscalibration_temperature: float = 3.0
     base_positive_rate: float = 0.045
-    seed: int = 0
+    seed: int = 29
+    epsilon: float = 0.2
+    n_trials: int = 200
+    sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_cal < 1 or self.n_test < 1:
@@ -56,20 +60,11 @@ class SyntheticSpec:
                 f"base_positive_rate must lie in ({_LO_MEAN:.3f}, {_HI_MEAN:.3f}) "
                 f"to be reachable by the mixture"
             )
-
-
-def check_n_trials(n_trials: int) -> None:
-    """Raise unless an experiment runs at least one trial."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-
-
-def check_sizes(sizes: Sequence[int]) -> None:
-    """Raise unless a size sweep has calibration sizes, each at least 1."""
-    if not sizes:
-        raise ValueError("sizes is empty")
-    if min(sizes) < 1:
-        raise ValueError(f"sizes must all be >= 1, got {min(sizes)}")
+        check_epsilon(self.epsilon)
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
+        if self.sizes and min(self.sizes) < 1:
+            raise ValueError(f"sizes must all be >= 1, got {min(self.sizes)}")
 
 
 @lru_cache(maxsize=1)
@@ -116,9 +111,7 @@ class CoverageSummary:
     coverages: tuple[float, ...]
 
 
-def _trials(
-    spec: SyntheticSpec, epsilon: float, n_trials: int, sweep: bool
-) -> tuple[list[float], list[float]]:
+def _trials(spec: SyntheticSpec, sweep: bool) -> tuple[list[float], list[float]]:
     """Coverages of the trials that ran, and with sweep their test ECEs after
     scaling; trial t uses seed spec.seed + t. With sweep a trial whose
     calibration draw holds a single class, which leaves no temperature to fit,
@@ -129,13 +122,13 @@ def _trials(
     label-free rule retains a superset of these points.
     """
     coverages, eces = [], []
-    for t in range(n_trials):
+    for t in range(spec.n_trials):
         cal, test = generate(replace(spec, seed=spec.seed + t))
         if sweep and cal.labels.min() == cal.labels.max():
             continue
         temperature = fit_temperature(cal)
         cal_scores = nonconformity_calibration(apply_temperature(cal, temperature), cal.labels)
-        rule = fit_threshold(cal_scores, epsilon)
+        rule = fit_threshold(cal_scores, spec.epsilon)
         test_probs = apply_temperature(test, temperature)
         test_scores = nonconformity_calibration(test_probs, test.labels)
         if rule.retain_all:
@@ -147,21 +140,19 @@ def _trials(
     return coverages, eces
 
 
-def coverage_experiment(
-    spec: SyntheticSpec, epsilon: float, n_trials: int
-) -> CoverageSummary:
-    """Repeated seeded trials of generate -> fit temperature -> fit threshold.
+def coverage_experiment(spec: SyntheticSpec) -> CoverageSummary:
+    """spec.n_trials seeded trials of generate -> fit temperature -> fit threshold.
 
     Trial t uses seed spec.seed + t. Under exchangeability a trial's expected
     coverage is at least quantile_index(n_cal, epsilon) / (n_cal + 1), which
     is >= 1 - epsilon; without ties it is below 1 - epsilon + 1/(n_cal + 1).
     """
-    check_n_trials(n_trials)
+    n_trials = spec.n_trials
     # the sentinel depends only on (n_cal, epsilon), so it hits every trial or none
-    retain_all = quantile_index(spec.n_cal, epsilon) > spec.n_cal
-    coverages, _ = _trials(spec, epsilon, n_trials, sweep=False)
+    retain_all = quantile_index(spec.n_cal, spec.epsilon) > spec.n_cal
+    coverages, _ = _trials(spec, sweep=False)
     return CoverageSummary(
-        epsilon=epsilon,
+        epsilon=spec.epsilon,
         n_cal=spec.n_cal,
         n_trials=n_trials,
         mean_coverage=math.fsum(coverages) / n_trials,
@@ -179,13 +170,8 @@ class SizeSweepRow:
     single_class_trials: int
 
 
-def calibration_size_sweep(
-    spec: SyntheticSpec,
-    sizes: Sequence[int],
-    epsilon: float,
-    n_trials: int = 20,
-) -> list[SizeSweepRow]:
-    """Mean post-scaling test ECE and mean coverage at each calibration size.
+def calibration_size_sweep(spec: SyntheticSpec) -> list[SizeSweepRow]:
+    """Mean post-scaling test ECE and mean coverage at each of spec.sizes.
 
     spec supplies everything but n_cal, which the sweep overrides per row.
     Larger calibration sets estimate the temperature better, so the ECE column
@@ -194,22 +180,22 @@ def calibration_size_sweep(
     in single_class_trials; the means are over the trials that ran. A size at
     which every trial is skipped raises.
     """
-    check_sizes(sizes)
-    check_n_trials(n_trials)
+    if not spec.sizes:
+        raise ValueError("sizes is empty")
     rows = []
-    for size in sizes:
-        coverages, eces = _trials(replace(spec, n_cal=size), epsilon, n_trials, sweep=True)
+    for size in spec.sizes:
+        coverages, eces = _trials(replace(spec, n_cal=size), sweep=True)
         if not coverages:
             raise ValueError(
                 f"n_cal {size}: the calibration draw holds a single class in all "
-                f"{n_trials} trials; cannot fit temperature"
+                f"{spec.n_trials} trials; cannot fit temperature"
             )
         rows.append(
             SizeSweepRow(
                 n_cal=size,
                 mean_ece_after=math.fsum(eces) / len(eces),
                 mean_coverage=math.fsum(coverages) / len(coverages),
-                single_class_trials=n_trials - len(coverages),
+                single_class_trials=spec.n_trials - len(coverages),
             )
         )
     return rows

@@ -51,8 +51,8 @@ def test_criterion_1_coverage_guarantee():
     # seed base 40000: its 1000-trial mean sits at the analytic expectation
     # 1601/2001; nearby bases scatter by the expected 4e-4 standard error
     with criterion(1, "marginal coverage, eps=0.2, n_cal=2000, 1000 trials"):
-        spec = SyntheticSpec(n_cal=2000, n_test=2000, seed=40000)
-        summary = coverage_experiment(spec, epsilon=0.2, n_trials=1000)
+        spec = SyntheticSpec(n_cal=2000, n_test=2000, seed=40000, epsilon=0.2, n_trials=1000)
+        summary = coverage_experiment(spec)
         bound = 1.0 - 0.2 - 1.0 / 2001.0
         assert summary.mean_coverage >= bound
         assert abs(summary.mean_coverage - 0.80) <= 0.015

@@ -1,12 +1,16 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import platform
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import types
@@ -15,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import tcrselect
 from tcrselect.calibration import TemperatureModel, apply_temperature
@@ -180,6 +185,15 @@ MALFORMED = {
         "corpus", "c.tsv", TOY_HEADER + "a\t" + "A" * 200_000 + "\tCASS\tGIL\tEP1\t1\n", 1,
     ),
     "corpus-not-utf8": ("corpus", "c.tsv", TOY_HEADER.encode() + b"\xff\n", 1),
+    # "<kind>:<command> <flags>" runs that command with those flags in place of sweep
+    "corpus-header-only-split-random": ("corpus:split --protocol random", "c.tsv", TOY_HEADER, 1),
+    "corpus-header-only-split-epitope": (
+        "corpus:split --protocol epitope_held_out", "c.tsv", TOY_HEADER, 1,
+    ),
+    "corpus-header-only-split-distance": (
+        "corpus:split --protocol distance_aware", "c.tsv", TOY_HEADER, 1,
+    ),
+    "corpus-header-only-run": ("corpus:run", "c.tsv", TOY_HEADER, 1),
     "logits-three-fields": ("logits", "l.tsv", "ex00000\t0.5\t1\n", 1),
     "logits-unparseable": ("logits", "l.tsv", "ex00000\tabc\n", 1),
     "logits-missing-ids": ("logits", "l.tsv", "ex00000\t0.5\n", 1),
@@ -261,8 +275,13 @@ MALFORMED = {
         "config", "cfg.json", json.dumps({"dataset": {"columns": {"epitope": "x"}}}), 2,
     ),
     "config-grid-empty": ("config", "cfg.json", json.dumps({"sweep": {"grid": []}}), 2),
-    # a valid config whose split leaves nothing to train the built-in scorer
-    # on; "config:<command>" runs that command in place of sweep
+    "config-bad-scorer-mode": ("config", "cfg.json", json.dumps({"scorer": {"mode": "x"}}), 2),
+    # the draw-shape checks run before the experiment checks
+    "config-simulate-two-errors": (
+        "config:simulate", "cfg.json",
+        json.dumps({"simulate": {"miscalibration_temperature": 0, "n_trials": 0}}), 2,
+    ),
+    # a valid config whose split leaves nothing to train the built-in scorer on
     "config-empty-train-part-run": (
         "config:run", "cfg.json", json.dumps({"split": {"fractions": [0.0, 0.5, 0.5]}}), 1,
     ),
@@ -317,6 +336,7 @@ MALFORMED = {
     "flag-trials-zero": ("flag", "-", ("simulate", "--trials", "0"), 2),
     "flag-sizes-zero": ("flag", "-", ("simulate", "--sizes", "0,100"), 2),
     "flag-cal-fraction-out-of-range": ("flag", "-", ("split", "--cal-fraction", "1.5"), 2),
+    "flag-logits-without-path": ("flag", "-", ("sweep", "--scorer", "logits"), 2),
 }
 # the exact stderr of the cases whose message is part of the interface, with
 # {path} standing for the malformed file
@@ -375,6 +395,15 @@ MALFORMED_MESSAGES = {
     "epitope_held_out, distance_aware, got 'x'\n",
     "config-empty-train-part-run": "error: the train part of the split is empty\n",
     "config-empty-train-part-score": "error: the train part of the split is empty\n",
+    "corpus-header-only-split-random": "error: dataset {path}: no data rows\n",
+    "corpus-header-only-split-epitope": "error: dataset {path}: no data rows\n",
+    "corpus-header-only-split-distance": "error: dataset {path}: no data rows\n",
+    "corpus-header-only-run": "error: dataset {path}: no data rows\n",
+    "config-bad-scorer-mode": "config error: scorer: mode must be one of builtin, logits, got 'x'\n",
+    "flag-logits-without-path":
+        "config error: scorer: logits_path is required when mode is 'logits'\n",
+    "config-simulate-two-errors":
+        "config error: simulate: miscalibration_temperature must be > 0\n",
 }
 
 
@@ -382,6 +411,7 @@ MALFORMED_MESSAGES = {
 def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     kind, name, contents, expected = MALFORMED[case]
     kind, _, command = kind.partition(":")
+    command, *extra = shlex.split(command) or ["sweep"]
     path = tmp_path / name
     if isinstance(contents, bytes):
         path.write_bytes(contents)
@@ -395,7 +425,7 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     elif kind == "decisions":
         argv = ["metrics", "--dataset", dataset, "--decisions", str(path), "--out", out]
     else:
-        argv = [command or "sweep", "--dataset", dataset, "--out", out]
+        argv = [command, "--dataset", dataset, "--out", out, *extra]
         argv += {
             "logits": ["--scorer", "logits", "--logits", str(path)],
             "manifest": ["--manifest", str(path)],
@@ -409,6 +439,9 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     if expected == 2:
         # a configuration error stops the command before it writes anything
         assert not os.path.exists(out)
+    if kind == "corpus":
+        # a corpus error stops the command before it splits
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
     if case in MALFORMED_MESSAGES:
         assert err == MALFORMED_MESSAGES[case].replace("{path}", str(path))
 
@@ -616,6 +649,70 @@ def test_split_manifest_bytes_are_pinned(tmp_path, capsys, key):
     assert written == OUTPUT_PINS["split"][key]
 
 
+# commands whose outputs hold floats, run in this order from one working
+# directory: dataset.path and scorer.logits_path enter the config fingerprint,
+# so every path is relative. sweep-logits reads the logits that score wrote.
+FLOAT_CASES = {
+    "simulate": ["simulate", "--trials", "20"],
+    "simulate-sizes": ["simulate", "--sizes", "50,200", "--trials", "15"],
+    "run-random": ["run", "--dataset", "toy.tsv", "--protocol", "random"],
+    "score": ["score", "--dataset", "toy.tsv", "--protocol", "random"],
+    "sweep-logits": ["sweep", "--dataset", "toy.tsv", "--protocol", "random",
+                     "--scorer", "logits", "--logits", "score/logits.tsv"],
+}
+
+
+def float_platform() -> dict:
+    """What the float pins depend on: library versions, the SIMD targets
+    numpy dispatches to on this CPU, and the C library."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+        "libc": list(platform.libc_ver()),
+    }
+
+
+def float_output_hashes(workdir: Path) -> dict:
+    """sha256 of stdout and of every file but run_log.txt, per FLOAT_CASES
+    entry, with every command run from workdir."""
+    shutil.copyfile(toy_dataset_path(), workdir / "toy.tsv")
+    hashes, cwd = {}, os.getcwd()
+    os.chdir(workdir)
+    try:
+        for case, argv in FLOAT_CASES.items():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main([*argv, "--out", case]) == 0, case
+            hashes[case] = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(case).iterdir()) if path.name != "run_log.txt"
+            }
+            hashes[case]["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return hashes
+
+
+@pytest.fixture(scope="module")
+def float_hashes(tmp_path_factory):
+    recorded, actual = OUTPUT_PINS["float_platform"], float_platform()
+    if actual != recorded:
+        pytest.skip(f"float pins were recorded on {recorded}; this platform is {actual}")
+    return float_output_hashes(tmp_path_factory.mktemp("float"))
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_output_bytes_are_pinned(float_hashes, case):
+    # float results depend on numpy's SIMD kernels, so these pins hold only on
+    # the recorded platform; elsewhere the fixture skips and names both
+    assert float_hashes[case] == OUTPUT_PINS["float"][case]
+
+
 def test_manifest_fingerprint_is_hash_of_written_file(tmp_path):
     # the manifest is serialized once per run; the provenance hash must be
     # the hash of exactly the bytes written
@@ -660,6 +757,19 @@ class TestRun:
         assert rule["threshold"] >= 0.5
         decisions = (tmp_path / "r" / "decisions.tsv").read_text()
         assert "\tabstain\t" not in decisions
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dataset", str(toy_dataset_path()), "--protocol", "random", "--epsilon", "0.01"],
+        ["simulate", "--epsilon", "0.0001", "--trials", "3"],
+    ], ids=["run", "simulate"])
+    def test_retain_all_warning_is_one_line(self, tmp_path, capsys, argv):
+        # 20 calibration rows, or 2000, are too few for the target: a warning, not a failure
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"warning: quantile index \d+ exceeds calibration size \d+; retaining all "
+            r"predictions \(grow the calibration set or raise epsilon\)", line
+        )
 
     def test_abstaining_rule_has_no_note(self, tmp_path, capsys):
         assert main(run_args(tmp_path / "r", ["--epsilon", "0.4"])) == 0

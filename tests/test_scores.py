@@ -1,5 +1,7 @@
 """The columnar score path against the per-row oracle in score_oracle, bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -118,14 +120,15 @@ class TestColumnarMatchesOracle:
         for n_cal, n_test, seed in ((30, 40, 0), (200, 1, 5), (500, 700, 9)):
             spec = SyntheticSpec(n_cal=n_cal, n_test=n_test, base_positive_rate=0.3, seed=seed)
             for epsilon in (0.1, 0.2):
-                coverages, eces = _trials(spec, epsilon, 1, sweep=True)
+                trial = replace(spec, epsilon=epsilon, n_trials=1)
+                coverages, eces = _trials(trial, sweep=True)
                 expected = oracle.one_trial(spec, epsilon, want_ece=True)
                 assert hexes(coverages + eces) == hexes(list(expected))
 
     def test_coverage_experiment_regression(self):
         for seed in (1, 7919):
-            spec = SyntheticSpec(n_cal=2000, n_test=2000, seed=seed)
-            summary = coverage_experiment(spec, epsilon=0.2, n_trials=20)
+            spec = SyntheticSpec(n_cal=2000, n_test=2000, seed=seed, epsilon=0.2, n_trials=20)
+            summary = coverage_experiment(spec)
             assert hexes(list(summary.coverages)) == hexes(
                 list(oracle.coverages(spec, 0.2, 20))
             )

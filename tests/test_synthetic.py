@@ -32,6 +32,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="reachable"):
             SyntheticSpec(n_cal=10, n_test=10, base_positive_rate=0.01)
 
+    def test_experiment_settings_are_checked_after_the_draw_shape(self):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            SyntheticSpec(epsilon=1.0, n_trials=0)
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+            SyntheticSpec(n_trials=0, sizes=(0,))
+        with pytest.raises(ValueError, match="sizes must all be >= 1, got 0"):
+            SyntheticSpec(sizes=(50, 0))
+        with pytest.raises(ValueError, match="n_cal and n_test"):
+            SyntheticSpec(n_cal=0, epsilon=1.0)
+
 
 def same_table(a, b):
     return (
@@ -88,8 +98,8 @@ class TestGenerate:
 
 class TestCoverageExperiment:
     def test_mean_coverage_respects_guarantee(self):
-        spec = SyntheticSpec(n_cal=200, n_test=500, seed=3)
-        summary = coverage_experiment(spec, epsilon=0.2, n_trials=50)
+        spec = SyntheticSpec(n_cal=200, n_test=500, seed=3, epsilon=0.2, n_trials=50)
+        summary = coverage_experiment(spec)
         bound = 1 - 0.2 - 1 / (200 + 1)
         assert summary.mean_coverage >= bound
         assert abs(summary.mean_coverage - 0.8) < 0.03
@@ -99,23 +109,27 @@ class TestCoverageExperiment:
     def test_retain_all_regime(self):
         # k = ceil(0.99 * 51) = 51 > n_cal, so every trial keeps everything
         assert quantile_index(50, 0.01) == 51
-        spec = SyntheticSpec(n_cal=50, n_test=80, base_positive_rate=0.3, seed=1)
+        spec = SyntheticSpec(
+            n_cal=50, n_test=80, base_positive_rate=0.3, seed=1, epsilon=0.01, n_trials=5
+        )
         with pytest.warns(RuntimeWarning):
-            summary = coverage_experiment(spec, epsilon=0.01, n_trials=5)
+            summary = coverage_experiment(spec)
         assert summary.retain_all_trials == 5
         assert summary.coverages == (1.0,) * 5
         assert summary.mean_coverage == 1.0
 
     def test_trials_must_be_positive(self):
-        spec = SyntheticSpec(n_cal=50, n_test=50)
-        with pytest.raises(ValueError):
-            coverage_experiment(spec, epsilon=0.2, n_trials=0)
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+            SyntheticSpec(n_cal=50, n_test=50, n_trials=0)
 
 
 class TestCalibrationSizeSweep:
     def test_row_shapes_and_ece_trend(self):
-        spec = SyntheticSpec(n_cal=10, n_test=800, base_positive_rate=0.3, seed=5)
-        rows = calibration_size_sweep(spec, sizes=(30, 2000), epsilon=0.1, n_trials=10)
+        spec = SyntheticSpec(
+            n_cal=10, n_test=800, base_positive_rate=0.3, seed=5,
+            epsilon=0.1, n_trials=10, sizes=(30, 2000),
+        )
+        rows = calibration_size_sweep(spec)
         assert [r.n_cal for r in rows] == [30, 2000]
         assert rows[1].mean_ece_after < rows[0].mean_ece_after
         for r in rows:
@@ -123,17 +137,18 @@ class TestCalibrationSizeSweep:
             assert 0.0 <= r.mean_coverage <= 1.0
 
     def test_empty_sizes_rejected(self):
-        spec = SyntheticSpec(n_cal=10, n_test=10)
-        with pytest.raises(ValueError):
-            calibration_size_sweep(spec, sizes=(), epsilon=0.1)
+        for sizes in ((), None):
+            spec = SyntheticSpec(n_cal=10, n_test=10, epsilon=0.1, sizes=sizes)
+            with pytest.raises(ValueError, match="sizes is empty"):
+                calibration_size_sweep(spec)
 
     def test_size_with_only_single_class_draws_is_named(self):
         # one calibration row is always a single class, so no trial of size 1 runs
-        spec = SyntheticSpec(n_cal=10, n_test=100)
+        spec = SyntheticSpec(n_cal=10, n_test=100, n_trials=3, sizes=(200, 1))
         with pytest.raises(ValueError, match="n_cal 1: .* all 3 trials"):
-            calibration_size_sweep(spec, sizes=(200, 1), epsilon=0.2, n_trials=3)
+            calibration_size_sweep(spec)
 
     def test_coverage_experiment_still_rejects_a_single_class_draw(self):
-        spec = SyntheticSpec(n_cal=1, n_test=100)
+        spec = SyntheticSpec(n_cal=1, n_test=100, n_trials=3)
         with pytest.raises(ValueError, match="single class"):
-            coverage_experiment(spec, epsilon=0.2, n_trials=3)
+            coverage_experiment(spec)
