@@ -265,9 +265,10 @@ def _number_cell(number: int, column: str, cell: str) -> float:
 
 
 def decisions_from_tsv(text: str) -> DecisionTable:
-    """Parse decisions_to_tsv output; '#' comment lines are skipped. A row
-    error names its 1-based line in the text."""
-    numbered = enumerate(text.splitlines(), start=1)
+    """Parse decisions_to_tsv output; '#' comment lines are skipped. Rows end
+    at LF, CRLF or CR only, since an id may hold any other line separator. A
+    row error names its 1-based line in the text."""
+    numbered = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
     lines = [(number, line) for number, line in numbered if line and not line.startswith("#")]
     if not lines:
         raise ValueError("no decision rows found")

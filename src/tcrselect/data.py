@@ -17,7 +17,7 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -80,8 +80,12 @@ def _row_error(
         return f"label must be 0 or 1, got {label!r}"
     if not ex_id:
         return "id is empty"
+    if _has_break(ex_id):
+        return "id contains a tab or line break"
     if not epitope_id:
         return "epitope_id is empty"
+    if _has_break(epitope_id):
+        return "epitope_id contains a tab or line break"
     for field, seq in (("cdr3a", cdr3a), ("cdr3b", cdr3b), ("peptide", peptide)):
         if not seq:
             return f"{field} is empty"
@@ -89,6 +93,11 @@ def _row_error(
         if bad:
             return f"{field} contains invalid residue(s) {sorted(bad)!r}"
     return None
+
+
+def _has_break(text: str) -> bool:
+    """Whether text holds a tab, CR or LF, which no TSV output could write back."""
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 def _all_residues(seqs: Sequence[str]) -> bool:
@@ -113,7 +122,9 @@ def _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> tuple[int,
     checks run in bulk over whole columns, and on single rows only after one
     fails. Sequences must already be uppercased; labels are text."""
     residues_ok = all(map(_all_residues, (cdr3a, cdr3b, peptide)))
-    if set(labels) <= {"0", "1"} and all(ids) and all(epitope_id) and residues_ok:
+    names = "".join(ids) + "".join(set(epitope_id))
+    names_ok = all(ids) and all(epitope_id) and not _has_break(names)
+    if set(labels) <= {"0", "1"} and names_ok and residues_ok:
         return None
     for pos, row in enumerate(zip(ids, cdr3a, cdr3b, peptide, epitope_id, labels)):
         error = _row_error(*row)
@@ -184,7 +195,7 @@ class Dataset:
             raise ValueError(f"row {bad[0]}: {bad[1]}")
         ids, cdr3a, cdr3b, peptide, epitope_id, labels = columns
         _check_unique(ids, epitope_id, peptide)
-        labels = np.fromiter(map("1".__eq__, labels), np.int8, len(ids))
+        labels = np.frombuffer("".join(labels).encode(), np.int8) - 48  # each "0" or "1"
         self._assign(ids, cdr3a, cdr3b, peptide, epitope_id, labels)
 
     def _assign(self, ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> None:
@@ -237,30 +248,86 @@ class Dataset:
         return self._take(positions)
 
 
-def _clean(raw: list[str], *steps: Callable[[str], str]) -> tuple[str, ...]:
-    """Every cell passed through the steps in turn; the raw cells are released."""
-    cells: Iterable[str] = raw
-    for step in steps:
-        cells = map(step, cells)
-    column = tuple(cells)
-    raw.clear()
-    return column
+_BLOCK_CHARS = 1 << 16  # characters per read in split_blocks
+_SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f"  # with \t\n\r, the ASCII that str.strip() removes
 
 
-def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Dataset:
-    """Read a TSV corpus.
+class NotPlainText(Exception):
+    """A file that a split at newlines and tabs may read otherwise than its row loop."""
 
-    columns maps logical field names (keys of DEFAULT_COLUMNS) to header names.
-    The id column is optional; absent, ids are the 0-based data-row index,
-    counting blank rows. A leading UTF-8 byte-order mark is skipped. Cells
-    are stripped and sequences uppercased. The first malformed row (short,
-    bad label, empty field, invalid residue) raises TsvRowError with its file
-    line number, a data row's index + 2.
-    """
-    colmap = dict(DEFAULT_COLUMNS)
-    if columns:
-        check_column_keys(columns)
-        colmap.update(columns)
+
+def split_blocks(handle: TextIO, width: int) -> Iterator[tuple[str, list[str]]]:
+    """(text, cells) per block of about _BLOCK_CHARS characters of whole lines,
+    split once at "\n" and then "\t": row r is cells[r * width:(r + 1) * width].
+    A line with other than width - 1 tabs, or only tabs, or longer than a block
+    raises NotPlainText; the caller then reads the file with its row loop,
+    which defines the result."""
+    row_ends = np.array([9] * (width - 1) + [10], np.uint8)  # a row's separators
+
+    def cells(text: str) -> tuple[str, list[str]]:
+        data = np.frombuffer(text.encode(), np.uint8)  # "\t" and "\n" stay one byte
+        seps = np.flatnonzero((data == 9) | (data == 10))
+        kinds = np.append(data[seps], 10)
+        cell_bytes = np.diff(seps, prepend=-1, append=len(data)) - 1
+        if (len(kinds) % width or (kinds.reshape(-1, width) != row_ends).any()
+                or not cell_bytes.reshape(-1, width).any(axis=1).all()):
+            raise NotPlainText
+        return text, text.replace("\n", "\t").split("\t")
+
+    carry = ""
+    while chunk := handle.read(_BLOCK_CHARS):
+        text, newline, carry = (carry + chunk).rpartition("\n")
+        if newline:
+            yield cells(text)
+        elif len(carry) > _BLOCK_CHARS:  # such as a file whose lines end in CR only
+            raise NotPlainText
+    if carry:
+        yield cells(carry)
+
+
+def _csv_plain(text: str) -> bool:
+    """Whether tab-delimited csv.reader reads text as a split at "\n" and "\t" does."""
+    return len(text) <= csv.field_size_limit() and not any(map(text.__contains__, '"\r\0'))
+
+
+def _column_positions(header: list[str], colmap: Mapping[str, str]):
+    """The header position of each field, and the cell of a row that each of
+    the six columns takes; without an id column the label cells stand in for
+    ids, which are replaced by row indices."""
+    positions: dict[str, int] = {}
+    for field, name in colmap.items():
+        if name in header:
+            positions[field] = header.index(name)
+        elif field != "id":
+            raise TsvSchemaError(f"missing required column {name!r}")
+    return positions, tuple(positions.get(field, positions["label"]) for field in colmap)
+
+
+def _ingest_blocks(path: str | Path, colmap: Mapping[str, str]):
+    """_ingest_rows for a corpus that split_blocks reads as csv.reader does;
+    the cells need no str.strip when every block is ASCII without spaces."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        first = handle.readline()
+        header = first.removesuffix("\n").split("\t")
+        if not (any(header) and _csv_plain(first)):
+            raise NotPlainText
+        positions, picks = _column_positions(header, colmap)
+        cells: tuple[list[str], ...] = ([], [], [], [], [], [])
+        width, strip = len(header), ()
+        for text, block in split_blocks(handle, width):
+            if not _csv_plain(text):
+                raise NotPlainText
+            if not text.isascii() or any(map(text.__contains__, _SPACES)):
+                strip = (str.strip,)
+            for column, pos in zip(cells, picks):
+                column.extend(block[pos::width])
+    return positions, cells, [], None, strip
+
+
+def _ingest_rows(path: str | Path, colmap: Mapping[str, str]):
+    """(positions, raw cells of the six columns, blank line numbers, the error
+    that stopped the read or None, the steps that clean each cell) of any
+    corpus, read with csv.reader."""
     cells: tuple[list[str], ...] = ([], [], [], [], [], [])
     blank: list[int] = []
     failure: Exception | None = None
@@ -270,18 +337,8 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
             header = next(reader)
         except StopIteration:
             raise TsvSchemaError("empty file, no header row") from None
-        positions: dict[str, int] = {}
-        for field, name in colmap.items():
-            if name in header:
-                positions[field] = header.index(name)
-            elif field != "id":
-                raise TsvSchemaError(f"missing required column {name!r}")
+        positions, (p_id, p_a, p_b, p_p, p_e, p_l) = _column_positions(header, colmap)
         needed = max(positions.values())
-        # without an id column the label cells stand in, replaced by row indices below
-        p_id = positions.get("id", positions["label"])
-        p_a, p_b, p_p, p_e, p_l = (
-            positions[field] for field in ("cdr3a", "cdr3b", "peptide", "epitope_id", "label")
-        )
         add_id, add_a, add_b, add_p, add_e, add_l = (column.append for column in cells)
         line = 1
         try:
@@ -304,7 +361,41 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
             failure = TsvRowError(line + 1, str(err))
         except UnicodeDecodeError as err:
             failure = err
+    return positions, cells, blank, failure, (str.strip,)
 
+
+def _clean(raw: list[str], *steps: Callable[[str], str]) -> tuple[str, ...]:
+    """Every cell passed through the steps in turn; the raw cells are released."""
+    cells: Iterable[str] = raw
+    for step in steps:
+        cells = map(step, cells)
+    column = tuple(cells)
+    raw.clear()
+    return column
+
+
+def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Dataset:
+    """Read a TSV corpus.
+
+    columns maps logical field names (keys of DEFAULT_COLUMNS) to header names.
+    The id column is optional; absent, ids are the 0-based data-row index,
+    counting blank rows. A leading UTF-8 byte-order mark is skipped. Cells
+    are stripped and sequences uppercased. The first malformed row (short,
+    bad label, empty field, invalid residue) raises TsvRowError with its file
+    line number, a data row's index + 2.
+
+    A file with one cell per header column on every line and no quote, CR,
+    NUL or blank line is split a block at a time (split_blocks); csv.reader
+    reads any other row by row, with the same results.
+    """
+    colmap = dict(DEFAULT_COLUMNS)
+    if columns:
+        check_column_keys(columns)
+        colmap.update(columns)
+    try:
+        positions, cells, blank, failure, strip = _ingest_blocks(path, colmap)
+    except (NotPlainText, UnicodeDecodeError):
+        positions, cells, blank, failure, strip = _ingest_rows(path, colmap)
     n = len(cells[0])
 
     def data_lines() -> list[int]:
@@ -312,16 +403,16 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
         return [line for line in range(2, n + len(blank) + 2) if line not in skipped]
 
     if "id" in positions:
-        ids = _clean(cells[0], str.strip)
+        ids = _clean(cells[0], *strip)
     else:
         ids = tuple(str(line - 2) for line in data_lines())
         cells[0].clear()
-    cdr3a = _clean(cells[1], str.strip, str.upper)
-    cdr3b = _clean(cells[2], str.strip, str.upper)
+    cdr3a = _uppercased(_clean(cells[1], *strip))
+    cdr3b = _uppercased(_clean(cells[2], *strip))
     # a corpus has few distinct peptides and epitopes: keep one string of each
-    peptide = _clean(cells[3], str.strip, str.upper, sys.intern)
-    epitope_id = _clean(cells[4], str.strip, sys.intern)
-    raw_labels = _clean(cells[5], str.strip)
+    peptide = _clean(cells[3], *strip, str.upper, sys.intern)
+    epitope_id = _clean(cells[4], *strip, sys.intern)
+    raw_labels = _clean(cells[5], *strip)
     bad = _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, raw_labels)
     if bad is not None:
         raise TsvRowError(data_lines()[bad[0]], bad[1])
@@ -330,7 +421,7 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     _check_unique(ids, epitope_id, peptide)
     return Dataset._from_columns(
         ids, cdr3a, cdr3b, peptide, epitope_id,
-        np.fromiter(map("1".__eq__, raw_labels), np.int8, n),
+        np.frombuffer("".join(raw_labels).encode(), np.int8) - 48,
     )
 
 

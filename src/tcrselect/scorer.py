@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, NotPlainText, split_blocks
 
 if TYPE_CHECKING:
     from scipy.sparse import csc_matrix, csr_matrix
@@ -481,7 +481,26 @@ def export_logits(table: ScoreTable, path: str | Path) -> None:
 def read_logits(path: str | Path) -> dict[str, float]:
     """Parse an external logit TSV: one 'id<TAB>logit' per line, blank lines and
     a leading byte-order mark skipped. The first malformed line (wrong field
-    count, duplicate id, unparseable or non-finite logit) raises ValueError naming it."""
+    count, duplicate id, unparseable or non-finite logit) raises ValueError naming it.
+    A file with none of these and no blank line is split a block at a time
+    (split_blocks); the line loop reads any other, with the same results."""
+    logits: dict[str, float] = {}
+    rows = 0
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            for _, cells in split_blocks(handle, 2):
+                ids = cells[::2]
+                rows += len(ids)
+                logits.update(zip(ids, map(float, cells[1::2])))
+        if len(logits) == rows and all(map(math.isfinite, logits.values())):
+            return logits
+    except (NotPlainText, ValueError):  # a decoding error is a ValueError too
+        pass
+    return _read_logit_lines(path)
+
+
+def _read_logit_lines(path: str | Path) -> dict[str, float]:
+    """read_logits for any file, one line at a time."""
     logits: dict[str, float] = {}
     with open(path, "r", encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):

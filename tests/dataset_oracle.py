@@ -51,8 +51,12 @@ class SequenceExample:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("id is empty")
+        if any(char in self.id for char in "\t\n\r"):
+            raise ValueError("id contains a tab or line break")
         if not self.epitope_id:
             raise ValueError("epitope_id is empty")
+        if any(char in self.epitope_id for char in "\t\n\r"):
+            raise ValueError("epitope_id contains a tab or line break")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         for field in ("cdr3a", "cdr3b", "peptide"):

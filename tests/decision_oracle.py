@@ -95,7 +95,8 @@ def decisions_to_tsv(
 
 def decisions_from_tsv(text: str) -> list[SelectiveDecision]:
     """Parse decisions_to_tsv output; '#' comment lines are skipped."""
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [line for line in rows if line and not line.startswith("#")]
     if not lines:
         raise ValueError("no decision rows found")
     header = tuple(lines[0].split("\t"))

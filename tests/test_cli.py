@@ -1,16 +1,12 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
-import io
 import json
 import os
-import platform
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 import types
@@ -19,9 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import tcrselect
+from output_pins import (
+    FILE_CASES,
+    FLOAT_CASES,
+    PINS_PATH,
+    float_output_hashes,
+    float_platform,
+    split_manifest_hash,
+)
 from tcrselect.calibration import TemperatureModel, apply_temperature
 from tcrselect.cli import _check_monotone, _method_rows, build_parser, main
 from tcrselect.config import ConfigError, RunConfig, load_config
@@ -185,6 +188,10 @@ MALFORMED = {
         "corpus", "c.tsv", TOY_HEADER + "a\t" + "A" * 200_000 + "\tCASS\tGIL\tEP1\t1\n", 1,
     ),
     "corpus-not-utf8": ("corpus", "c.tsv", TOY_HEADER.encode() + b"\xff\n", 1),
+    "corpus-id-with-tab": ("corpus", "c.tsv", TOY_HEADER + '"a\tb"\tCAV\tCASS\tGIL\tEP1\t1\n', 1),
+    "corpus-epitope-with-newline": (
+        "corpus", "c.tsv", TOY_HEADER + 'a\tCAV\tCASS\tGIL\t"EP\n1"\t1\n', 1,
+    ),
     # "<kind>:<command> <flags>" runs that command with those flags in place of sweep
     "corpus-header-only-split-random": ("corpus:split --protocol random", "c.tsv", TOY_HEADER, 1),
     "corpus-header-only-split-epitope": (
@@ -399,6 +406,8 @@ MALFORMED_MESSAGES = {
     "corpus-header-only-split-epitope": "error: dataset {path}: no data rows\n",
     "corpus-header-only-split-distance": "error: dataset {path}: no data rows\n",
     "corpus-header-only-run": "error: dataset {path}: no data rows\n",
+    "corpus-id-with-tab": "error: line 2: id contains a tab or line break\n",
+    "corpus-epitope-with-newline": "error: line 2: epitope_id contains a tab or line break\n",
     "config-bad-scorer-mode": "config error: scorer: mode must be one of builtin, logits, got 'x'\n",
     "flag-logits-without-path":
         "config error: scorer: logits_path is required when mode is 'logits'\n",
@@ -620,82 +629,16 @@ class TestSplit:
         assert sum(sizes.values()) == 200
 
 
-OUTPUT_PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
-# the split flags of each pinned case; epitope_disjoint_cal also loads a config
-SPLIT_CASES = {
-    "random": ["--protocol", "random"],
-    "epitope_held_out": ["--protocol", "epitope_held_out", "--k-epitopes", "2"],
-    "epitope_disjoint_cal": ["--protocol", "epitope_held_out", "--k-epitopes", "2"],
-    "distance_aware": ["--protocol", "distance_aware"],
-}
+OUTPUT_PINS = json.loads(PINS_PATH.read_text())
 
 
 @pytest.mark.parametrize("key", sorted(OUTPUT_PINS["split"]))
-def test_split_manifest_bytes_are_pinned(tmp_path, capsys, key):
+def test_split_manifest_bytes_are_pinned(tmp_path, key):
     # a split that moves any id shows up as a changed pin in output_pins.json;
     # no float arithmetic that depends on the CPU reaches a manifest
-    case, seed = key.split("/")
-    out = tmp_path / "s"
-    argv = ["split", "--dataset", str(toy_dataset_path()), "--out", str(out),
-            *SPLIT_CASES[case], "--split-seed", seed]
-    if case == "epitope_disjoint_cal":
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"split": {"epitope_disjoint_cal": True,
-                                                "cal_fraction": 0.3}}))
-        argv += ["--config", str(config)]
-    assert main(argv) == 0
-    written = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
-    assert capsys.readouterr().out.endswith(f"manifest fingerprint {written}\n")
+    written, stdout = split_manifest_hash(tmp_path, key)
+    assert stdout.endswith(f"manifest fingerprint {written}\n")
     assert written == OUTPUT_PINS["split"][key]
-
-
-# commands whose outputs hold floats, run in this order from one working
-# directory: dataset.path and scorer.logits_path enter the config fingerprint,
-# so every path is relative. sweep-logits reads the logits that score wrote.
-FLOAT_CASES = {
-    "simulate": ["simulate", "--trials", "20"],
-    "simulate-sizes": ["simulate", "--sizes", "50,200", "--trials", "15"],
-    "run-random": ["run", "--dataset", "toy.tsv", "--protocol", "random"],
-    "score": ["score", "--dataset", "toy.tsv", "--protocol", "random"],
-    "sweep-logits": ["sweep", "--dataset", "toy.tsv", "--protocol", "random",
-                     "--scorer", "logits", "--logits", "score/logits.tsv"],
-}
-
-
-def float_platform() -> dict:
-    """What the float pins depend on: library versions, the SIMD targets
-    numpy dispatches to on this CPU, and the C library."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "cpu_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
-        "libc": list(platform.libc_ver()),
-    }
-
-
-def float_output_hashes(workdir: Path) -> dict:
-    """sha256 of stdout and of every file but run_log.txt, per FLOAT_CASES
-    entry, with every command run from workdir."""
-    shutil.copyfile(toy_dataset_path(), workdir / "toy.tsv")
-    hashes, cwd = {}, os.getcwd()
-    os.chdir(workdir)
-    try:
-        for case, argv in FLOAT_CASES.items():
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                assert main([*argv, "--out", case]) == 0, case
-            hashes[case] = {
-                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(case).iterdir()) if path.name != "run_log.txt"
-            }
-            hashes[case]["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-    finally:
-        os.chdir(cwd)
-    return hashes
 
 
 @pytest.fixture(scope="module")
@@ -711,6 +654,18 @@ def test_float_output_bytes_are_pinned(float_hashes, case):
     # float results depend on numpy's SIMD kernels, so these pins hold only on
     # the recorded platform; elsewhere the fixture skips and names both
     assert float_hashes[case] == OUTPUT_PINS["float"][case]
+
+
+@pytest.fixture(scope="module")
+def fallback_hashes(float_hashes, tmp_path_factory):
+    return float_output_hashes(tmp_path_factory.mktemp("fallback"), fallback=True)
+
+
+@pytest.mark.parametrize("case", FILE_CASES)
+def test_fallback_readers_give_the_pinned_bytes(fallback_hashes, case):
+    # a CRLF corpus and a logit file with a blank line are read by the per-row
+    # loops, not the block split; every output must still match the pins
+    assert fallback_hashes[case] == OUTPUT_PINS["float"][case]
 
 
 def test_manifest_fingerprint_is_hash_of_written_file(tmp_path):
@@ -979,6 +934,26 @@ class TestMetricsReeval:
         assert reeval["retained"]["error_rate"] == selective["error_rate"]
         assert reeval["retained"]["ece"] == selective["ece"]
         assert len(reeval["decisions_fingerprint"]) == 64
+
+    @pytest.mark.parametrize("split_seed", ["3", "4"])
+    def test_ids_with_line_separators_round_trip(self, tmp_path, split_seed):
+        # csv keeps U+2028, U+0085 and the other str.splitlines breaks inside a
+        # cell, so run writes such ids intact and metrics must read them back
+        data = motif_corpus(300, 1)
+        odd = {data.ids[i]: f"x\u2028{i}" if i % 2 else f"p\x85{i}" for i in range(0, 300, 3)}
+        rows = [(odd.get(row.id, row.id), *row[1:]) for row in data]
+        corpus = tmp_path / "odd.tsv"
+        export_tsv(tcrselect.Dataset(*zip(*rows)), corpus)
+        out, reeval_out = tmp_path / "r", tmp_path / "m"
+        assert main(["run", "--dataset", str(corpus), "--split-seed", split_seed,
+                     "--out", str(out)]) == 0
+        assert any(odd_id in (out / "decisions.tsv").read_text(encoding="utf-8")
+                   for odd_id in odd.values())
+        assert main(["metrics", "--dataset", str(corpus), "--decisions",
+                     str(out / "decisions.tsv"), "--out", str(reeval_out)]) == 0
+        original = json.loads((out / "metrics.json").read_text())
+        reeval = json.loads((reeval_out / "metrics_reeval.json").read_text())
+        assert reeval["coverage"] == original["methods"]["conformal_selective"]["coverage"]
 
 
 class TestByteOrderMark:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dataset_rows import dataset_of
 from pair_oracle import oracle_dedup, related_strings, thresholds
 from tcrselect.data import (
+    Dataset,
     SequenceExample,
     TsvRowError,
     TsvSchemaError,
@@ -73,6 +74,16 @@ class TestDataset:
         ]
         with pytest.raises(ValueError, match="EP01"):
             make_dataset(rows)
+
+    @pytest.mark.parametrize("field", ["id", "epitope_id"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_rejects_tab_or_line_break_in_names(self, field, char):
+        # no TSV output could write such an id or epitope id back
+        columns = {"id": ["e0", "e1"], "cdr3a": ["CAV"] * 2, "cdr3b": ["CAS"] * 2,
+                   "peptide": ["GIL"] * 2, "epitope_id": ["EP1"] * 2, "labels": [1, 0]}
+        columns[field] = [columns[field][0], f"a{char}b"]
+        with pytest.raises(ValueError, match=f"^row 1: {field} contains a tab or line break$"):
+            Dataset(*columns.values())
 
     def test_subset_keeps_dataset_order(self):
         # id order in the argument must not matter: loaded manifests sort ids

@@ -1,8 +1,11 @@
 """The column store against the row-object oracle in dataset_oracle."""
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 
 import dataset_oracle as oracle
 from dataset_rows import dataset_of
-from tcrselect.data import Dataset, deduplicate, export_tsv, ingest_tsv
+from tcrselect import data as data_module
+from tcrselect.data import Dataset, TsvRowError, deduplicate, export_tsv, ingest_tsv
 from tcrselect.splits import (
     SplitConfig,
     split_distance_aware,
@@ -23,9 +27,12 @@ RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 PEPTIDE_OF = {"EP1": "GILGF", "EP2": "NLVPM", "EP3": "GLCTL"}
 # cells that fail a check, or pass only after stripping or uppercasing
 ODD_SEQUENCES = ("", "  ", "CASB", "CA SS", "CAS1", "*", "ß", "straße", "CASé", "Ω")
-PADDING = (" ", "  ", " ", "\x0b")
+PADDING = (" ", "  ", "\xa0", "\x0b")
 ODD_LABELS = ("", "2", "x", "1.0", "-1", "１")
-ODD_IDS = ("", "  ", "dup", "dup", "é")
+ODD_IDS = ("", "  ", "dup", "dup", "é", "t\tab", "l\nf", "c\rr", "\xa0x\x0b")
+# characters that str.splitlines breaks at but csv keeps inside a cell, and NUL
+IN_CELL = ("\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x1e", "\0")
+NOTES = ("", "x", "a b", "u\u2028v", "n\x85o")
 
 
 def quoted(cell):
@@ -50,10 +57,13 @@ def sequence_cells(draw, base=st.text(RESIDUES, min_size=1, max_size=6)):
 def corpus_files(draw):
     """TSV text and the columns mapping to read it with.
 
-    Covers lowercase, padding, blank rows, extra columns, no id column,
-    renamed headers, quoted cells (with tabs and newlines inside), non-ASCII,
-    invalid residues, empty fields, bad labels, short rows, duplicate ids and
-    epitopes with two peptides.
+    Covers lowercase, padding, blank and all-tab rows, extra columns and
+    cells, no id column, renamed headers, quoted cells (with tabs and line
+    breaks inside, or only in the last row), LF, CRLF and lone CR line ends,
+    0 to 2 trailing line ends, line separators and NUL inside cells,
+    non-ASCII, invalid residues, empty fields, bad labels, short rows,
+    duplicate ids, ids and epitopes with a tab or line break, and epitopes
+    with two peptides.
     """
     names = ["cdr3a", "cdr3b", "peptide", "epitope", "label"]
     if draw(st.booleans()):
@@ -65,11 +75,20 @@ def corpus_files(draw):
     if draw(st.integers(0, 3)) == 0:
         names = ["beta" if name == "cdr3b" else name for name in names]
         columns = {"cdr3b": "beta"}
-    lines = ["\t".join(names)]
+    # quoting: only where a cell needs it, also at random, or in the last row
+    quoting = draw(st.sampled_from(["needed"] * 3 + ["random", "last"]))
+    newline = draw(st.sampled_from(["\n"] * 3 + ["\r\n", "\r", "mixed"]))
+    # most files keep one cell per header column in every row, so that a
+    # split at tabs and newlines reads them
+    ragged = draw(st.integers(0, 2)) == 0
+    rows = [list(names)]
     for i in range(draw(st.integers(0, 8))):
-        kind = draw(st.integers(0, 29))
+        kinds = st.integers(0, 29) if ragged else st.sampled_from([0, 1, 2, 3, 4, 8, *range(9, 30)])
+        kind = draw(kinds)
         if kind == 0:
-            lines.append(draw(st.sampled_from(["", "\t", "\t\t\t\t\t\t"])))
+            # csv reads an all-tab row as blank, even one as wide as the header
+            blank = ["", "\t", "\t" * 6] if ragged else []
+            rows.append(draw(st.sampled_from([*blank, "\t" * (len(names) - 1)])))
             continue
         epitope = draw(st.sampled_from(sorted(PEPTIDE_OF)))
         peptide = PEPTIDE_OF[epitope]
@@ -79,27 +98,47 @@ def corpus_files(draw):
             "cdr3a": draw(sequence_cells()),
             "cdr3b": draw(sequence_cells()),
             "peptide": peptide,
-            "epitope": epitope if kind != 2 else draw(st.sampled_from(["", " ", " EP1 "])),
+            "epitope": epitope if kind != 2 else draw(
+                st.sampled_from(["", " ", " EP1 ", "\xa0EP1\x0b", "E\nP", "E\tP"])
+            ),
             "label": draw(st.sampled_from("01")) if kind != 3 else draw(
-                st.sampled_from(ODD_LABELS + (" 1", "0 "))
+                st.sampled_from(ODD_LABELS + (" 1", "0 ", "\xa01", "0\x0b"))
             ),
             "id": f"r{i}" if kind != 4 else draw(st.sampled_from(ODD_IDS)),
-            "note": draw(st.sampled_from(["", "x", "tab\there", "line\nbreak"])),
+            "note": draw(st.sampled_from(NOTES)) if kind != 7 else draw(
+                st.sampled_from(["tab\there", "line\nbreak", 'say "hi"'])
+            ),
         }
+        if kind == 8:
+            field = draw(st.sampled_from(sorted(cells)))
+            cells[field] += draw(st.sampled_from(IN_CELL)) + "x"
         cells["beta"] = cells["cdr3b"]
         row = [cells[name] for name in names]
-        row = [
-            quoted(cell) if "\t" in cell or "\n" in cell or draw(st.integers(0, 9)) == 0
-            else cell
-            for cell in row
-        ]
         if kind == 5:
             row = row[: draw(st.integers(0, len(row) - 1))]
         if kind == 6:
             row.append("extra")
-        lines.append("\t".join(row))
-    ending = draw(st.sampled_from(["\n", ""]))
-    return "\n".join(lines) + ending, columns
+        rows.append(row)
+    last = len(rows) - 1
+    lines = [
+        row if isinstance(row, str) else "\t".join(
+            quoted(cell)
+            if any(char in cell for char in '\t\n\r"')
+            or quoting == "random" and draw(st.integers(0, 9)) == 0
+            or quoting == "last" and number == last and number > 0
+            else cell
+            for cell in row
+        )
+        for number, row in enumerate(rows)
+    ]
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n", "\r"])) if newline == "mixed" else newline
+        for _ in range(len(lines) - 1 + draw(st.integers(0, 2)))
+    ]
+    text = lines[0]
+    for line, end in zip(lines[1:] + [""] * 2, ends):
+        text += end + line
+    return text, columns
 
 
 def columns_of(data):
@@ -118,26 +157,84 @@ def columns_of(data):
 
 
 def outcome(read, path, columns=None):
-    """The columns read, or the error's class, message and line."""
+    """The columns read, or the error's class, message and line. The oracle
+    lets a csv.Error out (NUL in a cell, before Python 3.11); the package
+    reports it as a TsvRowError, so both give its message and the class."""
     try:
         return columns_of(read(path, columns))
     except ValueError as err:
         return type(err), str(err), getattr(err, "line", None)
+    except csv.Error as err:
+        return TsvRowError, str(err)
 
 
-@given(corpus_files())
-@settings(max_examples=300, deadline=None)
+def assert_same_outcome(path, columns=None):
+    ours, reference = outcome(ingest_tsv, path, columns), outcome(oracle.ingest_tsv, path, columns)
+    if len(reference) == 2:  # a csv.Error, which the package gives with its line
+        assert ours[0] is TsvRowError and ours[1].endswith(f": {reference[1]}")
+    else:
+        assert ours == reference
+
+
+@given(corpus_files(), st.sampled_from([1, 7, 32, 1 << 16]))
+@settings(max_examples=400, deadline=None)
 @example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
           "cass\tCASS\tGILGF\tEP1\t1\nCASB\tCASS\tGILGF\tEP1\t1\nCASX\tCASS\tGILGF\tEP1\t1\n",
-          None))
+          None), 1 << 16)
 @example(("id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
-          "a\tCA\tCA\tGILGF\tEP1\t1\na\tCA\tCA\tNLVPM\tEP1\t1\n", None))
-@example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\n\n CA \t ca \tGILGF\tEP1\t 0\n", None))
-def test_ingest_matches_oracle(tmp_path_factory, case):
+          "a\tCA\tCA\tGILGF\tEP1\t1\na\tCA\tCA\tNLVPM\tEP1\t1\n", None), 1 << 16)
+@example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\n\n CA \t ca \tGILGF\tEP1\t 0\n", None), 1 << 16)
+# one row a cell short and one a cell long: the block's tab total is right
+@example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
+          "CA\tCA\tGILGF\tEP1\t1\tx\nCA\tCA\tGILGF\tEP1\n", None), 1 << 16)
+def test_ingest_matches_oracle(tmp_path_factory, case, block_chars):
+    # small blocks put a non-plain line in a later block than the first
     text, columns = case
     path = tmp_path_factory.mktemp("tsv") / "corpus.tsv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert outcome(ingest_tsv, path, columns) == outcome(oracle.ingest_tsv, path, columns)
+    with mock.patch.object(data_module, "_BLOCK_CHARS", block_chars):
+        assert_same_outcome(path, columns)
+
+
+def test_plain_corpus_is_read_in_blocks(tmp_path, monkeypatch):
+    # the benchmark's corpus shape never reaches the row loop, and keeps one
+    # string object per distinct peptide and epitope
+    path = tmp_path / "corpus.tsv"
+    export_tsv(motif_corpus(3000, 1), path)
+    expected = oracle.ingest_tsv(path)
+    monkeypatch.setattr(data_module, "_ingest_rows", None)
+    data = ingest_tsv(path)
+    assert columns_of(data) == columns_of(expected)
+    for column in (data.peptide, data.epitope_id):
+        assert len(set(map(id, column))) == len(set(column))
+
+
+def test_field_over_the_csv_limit_fails_as_csv_does(tmp_path):
+    # the row loop reports the csv error; a split at tabs would read the row
+    path = tmp_path / "corpus.tsv"
+    path.write_text(
+        "id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
+        + "a\tCAS\tCAS\tGILGF\tEP1\t1\n" * 3 + "b\tCASSLGQETQYF\tCAS\tGILGF\tEP1\t1\n",
+        encoding="utf-8",
+    )
+    limit = csv.field_size_limit(11)
+    try:
+        assert_same_outcome(path)
+        assert outcome(ingest_tsv, path)[1:] == ("line 5: field larger than field limit (11)", 5)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_lines_longer_than_a_block_are_read_by_the_row_loop(tmp_path):
+    # a file with CR line ends holds no LF, so it is one line to split_blocks
+    rows = "".join(f"r{i}\tCAS\tCAS\tGILGF\tEP1\t1\r" for i in range(10000))
+    stream = io.StringIO(rows, newline="")
+    with pytest.raises(data_module.NotPlainText):
+        next(data_module.split_blocks(stream, 6))
+    assert stream.tell() == 2 * data_module._BLOCK_CHARS < len(rows)  # not the whole file
+    path = tmp_path / "corpus.tsv"
+    path.write_text("id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n" + rows, encoding="utf-8")
+    assert_same_outcome(path)
 
 
 def test_first_bad_row_is_reported(tmp_path):

@@ -1,16 +1,20 @@
 """Built-in linear scorer: features, loss gradient, training, score tables."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import kmer_oracle as oracle
+import logit_oracle
 import train_oracle
 from dataset_rows import dataset_of
+from tcrselect import data as data_module
+from tcrselect import scorer as scorer_module
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import (
     LinearScorerModel,
@@ -571,6 +575,61 @@ class TestLogitFiles:
         assert ingest_logits(logits, head).logits.tolist() == [0.5, -0.5]
         assert ingest_logits(logits, tail).logits.tolist() == [0.25, 1.5]
         assert ingest_logits(read_logits(path), tail).logits.tolist() == [0.25, 1.5]
+
+
+LOGIT_IDS = ("t0", "t1", "", " t1", "t\u2028", "p\x85q", "é", "n\0ul")
+LOGIT_VALUES = ("0.5", " 2 ", "1_0", "0x1", "abc", "", "nan", "-inf", "1e999", "1.5\x0b")
+
+
+@st.composite
+def logit_files(draw):
+    """Bytes of a logit TSV. Most files hold one good 'id<TAB>logit' per line;
+    the rest also have blank, short and long lines, odd or repeated ids and
+    bad logits. LF, CRLF and CR line ends, 0 to 2 trailing line ends, an
+    optional byte-order mark, and an undecodable tail."""
+    odd = draw(st.integers(0, 2)) == 0
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9)) if odd else 9
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "\t", "a\tb\tc", "only"])))
+            continue
+        ex_id = draw(st.sampled_from(LOGIT_IDS)) if kind < 4 else f"x{i}"
+        value = draw(st.sampled_from(LOGIT_VALUES)) if kind in (4, 5) else repr(
+            draw(st.floats(allow_nan=False, allow_infinity=False))
+        )
+        lines.append(f"{ex_id}\t{value}")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines)
+    text += newline * draw(st.integers(0, 2))
+    return text.encode("utf-8") + (b"\xff\n" if odd and draw(st.integers(0, 3)) == 0 else b"")
+
+
+def logit_outcome(read, path):
+    try:
+        return list(read(path).items())
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@given(logit_files(), st.sampled_from([1, 5, 16, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+@example(b"x\t0.5\ny\tnan\n", 1 << 16)
+@example(b"x\t-inf\n", 1 << 16)
+@example(b"1\t2\t3\n4\n", 1 << 16)  # a line a cell long, then one a cell short
+def test_read_logits_matches_the_line_reader(tmp_path_factory, contents, block_chars):
+    path = tmp_path_factory.mktemp("logits") / "logits.tsv"
+    path.write_bytes(contents)
+    with mock.patch.object(data_module, "_BLOCK_CHARS", block_chars):
+        assert logit_outcome(read_logits, path) == logit_outcome(logit_oracle.read_logits, path)
+
+
+def test_plain_logits_are_read_in_blocks(tmp_path, monkeypatch):
+    path = tmp_path / "logits.tsv"
+    path.write_text("".join(f"x{i}\t{i / 7!r}\n" for i in range(5000)), encoding="utf-8")
+    expected = logit_oracle.read_logits(path)
+    monkeypatch.setattr(scorer_module, "_read_logit_lines", None)
+    assert list(read_logits(path).items()) == list(expected.items())
 
 
 def test_sigmoid_extremes():
