@@ -79,8 +79,6 @@ class _Runner:
 
 
 def _load_dataset(config: RunConfig) -> Dataset:
-    if config.dataset.path is None:
-        raise ConfigError("dataset.path: required for this command")
     data = ingest_tsv(config.dataset.path, columns=config.dataset.columns)
     if len(data) == 0:
         raise ValueError(f"dataset {config.dataset.path}: no data rows")
@@ -542,6 +540,8 @@ _TEXT_FLAGS = {
     "sweep.grid": lambda text: _list_flag("--grid", text, float, "a number"),
     "simulate.sizes": lambda text: _list_flag("--sizes", text, int, "an integer"),
 }
+# the commands that fail without a dataset, checked before the output directory is made
+_READS_DATASET = ("split", "run", "sweep", "score", "metrics")
 # the parsed arguments that name no config field
 _NOT_SETTINGS = ("command", "config", "manifest", "decisions")
 
@@ -566,6 +566,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             config = load_config(getattr(args, "config", None), _overrides_from_args(args))
+            if args.command in _READS_DATASET and config.dataset.path is None:
+                raise ConfigError("dataset.path: required for this command")
             runner = _Runner(config)
             runner.log(f"command {args.command} started")
             runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")

@@ -126,8 +126,12 @@ def fit_threshold(cal_scores: Sequence[float], epsilon: float) -> ConformalRule:
             stacklevel=2,
         )
         return ConformalRule(epsilon=epsilon, n_cal=n, quantile_index=k, threshold=None)
-    # a stable sort, like sorted(): of equal scores (0.0 and -0.0) it keeps input order
-    threshold = np.sort(np.asarray(cal_scores, dtype=np.float64), kind="stable")[k - 1]
+    scores = np.asarray(cal_scores, dtype=np.float64)
+    threshold = np.partition(scores, k - 1)[k - 1]
+    if threshold == 0.0:
+        # equal scores are the same bits except 0.0 and -0.0: take the zero
+        # that a stable sort (sorted()) puts at k - 1, counting in input order
+        threshold = scores[scores == 0.0][k - 1 - np.count_nonzero(scores < 0.0)]
     return ConformalRule(epsilon=epsilon, n_cal=n, quantile_index=k, threshold=float(threshold))
 
 

@@ -32,14 +32,16 @@ _JOIN = "|"  # keeps k-mers spanning the cdr3a/cdr3b junction distinct
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function of every element of a 1-D array.
+    """Numerically stable logistic function of every element of an array of
+    any shape (a scalar gives a 0-d array).
 
-    exp runs through math.exp one element at a time, because np.exp differs
-    from it in the last bit on a few percent of inputs and the probabilities
-    in every report must stay the same.
+    exp(-|z|) is the real part of numpy's complex exp at -|z| + 0j, which is
+    the C library's exp(-|z|) * cos(0): the same bits as math.exp, on every
+    CPU. Real np.exp runs numpy's own SIMD kernels, which differ from libm and
+    from each other in the last bit on a few percent of inputs.
     """
     z = np.asarray(logits, dtype=np.float64)
-    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
+    e = np.exp(-np.abs(z) + 0j).real
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 

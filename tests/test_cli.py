@@ -344,6 +344,15 @@ MALFORMED = {
     "flag-sizes-zero": ("flag", "-", ("simulate", "--sizes", "0,100"), 2),
     "flag-cal-fraction-out-of-range": ("flag", "-", ("split", "--cal-fraction", "1.5"), 2),
     "flag-logits-without-path": ("flag", "-", ("sweep", "--scorer", "logits"), 2),
+    # a command that reads a dataset, run without --dataset; metrics gets a
+    # decisions file that it never reads
+    "no-dataset-split": ("no-dataset:split", "-", None, 2),
+    "no-dataset-run": ("no-dataset:run", "-", None, 2),
+    "no-dataset-sweep": ("no-dataset:sweep", "-", None, 2),
+    "no-dataset-score": ("no-dataset:score", "-", None, 2),
+    "no-dataset-metrics": (
+        "no-dataset:metrics", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t1\n", 2,
+    ),
 }
 # the exact stderr of the cases whose message is part of the interface, with
 # {path} standing for the malformed file
@@ -413,6 +422,10 @@ MALFORMED_MESSAGES = {
         "config error: scorer: logits_path is required when mode is 'logits'\n",
     "config-simulate-two-errors":
         "config error: simulate: miscalibration_temperature must be > 0\n",
+    **{
+        f"no-dataset-{command}": "config error: dataset.path: required for this command\n"
+        for command in ("split", "run", "sweep", "score", "metrics")
+    },
 }
 
 
@@ -433,6 +446,10 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
         argv = [command, "--dataset", dataset, "--out", out, flag, value]
     elif kind == "decisions":
         argv = ["metrics", "--dataset", dataset, "--decisions", str(path), "--out", out]
+    elif kind == "no-dataset":
+        argv = [command, "--out", out]
+        if command == "metrics":
+            argv += ["--decisions", str(path)]
     else:
         argv = [command, "--dataset", dataset, "--out", out, *extra]
         argv += {

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataset_rows import dataset_of
@@ -80,6 +80,21 @@ class TestQuantileIndex:
             quantile_index(10, 1.0)
 
 
+@st.composite
+def threshold_cases(draw):
+    """Calibration scores heavy in ties (signed zeros, repeats, one NaN bit
+    pattern, negatives) and an order statistic k in [1, n + 1], where n + 1
+    is the retain-all case."""
+    value = st.one_of(
+        st.sampled_from((0.0, -0.0, 0.0, -0.0, 0.25, 1.0, -1.0, float("nan"))),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    scores = draw(st.lists(value, min_size=1, max_size=200))
+    n = len(scores)
+    k = draw(st.one_of(st.sampled_from((1, n, n + 1)), st.integers(1, n + 1)))
+    return scores, k
+
+
 class TestFitThreshold:
     def test_worked_example(self):
         scores = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -117,6 +132,27 @@ class TestFitThreshold:
             else:
                 rule = fit_threshold(scores, epsilon)
                 assert rule.threshold == expected
+
+    @given(threshold_cases())
+    @settings(max_examples=400, deadline=None)
+    @example(([0.0, -0.0, -1.0, -1.0], 3))  # np.partition returns -0.0 here
+    @example(([float("nan"), 0.5, -0.0], 3))
+    def test_matches_stable_sort_by_bits(self, case):
+        # selection may pick either sign of a tied zero; the rule must return
+        # the one a stable sort puts at k - 1, so compare bit patterns
+        scores, k = case
+        n = len(scores)
+        epsilon = (n + 1.5 - k) / (n + 1)  # (1 - epsilon)(n + 1) = k - 0.5
+        if k > n:
+            with pytest.warns(RuntimeWarning, match="retain"):
+                rule = fit_threshold(scores, epsilon)
+            assert (rule.quantile_index, rule.threshold) == (k, None)
+            return
+        rule = fit_threshold(scores, epsilon)
+        expected = np.sort(np.array(scores), kind="stable")[k - 1]
+        assert rule.quantile_index == k
+        assert type(rule.threshold) is float
+        assert np.float64(rule.threshold).view(np.uint64) == expected.view(np.uint64)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)

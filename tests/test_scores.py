@@ -1,12 +1,18 @@
 """The columnar score path against the per-row oracle in score_oracle, bit for bit."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import score_oracle as oracle
+import tcrselect
 from tcrselect.calibration import (
     TEMPERATURE_MAX,
     TEMPERATURE_MIN,
@@ -132,3 +138,80 @@ class TestColumnarMatchesOracle:
             assert hexes(list(summary.coverages)) == hexes(
                 list(oracle.coverages(spec, 0.2, 20))
             )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def either_sign(magnitudes):
+    return magnitudes.flatmap(lambda z: st.sampled_from((z, -z)))
+
+
+TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+sigmoid_inputs = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)),
+    st.floats(min_value=-TINY, max_value=TINY),
+    either_sign(st.floats(min_value=36.0, max_value=37.5)),  # where 1 + e rounds to 1
+    # exp(-|z|) falls through subnormal results to 0
+    either_sign(st.floats(min_value=708.0, max_value=746.0)),
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.floats(min_value=-1e308, max_value=1e308),
+)
+# numpy's dispatch targets below AVX512 on x86-64: its AVX2 kernels, then its baseline
+DISABLED_CPU_FEATURES = ("AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+# run in a child process under each setting: sigmoid against the scalar oracle
+# on edge values and seeded draws from every range above
+SIGMOID_CHECK = """
+import numpy as np
+import score_oracle as oracle
+from tcrselect.scorer import sigmoid
+
+rng = np.random.default_rng(5)
+tiny = np.finfo(np.float64).tiny
+z = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308],
+    rng.uniform(-tiny, tiny, 20000), rng.uniform(36.0, 37.5, 20000),
+    rng.uniform(708.0, 746.0, 20000), rng.uniform(-40.0, 40.0, 40000),
+])
+z = np.concatenate([z, -z])
+expected = np.array([oracle.sigmoid(v) for v in z.tolist()])
+print(np.count_nonzero(sigmoid(z).view(np.uint64) != expected.view(np.uint64)), len(z))
+"""
+
+
+class TestSigmoid:
+    @given(st.lists(sigmoid_inputs, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    @example([0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 708.4, -745.1, -746.0, 1e308, -1e308])
+    def test_matches_scalar_sigmoid_bit_for_bit(self, values):
+        assert bits(sigmoid(np.array(values))) == bits([oracle.sigmoid(v) for v in values])
+
+    def test_any_shape(self):
+        scalar = sigmoid(0.5)
+        assert scalar.shape == () and bits(scalar) == bits(oracle.sigmoid(0.5))
+        assert bits(sigmoid(np.array(-2.0))) == bits(oracle.sigmoid(-2.0))
+        grid = np.array([[-745.5, -1.0, -0.0], [0.0, 36.7, 800.0]])
+        result = sigmoid(grid)
+        assert result.shape == (2, 3)
+        assert bits(result.ravel()) == bits([oracle.sigmoid(v) for v in grid.ravel().tolist()])
+        for shape in ((0,), (0, 3)):
+            assert sigmoid(np.empty(shape)).shape == shape
+
+    @pytest.mark.parametrize("disabled", DISABLED_CPU_FEATURES)
+    def test_bits_hold_without_avx512_kernels(self, disabled):
+        tests = Path(__file__).resolve().parent
+        env = dict(
+            os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+            PYTHONPATH=os.pathsep.join([str(Path(tcrselect.__file__).resolve().parents[1]),
+                                        str(tests)]),
+        )
+        refused = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                                 capture_output=True, text=True)
+        if refused.returncode != 0:
+            reason = (refused.stderr.strip().splitlines() or ["no message"])[-1]
+            pytest.skip(f"numpy refuses {disabled!r} here: {reason}")
+        done = subprocess.run([sys.executable, "-c", SIGMOID_CHECK], env=env,
+                              capture_output=True, text=True, check=True)
+        mismatches, total = map(int, done.stdout.split())
+        assert (mismatches, total) == (0, 200012)
