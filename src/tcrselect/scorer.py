@@ -17,14 +17,11 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import Dataset, NotPlainText, split_blocks
-
-if TYPE_CHECKING:
-    from scipy.sparse import csc_matrix, csr_matrix
 
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
@@ -216,6 +213,12 @@ class KmerWindows:
         which is its column in build_vocabulary(self)."""
         return _first_seen(self.code)
 
+    def take_first_seen(self) -> tuple[np.ndarray, np.ndarray]:
+        """first_seen for a caller that may overwrite its arrays: the cached
+        pair is handed over and dropped, so a later read recomputes it."""
+        taken = self.__dict__.pop("first_seen", None)
+        return _first_seen(self.code) if taken is None else taken
+
     @cached_property
     def keys(self) -> list[str]:
         """Vocabulary key, like "tcr:CAS", of each distinct k-mer in
@@ -253,37 +256,104 @@ def build_vocabulary(windows: KmerWindows) -> dict[str, int]:
     return dict(zip(windows.keys, range(len(windows.keys))))
 
 
-def _training_matrix(windows: KmerWindows) -> csr_matrix:
-    """Row-by-k-mer float64 counts over build_vocabulary(windows), each row's
-    columns ascending.
+@dataclass(frozen=True)
+class CountMatrix:
+    """Non-negative float64 counts in CSR form: row r stores the columns
+    indices[indptr[r]:indptr[r + 1]] with data at the same positions.
 
-    A window's column is its first-seen rank. The windows already come in row
-    order, so each becomes a 1.0 entry of its row in place, and sum_duplicates
-    sorts every row and adds up repeated k-mers.
+    matvec(x) is X @ x and rmatvec(z) is X.T @ z. Each output element starts
+    at 0.0 and adds its terms data[k] * x[indices[k]] (or data[k] * z[row of
+    k]) one at a time in stored order. With compiled, a scipy csr_matrix over
+    these same arrays, scipy's csr_matvec and csc_matvec loops do that; without
+    it, numpy's bincount, which adds each weight into its bin in input order.
+    The two give the same bits as long as scipy's C++ loop does not fuse the
+    multiply and the add into one rounding, which the tests check.
     """
-    from scipy.sparse import csr_matrix  # deferred: runs without a matrix never load it
 
-    rank, first = windows.first_seen
-    per_row = np.bincount(windows.row, minlength=windows.n_rows)
-    X = csr_matrix(
-        (np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))),
-        shape=(windows.n_rows, len(first)),
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    compiled: Any = None  # scipy.sparse.csr_matrix over indptr, indices and data
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def _compiled_transpose(self) -> Any:
+        return self.compiled.T  # a csc_matrix view on the same arrays
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self.compiled is not None:
+            return self.compiled @ x
+        return _sum_into(self.rows, self.data * x[self.indices], self.shape[0])
+
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        if self.compiled is not None:
+            return self._compiled_transpose @ z
+        return _sum_into(self.indices, self.data * z[self.rows], self.shape[1])
+
+
+def _sum_into(bins: np.ndarray, terms: np.ndarray, length: int) -> np.ndarray:
+    """out[b] = sum of the terms in bin b, from 0.0 in input order: bincount,
+    which returns integer zeros for no bins, as float64 in every case."""
+    return np.bincount(bins, terms, length).astype(np.float64, copy=False)
+
+
+# A fit makes epochs + 11 forward and transpose product pairs: one per epoch,
+# ten in _smoothness_bound's power iteration and one for the final loss. In
+# process CPU on one core of a 2-core x86-64 host (numpy 2.4, scipy 1.17), a
+# bincount pair cost 9-16 ns per stored entry more than scipy's compiled pair
+# (12k to 1.9M entries), and `import scipy.sparse` after numpy cost 0.13-0.15
+# s. So the import pays for itself above about 1.3e7 window-pairs: 210k
+# windows at the default 50 epochs.
+_COMPILED_BUDGET = 13_000_000
+
+
+def _compiled_pays(n_windows: int, epochs: int) -> bool:
+    """Whether a fit over n_windows k-mer windows for epochs epochs should
+    run on scipy's compiled products rather than numpy's bincount."""
+    return n_windows * (epochs + 11) > _COMPILED_BUDGET
+
+
+def _training_matrix(windows: KmerWindows, epochs: int = TrainingConfig.epochs) -> CountMatrix:
+    """Row-by-k-mer float64 counts over build_vocabulary(windows), each row's
+    columns ascending, for a fit of epochs epochs.
+
+    A window's column is its first-seen rank; the matrix takes the rank array
+    over from windows, whose first_seen is recomputed if read again. Below the
+    budget (_compiled_pays), np.unique sorts the (row, rank) keys and counts
+    repeated k-mers. Above it, scipy holds each window as a 1.0 entry of its
+    row, in place in the rank array, and sum_duplicates sorts every row and
+    adds up repeated k-mers. Both give the same arrays.
+    """
+    rank, first = windows.take_first_seen()
+    shape = (windows.n_rows, len(first))
+    if _compiled_pays(len(rank), epochs):
+        from scipy.sparse import csr_matrix  # deferred: small fits never load it
+
+        per_row = np.bincount(windows.row, minlength=windows.n_rows)
+        X = csr_matrix((np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))), shape=shape)
+        X.sum_duplicates()
+        return CountMatrix(X.indptr, X.indices, X.data, shape, X)
+    key, count = np.unique(windows.row.astype(np.int64) << 32 | rank, return_counts=True)
+    indptr = np.searchsorted(key >> 32, np.arange(windows.n_rows + 1))
+    return CountMatrix(
+        indptr.astype(np.int32), (key & 0xFFFFFFFF).astype(np.int32), count.astype(float), shape
     )
-    X.sum_duplicates()
-    return X
 
 
-def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_matrix:
+def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> CountMatrix:
     """Counts with a leading bias column, in the order the logit sums them.
 
     Column 0 holds 1.0 for the bias, and column i + 1 the count of k-mer i.
     Each row stores the bias first, then its in-vocabulary k-mers in order of
-    first occurrence. csr_matvec sums a row from 0.0 in stored order, so a
-    logit is ((bias + w1 * c1) + w2 * c2) + ... in exactly that order; a
+    first occurrence. matvec sums a row from 0.0 in stored order, so a logit
+    is ((bias + w1 * c1) + w2 * c2) + ... in exactly that order; a
     sorted-order sum differs in the last bits.
     """
-    from scipy.sparse import csr_matrix
-
     columns = windows.columns(vocabulary)
     hit = columns >= 0
     row, col = windows.row[hit], columns[hit]
@@ -291,13 +361,11 @@ def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> csr_
     count = np.bincount(rank, minlength=len(first))
     row, col = row[first], col[first]
     starts = np.searchsorted(row, np.arange(windows.n_rows))
-    return csr_matrix(
-        (
-            np.insert(count.astype(float), starts, 1.0),
-            np.insert(col + 1, starts, 0),
-            np.append(starts + np.arange(windows.n_rows), len(row) + windows.n_rows),
-        ),
-        shape=(windows.n_rows, len(vocabulary) + 1),
+    return CountMatrix(
+        np.append(starts + np.arange(windows.n_rows), len(row) + windows.n_rows),
+        np.insert(col + 1, starts, 0),
+        np.insert(count.astype(float), starts, 1.0),
+        (windows.n_rows, len(vocabulary) + 1),
     )
 
 
@@ -310,8 +378,7 @@ def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
 
 
 def loss_and_grad(
-    X: csr_matrix,
-    X_T: csc_matrix,
+    X: CountMatrix,
     y: np.ndarray,
     sample_weights: np.ndarray,
     weights: np.ndarray,
@@ -321,14 +388,13 @@ def loss_and_grad(
 ) -> tuple[float | None, np.ndarray, float]:
     """Class-weighted mean BCE plus 0.5*l2*||w||^2 (bias unpenalized).
 
-    X_T is X.T, built once by the caller rather than on every call.
     Returns (loss, grad_weights, grad_bias). Per-sample cross-entropy is
     computed as softplus(z) - y*z, which is exact and overflow-safe. y holds
     0/1 labels and sample_weights are non-negative. With want_loss=False the
     loss is None.
     """
     n = X.shape[0]
-    z = X @ weights
+    z = X.matvec(weights)
     z += bias
     loss = None
     if want_loss:
@@ -345,12 +411,12 @@ def loss_and_grad(
     z -= y
     np.multiply(sample_weights, z, out=z)
     z /= n
-    grad_w = np.asarray(X_T @ z) + l2 * weights
+    grad_w = X.rmatvec(z) + l2 * weights
     grad_b = float(np.sum(z))
     return loss, grad_w, grad_b
 
 
-def _smoothness_bound(X: csr_matrix, X_T: csc_matrix, sample_weights: np.ndarray, l2: float) -> float:
+def _smoothness_bound(X: CountMatrix, sample_weights: np.ndarray, l2: float) -> float:
     """An upper bound on the smoothness constant L of loss_and_grad's loss.
 
     sigmoid' <= 1/4, so the loss's Hessian is at most A = [X 1]^T diag(sw)
@@ -365,8 +431,8 @@ def _smoothness_bound(X: csr_matrix, X_T: csc_matrix, sample_weights: np.ndarray
     n = X.shape[0]
     v = np.ones(X.shape[1] + 1)  # the weights, then the bias
     for _ in range(10):
-        u = sample_weights * (X @ v[:-1] + v[-1])
-        Av = np.append(X_T @ u, np.sum(u)) / (4 * n)
+        u = sample_weights * (X.matvec(v[:-1]) + v[-1])
+        Av = np.append(X.rmatvec(u), np.sum(u)) / (4 * n)
         bound = float(np.max(Av / v))
         v = Av / np.max(Av)
     return bound + l2
@@ -421,11 +487,10 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    X = _training_matrix(windows)
-    X_T = X.T  # a view on X's arrays
+    X = _training_matrix(windows, config.epochs)
     del windows  # frees the per-window arrays before gradient descent
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
-    step = 1.0 / _smoothness_bound(X, X_T, sample_w, config.l2)
+    step = 1.0 / _smoothness_bound(X, sample_w, config.l2)
     # (weights, bias) is the iterate; the gradient is taken at the
     # extrapolated point (at_w, at_b)
     weights = at_w = np.zeros(len(vocabulary))
@@ -433,7 +498,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     t = 1.0
     for _ in range(config.epochs):
         _, grad_w, grad_b = loss_and_grad(
-            X, X_T, labels, sample_w, at_w, at_b, config.l2, want_loss=False
+            X, labels, sample_w, at_w, at_b, config.l2, want_loss=False
         )
         next_w, next_b = at_w - step * grad_w, at_b - step * grad_b
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -441,7 +506,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
         at_w = next_w + momentum * (next_w - weights)
         at_b = next_b + momentum * (next_b - bias)
         weights, bias, t = next_w, next_b, t_next
-    loss, _, _ = loss_and_grad(X, X_T, labels, sample_w, weights, bias, config.l2)
+    loss, _, _ = loss_and_grad(X, labels, sample_w, weights, bias, config.l2)
     return LinearScorerModel(
         vocabulary=vocabulary,
         weights=weights,
@@ -464,12 +529,12 @@ def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
     windows = encode_kmers(data, model.kmer_size, model.include_cdr3a)
     X = _scoring_matrix(windows, model.vocabulary)
     x = np.concatenate(([model.bias], model.weights))
-    logits = X @ x
+    logits = X.matvec(x)
     if model.bias == 0.0 and math.copysign(1.0, model.bias) < 0.0:
         # a logit starts at the bias, and from -0.0 it stays -0.0 while every
-        # term is -0.0; csr_matvec starts each row at +0.0 instead
+        # term is -0.0; matvec starts each row at +0.0 instead
         signed_zero = (x == 0.0) & np.signbit(x)
-        logits[(X @ (~signed_zero).astype(float)) == 0.0] = -0.0
+        logits[X.matvec((~signed_zero).astype(float)) == 0.0] = -0.0
     return ScoreTable(data.ids, logits, data.labels)
 
 

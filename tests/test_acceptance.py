@@ -26,7 +26,13 @@ from tcrselect.conformal import fit_threshold, run_pipeline
 from tcrselect.data import ingest_tsv
 from tcrselect.distance import identity, levenshtein
 from tcrselect.metrics import auroc, coverage_risk_sweep
-from tcrselect.scorer import TrainingConfig, class_weights, loss_and_grad, sigmoid
+from tcrselect.scorer import (
+    CountMatrix,
+    TrainingConfig,
+    class_weights,
+    loss_and_grad,
+    sigmoid,
+)
 from tcrselect.splits import (
     SplitConfig,
     split_distance_aware,
@@ -222,7 +228,8 @@ def test_criterion_8_gradient_check():
         for _ in range(100):
             n = int(rng.integers(2, 8))
             d = int(rng.integers(1, 6))
-            X = csr_matrix(rng.integers(0, 3, size=(n, d)).astype(float))
+            sparse = csr_matrix(rng.integers(0, 3, size=(n, d)).astype(float))
+            X = CountMatrix(sparse.indptr, sparse.indices, sparse.data, sparse.shape)
             y = rng.integers(0, 2, size=n).astype(float)
             if y.sum() == 0:
                 y[0] = 1.0
@@ -233,18 +240,18 @@ def test_criterion_8_gradient_check():
             weights = rng.normal(scale=0.5, size=d)
             bias = float(rng.normal(scale=0.5))
             l2 = float(rng.choice([0.0, 1e-4, 1e-2]))
-            _, grad_w, grad_b = loss_and_grad(X, X.T, y, sw, weights, bias, l2)
+            _, grad_w, grad_b = loss_and_grad(X, y, sw, weights, bias, l2)
             analytic = np.append(grad_w, grad_b)
             numeric = np.empty(d + 1)
             for k in range(d):
                 bump = weights.copy()
                 bump[k] += h
-                up, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
+                up, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
                 bump[k] -= 2 * h
-                down, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
+                down, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
                 numeric[k] = (up - down) / (2 * h)
-            up, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias + h, l2)
-            down, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias - h, l2)
+            up, _, _ = loss_and_grad(X, y, sw, weights, bias + h, l2)
+            down, _, _ = loss_and_grad(X, y, sw, weights, bias - h, l2)
             numeric[d] = (up - down) / (2 * h)
             # vector-norm relative error: per-component ratios blow up on
             # near-zero components where central differences are pure roundoff

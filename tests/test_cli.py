@@ -538,6 +538,27 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_small_builtin_fits_leave_scipy_sparse_unloaded(tmp_path):
+    # the toy corpus is far below the scorer's compiled-product budget, so
+    # run, score and sweep train and score on numpy's bincount kernels
+    package_root = Path(tcrselect.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from tcrselect.cli import main\n"
+        "from tcrselect.toycorpus import toy_dataset_path\n"
+        "for command in ('run', 'score', 'sweep'):\n"
+        "    argv = [command, '--dataset', str(toy_dataset_path()), '--out', command]\n"
+        "    assert main(argv) == 0, command\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+    assert all((tmp_path / command).is_dir() for command in ("run", "score", "sweep"))
+
+
 def _is_config_field(dotted):
     """Whether a dotted path such as "split.seed" names a field of RunConfig."""
     *sections, name = dotted.split(".")

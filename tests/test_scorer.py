@@ -17,9 +17,11 @@ from tcrselect import data as data_module
 from tcrselect import scorer as scorer_module
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import (
+    CountMatrix,
     LinearScorerModel,
     ScoreTable,
     TrainingConfig,
+    _compiled_pays,
     _first_seen,
     _scoring_matrix,
     _training_matrix,
@@ -275,6 +277,101 @@ class TestEncoderMatchesOracle:
         assert X.data.tolist() == [1.0, 1.0, 2.0, 1.0]
 
 
+# kernel inputs: any finite float, plus signed zeros, subnormals and values
+# whose products overflow
+KERNEL_INPUTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300]
+)
+
+
+@st.composite
+def sparse_counts(draw):
+    """scipy CSR counts of 0-6 rows by 0-5 columns, mostly 0 and up to 3, so
+    rows and columns are often empty and counts often above 1."""
+    n, d = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    cells = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=n * d, max_size=n * d))
+    return csr_matrix(np.array(cells, dtype=float).reshape(n, d))
+
+
+def bits(values: np.ndarray) -> list[int]:
+    assert values.dtype == np.float64
+    return values.view(np.int64).tolist()
+
+
+def training_matrix(windows, compiled):
+    """_training_matrix on the side of the budget that compiled names."""
+    with mock.patch.object(scorer_module, "_COMPILED_BUDGET", -1 if compiled else math.inf):
+        return _training_matrix(windows)
+
+
+def csr_sum_duplicates(windows):
+    """The training matrix as scipy builds it: every window a 1.0 entry of its
+    row at its first-seen rank, then sum_duplicates."""
+    rank, first = _first_seen(windows.code)
+    per_row = np.bincount(windows.row, minlength=windows.n_rows)
+    X = csr_matrix(
+        (np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))),
+        shape=(windows.n_rows, len(first)),
+    )
+    X.sum_duplicates()
+    return X
+
+
+class TestCountMatrix:
+    @settings(max_examples=400, deadline=None)
+    @given(sparse=sparse_counts(), data=st.data())
+    def test_kernels_give_scipy_bits(self, sparse, data):
+        n, d = sparse.shape
+        x = np.array(data.draw(st.lists(KERNEL_INPUTS, min_size=d, max_size=d)), dtype=float)
+        z = np.array(data.draw(st.lists(KERNEL_INPUTS, min_size=n, max_size=n)), dtype=float)
+        arrays = (sparse.indptr, sparse.indices, sparse.data, sparse.shape)
+        for X in (CountMatrix(*arrays), CountMatrix(*arrays, sparse)):
+            with np.errstate(over="ignore"):  # 3 * 1e300; scipy does not warn
+                assert bits(X.matvec(x)) == bits(sparse @ x)
+                assert bits(X.rmatvec(z)) == bits(sparse.T @ z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alphabet=st.sampled_from(["A", "AC", "ACDEF"]),
+        data=st.data(),
+        kmer_size=st.integers(1, 4),
+        include_cdr3a=st.booleans(),
+        compiled=st.booleans(),
+    )
+    def test_training_matrix_equals_csr_sum_duplicates(
+        self, alphabet, data, kmer_size, include_cdr3a, compiled
+    ):
+        windows = encode_kmers(data.draw(example_sets(alphabet, "t")), kmer_size, include_cdr3a)
+        expected = csr_sum_duplicates(windows)
+        X = training_matrix(windows, compiled)
+        assert (X.compiled is not None) == compiled
+        assert X.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            actual, wanted = getattr(X, name), getattr(expected, name)
+            assert actual.dtype == wanted.dtype
+            assert actual.tobytes() == wanted.tobytes()
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["bincount", "compiled"])
+    def test_training_matrix_leaves_the_windows_numbering_intact(self, compiled):
+        # sum_duplicates sorts and compacts its indices in place; they must
+        # not be the windows' cached first-seen ranks
+        windows = encode_kmers(motif_corpus(300, 1), 3)
+        vocab = build_vocabulary(windows)
+        columns, rank = windows.columns(vocab), windows.first_seen[0].copy()
+        X = training_matrix(windows, compiled)
+        assert (X.compiled is not None) == compiled
+        assert windows.columns(vocab).tolist() == columns.tolist()
+        assert windows.first_seen[0].tolist() == rank.tolist()
+        assert not np.shares_memory(X.indices, windows.first_seen[0])
+
+    def test_budget_sends_only_large_fits_to_scipy(self):
+        # train_random's fit (1,929,776 windows) and cluster_distance's
+        # (15,562), both at the default 50 epochs
+        assert _compiled_pays(1_929_776, 50)
+        assert not _compiled_pays(15_562, 50)
+        assert _training_matrix(encode_kmers(motif_corpus(300, 1), 3)).compiled is None
+
+
 def first_seen_oracle(values: list) -> tuple[list[int], list[int]]:
     """(rank, first) by a dict: the r-th distinct value to appear has rank r
     and first appears at first[r]."""
@@ -398,18 +495,19 @@ class TestLossAndGrad:
         h = 1e-6
         for _ in range(10):
             X, y, sw, weights, bias, l2 = random_instance(rng)
-            _, grad_w, grad_b = loss_and_grad(X, X.T, y, sw, weights, bias, l2)
+            X = CountMatrix(X.indptr, X.indices, X.data, X.shape)
+            _, grad_w, grad_b = loss_and_grad(X, y, sw, weights, bias, l2)
             for k in range(len(weights)):
                 bump = weights.copy()
                 bump[k] += h
-                up, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
+                up, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
                 bump[k] -= 2 * h
-                down, _, _ = loss_and_grad(X, X.T, y, sw, bump, bias, l2)
+                down, _, _ = loss_and_grad(X, y, sw, bump, bias, l2)
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(grad_w[k]), 1e-8)
                 assert abs(numeric - grad_w[k]) / denom <= 1e-5
-            up, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias + h, l2)
-            down, _, _ = loss_and_grad(X, X.T, y, sw, weights, bias - h, l2)
+            up, _, _ = loss_and_grad(X, y, sw, weights, bias + h, l2)
+            down, _, _ = loss_and_grad(X, y, sw, weights, bias - h, l2)
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad_b), 1e-8)
             assert abs(numeric - grad_b) / denom <= 1e-5
@@ -418,7 +516,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(11)
         X, y, _, weights, bias, _ = random_instance(rng)
         ones = np.ones(X.shape[0])
-        loss, _, _ = loss_and_grad(X, X.T, y, ones, weights, bias, 0.0)
+        M = CountMatrix(X.indptr, X.indices, X.data, X.shape)
+        loss, _, _ = loss_and_grad(M, y, ones, weights, bias, 0.0)
         z = X @ weights + bias
         p = 1.0 / (1.0 + np.exp(-z))
         plain = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))

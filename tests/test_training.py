@@ -15,8 +15,10 @@ from scipy.sparse import csr_matrix
 
 import train_oracle
 from dataset_rows import dataset_of
+from tcrselect import scorer as scorer_module
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import (
+    CountMatrix,
     TrainingConfig,
     _smoothness_bound,
     _training_matrix,
@@ -74,6 +76,15 @@ def test_motif_corpus_regression(seed):
     assert outcome(train_linear, data, TrainingConfig()) == expected
 
 
+def test_compiled_fit_matches_oracle(monkeypatch):
+    # the motif corpus regression above trains on the bincount kernels; the
+    # same fit on scipy's compiled products must give the same bits
+    data = motif_corpus(2000, 1)
+    expected = outcome(train_oracle.train_linear, data, TrainingConfig())
+    monkeypatch.setattr(scorer_module, "_COMPILED_BUDGET", -1)
+    assert outcome(train_linear, data, TrainingConfig()) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=training_sets(),
@@ -127,7 +138,9 @@ def test_smoothness_bound_is_an_upper_bound(instance, l2):
     n_pos = int(y.sum())
     sw = np.where(y == 1, *class_weights(n_pos, len(y) - n_pos))
     sparse = csr_matrix(X)
-    bound = _smoothness_bound(sparse, sparse.T, sw, l2)
+    bound = _smoothness_bound(
+        CountMatrix(sparse.indptr, sparse.indices, sparse.data, sparse.shape), sw, l2
+    )
     assert bound >= (gram_eigenvalue(X, sw) + l2) * (1.0 - 1e-12)
 
 
@@ -138,6 +151,7 @@ def test_smoothness_bound_is_tight_on_motif_corpus():
     y = train.labels.astype(float)
     n_pos = int(y.sum())
     sw = np.where(y == 1.0, *class_weights(n_pos, len(y) - n_pos))
-    exact = gram_eigenvalue(X.toarray(), sw) + 1e-4
-    bound = _smoothness_bound(X, X.T, sw, 1e-4)
+    dense = csr_matrix((X.data, X.indices, X.indptr), shape=X.shape).toarray()
+    exact = gram_eigenvalue(dense, sw) + 1e-4
+    bound = _smoothness_bound(X, sw, 1e-4)
     assert exact * (1.0 - 1e-12) <= bound <= 1.01 * exact

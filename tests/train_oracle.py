@@ -76,7 +76,8 @@ def train_linear(
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    X = _training_matrix(windows)
+    counts = _training_matrix(windows, config.epochs)
+    X = csr_matrix((counts.data, counts.indices, counts.indptr), shape=counts.shape)
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     step = 1.0 / smoothness_bound(X, sample_w, config.l2)
     weights, bias = np.zeros(len(vocabulary)), 0.0
