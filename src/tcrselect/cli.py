@@ -4,7 +4,9 @@ Subcommands: split, run, sweep, simulate, score, metrics. One JSON config file
 drives everything; flags override file values. Reports are machine-first
 (JSON/CSV/TSV) and byte-deterministic for a fixed config: timestamps go to a
 sidecar run_log.txt only, and every output names the fingerprints of the
-manifest, scorer, and config it derives from.
+manifest, scorer, and config it derives from. A report's config is only the
+settings its command reads (_COMMANDS), so a setting the command ignores
+leaves its bytes alone.
 """
 
 from __future__ import annotations
@@ -55,14 +57,27 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class _Runner:
-    """Shared plumbing: output dir, sidecar log, deterministic writers."""
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def __init__(self, config: RunConfig) -> None:
+
+class _Runner:
+    """Shared plumbing: output dir, sidecar log, deterministic writers.
+
+    settings, every report's config block, are the config sections the
+    command reads; external logits read no training setting, so under
+    scorer.mode logits the scorer section is only the mode and the logit file.
+    The config fingerprint hashes their JSON text.
+    """
+
+    def __init__(self, config: RunConfig, sections: Sequence[str]) -> None:
         self.config = config
+        self.settings = {name: asdict(getattr(config, name)) for name in sections}
+        if "scorer" in sections and config.scorer.mode == "logits":
+            self.settings["scorer"] = {"mode": "logits", "logits_path": config.scorer.logits_path}
+        self.config_fingerprint = _sha256(_json_text(self.settings))
         self.out = Path(config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.config_fingerprint = _sha256(config.semantic_json())
 
     def log(self, message: str) -> None:
         with open(self.out / "run_log.txt", "a", encoding="utf-8") as handle:
@@ -75,7 +90,16 @@ class _Runner:
         return path
 
     def write_json(self, name: str, payload: dict) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return self.write_text(name, _json_text(payload))
+
+    def write_table(self, name: str, table: str, provenance: dict | None = None) -> Path:
+        """A table report under its '#' header: the manifest and scorer
+        fingerprints of provenance, when given, then the config fingerprint."""
+        header = "" if provenance is None else (
+            f"# manifest={provenance['manifest']}\n"
+            f"# scorer={provenance['scorer'] or 'external-logits'}\n"
+        )
+        return self.write_text(name, f"{header}# config={self.config_fingerprint}\n{table}")
 
 
 def _load_dataset(config: RunConfig) -> Dataset:
@@ -104,17 +128,19 @@ def _make_manifest(config: RunConfig, data: Dataset) -> SplitManifest:
     return split_distance_aware(data, split)
 
 
-def _get_manifest(
-    runner: _Runner, data: Dataset, manifest_path: str | None
-) -> SplitManifest:
+def _get_manifest(runner: _Runner, args: argparse.Namespace) -> tuple[Dataset, SplitManifest]:
+    """The dataset, and the manifest given by --manifest or else split and
+    written: the prelude of every command that splits."""
+    data = _load_dataset(runner.config)
+    manifest_path = getattr(args, "manifest", None)
     if manifest_path:
         manifest = SplitManifest.load(manifest_path)
         manifest.check_covers(data.ids, f"manifest {manifest_path}")
         runner.log(f"loaded manifest from {manifest_path}")
-        return manifest
+        return data, manifest
     manifest = _make_manifest(runner.config, data)
     runner.write_text("manifest.json", manifest.to_json())
-    return manifest
+    return data, manifest
 
 
 def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
@@ -185,8 +211,7 @@ def _method_rows(result: PipelineResult) -> dict:
 
 
 def cmd_split(runner: _Runner, args: argparse.Namespace) -> int:
-    data = _load_dataset(runner.config)
-    manifest = _get_manifest(runner, data, None)
+    data, manifest = _get_manifest(runner, args)
     print(
         f"{manifest.protocol} split of {len(data)} examples: "
         f"train={len(manifest.train_ids)} cal={len(manifest.cal_ids)} "
@@ -198,20 +223,15 @@ def cmd_split(runner: _Runner, args: argparse.Namespace) -> int:
 
 def _run_shared(
     runner: _Runner, args: argparse.Namespace
-) -> tuple[SplitManifest, PipelineResult]:
+) -> tuple[SplitManifest, PipelineResult, dict, str | None]:
+    """The pipeline on the split; with the manifest and result, the provenance
+    block and the builtin scorer's JSON text (None for external logits):
+    serialized once, hashed here and written by run."""
     config = runner.config
-    data = _load_dataset(config)
-    manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
+    data, manifest = _get_manifest(runner, args)
     builtin = config.scorer.mode == "builtin"
     scorer = config.scorer if builtin else config.scorer.logits_path
-    return manifest, run_pipeline(data, manifest, config.conformal.epsilon, scorer)
-
-
-def _provenance(
-    runner: _Runner, manifest: SplitManifest, result: PipelineResult
-) -> tuple[dict, str | None]:
-    """The provenance block, and the builtin scorer's JSON text (None for
-    external logits): serialized once, hashed here and written by run."""
+    result = run_pipeline(data, manifest, config.conformal.epsilon, scorer)
     scorer_json = result.scorer_model.to_json() if result.scorer_model else None
     provenance = {
         "config": runner.config_fingerprint,
@@ -219,22 +239,11 @@ def _provenance(
         "scorer": None if scorer_json is None else _sha256(scorer_json),
         "calibration_ids": ids_fingerprint(result.cal.ids),
     }
-    return provenance, scorer_json
-
-
-def _comment_lines(provenance: dict) -> list[str]:
-    scorer_print = provenance["scorer"] or "external-logits"
-    return [
-        f"manifest={provenance['manifest']}",
-        f"scorer={scorer_print}",
-        f"config={provenance['config']}",
-    ]
+    return manifest, result, provenance, scorer_json
 
 
 def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
-    manifest, result = _run_shared(runner, args)
-    provenance, scorer_json = _provenance(runner, manifest, result)
-
+    manifest, result, provenance, scorer_json = _run_shared(runner, args)
     if scorer_json is not None:
         runner.write_text("scorer.json", scorer_json)
     runner.write_json(
@@ -245,19 +254,13 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
         "conformal_rule.json",
         dict(result.rule.to_json_dict(), provenance=provenance),
     )
-    runner.write_text(
-        "decisions.tsv",
-        decisions_to_tsv(result.decisions, comments=_comment_lines(provenance)),
-    )
+    runner.write_table("decisions.tsv", decisions_to_tsv(result.decisions), provenance)
     table = ece(result.decisions.probs, result.test.labels)
-    reliability_lines = "".join(
-        f"# {text}\n" for text in _comment_lines(provenance)
-    ) + table.to_csv()
-    runner.write_text("reliability_test.csv", reliability_lines)
+    runner.write_table("reliability_test.csv", table.to_csv(), provenance)
 
     rows = _method_rows(result)
     report = {
-        "config": runner.config.semantic_dict(),
+        "config": runner.settings,
         "provenance": provenance,
         "split_sizes": {
             "train": len(manifest.train_ids),
@@ -279,11 +282,9 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     if result.rule.retain_all:
         print(f"epsilon {result.rule.epsilon}: retain-all (calibration set too small)")
     else:
-        # the label-free test score is at most 0.5, so such a rule retains every row
-        vacuous = result.rule.threshold >= 0.5
         print(
             f"epsilon {result.rule.epsilon}: threshold {result.rule.threshold:.6f}"
-            + (" (rule cannot abstain: threshold >= 0.5)" if vacuous else "")
+            + (" (rule cannot abstain: threshold >= 0.5)" if result.rule.vacuous else "")
         )
     for name in ("baseline", "temp_scaled", "conformal_selective"):
         row = rows[name]
@@ -296,21 +297,18 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
-    manifest, result = _run_shared(runner, args)
-    provenance, _ = _provenance(runner, manifest, result)
+    manifest, result, provenance, _ = _run_shared(runner, args)
     curve = coverage_risk_sweep(
         result.decisions.probs,
         result.test.labels,
         grid=runner.config.sweep.grid,
         source=f"{manifest.protocol} test split",
     )
-    runner.write_text(
-        "coverage_risk.csv", curve.to_csv(comments=_comment_lines(provenance))
-    )
+    runner.write_table("coverage_risk.csv", curve.to_csv(), provenance)
     runner.write_json(
         "sweep.json",
         {
-            "config": runner.config.semantic_dict(),
+            "config": runner.settings,
             "provenance": provenance,
             "curve": curve.to_json_dict(),
         },
@@ -322,11 +320,9 @@ def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
 
 
 def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
-    config = runner.config
-    data = _load_dataset(config)
-    manifest = _get_manifest(runner, data, getattr(args, "manifest", None))
+    data, manifest = _get_manifest(runner, args)
     manifest.check_nonempty("train")
-    model = train_linear(data.subset(manifest.train_ids), config.scorer)
+    model = train_linear(data.subset(manifest.train_ids), runner.config.scorer)
     table = score(model, data)
     scorer_json = model.to_json()
     runner.write_text("scorer.json", scorer_json)
@@ -377,9 +373,8 @@ def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
             f"over {result.n_trials} trials (expected coverage guarantee >= {bound:.4f}); "
             + _coverage_gap(result.mean_coverage, bound, standard_error)
         ]
-    csv_lines = [f"# config={runner.config_fingerprint}", header, *lines]
-    runner.write_text("simulate.csv", "\n".join(csv_lines) + "\n")
-    runner.write_json("simulate.json", dict(report, config=runner.config.semantic_dict()))
+    runner.write_table("simulate.csv", "\n".join([header, *lines]) + "\n")
+    runner.write_json("simulate.json", dict(report, config=runner.settings))
     print("\n".join(summary))
     return 0
 
@@ -397,7 +392,7 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     coverage, risk = selective_error(decisions, labels)
     quality = _retained_quality(decisions, labels, risk)
     report = {
-        "config": runner.config.semantic_dict(),
+        "config": runner.settings,
         "decisions_file": str(decisions_path),
         "decisions_fingerprint": _sha256(text),
         "n_decisions": len(decisions),
@@ -410,25 +405,17 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     return 0
 
 
+# each command's handler, and the config sections it reads: its reports'
+# config block, and with dataset its --dataset and --columns flags and the
+# check that dataset.path is set
 _COMMANDS = {
-    "split": cmd_split,
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "score": cmd_score,
-    "metrics": cmd_metrics,
+    "split": (cmd_split, ("dataset", "split")),
+    "run": (cmd_run, ("dataset", "split", "scorer", "conformal")),
+    "sweep": (cmd_sweep, ("dataset", "split", "scorer", "conformal", "sweep")),
+    "simulate": (cmd_simulate, ("simulate",)),
+    "score": (cmd_score, ("dataset", "split", "scorer")),
+    "metrics": (cmd_metrics, ("dataset",)),
 }
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--dataset", dest="dataset.path", help="input TSV corpus")
-    parser.add_argument(
-        "--columns",
-        dest="dataset.columns",
-        help="rename input columns, e.g. cdr3b=beta,label=bound",
-    )
-    parser.add_argument("--out", dest="output_dir", help="output directory")
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
@@ -483,7 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name: str, summary: str) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        _add_common(command)
+        command.add_argument("--config", help="JSON config file")
+        if "dataset" in _COMMANDS[name][1]:
+            command.add_argument("--dataset", dest="dataset.path", help="input TSV corpus")
+            command.add_argument(
+                "--columns",
+                dest="dataset.columns",
+                help="rename input columns, e.g. cdr3b=beta,label=bound",
+            )
+        command.add_argument("--out", dest="output_dir", help="output directory")
         return command
 
     p_split = add_parser("split", "write a train/cal/test manifest")
@@ -540,8 +535,6 @@ _TEXT_FLAGS = {
     "sweep.grid": lambda text: _list_flag("--grid", text, float, "a number"),
     "simulate.sizes": lambda text: _list_flag("--sizes", text, int, "an integer"),
 }
-# the commands that fail without a dataset, checked before the output directory is made
-_READS_DATASET = ("split", "run", "sweep", "score", "metrics")
 # the parsed arguments that name no config field
 _NOT_SETTINGS = ("command", "config", "manifest", "decisions")
 
@@ -566,12 +559,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             config = load_config(getattr(args, "config", None), _overrides_from_args(args))
-            if args.command in _READS_DATASET and config.dataset.path is None:
+            handler, sections = _COMMANDS[args.command]
+            # checked before the output directory is made
+            if "dataset" in sections and config.dataset.path is None:
                 raise ConfigError("dataset.path: required for this command")
-            runner = _Runner(config)
+            runner = _Runner(config, sections)
             runner.log(f"command {args.command} started")
             runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")
-            code = _COMMANDS[args.command](runner, args)
+            code = handler(runner, args)
             runner.log(f"command {args.command} finished with code {code}")
             return code
         except ConfigError as err:

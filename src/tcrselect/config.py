@@ -97,17 +97,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def semantic_dict(self) -> dict:
-        """Config without output_dir. It chooses where results land, never
-        what they contain, so the provenance fingerprint is taken over this
-        view."""
-        trimmed = self.to_dict()
-        del trimmed["output_dir"]
-        return trimmed
-
-    def semantic_json(self) -> str:
-        return json.dumps(self.semantic_dict(), indent=2, sort_keys=True) + "\n"
-
 
 # what a scalar field of each declared type accepts (bool is checked apart,
 # since it is an int subclass), and how its error names the type

@@ -105,8 +105,14 @@ class ConformalRule:
     def retain_all(self) -> bool:
         return self.threshold is None
 
+    @property
+    def vacuous(self) -> bool:
+        """Whether the rule retains every row: the label-free test score is at
+        most 0.5, so a threshold of 0.5 or more never abstains."""
+        return self.retain_all or self.threshold >= 0.5
+
     def to_json_dict(self) -> dict:
-        return dict(asdict(self), retain_all=self.retain_all)
+        return dict(asdict(self), retain_all=self.retain_all, vacuous=self.vacuous)
 
 
 def fit_threshold(cal_scores: Sequence[float], epsilon: float) -> ConformalRule:
@@ -245,10 +251,9 @@ def run_pipeline(
     return PipelineResult(model, temperature, rule, cal_table, test_table, decisions)
 
 
-def decisions_to_tsv(decisions: DecisionTable, comments: Sequence[str] = ()) -> str:
-    """Render decisions as TSV; leading '#' lines carry provenance."""
-    lines = [f"# {text}" for text in comments]
-    lines.append("\t".join(DECISION_COLUMNS))
+def decisions_to_tsv(decisions: DecisionTable) -> str:
+    """Render decisions as TSV: the header line, then one row per decision."""
+    lines = ["\t".join(DECISION_COLUMNS)]
     rows = zip(
         decisions.ids,
         decisions.probs.tolist(),

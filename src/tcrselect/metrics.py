@@ -108,9 +108,8 @@ class CoverageRiskCurve:
     points: tuple[CoveragePoint, ...]
     source: str
 
-    def to_csv(self, comments: Sequence[str] = ()) -> str:
-        lines = [f"# {text}" for text in comments]
-        lines.append(",".join(f.name for f in fields(CoveragePoint)))
+    def to_csv(self) -> str:
+        lines = [",".join(f.name for f in fields(CoveragePoint))]
         for p in self.points:
             lines.append(",".join("" if v is None else repr(v) for v in astuple(p)))
         return "\n".join(lines) + "\n"

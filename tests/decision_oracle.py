@@ -79,12 +79,9 @@ def decide(
     return decisions
 
 
-def decisions_to_tsv(
-    decisions: Sequence[SelectiveDecision], comments: Sequence[str] = ()
-) -> str:
-    """Render decisions as TSV; leading '#' lines carry provenance."""
-    lines = [f"# {text}" for text in comments]
-    lines.append("\t".join(DECISION_COLUMNS))
+def decisions_to_tsv(decisions: Sequence[SelectiveDecision]) -> str:
+    """Render decisions as TSV: the header line, then one row per decision."""
+    lines = ["\t".join(DECISION_COLUMNS)]
     for d in decisions:
         label = "" if d.predicted_label is None else str(d.predicted_label)
         lines.append(

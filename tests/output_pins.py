@@ -38,9 +38,10 @@ SPLIT_CASES = {
 SPLIT_SEEDS = ("0", "1", "13")
 
 # commands whose outputs hold floats, run in this order from one working
-# directory: dataset.path and scorer.logits_path enter the config fingerprint,
-# so every path is relative. sweep-logits reads the logits that score wrote,
-# and run-manifest and metrics read what run-random wrote.
+# directory: the config fingerprint hashes the settings each command reads,
+# which hold dataset.path for all but simulate and scorer.logits_path for run
+# and sweep, so every path is relative. sweep-logits reads the logits that
+# score wrote, and run-manifest and metrics read what run-random wrote.
 FLOAT_CASES = {
     "simulate": ["simulate", "--trials", "20"],
     "simulate-sizes": ["simulate", "--sizes", "50,200", "--trials", "15"],

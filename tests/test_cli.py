@@ -1,8 +1,10 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcrselect
 from output_pins import (
@@ -26,7 +30,7 @@ from output_pins import (
     split_manifest_hash,
 )
 from tcrselect.calibration import TemperatureModel, apply_temperature
-from tcrselect.cli import _check_monotone, _method_rows, build_parser, main
+from tcrselect.cli import _COMMANDS, _check_monotone, _method_rows, _Runner, build_parser, main
 from tcrselect.config import ConfigError, RunConfig, load_config
 from tcrselect.conformal import ConformalRule, PipelineResult, decide
 from tcrselect.data import export_tsv, ingest_tsv
@@ -443,7 +447,10 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     out = str(tmp_path / "o")
     if kind == "flag":
         command, flag, value = contents
-        argv = [command, "--dataset", dataset, "--out", out, flag, value]
+    # simulate reads no dataset, so it takes no --dataset
+    dataset_flag = [] if command == "simulate" else ["--dataset", dataset]
+    if kind == "flag":
+        argv = [command, *dataset_flag, "--out", out, flag, value]
     elif kind == "decisions":
         argv = ["metrics", "--dataset", dataset, "--decisions", str(path), "--out", out]
     elif kind == "no-dataset":
@@ -451,7 +458,7 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
         if command == "metrics":
             argv += ["--decisions", str(path)]
     else:
-        argv = [command, "--dataset", dataset, "--out", out, *extra]
+        argv = [command, *dataset_flag, "--out", out, *extra]
         argv += {
             "logits": ["--scorer", "logits", "--logits", str(path)],
             "manifest": ["--manifest", str(path)],
@@ -608,11 +615,124 @@ def test_every_float_setting_rejects_non_finite_values(value):
             load_config(None, {dotted: value if count is None else [value] * count})
 
 
-def test_default_config_fingerprint_is_pinned():
-    # every provenance block names this hash; a config field or default that
-    # changes it has to change this line on purpose
-    digest = hashlib.sha256(RunConfig().semantic_json().encode("utf-8")).hexdigest()
-    assert digest == "4dd5762a3ec6495aae72cd9e8561870d1dcd8fa4c62c42bcc613826edbf5001d"
+def test_default_config_fingerprint_is_pinned(tmp_path):
+    # every provenance block of a command names its hash; a field, default or
+    # section read that changes one has to change its line on purpose
+    pins = {
+        "split": "f648deab43a4c6dda60d11015826daf6a6a620111b3bf8b693d0d92b299501bc",
+        "run": "2fca363a163b0e638072c4b034a779e5c47626e4d3342fca307cb357f02d1c79",
+        "sweep": "8d478999331eb4c1249fa71ba9f6df153c31c59399930c8ad64754a4ea7452e4",
+        "simulate": "8085837d8e8dc851b5c5066b53381e0160918bb4e91f1030ec293c29c9550dc3",
+        "score": "f580560de7f7658e819ed70372190cb0077b8a77a1e15dbcc42fe54c5192b45a",
+        "metrics": "11c333c3eec79479aa43082d9aafd06b964bc2a82c2b426e98f2c887573754c2",
+    }
+    assert sorted(pins) == sorted(_COMMANDS)
+    for command, digest in pins.items():
+        _, sections = _COMMANDS[command]
+        settings = _Runner(RunConfig(output_dir=str(tmp_path)), sections).settings
+        assert list(settings) == list(sections), command
+        text = json.dumps(settings, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, command
+
+
+def test_simulate_takes_no_dataset_flag(tmp_path, capsys):
+    # only the commands that read a dataset take --dataset and --columns
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as stop:
+        main(["simulate", "--dataset", "x", "--out", str(out)])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --dataset x" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one setting per config section, each drawn from values that differ from its
+# default and that every guarded command accepts
+SETTING_CHANGES = {
+    "dataset.path": st.just("toy-copy.tsv"),
+    "dataset.dedup_identity": st.sampled_from([0.9, 0.95]),
+    "split.seed": st.integers(14, 10_000),
+    "split.protocol": st.just("distance_aware"),
+    "scorer.kmer_size": st.sampled_from([2, 4]),
+    "scorer.epochs": st.integers(1, 49),
+    "scorer.include_cdr3a": st.just(False),
+    "scorer.logits_path": st.just("logits-copy.tsv"),
+    "conformal.epsilon": st.sampled_from([0.1, 0.3, 0.4]),
+    "sweep.grid": st.lists(st.sampled_from([1.0, 0.75, 0.5]), min_size=1, max_size=3),
+    "simulate.seed": st.integers(30, 10_000),
+    "simulate.n_cal": st.integers(50, 500),
+    "simulate.epsilon": st.sampled_from([0.1, 0.3]),
+}
+# (argv, config, the settings the command records, its table report): toy run
+# with the builtin scorer, toy sweep on external logits, and a small simulate
+GUARDED = {
+    "run": (["run"], {"dataset": {"path": "toy.tsv"}},
+            ("dataset.", "split.", "scorer.", "conformal."), "decisions.tsv"),
+    "sweep-logits": (
+        ["sweep"],
+        {"dataset": {"path": "toy.tsv"}, "scorer": {"mode": "logits", "logits_path": "logits.tsv"}},
+        ("dataset.", "split.", "scorer.mode", "scorer.logits_path", "conformal.", "sweep."),
+        "coverage_risk.csv",
+    ),
+    "simulate": (["simulate", "--trials", "3"], {}, ("simulate.",), "simulate.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def guard_dir(tmp_path_factory):
+    """A working directory with the toy corpus, seeded logits for it, a copy
+    of each, and a cache of each guarded command's unchanged outputs."""
+    work = tmp_path_factory.mktemp("guard")
+    toy = toy_dataset_path().read_bytes()
+    rng = np.random.default_rng(0)
+    logits = "".join(f"{i}\t{float(z)!r}\n" for i, z in zip(TOY_IDS, rng.normal(size=200)))
+    for name, data in (("toy", toy), ("logits", logits.encode())):
+        (work / f"{name}.tsv").write_bytes(data)
+        (work / f"{name}-copy.tsv").write_bytes(data)
+    return work, {}
+
+
+def _guarded_outputs(work, name, changes):
+    """(stdout, sha256 of every file but run_log.txt, the config fingerprint
+    line of the table report) of one guarded command run from work with its
+    config plus the dotted changes."""
+    argv, config, _, table = GUARDED[name]
+    config = json.loads(json.dumps(config))
+    for dotted, value in changes.items():
+        section, field = dotted.split(".")
+        config.setdefault(section, {})[field] = value
+    out = f"out-{len(list(work.glob('out-*')))}"
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        Path(f"{out}.json").write_text(json.dumps(config))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--config", f"{out}.json", "--out", out]) == 0
+        hashes = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(out).iterdir()) if path.name != "run_log.txt"
+        }
+        lines = Path(out, table).read_text(encoding="utf-8").splitlines()
+    finally:
+        os.chdir(cwd)
+    return stdout.getvalue(), hashes, next(line for line in lines if line.startswith("# config="))
+
+
+@given(name=st.sampled_from(sorted(GUARDED)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reports_record_only_the_settings_their_command_reads(guard_dir, name, data):
+    # a setting the command does not read leaves stdout and every output byte
+    # alone; one that it reads moves the config fingerprint of its reports
+    work, base = guard_dir
+    if name not in base:
+        base[name] = _guarded_outputs(work, name, {})
+    dotted = data.draw(st.sampled_from(sorted(SETTING_CHANGES)), label="setting")
+    value = data.draw(SETTING_CHANGES[dotted], label="value")
+    stdout, hashes, config_line = _guarded_outputs(work, name, {dotted: value})
+    if dotted.startswith(GUARDED[name][2]):
+        assert config_line != base[name][2]
+    else:
+        assert (stdout, hashes) == base[name][:2]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -747,7 +867,7 @@ class TestRun:
         rule_line = next(line for line in lines if line.startswith("epsilon 0.2: threshold"))
         assert rule_line.endswith(" (rule cannot abstain: threshold >= 0.5)")
         rule = json.loads((tmp_path / "r" / "conformal_rule.json").read_text())
-        assert rule["threshold"] >= 0.5
+        assert rule["threshold"] >= 0.5 and rule["vacuous"] is True
         decisions = (tmp_path / "r" / "decisions.tsv").read_text()
         assert "\tabstain\t" not in decisions
 
@@ -767,6 +887,8 @@ class TestRun:
     def test_abstaining_rule_has_no_note(self, tmp_path, capsys):
         assert main(run_args(tmp_path / "r", ["--epsilon", "0.4"])) == 0
         assert "cannot abstain" not in capsys.readouterr().out
+        report = json.loads((tmp_path / "r" / "metrics.json").read_text())
+        assert report["conformal_rule"]["vacuous"] is False
         assert "\tabstain\t" in (tmp_path / "r" / "decisions.tsv").read_text()
 
     def test_metrics_report_shape(self, tmp_path):
@@ -777,8 +899,8 @@ class TestRun:
             "baseline", "temp_scaled", "conformal_selective",
         }
         assert report["methods"]["baseline"]["coverage"] == 1.0
-        assert "output_dir" not in report["config"]
-        assert "threads" not in report["config"]
+        # the sections run reads, and no output_dir
+        assert list(report["config"]) == ["conformal", "dataset", "scorer", "split"]
         rule = report["conformal_rule"]
         assert rule["epsilon"] == 0.2
 
@@ -1020,7 +1142,7 @@ class TestByteOrderMark:
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         config = load_config(bom)
         assert config.conformal.epsilon == 0.3
-        assert config.semantic_json() == load_config(plain).semantic_json()
+        assert config.to_dict() == load_config(plain).to_dict()
 
 
 class TestMonotoneCheck:

@@ -194,6 +194,20 @@ class TestDecide:
         decisions = list(decide(["a"], [0.5], self.rule(0.6)))
         assert decisions[0].predicted_label == 1
 
+    @pytest.mark.parametrize(
+        "threshold, vacuous", [(0.5, True), (0.7, True), (0.4999, False), (0.0, False)]
+    )
+    def test_vacuous_when_no_label_free_score_exceeds_the_threshold(self, threshold, vacuous):
+        # the label-free score 1 - max(p, 1 - p) is at most 0.5, reached at p = 0.5
+        rule = self.rule(threshold)
+        assert rule.vacuous is vacuous
+        assert rule.to_json_dict()["vacuous"] is vacuous
+        assert bool(decide(["a"], [0.5], rule).predicted[0] >= 0) is vacuous
+
+    def test_retain_all_is_vacuous(self):
+        rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
+        assert rule.vacuous and rule.to_json_dict()["vacuous"]
+
     def test_retain_all_predicts_everything(self):
         rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
         decisions = decide(["a", "b"], [0.51, 0.5], rule)
@@ -216,9 +230,10 @@ class TestDecisionTsv:
 
     def test_round_trip(self):
         decisions = self.sample()
-        text = decisions_to_tsv(decisions, comments=["origin=test"])
-        assert text.startswith("# origin=test\n")
-        assert list(decisions_from_tsv(text)) == list(decisions)
+        text = decisions_to_tsv(decisions)
+        assert text.startswith("example_id\t")
+        # the '#' provenance header that the reports prepend is skipped
+        assert list(decisions_from_tsv("# origin=test\n" + text)) == list(decisions)
 
     def test_abstain_row_has_blank_label(self):
         decisions = self.sample()

@@ -69,9 +69,12 @@ def test_decide_and_selective_error_match_oracle(case):
     ids = ids_for(probs)
     table = decide(ids, probs, rule)
     rows = oracle.decide(zip(ids, probs), rule)
-    text = decisions_to_tsv(table, comments=["origin=test"])
-    assert text == oracle.decisions_to_tsv(rows, comments=["origin=test"])
-    assert list(decisions_from_tsv(text)) == [
+    text = decisions_to_tsv(table)
+    assert text == oracle.decisions_to_tsv(rows)
+    if rule.vacuous:
+        assert (table.predicted >= 0).all()
+    # a '#' provenance header, as the reports prepend it, is skipped
+    assert list(decisions_from_tsv("# origin=test\n" + text)) == [
         (d.example_id, d.prob_calibrated, d.nonconformity, d.decision, d.predicted_label)
         for d in oracle.decisions_from_tsv(text)
     ]
