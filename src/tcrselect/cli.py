@@ -405,58 +405,52 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     return 0
 
 
-# each command's handler, and the config sections it reads: its reports'
-# config block, and with dataset its --dataset and --columns flags and the
-# check that dataset.path is set
+# each command's handler, help summary, and the config sections it reads:
+# its reports' config block, the setting flags it takes (_FLAGS, plus
+# --manifest with scorer), and with dataset the check that dataset.path is set
 _COMMANDS = {
-    "split": (cmd_split, ("dataset", "split")),
-    "run": (cmd_run, ("dataset", "split", "scorer", "conformal")),
-    "sweep": (cmd_sweep, ("dataset", "split", "scorer", "conformal", "sweep")),
-    "simulate": (cmd_simulate, ("simulate",)),
-    "score": (cmd_score, ("dataset", "split", "scorer")),
-    "metrics": (cmd_metrics, ("dataset",)),
+    "split": (cmd_split, "write a train/cal/test manifest", ("dataset", "split")),
+    "run": (cmd_run, "full pipeline: score, calibrate, decide",
+            ("dataset", "split", "scorer", "conformal")),
+    "sweep": (cmd_sweep, "coverage-risk curve over a grid",
+              ("dataset", "split", "scorer", "conformal", "sweep")),
+    "simulate": (cmd_simulate, "synthetic coverage experiments", ("simulate",)),
+    "score": (cmd_score, "train the builtin scorer, export logits", ("dataset", "split", "scorer")),
+    "metrics": (cmd_metrics, "re-evaluate a saved decision TSV", ("dataset",)),
 }
 
-
-def _add_split_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--protocol", dest="split.protocol", choices=PROTOCOLS, help="split protocol"
-    )
-    parser.add_argument("--split-seed", dest="split.seed", type=int, help="split shuffle seed")
-    parser.add_argument(
-        "--k-epitopes", dest="split.k_test_epitopes", type=int,
-        help="held-out test epitope count (epitope_held_out)",
-    )
-    parser.add_argument(
-        "--cal-fraction", dest="split.cal_fraction", type=float,
-        help="calibration share of non-test examples (epitope_held_out, distance_aware)",
-    )
-
-
-def _add_scorer_flags(parser: argparse.ArgumentParser, pipeline: bool) -> None:
-    """Builtin-scorer flags; with pipeline (run, sweep) also the score source
-    and epsilon."""
-    if pipeline:
-        parser.add_argument(
-            "--scorer", dest="scorer.mode", choices=SCORER_MODES, help="score source"
-        )
-        parser.add_argument(
-            "--logits", dest="scorer.logits_path", help="external logit TSV (with --scorer logits)"
-        )
-    parser.add_argument(
-        "--kmer-size", dest="scorer.kmer_size", type=int, help="k-mer size for the builtin scorer"
-    )
-    parser.add_argument(
-        "--mask-cdr3a",
-        action="store_false",
-        dest="scorer.include_cdr3a",
-        help="train the builtin scorer without the cdr3a field (scorer.include_cdr3a false)",
-    )
-    if pipeline:
-        parser.add_argument(
-            "--epsilon", dest="conformal.epsilon", type=float, help="target error level"
-        )
-    parser.add_argument("--manifest", help="reuse an existing manifest JSON")
+# each config section's setting flags: (flag, the dotted field it overrides,
+# argparse keywords)
+_FLAGS = {
+    "dataset": (
+        ("--dataset", "dataset.path", dict(help="input TSV corpus")),
+        ("--columns", "dataset.columns",
+         dict(help="rename input columns, e.g. cdr3b=beta,label=bound")),
+    ),
+    "split": (
+        ("--protocol", "split.protocol", dict(choices=PROTOCOLS, help="split protocol")),
+        ("--split-seed", "split.seed", dict(type=int, help="split shuffle seed")),
+        ("--k-epitopes", "split.k_test_epitopes",
+         dict(type=int, help="held-out test epitope count (epitope_held_out)")),
+        ("--cal-fraction", "split.cal_fraction", dict(type=float, help=(
+            "calibration share of non-test examples (epitope_held_out, distance_aware)"))),
+    ),
+    "scorer": (
+        ("--scorer", "scorer.mode", dict(choices=SCORER_MODES, help="score source")),
+        ("--logits", "scorer.logits_path", dict(help="external logit TSV (with --scorer logits)")),
+        ("--kmer-size", "scorer.kmer_size",
+         dict(type=int, help="k-mer size for the builtin scorer")),
+        ("--mask-cdr3a", "scorer.include_cdr3a", dict(action="store_false", help=(
+            "train the builtin scorer without the cdr3a field (scorer.include_cdr3a false)"))),
+    ),
+    "conformal": (("--epsilon", "conformal.epsilon", dict(type=float, help="target error level")),),
+    "sweep": (("--grid", "sweep.grid", dict(help="comma-separated coverage targets")),),
+    "simulate": (
+        ("--trials", "simulate.n_trials", dict(type=int, help="number of seeded trials")),
+        ("--sizes", "simulate.sizes", dict(help="comma-separated calibration sizes")),
+        ("--epsilon", "simulate.epsilon", dict(type=float, help="target error level")),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,46 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calibrated selective prediction for TCR/peptide binding pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name: str, summary: str) -> argparse.ArgumentParser:
+    for name, (_, summary, sections) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         command.add_argument("--config", help="JSON config file")
-        if "dataset" in _COMMANDS[name][1]:
-            command.add_argument("--dataset", dest="dataset.path", help="input TSV corpus")
-            command.add_argument(
-                "--columns",
-                dest="dataset.columns",
-                help="rename input columns, e.g. cdr3b=beta,label=bound",
-            )
         command.add_argument("--out", dest="output_dir", help="output directory")
-        return command
-
-    p_split = add_parser("split", "write a train/cal/test manifest")
-    _add_split_flags(p_split)
-
-    p_run = add_parser("run", "full pipeline: score, calibrate, decide")
-    _add_split_flags(p_run)
-    _add_scorer_flags(p_run, pipeline=True)
-
-    p_sweep = add_parser("sweep", "coverage-risk curve over a grid")
-    _add_split_flags(p_sweep)
-    _add_scorer_flags(p_sweep, pipeline=True)
-    p_sweep.add_argument("--grid", dest="sweep.grid", help="comma-separated coverage targets")
-
-    p_sim = add_parser("simulate", "synthetic coverage experiments")
-    p_sim.add_argument(
-        "--trials", dest="simulate.n_trials", type=int, help="number of seeded trials"
+        for section in sections:
+            for flag, dest, keywords in _FLAGS[section]:
+                command.add_argument(flag, dest=dest, **keywords)
+        if "scorer" in sections:
+            command.add_argument("--manifest", help="reuse an existing manifest JSON")
+    sub.choices["metrics"].add_argument(
+        "--decisions", required=True, help="decisions.tsv to re-evaluate"
     )
-    p_sim.add_argument("--sizes", dest="simulate.sizes", help="comma-separated calibration sizes")
-    p_sim.add_argument("--epsilon", dest="simulate.epsilon", type=float, help="target error level")
-
-    p_score = add_parser("score", "train the builtin scorer, export logits")
-    _add_split_flags(p_score)
-    _add_scorer_flags(p_score, pipeline=False)
-
-    p_metrics = add_parser("metrics", "re-evaluate a saved decision TSV")
-    p_metrics.add_argument("--decisions", required=True, help="decisions.tsv to re-evaluate")
-
     return parser
 
 
@@ -559,10 +525,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             config = load_config(getattr(args, "config", None), _overrides_from_args(args))
-            handler, sections = _COMMANDS[args.command]
+            handler, _, sections = _COMMANDS[args.command]
             # checked before the output directory is made
             if "dataset" in sections and config.dataset.path is None:
                 raise ConfigError("dataset.path: required for this command")
+            if args.command == "score" and config.scorer.mode != "builtin":
+                raise ConfigError(
+                    f"scorer.mode: score trains the builtin scorer, got {config.scorer.mode!r}"
+                )
             runner = _Runner(config, sections)
             runner.log(f"command {args.command} started")
             runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")

@@ -17,7 +17,8 @@ from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .conformal import check_epsilon
-from .data import check_column_keys, check_identity_threshold, check_open_unit
+from .data import check_column_keys, check_open_unit
+from .distance import check_identity_threshold
 from .metrics import DEFAULT_COVERAGE_GRID, check_grid
 from .scorer import TrainingConfig
 from .splits import SplitConfig
@@ -66,6 +67,10 @@ class ScorerSection(TrainingConfig):
             raise ValueError(f"mode must be one of {', '.join(SCORER_MODES)}, got {self.mode!r}")
         if self.mode == "logits" and not self.logits_path:
             raise ValueError("logits_path is required when mode is 'logits'")
+        if self.mode == "builtin" and self.logits_path is not None:
+            raise ValueError(
+                "logits_path is set but mode is 'builtin', which trains its own scores"
+            )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 
 import numpy as np
 
-from .distance import CandidateIndex, identity_at_least
+from .distance import CandidateIndex, check_identity_threshold, identity_at_least
 
 AMINO_ACIDS = frozenset("ACDEFGHIKLMNPQRSTVWY")
 _RESIDUE_BYTES = "".join(sorted(AMINO_ACIDS)).encode("ascii")
@@ -54,12 +54,6 @@ def check_open_unit(name: str, value: float) -> None:
     """Raise unless a share, rate or identity setting lies in (0, 1)."""
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1)")
-
-
-def check_identity_threshold(name: str, value: float) -> None:
-    """Raise unless a dedup identity threshold lies in (0, 1]."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1]")
 
 
 def check_column_keys(columns: Mapping[str, str]) -> None:

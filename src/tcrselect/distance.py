@@ -10,23 +10,8 @@ from typing import Sequence
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance (insert, delete, substitute)."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        append = current.append
-        for j, cb in enumerate(b, start=1):
-            cost = previous[j - 1] + (ca != cb)
-            dele = previous[j] + 1
-            ins = current[j - 1] + 1
-            append(cost if cost < dele and cost < ins else (dele if dele < ins else ins))
-        previous = current
-    return previous[-1]
+    # no distance exceeds the longer length, so that bound never cuts it
+    return levenshtein_bounded(a, b, max(len(a), len(b)))
 
 
 def levenshtein_bounded(a: str, b: str, limit: int) -> int:
@@ -85,6 +70,12 @@ def levenshtein_bounded(a: str, b: str, limit: int) -> int:
             return cap
         previous = current
     return previous[lb] if previous[lb] <= limit else cap
+
+
+def check_identity_threshold(name: str, value: float) -> None:
+    """Raise unless an identity threshold lies in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1]")
 
 
 def identity(a: str, b: str) -> float:
@@ -256,8 +247,6 @@ class _UnionFind:
             self.rank[rx] += 1
 
 
-
-
 def cluster_by_identity(strings: Sequence[str], min_identity: float) -> list[list[int]]:
     """Single-linkage components of the identity >= min_identity graph.
 
@@ -266,8 +255,7 @@ def cluster_by_identity(strings: Sequence[str], min_identity: float) -> list[lis
     the earlier strings a CandidateIndex proposes and that are not yet in its
     component, which leaves the components unchanged.
     """
-    if not 0.0 < min_identity <= 1.0:
-        raise ValueError("min_identity must be in (0, 1]")
+    check_identity_threshold("min_identity", min_identity)
     n = len(strings)
     uf = _UnionFind(n)
     index = CandidateIndex(min_identity, max(map(len, strings), default=0))

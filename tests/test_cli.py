@@ -348,6 +348,17 @@ MALFORMED = {
     "flag-sizes-zero": ("flag", "-", ("simulate", "--sizes", "0,100"), 2),
     "flag-cal-fraction-out-of-range": ("flag", "-", ("split", "--cal-fraction", "1.5"), 2),
     "flag-logits-without-path": ("flag", "-", ("sweep", "--scorer", "logits"), 2),
+    # a score source that the command would leave unread: score trains the
+    # builtin scorer, and the builtin scorer reads no logit file
+    "flag-logits-under-builtin": ("flag", "-", ("run", "--logits", "l.tsv"), 2),
+    "config-logits-path-under-builtin": (
+        "config", "cfg.json", json.dumps({"scorer": {"logits_path": "l.tsv"}}), 2,
+    ),
+    "logits-score": ("logits:score", "l.tsv", "ex00000\t0.5\n", 2),
+    "config-score-logits-mode": (
+        "config:score", "cfg.json",
+        json.dumps({"scorer": {"mode": "logits", "logits_path": "l.tsv"}}), 2,
+    ),
     # a command that reads a dataset, run without --dataset; metrics gets a
     # decisions file that it never reads
     "no-dataset-split": ("no-dataset:split", "-", None, 2),
@@ -426,6 +437,15 @@ MALFORMED_MESSAGES = {
         "config error: scorer: logits_path is required when mode is 'logits'\n",
     "config-simulate-two-errors":
         "config error: simulate: miscalibration_temperature must be > 0\n",
+    **dict.fromkeys(
+        ("flag-logits-under-builtin", "config-logits-path-under-builtin"),
+        "config error: scorer: logits_path is set but mode is 'builtin', "
+        "which trains its own scores\n",
+    ),
+    **dict.fromkeys(
+        ("logits-score", "config-score-logits-mode"),
+        "config error: scorer.mode: score trains the builtin scorer, got 'logits'\n",
+    ),
     **{
         f"no-dataset-{command}": "config error: dataset.path: required for this command\n"
         for command in ("split", "run", "sweep", "score", "metrics")
@@ -575,19 +595,80 @@ def _is_config_field(dotted):
     return dataclasses.is_dataclass(node) and name in {f.name for f in dataclasses.fields(node)}
 
 
+# every flag of each command, with its dest: a setting flag's dest is the
+# dotted config field it overrides, in a section that the command reads
+DATASET_FLAGS = {"--dataset": "dataset.path", "--columns": "dataset.columns"}
+SPLIT_FLAGS = {
+    "--protocol": "split.protocol",
+    "--split-seed": "split.seed",
+    "--k-epitopes": "split.k_test_epitopes",
+    "--cal-fraction": "split.cal_fraction",
+}
+SCORER_FLAGS = {
+    "--scorer": "scorer.mode",
+    "--logits": "scorer.logits_path",
+    "--kmer-size": "scorer.kmer_size",
+    "--mask-cdr3a": "scorer.include_cdr3a",
+    "--manifest": "manifest",
+}
+COMMON_FLAGS = {"-h": "help", "--config": "config", "--out": "output_dir"}
+COMMAND_FLAGS = {
+    "split": {**COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS},
+    "run": {
+        **COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS, **SCORER_FLAGS,
+        "--epsilon": "conformal.epsilon",
+    },
+    "sweep": {
+        **COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS, **SCORER_FLAGS,
+        "--epsilon": "conformal.epsilon", "--grid": "sweep.grid",
+    },
+    "simulate": {
+        **COMMON_FLAGS,
+        "--trials": "simulate.n_trials",
+        "--sizes": "simulate.sizes",
+        "--epsilon": "simulate.epsilon",
+    },
+    "score": {**COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS, **SCORER_FLAGS},
+    "metrics": {**COMMON_FLAGS, **DATASET_FLAGS, "--decisions": "decisions"},
+}
+# sha256 of each command's flags with every attribute that shapes parsing and
+# --help; a type, choice, action, help text or required flag that changes one
+# has to change its line on purpose
+FLAG_DIGESTS = {
+    "split": "d6cb7e28b23ecc45b5cb25b0759816a31042ed36a7d482bdc8f1b514e427a94c",
+    "run": "d31bfaaede2ff8f5df40b1698c0d04f4206b00efdfbedb97d0bb31268e47d746",
+    "sweep": "e5da3811cc947225bc5edbc34554b7e864adfd63fd1c10989eba838eddf2e7bb",
+    "simulate": "2fd8c92225f93bcda87eafc62e4fe826e60492949b5ae0f7ad51c39c6704dca6",
+    "score": "1523befd12873c99531a39e09358c61b91f555ec5fbbe9e4f8b26ed5e2867cd2",
+    "metrics": "ef7d3ed7475ab00e77efe4d05e1de7c40ad522b8bb2b5ffa03441ac674563b0d",
+}
+
+
+def _flag_digest(parser):
+    rows = sorted(
+        [action.option_strings, action.dest, getattr(action.type, "__name__", None),
+         action.choices and list(action.choices), type(action).__name__, action.help,
+         action.required]
+        for action in parser._actions
+    )
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
 def test_every_setting_flag_names_its_config_field():
-    # a flag's dest is the dotted field it overrides; there is no second table
     (commands,) = [
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    assert sorted(commands.choices) == ["metrics", "run", "score", "simulate", "split", "sweep"]
+    assert sorted(commands.choices) == sorted(COMMAND_FLAGS)
     for name, parser in commands.choices.items():
         assert parser.argument_default == argparse.SUPPRESS, name
-        for action in parser._actions:
-            if action.dest in ("help", "command", "config", "manifest", "decisions"):
-                continue
-            assert _is_config_field(action.dest), (name, action.dest)
+        flags = {action.option_strings[0]: action.dest for action in parser._actions}
+        assert flags == COMMAND_FLAGS[name], name
+        assert _flag_digest(parser) == FLAG_DIGESTS[name], name
+        sections = _COMMANDS[name][-1]
+        for dest in flags.values():
+            if dest not in ("help", "config", "output_dir", "manifest", "decisions"):
+                assert _is_config_field(dest) and dest.split(".")[0] in sections, (name, dest)
 
 
 def _float_settings(cls=RunConfig, prefix=""):
@@ -628,7 +709,7 @@ def test_default_config_fingerprint_is_pinned(tmp_path):
     }
     assert sorted(pins) == sorted(_COMMANDS)
     for command, digest in pins.items():
-        _, sections = _COMMANDS[command]
+        _, _, sections = _COMMANDS[command]
         settings = _Runner(RunConfig(output_dir=str(tmp_path)), sections).settings
         assert list(settings) == list(sections), command
         text = json.dumps(settings, indent=2, sort_keys=True) + "\n"
@@ -692,30 +773,34 @@ def guard_dir(tmp_path_factory):
 
 
 def _guarded_outputs(work, name, changes):
-    """(stdout, sha256 of every file but run_log.txt, the config fingerprint
-    line of the table report) of one guarded command run from work with its
-    config plus the dotted changes."""
+    """(exit code, stdout, stderr, sha256 of every file but run_log.txt, the
+    config fingerprint line of the table report) of one guarded command run
+    from work with its config plus the dotted changes; the last two are None
+    when it makes no output directory."""
     argv, config, _, table = GUARDED[name]
     config = json.loads(json.dumps(config))
     for dotted, value in changes.items():
         section, field = dotted.split(".")
         config.setdefault(section, {})[field] = value
-    out = f"out-{len(list(work.glob('out-*')))}"
+    out = f"out-{len(list(work.glob('out-*.json')))}"
     cwd = os.getcwd()
     os.chdir(work)
     try:
         Path(f"{out}.json").write_text(json.dumps(config))
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            assert main([*argv, "--config", f"{out}.json", "--out", out]) == 0
-        hashes = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(Path(out).iterdir()) if path.name != "run_log.txt"
-        }
-        lines = Path(out, table).read_text(encoding="utf-8").splitlines()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", f"{out}.json", "--out", out])
+        hashes = config_line = None
+        if Path(out).exists():
+            hashes = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(out).iterdir()) if path.name != "run_log.txt"
+            }
+            lines = Path(out, table).read_text(encoding="utf-8").splitlines()
+            config_line = next(line for line in lines if line.startswith("# config="))
     finally:
         os.chdir(cwd)
-    return stdout.getvalue(), hashes, next(line for line in lines if line.startswith("# config="))
+    return code, stdout.getvalue(), stderr.getvalue(), hashes, config_line
 
 
 @given(name=st.sampled_from(sorted(GUARDED)), data=st.data())
@@ -726,13 +811,18 @@ def test_reports_record_only_the_settings_their_command_reads(guard_dir, name, d
     work, base = guard_dir
     if name not in base:
         base[name] = _guarded_outputs(work, name, {})
+        assert base[name][0] == 0, base[name][2]
     dotted = data.draw(st.sampled_from(sorted(SETTING_CHANGES)), label="setting")
     value = data.draw(SETTING_CHANGES[dotted], label="value")
-    stdout, hashes, config_line = _guarded_outputs(work, name, {dotted: value})
-    if dotted.startswith(GUARDED[name][2]):
-        assert config_line != base[name][2]
+    code, stdout, stderr, hashes, config_line = _guarded_outputs(work, name, {dotted: value})
+    if dotted == "scorer.logits_path" and "scorer" not in GUARDED[name][1]:
+        # the builtin scorer would leave the logit file unread: a config
+        # error, one stderr line, and no output directory
+        assert (code, stderr, hashes) == (2, MALFORMED_MESSAGES["flag-logits-under-builtin"], None)
+    elif dotted.startswith(GUARDED[name][2]):
+        assert code == 0 and config_line != base[name][4]
     else:
-        assert (stdout, hashes) == base[name][:2]
+        assert (code, stdout, hashes) == (0, base[name][1], base[name][3])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -958,6 +1048,7 @@ class TestRun:
             run_args(
                 out,
                 extra=[
+                    "--scorer", "logits",
                     "--logits", str(scored / "logits.tsv"),
                     "--manifest", str(base / "manifest.json"),
                 ],
