@@ -405,9 +405,8 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     return 0
 
 
-# each command's handler, help summary, and the config sections it reads:
-# its reports' config block, the setting flags it takes (_FLAGS, plus
-# --manifest with scorer), and with dataset the check that dataset.path is set
+# each command's handler, help summary, and the config sections it reads: its
+# reports' config block, its setting flags, and whether dataset.path is required
 _COMMANDS = {
     "split": (cmd_split, "write a train/cal/test manifest", ("dataset", "split")),
     "run": (cmd_run, "full pipeline: score, calibrate, decide",
@@ -436,8 +435,6 @@ _FLAGS = {
             "calibration share of non-test examples (epitope_held_out, distance_aware)"))),
     ),
     "scorer": (
-        ("--scorer", "scorer.mode", dict(choices=SCORER_MODES, help="score source")),
-        ("--logits", "scorer.logits_path", dict(help="external logit TSV (with --scorer logits)")),
         ("--kmer-size", "scorer.kmer_size",
          dict(type=int, help="k-mer size for the builtin scorer")),
         ("--mask-cdr3a", "scorer.include_cdr3a", dict(action="store_false", help=(
@@ -451,11 +448,17 @@ _FLAGS = {
         ("--epsilon", "simulate.epsilon", dict(type=float, help="target error level")),
     ),
 }
+# the score-source flags, for the commands that calibrate scores (read conformal)
+_SOURCE_FLAGS = (
+    ("--scorer", "scorer.mode", dict(choices=SCORER_MODES, help="score source")),
+    ("--logits", "scorer.logits_path", dict(help="external logit TSV (with --scorer logits)")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser. A setting flag's dest is the dotted config
-    field it overrides, and an absent flag sets nothing."""
+    """The command-line parser: a command takes the flags of each section it
+    reads, the score source with conformal and --manifest with scorer. A setting
+    flag's dest is the dotted config field it overrides; absent, it sets nothing."""
     parser = argparse.ArgumentParser(
         prog="tcrselect",
         description="Calibrated selective prediction for TCR/peptide binding pairs.",
@@ -465,9 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         command.add_argument("--config", help="JSON config file")
         command.add_argument("--out", dest="output_dir", help="output directory")
-        for section in sections:
-            for flag, dest, keywords in _FLAGS[section]:
-                command.add_argument(flag, dest=dest, **keywords)
+        flags = [flag for section in sections for flag in _FLAGS[section]]
+        if "conformal" in sections:
+            flags += _SOURCE_FLAGS
+        for flag, dest, keywords in flags:
+            command.add_argument(flag, dest=dest, **keywords)
         if "scorer" in sections:
             command.add_argument("--manifest", help="reuse an existing manifest JSON")
     sub.choices["metrics"].add_argument(
@@ -510,6 +515,9 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     for dest, parse in _TEXT_FLAGS.items():
         if dest in overrides:
             overrides[dest] = parse(overrides[dest])
+    # --scorer builtin picks the builtin scorer over a config file's logit file
+    if overrides.get("scorer.mode") == "builtin":
+        overrides.setdefault("scorer.logits_path", None)
     return overrides
 
 

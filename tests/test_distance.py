@@ -27,7 +27,7 @@ ALPHABET = "ACDFGW"
 
 
 def reference_levenshtein(a: str, b: str) -> int:
-    """Textbook recursion, memoized. Only usable for short strings."""
+    """Textbook recursion, memoized. Usable for strings of a few dozen characters."""
 
     @lru_cache(maxsize=None)
     def rec(i: int, j: int) -> int:
@@ -89,7 +89,7 @@ def test_bounded_kernel_with_shared_affixes(prefix, x, y, suffix, drawn):
     # the kernel trims the shared prefix and suffix; that must not move the
     # distance, at limits below, at and above it
     a, b = prefix + x + suffix, prefix + y + suffix
-    exact = levenshtein(a, b)
+    exact = reference_levenshtein(a, b)
     for limit in {0, max(exact - 1, 0), exact, exact + 1, drawn}:
         assert levenshtein_bounded(a, b, limit) == (exact if exact <= limit else limit + 1)
         assert levenshtein_bounded(b, a, limit) == (exact if exact <= limit else limit + 1)
