@@ -34,7 +34,7 @@ from .conformal import (
     quantile_index,
     run_pipeline,
 )
-from .data import Dataset, deduplicate, generate_negatives, ingest_tsv
+from .data import Dataset, deduplicate, generate_negatives, ingest_tsv, json_text
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
 from .scorer import export_logits, ids_fingerprint, score, sigmoid, train_linear
 from .splits import (
@@ -57,8 +57,17 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _usage() -> str:
+    """This process's CPU seconds and peak RSS so far, as ' cpu_s=...
+    peak_rss_mb=...', or '' where the resource module is missing."""
+    try:
+        import resource
+    except ImportError:  # Windows has no resource module
+        return ""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in KiB, but in bytes on macOS
+    kib = usage.ru_maxrss / 1024 if sys.platform == "darwin" else usage.ru_maxrss
+    return f" cpu_s={usage.ru_utime + usage.ru_stime:.3f} peak_rss_mb={kib / 1024:.1f}"
 
 
 class _Runner:
@@ -75,7 +84,7 @@ class _Runner:
         self.settings = {name: asdict(getattr(config, name)) for name in sections}
         if "scorer" in sections and config.scorer.mode == "logits":
             self.settings["scorer"] = {"mode": "logits", "logits_path": config.scorer.logits_path}
-        self.config_fingerprint = _sha256(_json_text(self.settings))
+        self.config_fingerprint = _sha256(json_text(self.settings))
         self.out = Path(config.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
 
@@ -90,7 +99,7 @@ class _Runner:
         return path
 
     def write_json(self, name: str, payload: dict) -> Path:
-        return self.write_text(name, _json_text(payload))
+        return self.write_text(name, json_text(payload))
 
     def write_table(self, name: str, table: str, provenance: dict | None = None) -> Path:
         """A table report under its '#' header: the manifest and scorer
@@ -147,7 +156,8 @@ def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
     """AUROC/AUPRC/ECE/Brier/NLL plus argmax error; rank metrics None when
     the labels are single-class."""
     probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
-    single_class = len(np.unique(labels)) < 2
+    # min against max: np.unique would load numpy.ma for its masked-array check
+    single_class = not len(labels) or labels.min() == labels.max()
     wrong = int(np.count_nonzero((probs >= 0.5) != labels))
     return {
         "auroc": None if single_class else auroc(probs, labels),
@@ -545,7 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             runner.log(f"command {args.command} started")
             runner.log(f"full config {json.dumps(config.to_dict(), sort_keys=True)}")
             code = handler(runner, args)
-            runner.log(f"command {args.command} finished with code {code}")
+            runner.log(f"command {args.command} finished with code {code}{_usage()}")
             return code
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)

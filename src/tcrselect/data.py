@@ -13,6 +13,7 @@ the same checks. SequenceExample is the plain row tuple that iteration yields.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 import sys
@@ -61,6 +62,11 @@ def check_column_keys(columns: Mapping[str, str]) -> None:
     unknown = set(columns) - set(DEFAULT_COLUMNS)
     if unknown:
         raise TsvSchemaError(f"unknown column key(s): {sorted(unknown)!r}")
+
+
+def json_text(payload: Mapping) -> str:
+    """The text of every JSON report: indented by 2, keys sorted, then a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _row_error(

@@ -12,7 +12,6 @@ produced logits can be ingested from a TSV instead.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
@@ -21,7 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, NotPlainText, split_blocks
+from .data import Dataset, NotPlainText, json_text, split_blocks
 
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
@@ -114,7 +113,7 @@ def _code_dtype(kmer_size: int) -> type:
 
 
 def _kmer_codes(fields: Sequence[str], kmer_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Field and code of every length-k window of fields.
+    """Window count of every field, and code of every length-k window.
 
     Windows come in field order, then left to right; a field shorter than k
     has none. Fields alternate tcr and peptide, so field f has namespace
@@ -124,24 +123,33 @@ def _kmer_codes(fields: Sequence[str], kmer_size: int) -> tuple[np.ndarray, np.n
     """
     lengths = np.fromiter(map(len, fields), np.int64, len(fields))
     per_field = np.maximum(lengths - kmer_size + 1, 0)
-    field = np.repeat(np.arange(len(fields), dtype=np.int32), per_field)
     digits = np.frombuffer("\n".join(fields).encode("ascii").translate(_DIGITS), np.uint8)
-    dtype = _code_dtype(kmer_size)
-    # the k-mer at every position of the joined text, then only the positions
-    # whose k-mer lies inside one field: the first per_field of each field's
-    # length + 1 positions (its residues and the newline after them)
+    # the code at every position of the joined text, built in place from the
+    # namespace number of the field there (its residues and the newline after
+    # them), then only the positions whose k-mer lies inside one field: the
+    # first per_field of each field's length + 1 positions
     n = max(len(digits) - kmer_size + 1, 0)
-    code = digits[:n].astype(dtype)
-    for j in range(1, kmer_size):
+    namespace = (np.arange(len(fields)) & 1).astype(_code_dtype(kmer_size))
+    code = np.repeat(namespace, lengths + 1)[:n]
+    for j in range(kmer_size):
         code *= len(_ALPHABET)
         code += digits[j : j + n]
     inside = np.repeat(
         np.tile([True, False], len(fields)),
         np.column_stack((per_field, lengths + 1 - per_field)).ravel(),
     )
-    code = code[inside[:n]]
-    code += (field & 1).astype(dtype) * len(_ALPHABET) ** kmer_size
-    return field, code
+    return per_field, code[inside[:n]]
+
+
+def _first_seen_by_table(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_first_seen for integer codes in [0, len(codes)): a table indexed by
+    code holds each code's first position, then its rank."""
+    n = len(codes)
+    table = np.full(int(codes.max()) + 1 if n else 0, n, dtype=np.int32)
+    np.minimum.at(table, codes, np.arange(n, dtype=np.int32))
+    first = np.sort(table[table < n])
+    table[codes[first]] = np.arange(len(first), dtype=np.int32)
+    return table[codes], first
 
 
 def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +157,20 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rank, first): rank[i] (int32) is r when codes[i] holds the r-th
     distinct value to appear, counting from 0, and first[r] is the position
-    where that value first appears, so first ascends. Integer codes in
-    [0, 2**(62 - bits)), where bits is the width of a position, take one sort
-    of the int64 key code << bits | position. Object codes, negative ones and
-    wider ones take np.unique.
+    where that value first appears, so first ascends. The codes choose the
+    path. Integer codes in [0, n), for n codes, take a table of n entries at
+    most (_first_seen_by_table). Other integer codes in [0, 2**(62 - bits)),
+    where bits is the width of a position, take one sort of the int64 key
+    code << bits | position. Object codes, negative ones and wider ones take
+    np.unique.
     """
     n = len(codes)
+    integer = codes.dtype != object
+    low, high = (int(codes.min()), int(codes.max())) if integer and n else (0, -1)
+    if integer and low >= 0 and high < n:
+        return _first_seen_by_table(codes)
     bits = max(n - 1, 1).bit_length()
-    if codes.dtype == object or (n and (codes.min() < 0 or int(codes.max()) >> (62 - bits))):
+    if not integer or low < 0 or high >> (62 - bits):
         _, first, group = np.unique(codes, return_index=True, return_inverse=True)
         position = np.arange(n)  # group is in position order already
     else:
@@ -190,13 +204,14 @@ class KmerWindows:
 
     Within a row the tcr windows (over cdr3a|cdr3b, or cdr3b alone) come
     first, then the peptide windows, each left to right. fields[2r] is row
-    r's tcr string and fields[2r + 1] its peptide; field[i] is the field of
-    window i, and code[i] identifies its namespace and k-mer (see _kmer_codes).
+    r's tcr string and fields[2r + 1] its peptide; per_field[f] is the number
+    of windows of field f, and code[i] identifies the namespace and k-mer of
+    window i (see _kmer_codes).
     """
 
     kmer_size: int
     fields: list[str]
-    field: np.ndarray
+    per_field: np.ndarray
     code: np.ndarray
 
     @property
@@ -204,8 +219,14 @@ class KmerWindows:
         return len(self.fields) // 2
 
     @property
+    def per_row(self) -> np.ndarray:
+        """Number of windows of each row."""
+        return self.per_field[0::2] + self.per_field[1::2]
+
+    @property
     def row(self) -> np.ndarray:
-        return self.field >> 1
+        """Row of every window."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int32), self.per_row)
 
     @cached_property
     def first_seen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +245,9 @@ class KmerWindows:
         """Vocabulary key, like "tcr:CAS", of each distinct k-mer in
         first-seen order: keys[r] names the windows of rank r."""
         _, first = self.first_seen
-        per_field = np.bincount(self.field, minlength=len(self.fields))
-        field = self.field[first]
-        start = first - (np.cumsum(per_field) - per_field)[field]
+        ends = np.cumsum(self.per_field)
+        field = np.searchsorted(ends, first, side="right")
+        start = first - (ends - self.per_field)[field]
         k = self.kmer_size
         return [
             _NAMESPACES[f & 1] + ":" + self.fields[f][i : i + k]
@@ -318,28 +339,30 @@ def _compiled_pays(n_windows: int, epochs: int) -> bool:
     return n_windows * (epochs + 11) > _COMPILED_BUDGET
 
 
-def _training_matrix(windows: KmerWindows, epochs: int = TrainingConfig.epochs) -> CountMatrix:
-    """Row-by-k-mer float64 counts over build_vocabulary(windows), each row's
-    columns ascending, for a fit of epochs epochs.
+def _training_matrix(
+    rank: np.ndarray, per_row: np.ndarray, epochs: int = TrainingConfig.epochs
+) -> CountMatrix:
+    """Row-by-k-mer float64 counts, each row's columns ascending, for a fit of
+    epochs epochs.
 
-    A window's column is its first-seen rank; the matrix takes the rank array
-    over from windows, whose first_seen is recomputed if read again. Below the
-    budget (_compiled_pays), np.unique sorts the (row, rank) keys and counts
-    repeated k-mers. Above it, scipy holds each window as a 1.0 entry of its
-    row, in place in the rank array, and sum_duplicates sorts every row and
-    adds up repeated k-mers. Both give the same arrays.
+    rank is every window's first-seen rank (KmerWindows.first_seen), which is
+    its column, and per_row the number of windows of each row, whose windows
+    follow those of the rows before it. The matrix takes rank over and may
+    overwrite it. Below the budget (_compiled_pays), np.unique sorts the
+    (row, rank) keys and counts repeated k-mers. Above it, scipy holds each
+    window as a 1.0 entry of its row, in place in rank, and sum_duplicates
+    sorts every row and adds up repeated k-mers. Both give the same arrays.
     """
-    rank, first = windows.take_first_seen()
-    shape = (windows.n_rows, len(first))
+    shape = (len(per_row), int(rank.max()) + 1 if len(rank) else 0)
     if _compiled_pays(len(rank), epochs):
         from scipy.sparse import csr_matrix  # deferred: small fits never load it
 
-        per_row = np.bincount(windows.row, minlength=windows.n_rows)
         X = csr_matrix((np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))), shape=shape)
         X.sum_duplicates()
         return CountMatrix(X.indptr, X.indices, X.data, shape, X)
-    key, count = np.unique(windows.row.astype(np.int64) << 32 | rank, return_counts=True)
-    indptr = np.searchsorted(key >> 32, np.arange(windows.n_rows + 1))
+    row = np.repeat(np.arange(len(per_row), dtype=np.int64), per_row)
+    key, count = np.unique(row << 32 | rank, return_counts=True)
+    indptr = np.searchsorted(key >> 32, np.arange(len(per_row) + 1))
     return CountMatrix(
         indptr.astype(np.int32), (key & 0xFFFFFFFF).astype(np.int32), count.astype(float), shape
     )
@@ -466,7 +489,7 @@ class LinearScorerModel(TrainingConfig):
             bias=float(self.bias),
             class_weights=[float(c) for c in self.class_weights],
         )
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
 
 
 def ids_fingerprint(ids: Iterable[str]) -> str:
@@ -487,8 +510,9 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    X = _training_matrix(windows, config.epochs)
-    del windows  # frees the per-window arrays before gradient descent
+    rank, per_row = windows.take_first_seen()[0], windows.per_row
+    del windows  # frees the strings and codes before the count matrix is built
+    X = _training_matrix(rank, per_row, config.epochs)
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     step = 1.0 / _smoothness_bound(X, sample_w, config.l2)
     # (weights, bias) is the iterate; the gradient is taken at the

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, check_open_unit
+from .data import Dataset, check_open_unit, json_text
 from .distance import cluster_by_identity
 
 PROTOCOL_RANDOM = "random"
@@ -133,7 +133,7 @@ class SplitManifest:
     def _json(self) -> str:
         # serialized once: a manifest is frozen, and its text is both written
         # out and hashed by fingerprint
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()

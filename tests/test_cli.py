@@ -590,6 +590,28 @@ def test_small_builtin_fits_leave_scipy_sparse_unloaded(tmp_path):
     assert all((tmp_path / command).is_dir() for command in ("run", "score", "sweep"))
 
 
+def test_run_and_metrics_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 14 ms of CPU to import, and np.unique(labels) loads
+    # it for its masked-array check; no report needs it
+    package_root = Path(tcrselect.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from tcrselect.cli import main\n"
+        "from tcrselect.toycorpus import toy_dataset_path\n"
+        "toy = str(toy_dataset_path())\n"
+        "assert main(['run', '--dataset', toy, '--out', 'run']) == 0\n"
+        "argv = ['metrics', '--dataset', toy, '--decisions', 'run/decisions.tsv', '--out', 'm']\n"
+        "assert main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "m" / "metrics_reeval.json").is_file()
+
+
 def _is_config_field(dotted):
     """Whether a dotted path such as "split.seed" names a field of RunConfig."""
     *sections, name = dotted.split(".")
@@ -935,6 +957,20 @@ class TestRun:
             assert (out / name).exists(), name
         stdout = capsys.readouterr().out
         assert "conformal_selective" in stdout
+
+    def test_log_ends_with_the_commands_cpu_and_peak_rss(self, tmp_path, monkeypatch):
+        assert main(run_args(tmp_path / "r")) == 0
+        last = (tmp_path / "r" / "run_log.txt").read_text(encoding="utf-8").splitlines()[-1]
+        match = re.fullmatch(
+            r"\S+Z command run finished with code 0 cpu_s=(\d+\.\d{3}) peak_rss_mb=(\d+\.\d)", last
+        )
+        assert match, last
+        assert float(match[1]) > 0 and float(match[2]) > 0
+        # without the resource module (Windows) the line stops at the code
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert main(run_args(tmp_path / "w")) == 0
+        last = (tmp_path / "w" / "run_log.txt").read_text(encoding="utf-8").splitlines()[-1]
+        assert last.endswith(" command run finished with code 0")
 
     def test_vacuous_rule_is_announced(self, tmp_path, capsys):
         # the label-free score is at most 0.5, so a threshold >= 0.5 keeps every row

@@ -1,6 +1,7 @@
 """Built-in linear scorer: features, loss gradient, training, score tables."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,7 @@ from tcrselect.scorer import (
     sigmoid,
     train_linear,
 )
+from tcrselect.splits import SplitConfig, split_random
 from tcrselect.toycorpus import motif_corpus
 
 
@@ -81,7 +83,7 @@ def kmer_counts(example, kmer_size, include_cdr3a=True):
     """The encoder's k-mer counts for one example, keyed like the vocabulary."""
     windows = encode_kmers(dataset_of([example]), kmer_size, include_cdr3a)
     vocab = build_vocabulary(windows)
-    row = _training_matrix(windows)
+    row = training_matrix(windows)
     keys = list(vocab)
     return {keys[i]: int(c) for i, c in zip(row.indices, row.data)}
 
@@ -196,7 +198,7 @@ class TestEncoderMatchesOracle:
         expected = oracle.build_vocabulary(train, kmer_size, include_cdr3a)
         assert list(vocab.items()) == list(expected.items())
         assert_same_csr(
-            _training_matrix(windows),
+            training_matrix(windows),
             oracle._design_matrix(train, kmer_size, expected, include_cdr3a),
         )
         # scoring rows over the full alphabet are mostly outside a vocabulary
@@ -227,9 +229,10 @@ class TestEncoderMatchesOracle:
         rank, _ = windows.first_seen
         assert windows.columns(vocab).tolist() == rank.tolist()
 
-    # the code paths of _first_seen on these windows: 3 packs int32 codes, 9
-    # packs int64 codes, 14 has int64 codes too wide to pack, 15 object codes
-    # (TestFirstSeen.test_encoder_codes_take_each_path)
+    # the code paths of _first_seen on these 200 rows: 3 packs int32 codes
+    # (fewer windows than the largest code), 9 packs int64 codes, 14 has int64
+    # codes too wide to pack, 15 object codes; the motif corpus regression
+    # below takes the table (TestFirstSeen.test_encoder_codes_take_each_path)
     @pytest.mark.parametrize("kmer_size", [3, 9, 14, 15])
     def test_every_code_path_matches_oracle(self, kmer_size):
         data = motif_corpus(300, 1)
@@ -239,7 +242,7 @@ class TestEncoderMatchesOracle:
         expected = oracle.build_vocabulary(train, kmer_size)
         assert list(vocab.items()) == list(expected.items())
         assert_same_csr(
-            _training_matrix(windows), oracle._design_matrix(train, kmer_size, expected, True)
+            training_matrix(windows), oracle._design_matrix(train, kmer_size, expected, True)
         )
         assert_same_csr(
             _scoring_matrix(encode_kmers(data, kmer_size), vocab),
@@ -255,7 +258,7 @@ class TestEncoderMatchesOracle:
         expected = oracle.build_vocabulary(data, 3)
         assert list(vocab.items()) == list(expected.items())
         assert_same_csr(
-            _training_matrix(windows), oracle._design_matrix(data, 3, expected, True)
+            training_matrix(windows), oracle._design_matrix(data, 3, expected, True)
         )
         model = train_linear(dataset_of(list(data)[:1400]), TrainingConfig(epochs=20))
         assert_same_logits(score(model, data), oracle.score(model, data))
@@ -298,10 +301,15 @@ def bits(values: np.ndarray) -> list[int]:
     return values.view(np.int64).tolist()
 
 
-def training_matrix(windows, compiled):
-    """_training_matrix on the side of the budget that compiled names."""
+def training_matrix(windows, compiled=None):
+    """_training_matrix of windows as train_linear builds it, on the side of
+    the budget that compiled names, or on the side the fit's size picks when
+    compiled is None."""
+    rank, per_row = windows.take_first_seen()[0], windows.per_row
+    if compiled is None:
+        return _training_matrix(rank, per_row)
     with mock.patch.object(scorer_module, "_COMPILED_BUDGET", -1 if compiled else math.inf):
-        return _training_matrix(windows)
+        return _training_matrix(rank, per_row)
 
 
 def csr_sum_duplicates(windows):
@@ -369,7 +377,30 @@ class TestCountMatrix:
         # (15,562), both at the default 50 epochs
         assert _compiled_pays(1_929_776, 50)
         assert not _compiled_pays(15_562, 50)
-        assert _training_matrix(encode_kmers(motif_corpus(300, 1), 3)).compiled is None
+        assert training_matrix(encode_kmers(motif_corpus(300, 1), 3)).compiled is None
+
+
+def test_train_linear_traced_peak_per_window_is_bounded():
+    # the random-split train part of motif_corpus(20000, 1) is a compiled fit
+    # whose k-mer codes take the first-seen table. The traced peak counts
+    # every Python and numpy allocation, with scipy.sparse imported first. It
+    # reads 17.0 bytes per window on numpy 2.4, and 30.3 when the numbering
+    # sorts a packed int64 key and the count matrix is built while the
+    # strings and codes are still held.
+    import scipy.sparse  # noqa: F401  (its import is not a training cost)
+
+    data = motif_corpus(20000, 1)
+    train = data.subset(split_random(data, SplitConfig(seed=13)).train_ids)
+    n_windows = len(encode_kmers(train, 3).code)
+    assert n_windows == 386_064
+    assert _compiled_pays(n_windows, TrainingConfig.epochs)
+    tracemalloc.start()
+    try:
+        train_linear(train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_windows < 18.0
 
 
 def first_seen_oracle(values: list) -> tuple[list[int], list[int]]:
@@ -394,13 +425,15 @@ def assert_first_seen_matches_oracle(codes: np.ndarray) -> None:
 
 @st.composite
 def code_arrays(draw):
-    """Codes with repeats, drawn from a few values of one kind: int32 codes,
-    which always pack; int64 codes below 2**40, which pack; int64 codes up to
-    2**63 - 1, mostly too wide to pack; int64 codes that may be negative,
-    which do not pack; Python ints beyond int64."""
+    """Codes with repeats, drawn from a few values of one kind: int32 and
+    int64 codes below 60, which fall on either side of the table rule; int32
+    codes, which always pack otherwise; int64 codes below 2**40, which pack;
+    int64 codes up to 2**63 - 1, mostly too wide to pack; int64 codes that
+    may be negative, which do not pack; Python ints beyond int64."""
     dtype, values = draw(st.sampled_from([
         (np.int32, st.integers(0, 2**31 - 1)),
-        (np.int32, st.integers(0, 40)),
+        (np.int32, st.integers(0, 60)),
+        (np.int64, st.integers(0, 60)),
         (np.int64, st.integers(0, 2**40)),
         (np.int64, st.integers(0, 2**63 - 1)),
         (np.int64, st.integers(-(2**40), 2**40)),
@@ -410,11 +443,45 @@ def code_arrays(draw):
     return np.array(draw(st.lists(st.sampled_from(pool), max_size=60)), dtype=dtype)
 
 
+def first_seen_rule(codes: np.ndarray) -> str:
+    """The path _first_seen documents for codes: a table when every code is
+    an integer in [0, len(codes)), else a packed sort when every code fits
+    62 - bits bits, else np.unique."""
+    values = codes.tolist()
+    if codes.dtype == object:
+        return "unique"
+    if all(0 <= value < len(values) for value in values):
+        return "table"
+    bits = max(len(values) - 1, 1).bit_length()
+    return "unique" if min(values) < 0 or max(values) >> (62 - bits) else "packed"
+
+
+def first_seen_path(codes: np.ndarray) -> str:
+    """The path _first_seen takes on codes, checked against the dict oracle:
+    the table helper or np.unique when it calls them, else the packed sort."""
+    calls = []
+
+    def spy(name, function):
+        return lambda *a, **k: calls.append(name) or function(*a, **k)
+
+    table = scorer_module._first_seen_by_table
+    with mock.patch.object(scorer_module, "_first_seen_by_table", spy("table", table)), \
+            mock.patch.object(np, "unique", spy("unique", np.unique)):
+        assert_first_seen_matches_oracle(codes)
+    assert len(calls) <= 1
+    return calls[0] if calls else "packed"
+
+
 class TestFirstSeen:
     @settings(max_examples=300, deadline=None)
     @given(codes=code_arrays())
+    # the largest code one below the count, then equal to it
+    @example(codes=np.array([3, 0, 3, 1], np.int32))
+    @example(codes=np.array([4, 0, 4, 1], np.int32))
+    @example(codes=np.array([5, 5, 2, 0, 1, 2], np.int64))
+    @example(codes=np.array([6, 6, 2, 0, 1, 2], np.int64))
     def test_matches_dict_oracle(self, codes):
-        assert_first_seen_matches_oracle(codes)
+        assert first_seen_path(codes) == first_seen_rule(codes)
 
     @pytest.mark.parametrize(
         "codes",
@@ -424,27 +491,33 @@ class TestFirstSeen:
             np.zeros(0, object),
             np.full(1, 7, np.int32),
             np.full(9, 7, np.int32),
+            np.full(9, 9, np.int32),
             np.full(9, 2**62, np.int64),
             np.full(9, 2**70, object),
         ],
         ids=["empty-int32", "empty-int64", "empty-object", "one", "repeated",
-             "repeated-wide", "repeated-object"],
+             "repeated-packed", "repeated-wide", "repeated-object"],
     )
     def test_empty_and_one_repeated_value(self, codes):
-        assert_first_seen_matches_oracle(codes)
+        assert first_seen_path(codes) == first_seen_rule(codes)
 
+    # k = 3 codes reach 17,971 on motif_corpus: 40 rows have 1,107 windows
+    # and 800 rows 22,032, on either side of the table rule
     @pytest.mark.parametrize(
-        "kmer_size, dtype, packed",
-        [(3, np.int32, True), (9, np.int64, True), (14, np.int64, False), (15, object, False)],
+        "n_rows, kmer_size, dtype, path",
+        [
+            pytest.param(40, 3, np.int32, "packed", id="3-int32-True"),
+            pytest.param(40, 9, np.int64, "packed", id="9-int64-True"),
+            pytest.param(40, 14, np.int64, "unique", id="14-int64-False"),
+            pytest.param(40, 15, object, "unique", id="15-object-False"),
+            pytest.param(40, 2, np.int32, "table", id="2-int32-table"),
+            pytest.param(800, 3, np.int32, "table", id="3-int32-table"),
+        ],
     )
-    def test_encoder_codes_take_each_path(self, monkeypatch, kmer_size, dtype, packed):
-        # the fallback is np.unique; the packed path never calls it
-        windows = encode_kmers(motif_corpus(40, 1), kmer_size)
+    def test_encoder_codes_take_each_path(self, n_rows, kmer_size, dtype, path):
+        windows = encode_kmers(motif_corpus(n_rows, 1), kmer_size)
         assert windows.code.dtype == dtype
-        unique, calls = np.unique, []
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
-        assert_first_seen_matches_oracle(windows.code)
-        assert calls == ([] if packed else [1])
+        assert first_seen_path(windows.code) == path
 
 
 def test_vocabulary_indices_must_be_a_permutation():

@@ -147,7 +147,8 @@ def test_smoothness_bound_is_an_upper_bound(instance, l2):
 def test_smoothness_bound_is_tight_on_motif_corpus():
     data = motif_corpus(2000, 1)
     train = data.subset(split_random(data, SplitConfig(seed=13)).train_ids)
-    X = _training_matrix(encode_kmers(train, 3))
+    windows = encode_kmers(train, 3)
+    X = _training_matrix(windows.take_first_seen()[0], windows.per_row)
     y = train.labels.astype(float)
     n_pos = int(y.sum())
     sw = np.where(y == 1.0, *class_weights(n_pos, len(y) - n_pos))

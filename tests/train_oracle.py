@@ -76,7 +76,7 @@ def train_linear(
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    counts = _training_matrix(windows, config.epochs)
+    counts = _training_matrix(windows.take_first_seen()[0], windows.per_row, config.epochs)
     X = csr_matrix((counts.data, counts.indices, counts.indptr), shape=counts.shape)
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     step = 1.0 / smoothness_bound(X, sample_w, config.l2)
