@@ -1,0 +1,210 @@
+"""The tier-1 workflow's corpus-scale checks, one subcommand per step; `all` runs each in order
+in its own interpreter. A step runs in a fresh temporary directory, calling `tcrselect` on PATH."""
+
+import argparse
+import filecmp
+import json
+import math
+import os
+import random
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from tcrselect import (SplitConfig, cluster_by_identity, deduplicate, export_tsv, motif_corpus,
+                       split_random, toy_dataset_path, train_linear)
+from tcrselect.scorer import CountMatrix, _training_matrix, encode_kmers
+
+
+def corpus_100k():
+    """The benchmarks' corpus, motif_corpus(100000, 1), and its random-split train part."""
+    data = motif_corpus(100000, 1)
+    return data, data.subset(split_random(data, SplitConfig()).train_ids)
+
+
+def tcrselect(*args, **kwargs):
+    """Run tcrselect, which must succeed; return its result and its RUSAGE_CHILDREN CPU time."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(["tcrselect", *args], check=True, **kwargs)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return done, (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+
+
+def distance_scale():
+    """Exact clustering and dedup at 0.9 on corpora too large for tier-1; a slide
+    back to quadratic candidate generation runs past the timeout."""
+    strings = sorted(set(motif_corpus(20000, 1).cdr3b))
+    start = time.process_time()
+    clusters = cluster_by_identity(strings, 0.9)
+    seconds = time.process_time() - start
+    print(f"cluster {len(strings)} cdr3b: {len(clusters)} clusters in {seconds:.2f} s")
+    data = motif_corpus(5000, 1)
+    start = time.process_time()
+    kept = deduplicate(data, 0.9)
+    seconds = time.process_time() - start
+    print(f"dedup {len(data)} rows: {len(kept)} kept in {seconds:.2f} s")
+
+
+def scorer_scale():
+    """`tcrselect run` on the 100k-row corpus, random protocol: a baseline test AUROC
+    below 0.925 means an under-trained model (300 plain gradient-descent epochs gave
+    0.912). A child writes the corpus, so the run forks from a small parent and
+    RUSAGE_CHILDREN's peak is the run's own. Peaks are printed, not gated."""
+    subprocess.run([sys.executable, "-c", "import tcrselect as t; "
+                    "t.export_tsv(t.motif_corpus(100000, 1), 'corpus_100k.tsv')"], check=True)
+    _, cpu = tcrselect("run", "--dataset", "corpus_100k.tsv", "--protocol", "random",
+                       "--out", "scale/")
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    print(f"run on 100000 rows: {cpu:.2f} s process time, peak RSS {peak / 1024:.1f} MB")
+    auroc = json.loads(Path("scale/metrics.json").read_bytes())["methods"]["baseline"]["auroc"]
+    print(f"baseline test AUROC {auroc:.4f}")
+    assert auroc >= 0.925, f"baseline test AUROC {auroc:.4f} is below 0.925"
+    import scipy.sparse  # noqa: F401  (imported before train_linear's traced peak)
+    train = corpus_100k()[1]
+    n_windows = len(encode_kmers(train, 3).code)
+    tracemalloc.start()
+    train_linear(train)
+    peak = tracemalloc.get_traced_memory()[1]
+    print(f"train_linear on {len(train)} rows: traced peak {peak / 2**20:.1f} MiB, "
+          f"{peak / n_windows:.1f} bytes per window ({n_windows} windows)")
+
+
+def readers_agree():
+    """The ingest_logits_sweep inputs, the 100k-row corpus and a seeded logit TSV, are
+    read a block at a time; a CRLF corpus and logits with a blank line, by the
+    per-row loops. stdout and every output but run_log.txt must be byte-identical."""
+    data = corpus_100k()[0]
+    rng = random.Random(1)
+    logits = [f"{row_id}\t{(1.5 if label else -1.5) + rng.gauss(0.0, 1.5)!r}\n"
+              for row_id, label in zip(data.ids, data.labels.tolist())]
+    os.makedirs("readers/block")
+    os.makedirs("readers/rows")
+    export_tsv(data, "readers/block/corpus.tsv")
+    with open("readers/block/corpus.tsv", encoding="utf-8", newline="") as handle:
+        corpus = handle.read()
+    inputs = {"block": (corpus, "".join(logits)),
+              "rows": (corpus.replace("\n", "\r\n"), logits[0] + "\n" + "".join(logits[1:]))}
+    stdout = {}
+    for name, texts in inputs.items():
+        for file_name, text in zip(("corpus.tsv", "logits.tsv"), texts):
+            Path(f"readers/{name}/{file_name}").write_text(text, encoding="utf-8", newline="")
+        done, seconds = tcrselect("sweep", "--dataset", "corpus.tsv", "--scorer", "logits",
+                                  "--logits", "logits.tsv", "--protocol", "random", "--out", "out",
+                                  cwd=f"readers/{name}", capture_output=True, text=True)
+        stdout[name] = done.stdout
+        print(f"{name} readers: sweep in {seconds:.2f} s process time")
+    assert stdout["block"] == stdout["rows"], stdout
+    outputs = sorted(os.listdir("readers/block/out"))
+    assert outputs == sorted(os.listdir("readers/rows/out")), outputs
+    for name in sorted(set(outputs) - {"run_log.txt"}):
+        assert filecmp.cmp(f"readers/block/out/{name}", f"readers/rows/out/{name}",
+                           shallow=False), name
+    print(f"identical: stdout and {len(outputs) - 1} files")
+
+
+def kernels_agree():
+    """train_random's training matrix, far above the scorer's budget, is built for
+    scipy's compiled products; numpy's bincount kernels over the same arrays must
+    give the same bits, both ways, on seeded vectors spanning 16 orders of magnitude."""
+    windows = encode_kmers(corpus_100k()[1], 3)
+    start = time.process_time()
+    import scipy.sparse  # noqa: F401
+    print(f"import scipy.sparse: {time.process_time() - start:.3f} s process time")
+    compiled = _training_matrix(windows.take_first_seen()[0], windows.per_row)
+    assert compiled.compiled is not None, "a train_random-sized fit must use scipy"
+    bincount = CountMatrix(compiled.indptr, compiled.indices, compiled.data, compiled.shape)
+    n_rows, n_cols = compiled.shape
+    print(f"{n_rows} rows, {n_cols} columns, {len(compiled.data)} stored entries "
+          f"from {len(windows.code)} windows")
+    rng, trials, mismatches = np.random.default_rng(1), 5, 0
+    cpu = {"compiled": [0.0, 0.0], "bincount": [0.0, 0.0]}
+    for _ in range(trials):
+        vectors = (rng.normal(size=n_cols) * 10.0 ** rng.uniform(-8, 8, size=n_cols),
+                   rng.normal(size=n_rows) * 10.0 ** rng.uniform(-8, 8, size=n_rows))
+        got = {"compiled": [], "bincount": []}
+        for name, matrix in (("compiled", compiled), ("bincount", bincount)):
+            for i, (product, vector) in enumerate(zip((matrix.matvec, matrix.rmatvec), vectors)):
+                start = time.process_time()
+                got[name].append(product(vector).view(np.int64))
+                cpu[name][i] += time.process_time() - start
+        for direction, a, b in zip(("forward", "transpose"), got["compiled"], got["bincount"]):
+            differ = int(np.count_nonzero(a != b))
+            if differ:
+                print(f"{direction}: {differ} of {len(a)} elements differ")
+            mismatches += differ
+    for name, (forward, transpose) in cpu.items():
+        print(f"{name}: {1e3 * forward / trials:.2f} ms forward + "
+              f"{1e3 * transpose / trials:.2f} ms transpose per pass")
+    assert mismatches == 0, f"{mismatches} elements differ between the kernels"
+    print(f"identical: {trials} forward and {trials} transpose products")
+
+
+def simulate_defaults():
+    """The coverage Monte Carlo as the README documents it: 200 trials at n_cal = n_test
+    = 2000, epsilon 0.2; mean coverage within 4 SE of [1-eps, 1-eps + 1/(n_cal+1)]."""
+    tcrselect("simulate", "--out", "simulate_defaults/")
+    tcrselect("simulate", "--sizes", "200,2000", "--trials", "20", "--out", "simulate_sizes/")
+    report = json.loads(Path("simulate_defaults/simulate.json").read_bytes())
+    n_cal, n_trials, epsilon = report["n_cal"], report["n_trials"], report["epsilon"]
+    assert (n_cal, n_trials, epsilon) == (2000, 200, 0.2), (n_cal, n_trials, epsilon)
+    se = report["sd_coverage"] / math.sqrt(n_trials)
+    low, high = 1 - epsilon - 4 * se, 1 - epsilon + 1 / (n_cal + 1) + 4 * se
+    mean = report["mean_coverage"]
+    print(f"mean coverage {mean:.4f}, allowed [{low:.4f}, {high:.4f}]")
+    assert low <= mean <= high, f"mean coverage {mean} outside [{low}, {high}]"
+    rows = json.loads(Path("simulate_sizes/simulate.json").read_bytes())["rows"]
+    assert [row["n_cal"] for row in rows] == [200, 2000], rows
+
+
+def quickstart():
+    """The README's three quick-start runs, from outside the checkout; each replayed
+    from a manifest that `split` wrote with the same flags must write the same bytes
+    in every file but run_log.txt."""
+    toy = str(toy_dataset_path())
+    runs = {  # output: (split flags, run-only flags); split takes no --epsilon
+        "results": (["--protocol", "random"], ["--epsilon", "0.2"]),
+        "results_epitope": (["--protocol", "epitope_held_out", "--k-epitopes", "2"], []),
+        "results_distance": (["--protocol", "distance_aware"], []),
+    }
+    for out, (split_flags, run_flags) in runs.items():
+        tcrselect("run", "--dataset", toy, *split_flags, *run_flags, "--out", f"{out}/")
+    subprocess.run(["ls", *(f"{out}/decisions.tsv" for out in runs)], check=True)
+    for out, (split_flags, run_flags) in runs.items():
+        tcrselect("split", "--dataset", toy, *split_flags, "--out", f"{out}.split/")
+        tcrselect("run", "--dataset", toy, *split_flags, *run_flags,
+                  "--manifest", f"{out}.split/manifest.json", "--out", f"{out}.replay/")
+        names = [name for name in sorted(os.listdir(f"{out}.replay")) if name != "run_log.txt"]
+        for name in names:
+            assert filecmp.cmp(f"{out}/{name}", f"{out}.replay/{name}", shallow=False), name
+        assert len(names) == 6, \
+            f"{out}.replay/ holds {len(names)} files besides run_log.txt, expected 6"
+        print(f"{out}: the replay matches in {len(names)} files")
+
+
+STEPS = {step.__name__.replace("_", "-"): step for step in (
+    distance_scale, scorer_scale, readers_agree, kernels_agree, simulate_defaults, quickstart)}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("step", choices=[*STEPS, "all"])
+    step = parser.parse_args().step
+    if step == "all":
+        for name in STEPS:
+            print(f"== {name}", flush=True)
+            subprocess.run([sys.executable, __file__, name], check=True)
+        return
+    sys.stdout.reconfigure(line_buffering=True)  # in order with the children's output
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        STEPS[step]()
+
+
+if __name__ == "__main__":
+    main()

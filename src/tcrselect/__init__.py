@@ -5,8 +5,12 @@ out calibration split, and converts them into predict/abstain decisions with
 a split-conformal threshold. When calibration and test are exchangeable (the
 random protocol), the threshold guarantees marginal coverage: a test pair's
 true-label nonconformity score is at most the threshold with probability at
-least 1 - epsilon. It does not bound the error rate among retained
-predictions, and the shifted protocols carry no guarantee.
+least 1 - epsilon. While the threshold is below 0.5, a test pair's true-label
+score is within the threshold iff the pair is retained and predicted
+correctly, so there the guarantee also bounds the expected share of test pairs
+abstained on or predicted wrongly by epsilon. Both hold only under the random
+protocol. Neither bounds the error rate among retained predictions, and the
+shifted protocols carry no guarantee.
 """
 
 from .calibration import (

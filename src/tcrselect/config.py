@@ -184,12 +184,10 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any] | None = N
     for dotted, value in (overrides or {}).items():
         node = raw
         parts = dotted.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
+        for depth, part in enumerate(parts[:-1], start=1):
+            # a flag creates a section the file leaves out, but never replaces
+            # one the file gives as something other than an object
+            node = _as_map(node.setdefault(part, {}), ".".join(parts[:depth]))
         node[parts[-1]] = value
     return config_from_dict(raw)
 

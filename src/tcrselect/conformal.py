@@ -14,6 +14,15 @@ fraction is at least that coverage. The epitope-held-out and distance-aware
 protocols break exchangeability by design; reports always record the protocol
 so the guarantee's scope stays visible.
 
+Temperature note: at any T > 0 both scores are one strictly decreasing function
+of a margin, the true-label score of y'z (y' = 2y - 1) and the label-free score
+of |z|. The threshold is an order statistic, so it is that function at q, the
+k-th largest calibration margin: a test row is retained iff |z| >= q, and its
+label is sign(z). Decisions and conformal coverage therefore
+do not depend on the fitted T, up to rounding ties at the threshold; the
+temperature moves only the probabilities and the ECE, NLL and Brier read from
+them (Vovk et al. 2005; Angelopoulos & Bates 2021).
+
 Each part's scores are one ScoreTable with a float64 array of calibrated
 probabilities; nonconformity scores are arrays too, and the test decisions are
 one DecisionTable.
@@ -302,7 +311,12 @@ def decisions_from_tsv(text: str) -> DecisionTable:
                 f"decisions line {number}: prob_calibrated must be in [0, 1], got {prob_cell!r}"
             )
         probs.append(prob)
-        scores.append(_number_cell(number, "nonconformity", nonconf_cell))
+        nonconf = _number_cell(number, "nonconformity", nonconf_cell)
+        if not 0.0 <= nonconf <= 0.5:  # the label-free score's range; NaN fails too
+            raise ValueError(
+                f"decisions line {number}: nonconformity must be in [0, 0.5], got {nonconf_cell!r}"
+            )
+        scores.append(nonconf)
         code = _DECISION_CODES.get((decision, label))
         if code is None:
             raise ValueError(

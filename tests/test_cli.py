@@ -287,6 +287,11 @@ MALFORMED = {
     ),
     "config-grid-empty": ("config", "cfg.json", json.dumps({"sweep": {"grid": []}}), 2),
     "config-bad-scorer-mode": ("config", "cfg.json", json.dumps({"scorer": {"mode": "x"}}), 2),
+    # a flag that sets a field must not replace a section given as a non-object
+    "config-dataset-not-object": ("config", "cfg.json", json.dumps({"dataset": 7}), 2),
+    "config-section-not-object-with-flag": (
+        "config:sweep --split-seed 3", "cfg.json", json.dumps({"split": "x"}), 2,
+    ),
     # the draw-shape checks run before the experiment checks
     "config-simulate-two-errors": (
         "config:simulate", "cfg.json",
@@ -320,6 +325,10 @@ MALFORMED = {
     "decisions-nan-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tnan\t0.1\tpredict\t1\n", 1),
     "decisions-bad-nonconformity": (
         "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\tx\tpredict\t1\n", 1,
+    ),
+    # decisions_to_tsv writes a nonconformity in [0, 0.5] only
+    "decisions-nan-nonconformity": (
+        "decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\tnan\tpredict\t1\n", 1,
     ),
     "decisions-repeated-id": (
         "decisions", "d.tsv",
@@ -411,6 +420,10 @@ MALFORMED_MESSAGES = {
         "error: decisions line 2: prob_calibrated must be in [0, 1], got 'nan'\n",
     "decisions-bad-nonconformity":
         "error: decisions line 2: nonconformity must be a number, got 'x'\n",
+    "decisions-nan-nonconformity":
+        "error: decisions line 2: nonconformity must be in [0, 0.5], got 'nan'\n",
+    "config-dataset-not-object": "config error: dataset: expected an object\n",
+    "config-section-not-object-with-flag": "config error: split: expected an object\n",
     "config-l2-string": "config error: scorer.l2: expected a number, got 'x'\n",
     "config-learning-rate-removed": "config error: scorer.learning_rate: unknown key\n",
     "config-l2-nan": "config error: scorer: l2 must be finite, got nan\n",

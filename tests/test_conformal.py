@@ -2,6 +2,7 @@
 oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from tcrselect.conformal import (
 )
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import TrainingConfig
-from tcrselect.splits import SplitConfig, SplitManifest, split_random
+from tcrselect.splits import SplitConfig, SplitManifest, split_epitope_held_out, split_random
+from tcrselect.toycorpus import motif_corpus
 
 
 def oracle_threshold(scores, epsilon):
@@ -340,6 +342,25 @@ class TestRunPipeline:
         with pytest.raises(ValueError) as err:
             run_pipeline(data, manifest, 0.2, path)
         assert str(err.value) == message.format(**dropped)
+
+
+@pytest.mark.parametrize("split", [split_random, split_epitope_held_out])
+def test_temperature_moves_no_decision(split):
+    # at any T > 0 a row is retained iff |z| reaches the calibration margin at
+    # the threshold's rank, and its label is sign(z): the fitted temperature
+    # moves probabilities and their metrics, never a decision
+    data = motif_corpus(2000, 1)
+    manifest = split(data, SplitConfig(k_test_epitopes=3))
+    result = run_pipeline(data, manifest, 0.2, TrainingConfig())
+    abstained = np.count_nonzero(result.decisions.predicted == -1)
+    assert 0 < abstained < len(result.decisions)
+    for temperature in (0.3, 1.0, 3.0, 10.0):
+        model = replace(result.temperature, temperature=temperature)
+        cal_scores = nonconformity_calibration(apply_temperature(result.cal, model),
+                                               result.cal.labels)
+        rule = fit_threshold(cal_scores, 0.2)
+        decisions = decide(result.test.ids, apply_temperature(result.test, model), rule)
+        np.testing.assert_array_equal(decisions.predicted, result.decisions.predicted)
 
 
 DECISION_HEADER = "example_id\tprob_calibrated\tnonconformity\tdecision\tpredicted_label\n"
