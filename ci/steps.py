@@ -3,6 +3,7 @@ in its own interpreter. A step runs in a fresh temporary directory, calling `tcr
 
 import argparse
 import filecmp
+import itertools
 import json
 import math
 import os
@@ -17,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tcrselect import (SplitConfig, cluster_by_identity, deduplicate, export_tsv, motif_corpus,
-                       split_random, toy_dataset_path, train_linear)
+from tcrselect import (SplitConfig, SyntheticSpec, cluster_by_identity, coverage_experiment,
+                       deduplicate, export_tsv, motif_corpus, split_random, toy_dataset_path,
+                       train_linear)
+from tcrselect.calibration import TEMPERATURE_MIN
 from tcrselect.scorer import CountMatrix, _training_matrix, encode_kmers
 
 
@@ -147,9 +150,15 @@ def kernels_agree():
 
 def simulate_defaults():
     """The coverage Monte Carlo as the README documents it: 200 trials at n_cal = n_test
-    = 2000, epsilon 0.2; mean coverage within 4 SE of [1-eps, 1-eps + 1/(n_cal+1)]."""
-    tcrselect("simulate", "--out", "simulate_defaults/")
-    tcrselect("simulate", "--sizes", "200,2000", "--trials", "20", "--out", "simulate_sizes/")
+    = 2000, epsilon 0.2; mean coverage within 4 SE of [1-eps, 1-eps + 1/(n_cal+1)].
+    Then 2,016 trials over n_cal and epsilon: each raw-score coverage must have the bits
+    of the trial that fits a temperature (tests/coverage_oracle.py), unless that fit
+    clamps T at its lower bound, where the scaled scores round on two branches."""
+    _, cpu = tcrselect("simulate", "--out", "simulate_defaults/")
+    print(f"simulate: {cpu:.2f} s process time")
+    _, cpu = tcrselect("simulate", "--sizes", "200,2000", "--trials", "20",
+                       "--out", "simulate_sizes/")
+    print(f"simulate --sizes 200,2000 --trials 20: {cpu:.2f} s process time")
     report = json.loads(Path("simulate_defaults/simulate.json").read_bytes())
     n_cal, n_trials, epsilon = report["n_cal"], report["n_trials"], report["epsilon"]
     assert (n_cal, n_trials, epsilon) == (2000, 200, 0.2), (n_cal, n_trials, epsilon)
@@ -160,6 +169,23 @@ def simulate_defaults():
     assert low <= mean <= high, f"mean coverage {mean} outside [{low}, {high}]"
     rows = json.loads(Path("simulate_sizes/simulate.json").read_bytes())["rows"]
     assert [row["n_cal"] for row in rows] == [200, 2000], rows
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    import coverage_oracle
+    trials, moved, clamped = 0, 0, 0
+    for seed, n_cal, epsilon in itertools.product((29, 7919), (200, 400, 1000, 2000),
+                                                  (0.05, 0.1, 0.2)):
+        spec = SyntheticSpec(n_cal=n_cal, epsilon=epsilon, seed=seed, n_trials=84)
+        fitted = coverage_oracle.trials(spec)
+        for t, (coverage, (expected, temperature)) in enumerate(
+                zip(coverage_experiment(spec).coverages, fitted)):
+            clamped += temperature == TEMPERATURE_MIN
+            # counts over n_test: equal values are equal bits
+            if coverage != expected:
+                moved += 1
+                assert temperature == TEMPERATURE_MIN, (spec, t, coverage, expected, temperature)
+        trials += spec.n_trials
+    print(f"{trials} trials: {moved} raw-score coverages differ from the fitted-temperature "
+          f"ones; {clamped} fits clamp T at {TEMPERATURE_MIN}")
 
 
 def quickstart():

@@ -324,9 +324,22 @@ def decisions_from_tsv(text: str) -> DecisionTable:
                 f"or abstain with none, got {decision!r} with {label!r}"
             )
         predicted.append(code)
-    return DecisionTable(
+    table = DecisionTable(
         tuple(line_of),
         np.array(probs, dtype=np.float64),
         np.array(scores, dtype=np.float64),
         np.array(predicted, dtype=np.int8),
     )
+    # decide derives both columns from the probability; repr round-trips them
+    expected = nonconformity_test(table.probs)
+    label_bad = (table.predicted >= 0) & (table.predicted != (table.probs >= 0.5))
+    bad = np.flatnonzero(label_bad | (table.nonconformity != expected))
+    if len(bad):
+        i = bad[0]
+        where = f"decisions line {list(line_of.values())[i]}"
+        if label_bad[i]:
+            raise ValueError(f"{where}: predicted_label must be {int(probs[i] >= 0.5)} "
+                             f"for prob_calibrated {probs[i]!r}, got {predicted[i]}")
+        raise ValueError(f"{where}: nonconformity must be {expected[i].item()!r} "
+                         f"for prob_calibrated {probs[i]!r}, got {scores[i]!r}")
+    return table

@@ -7,7 +7,9 @@ log-odds multiplied by miscalibration_temperature. Fitting a temperature on
 such data should recover the planted factor. No sequence content here; the
 sequence-level path goes through the corpus and scorer modules.
 
-A draw is two score tables; a trial is array expressions over them.
+A draw is two score tables; a trial is array expressions over them. Every
+trial measures coverage on the raw probabilities, which no temperature moves
+(see _trials); only the size sweep fits one, for the ECE it reports.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .calibration import apply_temperature, ece, fit_temperature
 from .conformal import check_epsilon, fit_threshold, nonconformity_calibration, quantile_index
-from .scorer import ScoreTable
+from .scorer import ScoreTable, sigmoid
 
 # mixture components for the true probabilities: binder-like and background
 HI_BETA = (8.0, 2.0)   # mean 0.8
@@ -113,39 +115,45 @@ class CoverageSummary:
 
 def _trials(spec: SyntheticSpec, sweep: bool) -> tuple[list[float], list[float]]:
     """Coverages of the trials that ran, and with sweep their test ECEs after
-    scaling; trial t uses seed spec.seed + t. With sweep a trial whose
-    calibration draw holds a single class, which leaves no temperature to fit,
-    is skipped.
+    temperature scaling; trial t uses seed spec.seed + t. A trial whose
+    calibration draw holds a single class is skipped with sweep, which has no
+    temperature to fit for it, and raises without.
 
     Coverage uses the same true-label nonconformity on calibration and test,
-    the exchangeable quantity the marginal guarantee speaks about. The deployed
-    label-free rule retains a superset of these points.
+    the exchangeable quantity the marginal guarantee speaks about, scored on
+    the raw probabilities sigmoid(logit): a score fixed before calibration.
+    A temperature rescales the margin monotonically, so in exact arithmetic it
+    moves no coverage, and it is fitted only for the ECE. In floats, a fit
+    clamped at TEMPERATURE_MIN pushes scores below 2**-53, where 1 - p and p
+    round differently, and can move a coverage; raw scores keep the order. The
+    deployed label-free rule retains a superset of these points.
     """
     coverages, eces = [], []
     for t in range(spec.n_trials):
         cal, test = generate(replace(spec, seed=spec.seed + t))
-        if sweep and cal.labels.min() == cal.labels.max():
-            continue
-        temperature = fit_temperature(cal)
-        cal_scores = nonconformity_calibration(apply_temperature(cal, temperature), cal.labels)
-        rule = fit_threshold(cal_scores, spec.epsilon)
-        test_probs = apply_temperature(test, temperature)
-        test_scores = nonconformity_calibration(test_probs, test.labels)
+        if cal.labels.min() == cal.labels.max():
+            if sweep:
+                continue
+            raise ValueError("calibration set contains a single class")
+        rule = fit_threshold(nonconformity_calibration(sigmoid(cal.logits), cal.labels),
+                             spec.epsilon)
         if rule.retain_all:
             coverages.append(1.0)
         else:
+            test_scores = nonconformity_calibration(sigmoid(test.logits), test.labels)
             coverages.append(int(np.count_nonzero(test_scores <= rule.threshold)) / len(test))
         if sweep:
-            eces.append(ece(test_probs, test.labels).ece)
+            eces.append(ece(apply_temperature(test, fit_temperature(cal)), test.labels).ece)
     return coverages, eces
 
 
 def coverage_experiment(spec: SyntheticSpec) -> CoverageSummary:
-    """spec.n_trials seeded trials of generate -> fit temperature -> fit threshold.
+    """spec.n_trials seeded trials of generate -> fit threshold on raw scores -> coverage.
 
     Trial t uses seed spec.seed + t. Under exchangeability a trial's expected
     coverage is at least quantile_index(n_cal, epsilon) / (n_cal + 1), which
     is >= 1 - epsilon; without ties it is below 1 - epsilon + 1/(n_cal + 1).
+    A single-class calibration draw raises.
     """
     n_trials = spec.n_trials
     # the sentinel depends only on (n_cal, epsilon), so it hits every trial or none
@@ -171,7 +179,7 @@ class SizeSweepRow:
 
 
 def calibration_size_sweep(spec: SyntheticSpec) -> list[SizeSweepRow]:
-    """Mean post-scaling test ECE and mean coverage at each of spec.sizes.
+    """Mean post-scaling test ECE and mean raw-score coverage at each of spec.sizes.
 
     spec supplies everything but n_cal, which the sweep overrides per row.
     Larger calibration sets estimate the temperature better, so the ECE column

@@ -332,7 +332,16 @@ MALFORMED = {
     ),
     "decisions-repeated-id": (
         "decisions", "d.tsv",
-        DECISIONS_HEADER + "# note\n" + "a\t0.9\t0.1\tpredict\t1\n" * 2, 1,
+        DECISIONS_HEADER + "# note\n" + "a\t0.75\t0.25\tpredict\t1\n" * 2, 1,
+    ),
+    # decide derives the label and the nonconformity from the probability; a
+    # dataset id, so that metrics would score the row if the parser let it by
+    "decisions-label-contradicts-prob": (
+        "decisions", "d.tsv",
+        DECISIONS_HEADER + f"{TOY_IDS[0]}\t0.9\t0.09999999999999998\tpredict\t0\n", 1,
+    ),
+    "decisions-nonconformity-contradicts-prob": (
+        "decisions", "d.tsv", DECISIONS_HEADER + f"{TOY_IDS[0]}\t0.9\t0.05\tpredict\t1\n", 1,
     ),
     "decisions-bad-decision": ("decisions", "d.tsv", DECISIONS_HEADER + "a\t0.9\t0.1\tmaybe\t1\n", 1),
     "decisions-predict-minus-one": (
@@ -422,6 +431,10 @@ MALFORMED_MESSAGES = {
         "error: decisions line 2: nonconformity must be a number, got 'x'\n",
     "decisions-nan-nonconformity":
         "error: decisions line 2: nonconformity must be in [0, 0.5], got 'nan'\n",
+    "decisions-label-contradicts-prob":
+        "error: decisions line 2: predicted_label must be 1 for prob_calibrated 0.9, got 0\n",
+    "decisions-nonconformity-contradicts-prob": "error: decisions line 2: nonconformity must be "
+    "0.09999999999999998 for prob_calibrated 0.9, got 0.05\n",
     "config-dataset-not-object": "config error: dataset: expected an object\n",
     "config-section-not-object-with-flag": "config error: split: expected an object\n",
     "config-l2-string": "config error: scorer.l2: expected a number, got 'x'\n",

@@ -2,6 +2,7 @@
 oracle."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from tcrselect.conformal import (
     run_pipeline,
 )
 from tcrselect.data import SequenceExample
-from tcrselect.scorer import TrainingConfig
+from tcrselect.scorer import TrainingConfig, sigmoid
 from tcrselect.splits import SplitConfig, SplitManifest, split_epitope_held_out, split_random
 from tcrselect.toycorpus import motif_corpus
 
@@ -361,6 +362,59 @@ def test_temperature_moves_no_decision(split):
         rule = fit_threshold(cal_scores, 0.2)
         decisions = decide(result.test.ids, apply_temperature(result.test, model), rule)
         np.testing.assert_array_equal(decisions.predicted, result.decisions.predicted)
+
+
+UNIT = 2.0**-53  # the spacing of p on [0.5, 1), so the grid of every 1 - p score
+# each score branch lies within about one UNIT of the exact score of its margin,
+# so a row that the two rules treat differently scores near the threshold; over
+# 160,000 seeded draws like margin_cases the worst such row sat 1.43 UNITs away
+MARGIN_RULE_UNITS = 2
+
+
+@st.composite
+def margin_cases(draw):
+    """(calibration logits, labels, test logits, T, epsilon). Logits are T times
+    a ratio drawn where the scores round differently, and half of them repeat
+    a small pool of magnitudes, so that margins tie across rows and branches."""
+    t = draw(st.floats(0.05, 100))
+    ratios = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.floats(-UNIT, UNIT),  # exp(-|z/T|) rounds to 1, so p to 0.5
+        st.floats(36.7, 800).flatmap(lambda x: st.sampled_from((x, -x))),  # p rounds to 1
+        st.floats(-40, 40),
+    )
+    pool = draw(st.lists(ratios, min_size=1, max_size=6))
+    repeated = st.sampled_from(pool).flatmap(lambda x: st.sampled_from((x, -x)))
+    logits = st.lists(st.one_of(ratios, repeated).map(lambda x: x * t), min_size=1, max_size=40)
+    cal = draw(logits)
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(cal), max_size=len(cal)))
+    test, epsilon = draw(logits), draw(st.floats(0.01, 0.99))
+    return np.array(cal), np.array(labels), np.array(test), t, epsilon
+
+
+@given(margin_cases())
+@settings(max_examples=200, deadline=None)
+# threshold 0 from saturated 1 - p scores: a saturated p-branch row reaching q
+# abstains, and a 1 - p row short of q is kept
+@example((np.array([40.0] * 3), np.array([1, 1, 1]), np.array([-40.0, 39.0]), 1.0, 0.5))
+# every margin is kept, and a tiny negative z has p 0.5, so it predicts 1
+@example((np.array([-1.0, -1.0]), np.array([1, 1]), np.array([-1e-20]), 1.0, 0.5))
+def test_decisions_follow_the_margin_rule(case):
+    # in exact arithmetic a row is kept iff |z| >= q, the k-th largest
+    # calibration margin y'z, and predicts 1[z >= 0], whatever T is
+    cal, labels, test, t, epsilon = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a retain-all rule
+        rule = fit_threshold(nonconformity_calibration(sigmoid(cal / t), labels), epsilon)
+    probs = sigmoid(test / t)  # apply_temperature at T = t
+    decisions = decide([str(i) for i in range(len(test))], probs, rule)
+    margins = np.sort(np.where(labels == 1, cal, -cal))[::-1]
+    k = rule.quantile_index
+    kept = np.abs(test) >= margins[k - 1] if k <= len(cal) else np.ones(len(test), bool)
+    expected = np.where(kept, test >= 0, -1)
+    for i in np.flatnonzero(decisions.predicted != expected):
+        gap = abs(decisions.nonconformity[i] - rule.threshold) if probs[i] != 0.5 else 0.0
+        assert gap <= MARGIN_RULE_UNITS * UNIT, (i, probs[i], rule.threshold)
 
 
 DECISION_HEADER = "example_id\tprob_calibrated\tnonconformity\tdecision\tpredicted_label\n"

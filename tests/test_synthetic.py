@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from tcrselect.calibration import ece, fit_temperature
+import coverage_oracle
+import tcrselect.synthetic
+from tcrselect.calibration import TEMPERATURE_MIN, ece, fit_temperature
 from tcrselect.conformal import quantile_index
 from tcrselect.scorer import sigmoid
 from tcrselect.synthetic import (
@@ -117,6 +120,32 @@ class TestCoverageExperiment:
         assert summary.retain_all_trials == 5
         assert summary.coverages == (1.0,) * 5
         assert summary.mean_coverage == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_trials=20),
+        SyntheticSpec(n_cal=400, epsilon=0.1, seed=101, n_trials=20),
+        SyntheticSpec(n_cal=1000, n_test=1000, epsilon=0.05, seed=7919, n_trials=20),
+    ], ids=["defaults", "n_cal-400", "n_cal-1000"])
+    def test_raw_scores_give_the_fitted_temperature_coverages(self, monkeypatch, spec):
+        # T rescales the margin monotonically, so the coverages on raw scores
+        # are the bits of the trials that fitted it; coverage fits no T at all
+        expected = [coverage for coverage, _ in coverage_oracle.trials(spec)]
+
+        def no_fit(cal):
+            raise AssertionError("the coverage experiment fitted a temperature")
+
+        monkeypatch.setattr(tcrselect.synthetic, "fit_temperature", no_fit)
+        got = coverage_experiment(spec).coverages
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_a_clamped_temperature_moves_a_trial(self):
+        # 5 positives that the logits separate: the fit clamps T at its lower
+        # bound, where the scaled scores round on two branches and lose the
+        # order of the margins; the raw-score coverage keeps it
+        spec = SyntheticSpec(n_cal=200, seed=13, n_trials=1)
+        ((fitted, temperature),) = coverage_oracle.trials(spec)
+        assert temperature == TEMPERATURE_MIN
+        assert (fitted, coverage_experiment(spec).coverages) == (0.7115, (0.7255,))
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="n_trials must be >= 1"):
