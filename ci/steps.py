@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from tcrselect import (SplitConfig, SyntheticSpec, cluster_by_identity, coverage_experiment,
-                       deduplicate, export_tsv, motif_corpus, split_random, toy_dataset_path,
-                       train_linear)
+from tcrselect import (Dataset, SplitConfig, SyntheticSpec, cluster_by_identity,
+                       coverage_experiment, deduplicate, export_tsv, generate_negatives,
+                       motif_corpus, split_random, toy_dataset_path, train_linear)
 from tcrselect.calibration import TEMPERATURE_MIN
 from tcrselect.scorer import CountMatrix, _training_matrix, encode_kmers
 
@@ -52,6 +52,34 @@ def distance_scale():
     kept = deduplicate(data, 0.9)
     seconds = time.process_time() - start
     print(f"dedup {len(data)} rows: {len(kept)} kept in {seconds:.2f} s")
+
+
+def negatives_scale():
+    """Negatives for 20,000 seeded positives over 400 epitopes at r = 0.2: 80,000
+    draws from about 8 million non-cognate pairs. Listing the pairs peaked at
+    601 MiB traced; numbering them must stay below 64 MiB."""
+    rng = random.Random(1)
+    residues = "ACDEFGHIKLMNPQRSTVWY"
+
+    def seq(n):
+        return "".join(rng.choices(residues, k=n))
+
+    peptides = [seq(9) for _ in range(400)]
+    epitopes = [rng.randrange(400) for _ in range(20000)]
+    positives = Dataset([f"p{i}" for i in range(20000)], [seq(10) for _ in range(20000)],
+                        [seq(12) for _ in range(20000)], [peptides[e] for e in epitopes],
+                        [f"EP{e}" for e in epitopes], [1] * 20000)
+    start = time.process_time()
+    combined = generate_negatives(positives, 0.2, seed=1)
+    seconds = time.process_time() - start
+    tracemalloc.start()
+    generate_negatives(positives, 0.2, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"{len(combined) - len(positives)} negatives for {len(positives)} positives over "
+          f"{len(set(epitopes))} epitopes: {seconds:.2f} s process time, "
+          f"traced peak {peak / 2**20:.1f} MiB")
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 64 MiB"
 
 
 def scorer_scale():
@@ -214,7 +242,8 @@ def quickstart():
 
 
 STEPS = {step.__name__.replace("_", "-"): step for step in (
-    distance_scale, scorer_scale, readers_agree, kernels_agree, simulate_defaults, quickstart)}
+    distance_scale, negatives_scale, scorer_scale, readers_agree, kernels_agree,
+    simulate_defaults, quickstart)}
 
 
 def main():

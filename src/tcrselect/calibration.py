@@ -138,7 +138,7 @@ def fit_temperature(cal: ScoreTable) -> TemperatureModel:
     set. An NLL at t_min no higher than at the optimum means the objective is
     flat to rounding in between (exactly flat when every logit is 0), and the
     fit gives t_min, clamped, as the golden-section search it replaces did.
-    The fitted NLL never exceeds the one at T = 1 when 1 is in range. A
+    The fitted NLL never exceeds the one at T = 1. A
     single-class calibration set is rejected (the objective would push T to a
     bound for a degenerate reason).
     """
@@ -171,7 +171,7 @@ def fit_temperature(cal: ScoreTable) -> TemperatureModel:
         nll_hi = _mean_nll_at_beta(logits, labels, hi)
         if nll_hi <= nll_opt:
             beta, nll_opt, clamped = hi, nll_hi, True
-    if lo <= 1.0 <= hi and nll_before < nll_opt:
+    if nll_before < nll_opt:
         beta, nll_opt, clamped = 1.0, nll_before, False
 
     temperature = 1.0 / beta

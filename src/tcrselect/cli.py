@@ -6,7 +6,9 @@ drives everything; flags override file values. Reports are machine-first
 sidecar run_log.txt only, and every output names the fingerprints of the
 manifest, scorer, and config it derives from. A report's config is only the
 settings its command reads (_COMMANDS), so a setting the command ignores
-leaves its bytes alone.
+leaves its bytes alone. sweep reads conformal because it runs run's pipeline,
+but its curve ranks the calibrated test probabilities and does not depend on
+conformal.epsilon, which moves only its config block and fingerprint.
 """
 
 from __future__ import annotations
@@ -169,18 +171,14 @@ def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
     }
 
 
-def _retained_quality(
-    decisions: DecisionTable, labels: np.ndarray, risk: float | None
-) -> dict:
-    """Quality row of the retained decisions against their aligned labels,
-    with the selective risk as error_rate; every value None when all of them
-    abstained."""
+def _retained_quality(decisions: DecisionTable, labels: np.ndarray) -> dict:
+    """Quality row of the retained decisions against their aligned labels;
+    every value None when all of them abstained. A retained label is
+    1[p >= 0.5], so error_rate is selective_error's risk."""
     retained = decisions.predicted >= 0
     if not retained.any():
         return dict.fromkeys(("auroc", "auprc", "ece", "brier", "nll", "error_rate"))
-    quality = _quality_row(decisions.probs[retained], labels[retained])
-    quality["error_rate"] = risk
-    return quality
+    return _quality_row(decisions.probs[retained], labels[retained])
 
 
 def _check_monotone(logits: np.ndarray, *probs: np.ndarray) -> None:
@@ -207,9 +205,9 @@ def _method_rows(result: PipelineResult) -> dict:
 
     baseline = dict(_quality_row(raw_probs, test_labels), coverage=1.0, abstained=0.0)
     temp_scaled = dict(_quality_row(cal_probs, test_labels), coverage=1.0, abstained=0.0)
-    coverage, risk = selective_error(result.decisions, test_labels)
+    coverage = selective_error(result.decisions, test_labels)[0]
     selective = dict(
-        _retained_quality(result.decisions, test_labels, risk),
+        _retained_quality(result.decisions, test_labels),
         coverage=coverage,
         abstained=1.0 - coverage,
     )
@@ -400,7 +398,7 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     except KeyError as err:
         raise ValueError(f"no label for id {err.args[0]!r}") from None
     coverage, risk = selective_error(decisions, labels)
-    quality = _retained_quality(decisions, labels, risk)
+    quality = _retained_quality(decisions, labels)
     report = {
         "config": runner.settings,
         "decisions_file": str(decisions_path),

@@ -463,9 +463,11 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
 
     Draws ceil(n_pos * (1 - r) / r) (TCR, peptide) pairs uniformly without
     replacement from the combinations where the peptide's epitope differs from
-    every epitope the TCR is seen binding. Negatives carry label 0 and fresh
-    ids; the returned dataset is positives (input order) followed by negatives,
-    with its positive rate within one example of the target.
+    every epitope the TCR is seen binding, numbered TCR-major with TCRs and
+    epitopes in first-seen order; no list of pairs is built, so memory is
+    O(positives + negatives). Negatives carry label 0 and fresh ids; the
+    returned dataset is positives (input order) followed by negatives, with
+    its positive rate within one example of the target.
     """
     check_open_unit("target_positive_rate", target_positive_rate)
     if np.any(positives.labels != 1):
@@ -474,60 +476,52 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
     if n_pos == 0:
         raise ValueError("positives is empty")
 
-    tcrs: list[tuple[str, str]] = []
-    tcr_pos: dict[tuple[str, str], int] = {}
-    epitopes: list[tuple[str, str]] = []  # (epitope_id, peptide)
-    seen_epitopes: set[str] = set()
-    binds: list[set[str]] = []
-    for cdr3a, cdr3b, epitope_id, peptide in zip(
-        positives.cdr3a, positives.cdr3b, positives.epitope_id, positives.peptide
-    ):
-        key = (cdr3a, cdr3b)
-        if key not in tcr_pos:
-            tcr_pos[key] = len(tcrs)
-            tcrs.append(key)
-            binds.append(set())
-        binds[tcr_pos[key]].add(epitope_id)
-        if epitope_id not in seen_epitopes:
-            seen_epitopes.add(epitope_id)
-            epitopes.append((epitope_id, peptide))
-    if len(epitopes) < 2:
+    tcr_codes: dict[tuple[str, str], int] = {}  # TCRs numbered in first-seen order
+    tcr_rows = [tcr_codes.setdefault(key, len(tcr_codes))
+                for key in zip(positives.cdr3a, positives.cdr3b)]
+    peptides = dict(zip(positives.epitope_id, positives.peptide))  # epitopes, first-seen
+    if len(peptides) < 2:
         raise ValueError("need at least 2 distinct epitopes to sample non-binders")
 
     r = target_positive_rate
     # 1e-9 snap keeps decimal-intended integer counts (50 pos, r=0.05 -> 950)
     # from crossing a ceil boundary through binary float error.
     count = math.ceil(n_pos * (1.0 - r) / r - 1e-9)
-    allowed = [
-        (ti, ei)
-        for ti in range(len(tcrs))
-        for ei in range(len(epitopes))
-        if epitopes[ei][0] not in binds[ti]
-    ]
-    if count > len(allowed):
+    # pair (t, e) of TCR t and epitope e is t * n_epi + e; the allowed pairs,
+    # those no positive binds, are numbered 0 .. n_allowed - 1 in that order
+    n_epi = len(peptides)
+    epitope_codes = dict(zip(peptides, range(n_epi)))
+    cognate = np.unique(np.array(tcr_rows, dtype=np.int64) * n_epi + np.fromiter(
+        map(epitope_codes.__getitem__, positives.epitope_id), np.int64, n_pos))
+    n_allowed = len(tcr_codes) * n_epi - len(cognate)
+    if count > n_allowed:
         raise ValueError(
-            f"requested {count} negatives but only {len(allowed)} non-cognate pairs exist"
+            f"requested {count} negatives but only {n_allowed} non-cognate pairs exist"
         )
-    rng = random.Random(seed)
-    chosen = rng.sample(allowed, count)
+    # sample draws over range(n) as over any n-item list, to the same positions
+    pairs = np.array(random.Random(seed).sample(range(n_allowed), count), dtype=np.int64)
+    # cognate pair i has cognate[i] - i allowed pairs before it: step past each
+    # cognate pair that an allowed position reaches
+    pairs += np.searchsorted(cognate - np.arange(len(cognate)), pairs, side="right")
+    tcrs, epitopes = list(tcr_codes), list(peptides)
+    tcr = list(map(tcrs.__getitem__, (pairs // n_epi).tolist()))
+    epitope = list(map(epitopes.__getitem__, (pairs % n_epi).tolist()))
 
     existing = set(positives.ids)
     neg_ids = []
     serial = 0
-    for _ in chosen:
+    for _ in range(count):
         while f"neg-{serial}" in existing:
             serial += 1
         neg_ids.append(f"neg-{serial}")
         serial += 1
-    tcr = [tcrs[ti] for ti, _ in chosen]
-    epitope = [epitopes[ei] for _, ei in chosen]
     # fresh ids and the positives' own TCRs and epitope peptides: nothing to check
     combined = Dataset._from_columns(
         positives.ids + tuple(neg_ids),
         positives.cdr3a + tuple(a for a, _ in tcr),
         positives.cdr3b + tuple(b for _, b in tcr),
-        positives.peptide + tuple(p for _, p in epitope),
-        positives.epitope_id + tuple(e for e, _ in epitope),
+        positives.peptide + tuple(map(peptides.__getitem__, epitope)),
+        positives.epitope_id + tuple(epitope),
         np.concatenate((positives.labels, np.zeros(count, dtype=np.int8))),
     )
     if abs(n_pos - r * len(combined)) > 1.0 + 1e-9:

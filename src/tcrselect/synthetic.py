@@ -65,6 +65,8 @@ class SyntheticSpec:
         check_epsilon(self.epsilon)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.sizes and min(self.sizes) < 1:
             raise ValueError(f"sizes must all be >= 1, got {min(self.sizes)}")
 

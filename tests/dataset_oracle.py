@@ -7,15 +7,21 @@ protocols with the stratified allocator they share. The column store must
 give the same columns, the same errors (class, message and line) and the
 same manifests. The TSV errors, column defaults and the manifest type are
 the package's own. The splits keep their old keyword API, with SplitConfig's
-default shares written out as literals.
+default shares written out as literals. generate_negatives is the list
+sampler that tcrselect.data's numbered one replaced: it lists every allowed
+(TCR, epitope) pair and samples the list, on the package's column Dataset.
 """
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
+from tcrselect import data as columns
 from tcrselect.data import AMINO_ACIDS, DEFAULT_COLUMNS, TsvRowError, TsvSchemaError
 from tcrselect.distance import CandidateIndex, cluster_by_identity, identity_at_least
 from tcrselect.splits import (
@@ -421,3 +427,74 @@ def split_distance_aware(
         cal_ids=tuple(cal_ids),
         test_ids=tuple(test_ids),
     )
+
+
+def generate_negatives(
+    positives: columns.Dataset, target_positive_rate: float, seed: int
+) -> columns.Dataset:
+    """Positives followed by ceil(n_pos * (1 - r) / r) negatives, sampled from
+    the list of every allowed (TCR, epitope) pair, TCR-major in first-seen
+    order; the errors are the package's."""
+    columns.check_open_unit("target_positive_rate", target_positive_rate)
+    if np.any(positives.labels != 1):
+        raise ValueError("positives must contain only label=1 examples")
+    n_pos = len(positives)
+    if n_pos == 0:
+        raise ValueError("positives is empty")
+
+    tcrs: list[tuple[str, str]] = []
+    tcr_pos: dict[tuple[str, str], int] = {}
+    epitopes: list[tuple[str, str]] = []  # (epitope_id, peptide)
+    seen_epitopes: set[str] = set()
+    binds: list[set[str]] = []
+    for cdr3a, cdr3b, epitope_id, peptide in zip(
+        positives.cdr3a, positives.cdr3b, positives.epitope_id, positives.peptide
+    ):
+        key = (cdr3a, cdr3b)
+        if key not in tcr_pos:
+            tcr_pos[key] = len(tcrs)
+            tcrs.append(key)
+            binds.append(set())
+        binds[tcr_pos[key]].add(epitope_id)
+        if epitope_id not in seen_epitopes:
+            seen_epitopes.add(epitope_id)
+            epitopes.append((epitope_id, peptide))
+    if len(epitopes) < 2:
+        raise ValueError("need at least 2 distinct epitopes to sample non-binders")
+
+    r = target_positive_rate
+    count = math.ceil(n_pos * (1.0 - r) / r - 1e-9)
+    allowed = [
+        (ti, ei)
+        for ti in range(len(tcrs))
+        for ei in range(len(epitopes))
+        if epitopes[ei][0] not in binds[ti]
+    ]
+    if count > len(allowed):
+        raise ValueError(
+            f"requested {count} negatives but only {len(allowed)} non-cognate pairs exist"
+        )
+    rng = random.Random(seed)
+    chosen = rng.sample(allowed, count)
+
+    existing = set(positives.ids)
+    neg_ids = []
+    serial = 0
+    for _ in chosen:
+        while f"neg-{serial}" in existing:
+            serial += 1
+        neg_ids.append(f"neg-{serial}")
+        serial += 1
+    tcr = [tcrs[ti] for ti, _ in chosen]
+    epitope = [epitopes[ei] for _, ei in chosen]
+    combined = columns.Dataset._from_columns(
+        positives.ids + tuple(neg_ids),
+        positives.cdr3a + tuple(a for a, _ in tcr),
+        positives.cdr3b + tuple(b for _, b in tcr),
+        positives.peptide + tuple(p for _, p in epitope),
+        positives.epitope_id + tuple(e for e, _ in epitope),
+        np.concatenate((positives.labels, np.zeros(count, dtype=np.int8))),
+    )
+    if abs(n_pos - r * len(combined)) > 1.0 + 1e-9:
+        raise AssertionError("negative count failed to hit the target rate")
+    return combined

@@ -259,6 +259,10 @@ MALFORMED = {
     # range checks of the stage types run at load, before any file is read
     "config-kmer-zero": ("config", "cfg.json", json.dumps({"scorer": {"kmer_size": 0}}), 2),
     "config-ncal-zero": ("config", "cfg.json", json.dumps({"simulate": {"n_cal": 0}}), 2),
+    # numpy's seeding rejects it only after the output directory exists
+    "config-simulate-negative-seed": (
+        "config:simulate", "cfg.json", json.dumps({"simulate": {"seed": -1}}), 2,
+    ),
     "config-fractions-sum": (
         "config", "cfg.json", json.dumps({"split": {"fractions": [0.5, 0.5, 0.5]}}), 2,
     ),
@@ -406,6 +410,7 @@ MALFORMED_MESSAGES = {
     "flag-columns-empty": "config error: --columns: expected field=name, got ''\n",
     "config-kmer-zero": "config error: scorer: kmer_size must be >= 1\n",
     "config-ncal-zero": "config error: simulate: n_cal and n_test must be >= 1\n",
+    "config-simulate-negative-seed": "config error: simulate: seed must be >= 0\n",
     "flag-epsilon-out-of-range": "config error: conformal: epsilon must be in (0, 1)\n",
     "flag-simulate-epsilon-zero": "config error: simulate: epsilon must be in (0, 1)\n",
     "flag-trials-zero": "config error: simulate: n_trials must be >= 1\n",

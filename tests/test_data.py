@@ -1,9 +1,12 @@
 """Corpus ingestion, dedup, and negative generation."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dataset_oracle
 from dataset_rows import dataset_of
 from pair_oracle import oracle_dedup, related_strings, thresholds
 from tcrselect.data import (
@@ -345,3 +348,74 @@ class TestGenerateNegatives:
         data = make_dataset(rows, prefix="p")
         with pytest.raises(ValueError):
             generate_negatives(data, 0.2, seed=0)
+
+
+RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
+
+
+def pair_positives(pairs, colliding=()):
+    """Row i pairs TCR t with epitope e for (t, e) = pairs[i]; TCRs t and t + 4
+    share cdr3a, and t and t + 1 share cdr3b unless t + 1 is a multiple of 4.
+    Row i is named neg-i when i is in colliding, p<i> otherwise."""
+    return dataset_of(
+        (f"neg-{i}" if i in colliding else f"p{i}", "CAV" + RESIDUES[t % 4],
+         "CASS" + RESIDUES[t // 4], "GIL" + RESIDUES[e % 20] + RESIDUES[e // 20], f"EP{e}", 1)
+        for i, (t, e) in enumerate(pairs)
+    )
+
+
+def outcome(sample, *args):
+    try:
+        return sample(*args)
+    except (ValueError, AssertionError) as err:
+        return type(err), str(err)
+
+
+# random.sample(population, k) copies a population of n <= 21 items for k <= 5
+# and keeps a set of picks above that: 5 TCRs x 6 epitopes less 9 or 8 cognate
+# pairs allow 21 or 22, and rates 0.65 and 0.62 ask for 5 negatives
+POOL_EDGE = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (0, 5), (1, 5), (2, 0), (3, 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 9)), min_size=1, max_size=40),
+    colliding=st.sets(st.integers(0, 39)),
+    rate=st.one_of(st.floats(0.02, 0.98), st.sampled_from(("none", "all"))),
+    seed=st.integers(0, 2**32),
+)
+@example(pairs=POOL_EDGE, colliding=set(), rate=0.65, seed=1)
+@example(pairs=POOL_EDGE[:8], colliding=set(), rate=0.62, seed=1)
+@example(pairs=[(0, 0), (0, 1), (1, 1), (0, 0)], colliding={0, 2}, rate="all", seed=3)
+@example(pairs=[(0, 0), (0, 1), (1, 0), (1, 1)], colliding=set(), rate="all", seed=0)
+def test_generate_negatives_matches_the_list_sampler(pairs, colliding, rate, seed):
+    positives = pair_positives(pairs, colliding)
+    n_pos = len(pairs)
+    n_allowed = len({t for t, _ in pairs}) * len({e for _, e in pairs}) - len(set(pairs))
+    if rate == "none":
+        rate = 1.0 - 1e-12  # ceil(n_pos * 1e-12 - 1e-9) = 0 negatives
+    elif rate == "all":
+        rate = n_pos / (n_pos + n_allowed)  # every allowed pair; 1.0, rejected, when none
+    expected = outcome(dataset_oracle.generate_negatives, positives, rate, seed)
+    assert outcome(generate_negatives, positives, rate, seed) == expected
+    if rate == n_pos / (n_pos + n_allowed) and not isinstance(expected, tuple):
+        assert len(expected) == n_pos + n_allowed
+
+
+def test_generate_negatives_traced_peak_is_bounded():
+    # 2,000 TCRs x 200 epitopes: listing the 398,000 allowed pairs peaked at
+    # 26.4 MiB; numbering them leaves the 8,000 negatives' rows and draws
+    positives = dataset_of(
+        (f"p{i}", "CAV" + RESIDUES[i % 20] + RESIDUES[i // 20 % 20],
+         "CASS" + RESIDUES[i // 400] + "F", "GIL" + RESIDUES[i % 20] + RESIDUES[i % 200 // 20],
+         f"EP{i % 200}", 1)
+        for i in range(2000)
+    )
+    tracemalloc.start()
+    try:
+        combined = generate_negatives(positives, 0.2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(combined) == 10000
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
