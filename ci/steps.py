@@ -20,7 +20,8 @@ import numpy as np
 
 from tcrselect import (Dataset, SplitConfig, SyntheticSpec, cluster_by_identity,
                        coverage_experiment, deduplicate, export_tsv, generate_negatives,
-                       motif_corpus, split_random, toy_dataset_path, train_linear)
+                       ingest_tsv, motif_corpus, score, split_random, toy_dataset_path,
+                       train_linear)
 from tcrselect.calibration import TEMPERATURE_MIN
 from tcrselect.scorer import CountMatrix, _training_matrix, encode_kmers
 
@@ -86,7 +87,11 @@ def scorer_scale():
     """`tcrselect run` on the 100k-row corpus, random protocol: a baseline test AUROC
     below 0.925 means an under-trained model (300 plain gradient-descent epochs gave
     0.912). A child writes the corpus, so the run forks from a small parent and
-    RUSAGE_CHILDREN's peak is the run's own. Peaks are printed, not gated."""
+    RUSAGE_CHILDREN's peak is the run's own; it is printed, not gated. Two traced
+    peaks are gated: ingest_tsv of the corpus must stay below 31 MiB (34.3 MiB when
+    the peptide and epitope cells were kept one string per row until the end), and
+    score of the test part below 32 bytes per window (66.8 with one count matrix
+    for the whole part)."""
     subprocess.run([sys.executable, "-c", "import tcrselect as t; "
                     "t.export_tsv(t.motif_corpus(100000, 1), 'corpus_100k.tsv')"], check=True)
     _, cpu = tcrselect("run", "--dataset", "corpus_100k.tsv", "--protocol", "random",
@@ -96,14 +101,30 @@ def scorer_scale():
     auroc = json.loads(Path("scale/metrics.json").read_bytes())["methods"]["baseline"]["auroc"]
     print(f"baseline test AUROC {auroc:.4f}")
     assert auroc >= 0.925, f"baseline test AUROC {auroc:.4f} is below 0.925"
+    data, peak = traced_peak(ingest_tsv, "corpus_100k.tsv")
+    print(f"ingest_tsv of {len(data)} rows: traced peak {peak / 2**20:.1f} MiB")
+    assert peak < 31 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 31 MiB"
     import scipy.sparse  # noqa: F401  (imported before train_linear's traced peak)
-    train = corpus_100k()[1]
+    split = split_random(data, SplitConfig())
+    train, test = data.subset(split.train_ids), data.subset(split.test_ids)
     n_windows = len(encode_kmers(train, 3).code)
-    tracemalloc.start()
-    train_linear(train)
-    peak = tracemalloc.get_traced_memory()[1]
+    model, peak = traced_peak(train_linear, train)
     print(f"train_linear on {len(train)} rows: traced peak {peak / 2**20:.1f} MiB, "
           f"{peak / n_windows:.1f} bytes per window ({n_windows} windows)")
+    n_windows = len(encode_kmers(test, 3).code)
+    _, peak = traced_peak(score, model, test)
+    print(f"score on {len(test)} rows: traced peak {peak / 2**20:.1f} MiB, "
+          f"{peak / n_windows:.1f} bytes per window ({n_windows} windows)")
+    assert peak < 32 * n_windows, f"{peak / n_windows:.1f} bytes per window is not below 32"
+
+
+def traced_peak(function, *args):
+    """function(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        return function(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def readers_agree():

@@ -319,8 +319,10 @@ def _ingest_blocks(path: str | Path, colmap: Mapping[str, str]):
                 raise NotPlainText
             if not text.isascii() or any(map(text.__contains__, _SPACES)):
                 strip = (str.strip,)
-            for column, pos in zip(cells, picks):
-                column.extend(block[pos::width])
+            for field, column, pos in zip(colmap, cells, picks):
+                # peptides and epitope ids repeat a few values: keep one string of each
+                shared = field in ("peptide", "epitope_id")
+                column.extend(map(sys.intern, block[pos::width]) if shared else block[pos::width])
     return positions, cells, [], None, strip
 
 
@@ -354,8 +356,8 @@ def _ingest_rows(path: str | Path, colmap: Mapping[str, str]):
                 add_id(row[p_id])
                 add_a(row[p_a])
                 add_b(row[p_b])
-                add_p(row[p_p])
-                add_e(row[p_e])
+                add_p(sys.intern(row[p_p]))
+                add_e(sys.intern(row[p_e]))
                 add_l(row[p_l])
         except csv.Error as err:
             failure = TsvRowError(line + 1, str(err))

@@ -215,18 +215,9 @@ class KmerWindows:
     code: np.ndarray
 
     @property
-    def n_rows(self) -> int:
-        return len(self.fields) // 2
-
-    @property
     def per_row(self) -> np.ndarray:
         """Number of windows of each row."""
         return self.per_field[0::2] + self.per_field[1::2]
-
-    @property
-    def row(self) -> np.ndarray:
-        """Row of every window."""
-        return np.repeat(np.arange(self.n_rows, dtype=np.int32), self.per_row)
 
     @cached_property
     def first_seen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -368,27 +359,37 @@ def _training_matrix(
     )
 
 
-def _scoring_matrix(windows: KmerWindows, vocabulary: Mapping[str, int]) -> CountMatrix:
+# Rows per block that score turns into one count matrix. Building a matrix
+# takes tens of bytes per window, so a block of typical rows (about 28 windows
+# each) holds a few MB, whatever the size of the part scored.
+_SCORE_BLOCK = 4096
+
+
+def _scoring_matrix(columns: np.ndarray, per_row: np.ndarray, n_vocab: int) -> CountMatrix:
     """Counts with a leading bias column, in the order the logit sums them.
 
-    Column 0 holds 1.0 for the bias, and column i + 1 the count of k-mer i.
-    Each row stores the bias first, then its in-vocabulary k-mers in order of
-    first occurrence. matvec sums a row from 0.0 in stored order, so a logit
-    is ((bias + w1 * c1) + w2 * c2) + ... in exactly that order; a
-    sorted-order sum differs in the last bits.
+    columns is the vocabulary index of every window of some rows, -1 where
+    its k-mer is not in the vocabulary of n_vocab keys (KmerWindows.columns),
+    and per_row the number of windows of each row, whose windows follow those
+    of the rows before it. Column 0 holds 1.0 for the bias, and column i + 1
+    the count of k-mer i. Each row stores the bias first, then its
+    in-vocabulary k-mers in order of first occurrence. matvec sums a row from
+    0.0 in stored order, so a logit is ((bias + w1 * c1) + w2 * c2) + ... in
+    exactly that order; a sorted-order sum differs in the last bits.
     """
-    columns = windows.columns(vocabulary)
+    n_rows = len(per_row)
     hit = columns >= 0
-    row, col = windows.row[hit], columns[hit]
-    rank, first = _first_seen(row.astype(np.int64) * len(vocabulary) + col)
+    row = np.repeat(np.arange(n_rows, dtype=np.int32), per_row)[hit]
+    col = columns[hit]
+    rank, first = _first_seen(row.astype(np.int64) * n_vocab + col)
     count = np.bincount(rank, minlength=len(first))
     row, col = row[first], col[first]
-    starts = np.searchsorted(row, np.arange(windows.n_rows))
+    starts = np.searchsorted(row, np.arange(n_rows))
     return CountMatrix(
-        np.append(starts + np.arange(windows.n_rows), len(row) + windows.n_rows),
+        np.append(starts + np.arange(n_rows), len(row) + n_rows),
         np.insert(col + 1, starts, 0),
         np.insert(count.astype(float), starts, 1.0),
-        (windows.n_rows, len(vocabulary) + 1),
+        (n_rows, n_vocab + 1),
     )
 
 
@@ -548,17 +549,30 @@ def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
     """Logit of every example, in dataset order.
 
     A logit is the bias plus weight * count over the example's in-vocabulary
-    k-mers, summed in order of first occurrence; see _scoring_matrix.
+    k-mers, summed in order of first occurrence; see _scoring_matrix. The
+    part is encoded and looked up in the vocabulary once; then each block of
+    _SCORE_BLOCK rows gets its own count matrix and product. A logit reads
+    only its own row's windows, so the block size moves no bit of it.
     """
     windows = encode_kmers(data, model.kmer_size, model.include_cdr3a)
-    X = _scoring_matrix(windows, model.vocabulary)
+    columns, per_row = windows.columns(model.vocabulary), windows.per_row
+    del windows  # frees the strings and codes before the first block is built
+    offsets = np.append(0, np.cumsum(per_row))
     x = np.concatenate(([model.bias], model.weights))
-    logits = X.matvec(x)
-    if model.bias == 0.0 and math.copysign(1.0, model.bias) < 0.0:
-        # a logit starts at the bias, and from -0.0 it stays -0.0 while every
-        # term is -0.0; matvec starts each row at +0.0 instead
-        signed_zero = (x == 0.0) & np.signbit(x)
-        logits[X.matvec((~signed_zero).astype(float)) == 0.0] = -0.0
+    # a logit starts at the bias, and from -0.0 it stays -0.0 while every term
+    # is -0.0; matvec starts each row at +0.0 instead
+    negative_zero = model.bias == 0.0 and math.copysign(1.0, model.bias) < 0.0
+    nonzero = (~((x == 0.0) & np.signbit(x))).astype(float) if negative_zero else None
+    logits = np.empty(len(per_row))
+    for start in range(0, len(per_row), _SCORE_BLOCK):
+        stop = min(start + _SCORE_BLOCK, len(per_row))
+        X = _scoring_matrix(
+            columns[offsets[start] : offsets[stop]], per_row[start:stop], len(model.vocabulary)
+        )
+        block = logits[start:stop]
+        block[:] = X.matvec(x)
+        if nonzero is not None:
+            block[X.matvec(nonzero) == 0.0] = -0.0
     return ScoreTable(data.ids, logits, data.labels)
 
 

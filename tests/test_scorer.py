@@ -1,6 +1,7 @@
 """Built-in linear scorer: features, loss gradient, training, score tables."""
 
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -152,6 +153,11 @@ def example_sets(draw, alphabet, prefix, max_rows=8):
     )
 
 
+def scoring_matrix(windows, vocab):
+    """_scoring_matrix of every row of windows as one block."""
+    return _scoring_matrix(windows.columns(vocab), windows.per_row, len(vocab))
+
+
 def assert_same_csr(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual.indptr, expected.indptr)
@@ -207,7 +213,7 @@ class TestEncoderMatchesOracle:
         kept = data.draw(st.lists(st.sampled_from(list(train)), unique=True)) if len(train) else []
         scored = dataset_of([*kept, *fresh])
         assert_same_csr(
-            _scoring_matrix(encode_kmers(scored, kmer_size, include_cdr3a), vocab),
+            scoring_matrix(encode_kmers(scored, kmer_size, include_cdr3a), vocab),
             oracle.scoring_matrix(scored, kmer_size, vocab, include_cdr3a),
         )
         model = random_model(vocab, kmer_size, include_cdr3a, seed, bias)
@@ -245,7 +251,7 @@ class TestEncoderMatchesOracle:
             training_matrix(windows), oracle._design_matrix(train, kmer_size, expected, True)
         )
         assert_same_csr(
-            _scoring_matrix(encode_kmers(data, kmer_size), vocab),
+            scoring_matrix(encode_kmers(data, kmer_size), vocab),
             oracle.scoring_matrix(data, kmer_size, vocab),
         )
         model = random_model(vocab, kmer_size, True, kmer_size, 0.5)
@@ -274,10 +280,54 @@ class TestEncoderMatchesOracle:
     def test_scoring_matrix_puts_bias_first_then_first_occurrence(self):
         ex = make_example(cdr3a="CA", cdr3b="CA", peptide="GILGIL")
         vocab = {"pep:ILG": 0, "pep:GIL": 1, "tcr:A|C": 2}
-        X = _scoring_matrix(encode_kmers(dataset_of([ex]), 3), vocab)
+        X = scoring_matrix(encode_kmers(dataset_of([ex]), 3), vocab)
         # tcr string CA|CA: A|C; peptide: GIL ILG LGI GIL
         assert X.indices.tolist() == [0, 3, 2, 1]
         assert X.data.tolist() == [1.0, 1.0, 2.0, 1.0]
+
+
+def random_rows(n_rows, alphabets, rng):
+    """n_rows checked rows; row i draws its sequences, 1 to 12 residues
+    each, from alphabets[i % len(alphabets)]."""
+    rows = []
+    for i in range(n_rows):
+        alphabet = alphabets[i % len(alphabets)]
+        a, b, p = ("".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(3))
+        rows.append(SequenceExample(f"r{i}", a, b, p, "E" + p, i % 2))
+    return dataset_of(rows)
+
+
+@pytest.mark.parametrize("bias", [0.5, -0.0])
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_score_is_bit_identical_across_block_edges(monkeypatch, block, bias):
+    # every third scored row is made of W and Y only, so it holds no k-mer of
+    # a vocabulary built on ACDEF and its logit is the bias alone, -0.0 too
+    rng = random.Random(block)
+    vocab = build_vocabulary(encode_kmers(random_rows(40, ["ACDEF"], rng), 3))
+    model = random_model(vocab, 3, True, block, bias)
+    monkeypatch.setattr(scorer_module, "_SCORE_BLOCK", block)
+    for n_rows in (0, 2 * block, 2 * block + 1):
+        data = random_rows(n_rows, ["ACDEF", "ACDEF", "WY"], rng)
+        X = scoring_matrix(encode_kmers(data, 3), vocab)
+        assert np.diff(X.indptr)[2::3].tolist() == [1] * (n_rows // 3)
+        assert_same_logits(score(model, data), oracle.score(model, data))
+
+
+def test_score_traced_peak_per_window_is_bounded():
+    # score encodes the part once and then builds one count matrix per block
+    # of _SCORE_BLOCK rows. The traced peak counts every Python and numpy
+    # allocation. It reads 22.3 bytes per window on the 332,478 windows with
+    # numpy 2.4, and 52.6 when one count matrix covers the whole part.
+    model = train_linear(motif_corpus(2000, 1))
+    data = motif_corpus(12000, 2)
+    n_windows = len(encode_kmers(data, 3).code)
+    tracemalloc.start()
+    try:
+        score(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_windows < 32.0
 
 
 # kernel inputs: any finite float, plus signed zeros, subnormals and values
@@ -316,10 +366,12 @@ def csr_sum_duplicates(windows):
     """The training matrix as scipy builds it: every window a 1.0 entry of its
     row at its first-seen rank, then sum_duplicates."""
     rank, first = _first_seen(windows.code)
-    per_row = np.bincount(windows.row, minlength=windows.n_rows)
+    n_rows = len(windows.fields) // 2
+    row = np.repeat(np.arange(2 * n_rows) // 2, windows.per_field)
+    per_row = np.bincount(row, minlength=n_rows)
     X = csr_matrix(
         (np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))),
-        shape=(windows.n_rows, len(first)),
+        shape=(n_rows, len(first)),
     )
     X.sum_duplicates()
     return X
