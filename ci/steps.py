@@ -240,7 +240,9 @@ def simulate_defaults():
 def quickstart():
     """The README's three quick-start runs, from outside the checkout; each replayed
     from a manifest that `split` wrote with the same flags must write the same bytes
-    in every file but run_log.txt."""
+    in every file but run_log.txt. A random sweep, fresh and replayed from that
+    split's manifest, must write the same coverage_risk.csv and sweep.json and
+    nothing on stderr."""
     toy = str(toy_dataset_path())
     runs = {  # output: (split flags, run-only flags); split takes no --epsilon
         "results": (["--protocol", "random"], ["--epsilon", "0.2"]),
@@ -260,6 +262,14 @@ def quickstart():
         assert len(names) == 6, \
             f"{out}.replay/ holds {len(names)} files besides run_log.txt, expected 6"
         print(f"{out}: the replay matches in {len(names)} files")
+    replay = ["--manifest", "results.split/manifest.json"]
+    for out, flags in (("sweep", []), ("sweep.replay", replay)):
+        done, _ = tcrselect("sweep", "--dataset", toy, "--protocol", "random", *flags,
+                            "--out", f"{out}/", capture_output=True, text=True)
+        assert done.stderr == "", done.stderr
+    for name in ("coverage_risk.csv", "sweep.json"):
+        assert filecmp.cmp(f"sweep/{name}", f"sweep.replay/{name}", shallow=False), name
+    print("sweep: the replay matches in coverage_risk.csv and sweep.json, with empty stderr")
 
 
 STEPS = {step.__name__.replace("_", "-"): step for step in (

@@ -35,6 +35,7 @@ from .conformal import (
     nonconformity_test,
     quantile_index,
     run_pipeline,
+    select,
 )
 from .data import (
     Dataset,
@@ -142,6 +143,7 @@ __all__ = [
     "read_logits",
     "run_pipeline",
     "score",
+    "select",
     "selective_error",
     "sigmoid",
     "split_distance_aware",

@@ -6,9 +6,8 @@ drives everything; flags override file values. Reports are machine-first
 sidecar run_log.txt only, and every output names the fingerprints of the
 manifest, scorer, and config it derives from. A report's config is only the
 settings its command reads (_COMMANDS), so a setting the command ignores
-leaves its bytes alone. sweep reads conformal because it runs run's pipeline,
-but its curve ranks the calibrated test probabilities and does not depend on
-conformal.epsilon, which moves only its config block and fingerprint.
+leaves its bytes alone. sweep ranks the calibrated test probabilities and
+reads no conformal section: only run fits a threshold and decides.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .conformal import (
     decisions_to_tsv,
     quantile_index,
     run_pipeline,
+    select,
 )
 from .data import Dataset, deduplicate, generate_negatives, ingest_tsv, json_text
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
@@ -197,17 +197,17 @@ def _check_monotone(logits: np.ndarray, *probs: np.ndarray) -> None:
         )
 
 
-def _method_rows(result: PipelineResult) -> dict:
+def _method_rows(result: PipelineResult, decisions: DecisionTable) -> dict:
     test_labels = result.test.labels
     raw_probs = sigmoid(result.test.logits)
-    cal_probs = result.decisions.probs
+    cal_probs = result.test_probs
     _check_monotone(result.test.logits, raw_probs, cal_probs)
 
     baseline = dict(_quality_row(raw_probs, test_labels), coverage=1.0, abstained=0.0)
     temp_scaled = dict(_quality_row(cal_probs, test_labels), coverage=1.0, abstained=0.0)
-    coverage = selective_error(result.decisions, test_labels)[0]
+    coverage = selective_error(decisions, test_labels)[0]
     selective = dict(
-        _retained_quality(result.decisions, test_labels),
+        _retained_quality(decisions, test_labels),
         coverage=coverage,
         abstained=1.0 - coverage,
     )
@@ -232,14 +232,14 @@ def cmd_split(runner: _Runner, args: argparse.Namespace) -> int:
 def _run_shared(
     runner: _Runner, args: argparse.Namespace
 ) -> tuple[SplitManifest, PipelineResult, dict, str | None]:
-    """The pipeline on the split; with the manifest and result, the provenance
-    block and the builtin scorer's JSON text (None for external logits):
-    serialized once, hashed here and written by run."""
+    """The pipeline up to calibrated scores; with the manifest and result, the
+    provenance block and the builtin scorer's JSON text (None for external
+    logits): serialized once, hashed here and written by run."""
     config = runner.config
     data, manifest = _get_manifest(runner, args)
     builtin = config.scorer.mode == "builtin"
     scorer = config.scorer if builtin else config.scorer.logits_path
-    result = run_pipeline(data, manifest, config.conformal.epsilon, scorer)
+    result = run_pipeline(data, manifest, scorer)
     scorer_json = result.scorer_model.to_json() if result.scorer_model else None
     provenance = {
         "config": runner.config_fingerprint,
@@ -252,6 +252,7 @@ def _run_shared(
 
 def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     manifest, result, provenance, scorer_json = _run_shared(runner, args)
+    rule, decisions = select(result, runner.config.conformal.epsilon)
     if scorer_json is not None:
         runner.write_text("scorer.json", scorer_json)
     runner.write_json(
@@ -260,13 +261,13 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     )
     runner.write_json(
         "conformal_rule.json",
-        dict(result.rule.to_json_dict(), provenance=provenance),
+        dict(rule.to_json_dict(), provenance=provenance),
     )
-    runner.write_table("decisions.tsv", decisions_to_tsv(result.decisions), provenance)
-    table = ece(result.decisions.probs, result.test.labels)
+    runner.write_table("decisions.tsv", decisions_to_tsv(decisions), provenance)
+    table = ece(result.test_probs, result.test.labels)
     runner.write_table("reliability_test.csv", table.to_csv(), provenance)
 
-    rows = _method_rows(result)
+    rows = _method_rows(result, decisions)
     report = {
         "config": runner.settings,
         "provenance": provenance,
@@ -276,7 +277,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
             "test": len(manifest.test_ids),
         },
         "temperature": result.temperature.to_json_dict(),
-        "conformal_rule": result.rule.to_json_dict(),
+        "conformal_rule": rule.to_json_dict(),
         "methods": rows,
     }
     runner.write_json("metrics.json", report)
@@ -287,12 +288,12 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
         f"temperature {result.temperature.temperature:.4f} "
         f"(nll {result.temperature.nll_before:.4f} -> {result.temperature.nll_after:.4f})"
     )
-    if result.rule.retain_all:
-        print(f"epsilon {result.rule.epsilon}: retain-all (calibration set too small)")
+    if rule.retain_all:
+        print(f"epsilon {rule.epsilon}: retain-all (calibration set too small)")
     else:
         print(
-            f"epsilon {result.rule.epsilon}: threshold {result.rule.threshold:.6f}"
-            + (" (rule cannot abstain: threshold >= 0.5)" if result.rule.vacuous else "")
+            f"epsilon {rule.epsilon}: threshold {rule.threshold:.6f}"
+            + (" (rule cannot abstain: threshold >= 0.5)" if rule.vacuous else "")
         )
     for name in ("baseline", "temp_scaled", "conformal_selective"):
         row = rows[name]
@@ -307,7 +308,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
 def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
     manifest, result, provenance, _ = _run_shared(runner, args)
     curve = coverage_risk_sweep(
-        result.decisions.probs,
+        result.test_probs,
         result.test.labels,
         grid=runner.config.sweep.grid,
         source=f"{manifest.protocol} test split",
@@ -420,7 +421,7 @@ _COMMANDS = {
     "run": (cmd_run, "full pipeline: score, calibrate, decide",
             ("dataset", "split", "scorer", "conformal")),
     "sweep": (cmd_sweep, "coverage-risk curve over a grid",
-              ("dataset", "split", "scorer", "conformal", "sweep")),
+              ("dataset", "split", "scorer", "sweep")),
     "simulate": (cmd_simulate, "synthetic coverage experiments", ("simulate",)),
     "score": (cmd_score, "train the builtin scorer, export logits", ("dataset", "split", "scorer")),
     "metrics": (cmd_metrics, "re-evaluate a saved decision TSV", ("dataset",)),
@@ -443,6 +444,8 @@ _FLAGS = {
             "calibration share of non-test examples (epitope_held_out, distance_aware)"))),
     ),
     "scorer": (
+        ("--scorer", "scorer.mode", dict(choices=SCORER_MODES, help="score source")),
+        ("--logits", "scorer.logits_path", dict(help="external logit TSV (with --scorer logits)")),
         ("--kmer-size", "scorer.kmer_size",
          dict(type=int, help="k-mer size for the builtin scorer")),
         ("--mask-cdr3a", "scorer.include_cdr3a", dict(action="store_false", help=(
@@ -456,17 +459,12 @@ _FLAGS = {
         ("--epsilon", "simulate.epsilon", dict(type=float, help="target error level")),
     ),
 }
-# the score-source flags, for the commands that calibrate scores (read conformal)
-_SOURCE_FLAGS = (
-    ("--scorer", "scorer.mode", dict(choices=SCORER_MODES, help="score source")),
-    ("--logits", "scorer.logits_path", dict(help="external logit TSV (with --scorer logits)")),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser: a command takes the flags of each section it
-    reads, the score source with conformal and --manifest with scorer. A setting
-    flag's dest is the dotted config field it overrides; absent, it sets nothing."""
+    reads, and --manifest with scorer. A setting flag's dest is the dotted config
+    field it overrides; absent, it sets nothing."""
     parser = argparse.ArgumentParser(
         prog="tcrselect",
         description="Calibrated selective prediction for TCR/peptide binding pairs.",
@@ -476,11 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         command.add_argument("--config", help="JSON config file")
         command.add_argument("--out", dest="output_dir", help="output directory")
-        flags = [flag for section in sections for flag in _FLAGS[section]]
-        if "conformal" in sections:
-            flags += _SOURCE_FLAGS
-        for flag, dest, keywords in flags:
-            command.add_argument(flag, dest=dest, **keywords)
+        for section in sections:
+            for flag, dest, keywords in _FLAGS[section]:
+                command.add_argument(flag, dest=dest, **keywords)
         if "scorer" in sections:
             command.add_argument("--manifest", help="reuse an existing manifest JSON")
     sub.choices["metrics"].add_argument(

@@ -212,26 +212,24 @@ def decide(ids: Sequence[str], probs: np.ndarray, rule: ConformalRule) -> Decisi
 
 @dataclass
 class PipelineResult:
-    """Everything a run produces: model (None for external logits),
-    temperature, rule, the cal and test score tables, and the test decisions,
-    whose probs are the calibrated test probabilities in table order."""
+    """The scored and calibrated parts: model (None for external logits),
+    temperature, the cal and test score tables, and the calibrated test
+    probabilities in table order."""
 
     scorer_model: LinearScorerModel | None
     temperature: TemperatureModel
-    rule: ConformalRule
     cal: ScoreTable
     test: ScoreTable
-    decisions: DecisionTable
+    test_probs: np.ndarray
 
 
 def run_pipeline(
     data: Dataset,
     manifest: SplitManifest,
-    epsilon: float,
     scorer: TrainingConfig | str | Path,
 ) -> PipelineResult:
-    """Score the manifest's parts of data, fit temperature and threshold on
-    cal, decide on test.
+    """Score the manifest's cal and test parts of data, fit the temperature on
+    cal and calibrate test; select then thresholds and decides.
 
     scorer is a TrainingConfig (train the built-in k-mer scorer on the train
     part) or the path of an external logit TSV covering the cal and test ids.
@@ -253,11 +251,15 @@ def run_pipeline(
         cal_table = ingest_logits(logits, cal)
         test_table = ingest_logits(logits, test)
     temperature = fit_temperature(cal_table)
-    cal_probs = apply_temperature(cal_table, temperature)
-    rule = fit_threshold(nonconformity_calibration(cal_probs, cal_table.labels), epsilon)
     test_probs = apply_temperature(test_table, temperature)
-    decisions = decide(test_table.ids, test_probs, rule)
-    return PipelineResult(model, temperature, rule, cal_table, test_table, decisions)
+    return PipelineResult(model, temperature, cal_table, test_table, test_probs)
+
+
+def select(result: PipelineResult, epsilon: float) -> tuple[ConformalRule, DecisionTable]:
+    """The threshold fitted at epsilon on the calibrated cal scores, and the test decisions."""
+    cal_probs = apply_temperature(result.cal, result.temperature)
+    rule = fit_threshold(nonconformity_calibration(cal_probs, result.cal.labels), epsilon)
+    return rule, decide(result.test.ids, result.test_probs, rule)
 
 
 def decisions_to_tsv(decisions: DecisionTable) -> str:

@@ -292,13 +292,13 @@ def _csv_plain(text: str) -> bool:
 
 def _column_positions(header: list[str], colmap: Mapping[str, str]):
     """The header position of each field, and the cell of a row that each of
-    the six columns takes; without an id column the label cells stand in for
-    ids, which are replaced by row indices."""
+    the six columns takes; only the default id column may be missing, and then
+    the label cells stand in for ids, which are replaced by row indices."""
     positions: dict[str, int] = {}
     for field, name in colmap.items():
         if name in header:
             positions[field] = header.index(name)
-        elif field != "id":
+        elif (field, name) != ("id", "id"):
             raise TsvSchemaError(f"missing required column {name!r}")
     return positions, tuple(positions.get(field, positions["label"]) for field in colmap)
 
@@ -380,11 +380,12 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     """Read a TSV corpus.
 
     columns maps logical field names (keys of DEFAULT_COLUMNS) to header names.
-    The id column is optional; absent, ids are the 0-based data-row index,
-    counting blank rows. A leading UTF-8 byte-order mark is skipped. Cells
-    are stripped and sequences uppercased. The first malformed row (short,
-    bad label, empty field, invalid residue) raises TsvRowError with its file
-    line number, a data row's index + 2.
+    The id column is optional under its default name id; absent, ids are the
+    0-based data-row index, counting blank rows. A renamed id column is
+    required. A leading UTF-8 byte-order mark is skipped. Cells are stripped
+    and sequences uppercased. The first malformed row (short, bad label,
+    empty field, invalid residue) raises TsvRowError with its file line
+    number, a data row's index + 2.
 
     A file with one cell per header column on every line and no quote, CR,
     NUL or blank line is split a block at a time (split_blocks); csv.reader

@@ -146,8 +146,8 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     """Read a TSV corpus.
 
     columns maps logical field names (keys of DEFAULT_COLUMNS) to header names.
-    The id column is optional; absent, ids are the 0-based data-row index.
-    Sequences are uppercased; invalid residues, bad labels, and short rows raise
+    The id column is optional under its default name id; absent, ids are the
+    0-based data-row index. A renamed id column is required. Sequences are uppercased; invalid residues, bad labels, and short rows raise
     TsvRowError with the file line number.
     """
     colmap = dict(DEFAULT_COLUMNS)
@@ -166,7 +166,7 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
         for field, name in colmap.items():
             if name in header:
                 positions[field] = header.index(name)
-            elif field != "id":
+            elif (field, name) != ("id", "id"):
                 raise TsvSchemaError(f"missing required column {name!r}")
         examples = []
         for row_idx, row in enumerate(reader):

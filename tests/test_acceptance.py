@@ -104,11 +104,11 @@ def test_criterion_3_auroc_invariance():
     with criterion(3, "AUROC identical before and after temperature scaling"):
         data = motif_corpus(600, seed=5)
         manifest = split_random(data, SplitConfig(seed=5))
-        result = run_pipeline(data, manifest, 0.2, TrainingConfig())
+        result = run_pipeline(data, manifest, TrainingConfig())
         labels = data.labels_by_id()
         test_labels = [labels[i] for i in result.test.ids]
         raw = auroc(sigmoid(result.test.logits), test_labels)
-        scaled = auroc(result.decisions.probs, test_labels)
+        scaled = auroc(result.test_probs, test_labels)
         assert raw == scaled
 
 
@@ -213,8 +213,8 @@ def test_criterion_7_coverage_risk_trend():
     with criterion(7, "risk(0.8) < risk(1.0), non-increasing along grid"):
         data = motif_corpus(2000, seed=0)
         manifest = split_random(data, SplitConfig(seed=0))
-        result = run_pipeline(data, manifest, 0.2, TrainingConfig())
-        curve = coverage_risk_sweep(result.decisions.probs, result.test.labels)
+        result = run_pipeline(data, manifest, TrainingConfig())
+        curve = coverage_risk_sweep(result.test_probs, result.test.labels)
         by_coverage = {p.coverage: p.error_rate for p in curve.points}
         assert by_coverage[0.8] < by_coverage[1.0]
         risks = [p.error_rate for p in curve.points]

@@ -205,6 +205,10 @@ MALFORMED = {
         "corpus:split --protocol distance_aware", "c.tsv", TOY_HEADER, 1,
     ),
     "corpus-header-only-run": ("corpus:run", "c.tsv", TOY_HEADER, 1),
+    # only the default id column may be missing, not one that --columns names
+    "corpus-renamed-id-missing": (
+        "corpus:split --columns id=sample", "c.tsv", TOY_HEADER + "a\tCAV\tCASS\tGIL\tEP1\t1\n", 1,
+    ),
     "logits-three-fields": ("logits", "l.tsv", "ex00000\t0.5\t1\n", 1),
     "logits-unparseable": ("logits", "l.tsv", "ex00000\tabc\n", 1),
     "logits-missing-ids": ("logits", "l.tsv", "ex00000\t0.5\n", 1),
@@ -373,6 +377,9 @@ MALFORMED = {
     # a score source that the command would leave unread: score trains the
     # builtin scorer, and the builtin scorer reads no logit file
     "flag-logits-under-builtin": ("flag", "-", ("run", "--logits", "l.tsv"), 2),
+    "flag-score-logits-under-builtin": ("flag", "-", ("score", "--logits", "l.tsv"), 2),
+    # score --scorer logits --logits l.tsv, whose logit file stays unread
+    "logits-score": ("logits:score", "l.tsv", "ex00000\t0.5\n", 2),
     "config-logits-path-under-builtin": (
         "config", "cfg.json", json.dumps({"scorer": {"logits_path": "l.tsv"}}), 2,
     ),
@@ -475,12 +482,15 @@ MALFORMED_MESSAGES = {
         "config error: simulate: miscalibration_temperature must be > 0\n",
     **dict.fromkeys(
         ("flag-logits-under-builtin", "config-logits-path-under-builtin",
-         "flag-logits-with-builtin-flag"),
+         "flag-logits-with-builtin-flag", "flag-score-logits-under-builtin"),
         "config error: scorer: logits_path is set but mode is 'builtin', "
         "which trains its own scores\n",
     ),
-    "config-score-logits-mode":
+    **dict.fromkeys(
+        ("config-score-logits-mode", "logits-score"),
         "config error: scorer.mode: score trains the builtin scorer, got 'logits'\n",
+    ),
+    "corpus-renamed-id-missing": "error: missing required column 'sample'\n",
     **{
         f"no-dataset-{command}": "config error: dataset.path: required for this command\n"
         for command in ("split", "run", "sweep", "score", "metrics")
@@ -677,7 +687,7 @@ COMMAND_FLAGS = {
     },
     "sweep": {
         **COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS, **SCORER_FLAGS, **SOURCE_FLAGS,
-        "--epsilon": "conformal.epsilon", "--grid": "sweep.grid",
+        "--grid": "sweep.grid",
     },
     "simulate": {
         **COMMON_FLAGS,
@@ -685,7 +695,7 @@ COMMAND_FLAGS = {
         "--sizes": "simulate.sizes",
         "--epsilon": "simulate.epsilon",
     },
-    "score": {**COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS, **SCORER_FLAGS},
+    "score": {**COMMON_FLAGS, **DATASET_FLAGS, **SPLIT_FLAGS, **SCORER_FLAGS, **SOURCE_FLAGS},
     "metrics": {**COMMON_FLAGS, **DATASET_FLAGS, "--decisions": "decisions"},
 }
 
@@ -737,7 +747,7 @@ def test_default_config_fingerprint_is_pinned(tmp_path):
     pins = {
         "split": "f648deab43a4c6dda60d11015826daf6a6a620111b3bf8b693d0d92b299501bc",
         "run": "2fca363a163b0e638072c4b034a779e5c47626e4d3342fca307cb357f02d1c79",
-        "sweep": "8d478999331eb4c1249fa71ba9f6df153c31c59399930c8ad64754a4ea7452e4",
+        "sweep": "0cb3b234ac4a6f4d7204895e170b9ceed097246a22c06907b389cb54bebbb2d7",
         "simulate": "8085837d8e8dc851b5c5066b53381e0160918bb4e91f1030ec293c29c9550dc3",
         "score": "f580560de7f7658e819ed70372190cb0077b8a77a1e15dbcc42fe54c5192b45a",
         "metrics": "11c333c3eec79479aa43082d9aafd06b964bc2a82c2b426e98f2c887573754c2",
@@ -758,6 +768,16 @@ def test_simulate_takes_no_dataset_flag(tmp_path, capsys):
         main(["simulate", "--dataset", "x", "--out", str(out)])
     assert stop.value.code == 2
     assert "unrecognized arguments: --dataset x" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_takes_no_epsilon_flag(tmp_path, capsys):
+    # sweep ranks calibrated scores and fits no threshold, so it reads no conformal
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--dataset", str(toy_dataset_path()), "--epsilon", "0.2", "--out", str(out)])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -790,7 +810,7 @@ GUARDED = {
     "sweep-logits": (
         ["sweep"],
         {"dataset": {"path": "toy.tsv"}, "scorer": {"mode": "logits", "logits_path": "logits.tsv"}},
-        ("dataset.", "split.", "scorer.mode", "scorer.logits_path", "conformal.", "sweep."),
+        ("dataset.", "split.", "scorer.mode", "scorer.logits_path", "sweep."),
         "coverage_risk.csv",
     ),
     "simulate": (["simulate", "--trials", "3"], {}, ("simulate.",), "simulate.csv"),
@@ -842,17 +862,14 @@ def _guarded_outputs(work, name, changes):
     return code, stdout.getvalue(), stderr.getvalue(), hashes, config_line
 
 
-@given(name=st.sampled_from(sorted(GUARDED)), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_reports_record_only_the_settings_their_command_reads(guard_dir, name, data):
-    # a setting the command does not read leaves stdout and every output byte
-    # alone; one that it reads moves the config fingerprint of its reports
+def _check_setting_change(guard_dir, name, dotted, value):
+    """A setting the command does not read leaves stdout, stderr and every
+    output byte alone; one that it reads moves the config fingerprint of its
+    reports."""
     work, base = guard_dir
     if name not in base:
         base[name] = _guarded_outputs(work, name, {})
         assert base[name][0] == 0, base[name][2]
-    dotted = data.draw(st.sampled_from(sorted(SETTING_CHANGES)), label="setting")
-    value = data.draw(SETTING_CHANGES[dotted], label="value")
     code, stdout, stderr, hashes, config_line = _guarded_outputs(work, name, {dotted: value})
     if dotted == "scorer.logits_path" and "scorer" not in GUARDED[name][1]:
         # the builtin scorer would leave the logit file unread: a config
@@ -861,7 +878,22 @@ def test_reports_record_only_the_settings_their_command_reads(guard_dir, name, d
     elif dotted.startswith(GUARDED[name][2]):
         assert code == 0 and config_line != base[name][4]
     else:
-        assert (code, stdout, hashes) == (0, base[name][1], base[name][3])
+        assert (code, stdout, stderr, hashes) == (0, *base[name][1:4])
+
+
+@given(name=st.sampled_from(sorted(GUARDED)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reports_record_only_the_settings_their_command_reads(guard_dir, name, data):
+    dotted = data.draw(st.sampled_from(sorted(SETTING_CHANGES)), label="setting")
+    value = data.draw(SETTING_CHANGES[dotted], label="value")
+    _check_setting_change(guard_dir, name, dotted, value)
+
+
+def test_sweep_leaves_a_small_epsilon_unread(guard_dir):
+    # run warns that epsilon 0.01 needs a larger calibration set than the
+    # toy corpus gives; sweep fits no threshold, so it neither warns nor
+    # records the setting
+    _check_setting_change(guard_dir, "sweep-logits", "conformal.epsilon", 0.01)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -1312,15 +1344,15 @@ class TestMonotoneCheck:
         rule = ConformalRule(epsilon=0.2, n_cal=3, quantile_index=4, threshold=None)
         probs = apply_temperature(test, model)
         decisions = decide(test.ids, probs, rule)
-        return PipelineResult(None, model, rule, test, test, decisions)
+        return PipelineResult(None, model, test, test, probs), decisions
 
     def test_saturation_ties_are_not_an_error(self):
         # sigmoid(37) == sigmoid(38) == 1.0, while 0.37 and 0.38 stay apart at
         # T = 100, so the AUROCs differ although scaling is monotone
-        result = self.result([37.0, 38.0, -1.0, 0.5], [1, 0, 0, 1], 100.0)
+        result, decisions = self.result([37.0, 38.0, -1.0, 0.5], [1, 0, 0, 1], 100.0)
         raw = sigmoid(result.test.logits)
         assert raw[0] == raw[1] == 1.0
-        rows = _method_rows(result)
+        rows = _method_rows(result, decisions)
         assert rows["baseline"]["auroc"] == 0.625
         assert rows["temp_scaled"]["auroc"] == 0.5
 

@@ -25,6 +25,7 @@ from tcrselect.conformal import (
     nonconformity_test,
     quantile_index,
     run_pipeline,
+    select,
 )
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import TrainingConfig, sigmoid
@@ -277,22 +278,24 @@ class TestRunPipeline:
     def test_end_to_end_wiring(self):
         data = pipeline_corpus()
         manifest = self.split(data)
-        result = run_pipeline(data, manifest, 0.2, TrainingConfig(epochs=50))
-        assert len(result.decisions) == len(manifest.test_ids)
-        assert result.decisions.ids is result.test.ids
+        result = run_pipeline(data, manifest, TrainingConfig(epochs=50))
+        rule, decisions = select(result, 0.2)
+        assert len(decisions) == len(manifest.test_ids)
+        assert decisions.ids is result.test.ids
         calibrated = apply_temperature(result.test, result.temperature)
-        np.testing.assert_array_equal(result.decisions.probs, calibrated)
+        np.testing.assert_array_equal(decisions.probs, calibrated)
         assert len(result.cal) == len(manifest.cal_ids)
-        assert result.rule.n_cal == len(manifest.cal_ids)
+        assert rule.n_cal == len(manifest.cal_ids)
         assert result.scorer_model is not None
 
     def test_retain_all_equals_plain_thresholding(self):
         data = pipeline_corpus()
         manifest = self.split(data)
+        result = run_pipeline(data, manifest, TrainingConfig(epochs=50))
         with pytest.warns(RuntimeWarning):
-            result = run_pipeline(data, manifest, 0.01, TrainingConfig(epochs=50))
-        assert result.rule.retain_all
-        for decision, prob in zip(result.decisions, result.decisions.probs):
+            rule, decisions = select(result, 0.01)
+        assert rule.retain_all
+        for decision, prob in zip(decisions, decisions.probs):
             assert decision.decision == DECISION_PREDICT
             assert decision.predicted_label == (1 if prob >= 0.5 else 0)
 
@@ -303,21 +306,21 @@ class TestRunPipeline:
             train_ids=("c000",), cal_ids=("c001", "x999"), test_ids=("c002",),
         )
         with pytest.raises(ValueError, match=r"unknown id\(s\): \['x999'\]"):
-            run_pipeline(data, manifest, 0.2, TrainingConfig(epochs=5))
+            run_pipeline(data, manifest, TrainingConfig(epochs=5))
 
     def test_external_logits_route(self, tmp_path):
         data = pipeline_corpus()
         manifest = self.split(data)
-        builtin = run_pipeline(data, manifest, 0.2, TrainingConfig(epochs=50))
+        builtin = run_pipeline(data, manifest, TrainingConfig(epochs=50))
         from tcrselect.scorer import export_logits, score
 
         records = score(builtin.scorer_model, data)
         path = tmp_path / "logits.tsv"
         export_logits(records, path)
-        external = run_pipeline(data, manifest, 0.2, path)
+        external = run_pipeline(data, manifest, path)
         assert external.scorer_model is None
         assert external.temperature.temperature == builtin.temperature.temperature
-        assert list(external.decisions) == list(builtin.decisions)
+        assert list(select(external, 0.2)[1]) == list(select(builtin, 0.2)[1])
 
     @pytest.mark.parametrize(
         "drop, bad_line, message",
@@ -341,7 +344,7 @@ class TestRunPipeline:
         path = tmp_path / "logits.tsv"
         path.write_text("\n".join(([bad_line] if bad_line else []) + lines) + "\n")
         with pytest.raises(ValueError) as err:
-            run_pipeline(data, manifest, 0.2, path)
+            run_pipeline(data, manifest, path)
         assert str(err.value) == message.format(**dropped)
 
 
@@ -352,16 +355,17 @@ def test_temperature_moves_no_decision(split):
     # moves probabilities and their metrics, never a decision
     data = motif_corpus(2000, 1)
     manifest = split(data, SplitConfig(k_test_epitopes=3))
-    result = run_pipeline(data, manifest, 0.2, TrainingConfig())
-    abstained = np.count_nonzero(result.decisions.predicted == -1)
-    assert 0 < abstained < len(result.decisions)
+    result = run_pipeline(data, manifest, TrainingConfig())
+    _, fitted = select(result, 0.2)
+    abstained = np.count_nonzero(fitted.predicted == -1)
+    assert 0 < abstained < len(fitted)
     for temperature in (0.3, 1.0, 3.0, 10.0):
         model = replace(result.temperature, temperature=temperature)
         cal_scores = nonconformity_calibration(apply_temperature(result.cal, model),
                                                result.cal.labels)
         rule = fit_threshold(cal_scores, 0.2)
         decisions = decide(result.test.ids, apply_temperature(result.test, model), rule)
-        np.testing.assert_array_equal(decisions.predicted, result.decisions.predicted)
+        np.testing.assert_array_equal(decisions.predicted, fitted.predicted)
 
 
 UNIT = 2.0**-53  # the spacing of p on [0.5, 1), so the grid of every 1 - p score

@@ -187,6 +187,14 @@ def assert_same_outcome(path, columns=None):
 # one row a cell short and one a cell long: the block's tab total is right
 @example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
           "CA\tCA\tGILGF\tEP1\t1\tx\nCA\tCA\tGILGF\tEP1\n", None), 1 << 16)
+# only the default id column may be missing: a renamed one is read when
+# present and required otherwise, by the block reader and the row loop (CRLF)
+@example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\nCA\tCA\tGILGF\tEP1\t1\n",
+          {"id": "sample"}), 1 << 16)
+@example(("cdr3a\tcdr3b\tpeptide\tepitope\tlabel\r\nCA\tCA\tGILGF\tEP1\t1\r\n",
+          {"id": "sample"}), 1 << 16)
+@example(("sample\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\r\nx\tCA\tCA\tGILGF\tEP1\t1\r\n",
+          {"id": "sample"}), 1 << 16)
 def test_ingest_matches_oracle(tmp_path_factory, case, block_chars):
     # small blocks put a non-plain line in a later block than the first
     text, columns = case
