@@ -272,9 +272,33 @@ def quickstart():
     print("sweep: the replay matches in coverage_risk.csv and sweep.json, with empty stderr")
 
 
+def replay_scale():
+    """`tcrselect run` on motif_corpus(20000, 1) exported in shuffled row order, under
+    random and under epitope_held_out --k-epitopes 3, each replayed with --manifest
+    on the manifest.json it wrote. The run takes its parts by position in the split's
+    column, the replay by the manifest's ids; every file the replay writes but
+    run_log.txt must be byte-identical to the run's."""
+    rows = list(motif_corpus(20000, 1))
+    random.Random(1).shuffle(rows)
+    export_tsv(Dataset(*zip(*rows)), "shuffled.tsv")
+    runs = {"random": ["--protocol", "random"],
+            "epitope": ["--protocol", "epitope_held_out", "--k-epitopes", "3"]}
+    for out, flags in runs.items():
+        _, cpu = tcrselect("run", "--dataset", "shuffled.tsv", *flags, "--out", f"{out}/")
+        _, replay_cpu = tcrselect("run", "--dataset", "shuffled.tsv", *flags,
+                                  "--manifest", f"{out}/manifest.json", "--out", f"{out}.replay/")
+        names = [name for name in sorted(os.listdir(f"{out}.replay")) if name != "run_log.txt"]
+        for name in names:
+            assert filecmp.cmp(f"{out}/{name}", f"{out}.replay/{name}", shallow=False), name
+        assert len(names) == 6, \
+            f"{out}.replay/ holds {len(names)} files besides run_log.txt, expected 6"
+        print(f"{out}: run {cpu:.2f} s and replay {replay_cpu:.2f} s process time; "
+              f"the replay matches in {len(names)} files")
+
+
 STEPS = {step.__name__.replace("_", "-"): step for step in (
     distance_scale, negatives_scale, scorer_scale, readers_agree, kernels_agree,
-    simulate_defaults, quickstart)}
+    simulate_defaults, quickstart, replay_scale)}
 
 
 def main():

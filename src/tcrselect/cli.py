@@ -145,8 +145,7 @@ def _get_manifest(runner: _Runner, args: argparse.Namespace) -> tuple[Dataset, S
     data = _load_dataset(runner.config)
     manifest_path = getattr(args, "manifest", None)
     if manifest_path:
-        manifest = SplitManifest.load(manifest_path)
-        manifest.check_covers(data.ids, f"manifest {manifest_path}")
+        manifest = SplitManifest.load(manifest_path).bind(data, f"manifest {manifest_path}")
         runner.log(f"loaded manifest from {manifest_path}")
         return data, manifest
     manifest = _make_manifest(runner.config, data)
@@ -331,7 +330,8 @@ def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
 def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
     data, manifest = _get_manifest(runner, args)
     manifest.check_nonempty("train")
-    model = train_linear(data.subset(manifest.train_ids), runner.config.scorer)
+    (train,) = manifest.take(data, "train")
+    model = train_linear(train, runner.config.scorer)
     table = score(model, data)
     scorer_json = model.to_json()
     runner.write_text("scorer.json", scorer_json)

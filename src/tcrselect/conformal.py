@@ -233,15 +233,16 @@ def run_pipeline(
 
     scorer is a TrainingConfig (train the built-in k-mer scorer on the train
     part) or the path of an external logit TSV covering the cal and test ids.
-    The manifest keeps its parts disjoint, and Dataset.subset rejects an id
-    the dataset lacks. An empty cal or test part, or an empty train part for
-    the built-in scorer, raises before training.
+    SplitManifest.take reads the parts, by position for the dataset the
+    manifest was split from and else by id, rejecting an id the dataset
+    lacks. An empty cal or test part, or an empty train part for the built-in
+    scorer, raises before training.
     """
-    parts = ("train", "cal", "test") if isinstance(scorer, TrainingConfig) else ("cal", "test")
-    manifest.check_nonempty(*parts)
-    cal, test = data.subset(manifest.cal_ids), data.subset(manifest.test_ids)
+    train_part = ("train",) if isinstance(scorer, TrainingConfig) else ()
+    manifest.check_nonempty(*train_part, "cal", "test")
+    cal, test, *train = manifest.take(data, "cal", "test", *train_part)
     if isinstance(scorer, TrainingConfig):
-        model: LinearScorerModel | None = train_linear(data.subset(manifest.train_ids), scorer)
+        model: LinearScorerModel | None = train_linear(train[0], scorer)
         cal_table = score(model, cal)
         test_table = score(model, test)
     else:

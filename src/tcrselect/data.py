@@ -17,6 +17,7 @@ import json
 import math
 import random
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -214,11 +215,13 @@ class Dataset:
     def _text_columns(self) -> tuple[tuple[str, ...], ...]:
         return (self.ids, self.cdr3a, self.cdr3b, self.peptide, self.epitope_id)
 
-    def _take(self, positions: Sequence[int]) -> "Dataset":
+    def _take(self, positions: list[int]) -> "Dataset":
         """The rows at the given positions, in that order."""
+        # itemgetter of two or more positions returns a tuple
+        get = itemgetter(*positions) if len(positions) > 1 else (
+            lambda column: tuple(map(column.__getitem__, positions)))
         return Dataset._from_columns(
-            *(tuple(map(column.__getitem__, positions)) for column in self._text_columns()),
-            self.labels[np.asarray(positions, dtype=np.intp)],
+            *map(get, self._text_columns()), self.labels[np.asarray(positions, dtype=np.intp)]
         )
 
     def __len__(self) -> int:

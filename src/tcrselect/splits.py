@@ -1,9 +1,11 @@
 """Leakage-aware train/cal/test split protocols with serialized manifests.
 
 Three protocols: label-stratified random, epitope-held-out (whole epitopes to
-test), and distance-aware (whole cdr3b identity clusters to test). Manifests
-are value objects: disjoint id sets plus the protocol, seed, and parameters
-that produced them, serialized with stable key order.
+test), and distance-aware (whole cdr3b identity clusters to test). Each
+computes one part-of-row column (0 train, 1 cal, 2 test) and reads the parts'
+ids from it in dataset order. Manifests are value objects: disjoint id sets
+plus the protocol, seed, and parameters that produced them, serialized with
+stable key order.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,6 +30,7 @@ PROTOCOL_RANDOM = "random"
 PROTOCOL_EPITOPE_HELD_OUT = "epitope_held_out"
 PROTOCOL_DISTANCE_AWARE = "distance_aware"
 PROTOCOLS = (PROTOCOL_RANDOM, PROTOCOL_EPITOPE_HELD_OUT, PROTOCOL_DISTANCE_AWARE)
+PARTS = ("train", "cal", "test")  # a part's code in a part-of-row column is its index
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,12 @@ _MANIFEST_TYPES = {
 
 @dataclass(frozen=True)
 class SplitManifest:
-    """Which example ids land in train, calibration, and test."""
+    """Which example ids land in train, calibration, and test.
+
+    row_part is the part code of each row of the dataset whose ids are
+    split_ids; a split function sets both, and bind sets them for a loaded
+    manifest. Neither is compared or serialized.
+    """
 
     protocol: str
     seed: int
@@ -79,12 +87,17 @@ class SplitManifest:
     train_ids: tuple[str, ...]
     cal_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
+    row_part: np.ndarray | None = field(default=None, compare=False, repr=False)
+    split_ids: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     # how errors name the manifest; load adds its file
     source: InitVar[str] = "manifest"
 
     def __post_init__(self, source: str) -> None:
         parts = {"train": self.train_ids, "cal": self.cal_ids, "test": self.test_ids}
+        if len({*self.train_ids, *self.cal_ids, *self.test_ids}) == sum(map(len, parts.values())):
+            return
+        # only to name an offending id
         sets = {name: set(ids) for name, ids in parts.items()}
         for name, ids in parts.items():
             if len(sets[name]) < len(ids):
@@ -94,20 +107,39 @@ class SplitManifest:
             if not sets[a].isdisjoint(sets[b]):
                 shared = next(i for i in parts[a] if i in sets[b])
                 raise ValueError(f"{source} {a}_ids and {b}_ids share id {shared!r}")
+        raise AssertionError("union and per-part id checks disagree")
 
-    def check_covers(self, ids: Sequence[str], where: str) -> None:
-        """Raise ValueError naming `where` unless the parts list exactly ids."""
-        listed = {*self.train_ids, *self.cal_ids, *self.test_ids}
-        unlisted = [i for i in ids if i not in listed]
-        if unlisted:
+    def bind(self, data: Dataset, where: str) -> "SplitManifest":
+        """This manifest with the part of each row of data, in one pass over
+        its ids. Unless the parts list exactly data's ids, raise ValueError
+        naming `where`."""
+        code = dict.fromkeys(self.train_ids, 0)
+        code.update(dict.fromkeys(self.cal_ids, 1))
+        code.update(dict.fromkeys(self.test_ids, 2))
+        row_part = np.fromiter(map(code.get, data.ids, repeat(-1)), np.int8, len(data))
+        if (row_part < 0).any():
+            unlisted = _where(data.ids, row_part < 0)
             raise ValueError(
                 f"{where}: {len(unlisted)} dataset id(s) in no part, e.g. {unlisted[:5]!r}"
             )
-        unknown = listed - set(ids)
-        if unknown:
+        if len(code) > len(data):  # every id of data is listed once
+            unknown = set(code).difference(data.ids)
             raise ValueError(
                 f"{where}: {len(unknown)} id(s) not in the dataset, e.g. {sorted(unknown)[:5]!r}"
             )
+        return replace(self, row_part=row_part, split_ids=data.ids)
+
+    def take(self, data: Dataset, *parts: str) -> tuple[Dataset, ...]:
+        """The rows of data in each of parts (train, cal, test), in dataset
+        order: by position when data has the ids this manifest's row_part was
+        made for, in that order, and else by id through Dataset.subset, which
+        rejects an id that data lacks."""
+        if self.row_part is None or self.split_ids != data.ids:
+            return tuple(data.subset(getattr(self, f"{part}_ids")) for part in parts)
+        return tuple(
+            data._take(np.flatnonzero(self.row_part == PARTS.index(part)).tolist())
+            for part in parts
+        )
 
     def check_nonempty(self, *parts: str) -> None:
         """Raise ValueError naming the first of parts (train, cal, test) that
@@ -181,24 +213,22 @@ def _largest_remainder(total: int, fractions: Sequence[float]) -> list[int]:
 
 
 def _stratified_three_way(
-    ids: Sequence[str],
     labels: np.ndarray,
     fractions: Sequence[float],
     rng: random.Random,
-) -> tuple[list[str], list[str], list[str]]:
-    """Allocate ids to (train, cal, test) stratified by their labels.
+) -> np.ndarray:
+    """The part code (0 train, 1 cal, 2 test) of each row, stratified by label.
 
     Global part sizes come from largest-remainder on the total; the label-1
     stratum is allocated by largest-remainder on its own size and label-0 takes
     the residual, which keeps both the part sizes and each part's positive
-    count within one example of the ideal. Each stratum keeps dataset order
-    until rng shuffles it.
+    count within one example of the ideal. Each stratum lists its rows in
+    dataset order until rng shuffles it.
     """
-    n = len(ids)
+    n = len(labels)
     nonzero_parts = sum(1 for f in fractions if f > 0)
     strata = {
-        label: list(compress(ids, (labels == label).tolist()))
-        for label in set(labels.tolist())
+        label: np.flatnonzero(labels == label).tolist() for label in set(labels.tolist())
     }
     for label, members in sorted(strata.items()):
         if len(members) < nonzero_parts:
@@ -220,18 +250,37 @@ def _stratified_three_way(
                 raise ValueError("stratified allocation infeasible for these fractions")
         per_stratum[label] = counts
         allocated = [a + c for a, c in zip(allocated, counts)]
-    parts: tuple[list[str], list[str], list[str]] = ([], [], [])
+    row_part = np.empty(n, dtype=np.int8)
     for label in labels_desc:
-        # shuffle permutes by list length alone, so shuffling ids moves them
-        # exactly as shuffling whole rows would
+        # shuffle permutes by list length alone, so shuffling positions moves
+        # them exactly as shuffling ids or whole rows would
         members = strata[label]
         rng.shuffle(members)
-        counts = per_stratum[label]
+        shuffled = np.array(members, dtype=np.intp)
         start = 0
-        for part, count in zip(parts, counts):
-            part.extend(members[start : start + count])
+        for code, count in enumerate(per_stratum[label]):
+            row_part[shuffled[start : start + count]] = code
             start += count
-    return parts
+    return row_part
+
+
+def _held_in(in_test: np.ndarray, labels: np.ndarray, cal_fraction: float,
+             rng: random.Random) -> np.ndarray:
+    """The part codes of a split whose test rows are in_test; the rest splits
+    into train and cal at the pair level, stratified by label."""
+    row_part = np.full(len(in_test), 2, dtype=np.int8)
+    row_part[~in_test] = _stratified_three_way(
+        labels[~in_test], (1.0 - cal_fraction, cal_fraction, 0.0), rng
+    )
+    return row_part
+
+
+def _manifest(
+    data: Dataset, row_part: np.ndarray, protocol: str, seed: int, parameters: dict
+) -> SplitManifest:
+    """The manifest of a part-of-row column, each part's ids in dataset order."""
+    ids = (tuple(compress(data.ids, (row_part == code).tolist())) for code in range(3))
+    return SplitManifest(protocol, seed, parameters, *ids, row_part=row_part, split_ids=data.ids)
 
 
 def _where(column: Sequence[str], mask: np.ndarray) -> list[str]:
@@ -258,14 +307,9 @@ def split_random(data: Dataset, config: SplitConfig) -> SplitManifest:
     calibration set.
     """
     rng = random.Random(config.seed)
-    train, cal, test = _stratified_three_way(data.ids, data.labels, config.fractions, rng)
-    return SplitManifest(
-        protocol=PROTOCOL_RANDOM,
-        seed=config.seed,
-        parameters={"fractions": list(config.fractions)},
-        train_ids=tuple(train),
-        cal_ids=tuple(cal),
-        test_ids=tuple(test),
+    row_part = _stratified_three_way(data.labels, config.fractions, rng)
+    return _manifest(
+        data, row_part, PROTOCOL_RANDOM, config.seed, {"fractions": list(config.fractions)}
     )
 
 
@@ -288,34 +332,23 @@ def split_epitope_held_out(data: Dataset, config: SplitConfig) -> SplitManifest:
     rng = random.Random(config.seed)
     held_out = set(rng.sample(distinct, k_test_epitopes))
     in_test = np.fromiter(map(held_out.__contains__, data.epitope_id), bool, len(data))
-    test_ids = _where(data.ids, in_test)
-    rest_ids = _where(data.ids, ~in_test)
     if config.epitope_disjoint_cal:
         rest_epitope = _where(data.epitope_id, ~in_test)
         rest_epitopes = sorted(set(rest_epitope))
         rng.shuffle(rest_epitopes)
         cal_epitopes = set(
-            _fill(rest_epitopes, Counter(rest_epitope), cal_fraction * len(rest_ids))
+            _fill(rest_epitopes, Counter(rest_epitope), cal_fraction * len(rest_epitope))
         )
-        in_cal = np.fromiter(map(cal_epitopes.__contains__, rest_epitope), bool, len(rest_ids))
-        cal_ids = _where(rest_ids, in_cal)
-        train_ids = _where(rest_ids, ~in_cal)
+        # no cal epitope is held out, so no test row is in cal
+        in_cal = np.fromiter(map(cal_epitopes.__contains__, data.epitope_id), bool, len(data))
+        row_part = np.where(in_test, 2, in_cal).astype(np.int8)
     else:
-        train_ids, cal_ids, _ = _stratified_three_way(
-            rest_ids, data.labels[~in_test], (1.0 - cal_fraction, cal_fraction, 0.0), rng
-        )
-    return SplitManifest(
-        protocol=PROTOCOL_EPITOPE_HELD_OUT,
-        seed=config.seed,
-        parameters={
-            "k_test_epitopes": k_test_epitopes,
-            "cal_fraction": cal_fraction,
-            "epitope_disjoint_cal": config.epitope_disjoint_cal,
-        },
-        train_ids=tuple(train_ids),
-        cal_ids=tuple(cal_ids),
-        test_ids=tuple(test_ids),
-    )
+        row_part = _held_in(in_test, data.labels, cal_fraction, rng)
+    return _manifest(data, row_part, PROTOCOL_EPITOPE_HELD_OUT, config.seed, {
+        "k_test_epitopes": k_test_epitopes,
+        "cal_fraction": cal_fraction,
+        "epitope_disjoint_cal": config.epitope_disjoint_cal,
+    })
 
 
 def split_distance_aware(data: Dataset, config: SplitConfig) -> SplitManifest:
@@ -350,21 +383,9 @@ def split_distance_aware(data: Dataset, config: SplitConfig) -> SplitManifest:
     rng.shuffle(order)
     in_test_cluster = np.zeros(len(clusters), dtype=bool)
     in_test_cluster[_fill(order, counts, config.test_fraction * n)] = True
-    in_test = in_test_cluster[cluster]
-    test_ids = _where(data.ids, in_test)
-    train_ids, cal_ids, _ = _stratified_three_way(
-        _where(data.ids, ~in_test), data.labels[~in_test],
-        (1.0 - cal_fraction, cal_fraction, 0.0), rng,
-    )
-    return SplitManifest(
-        protocol=PROTOCOL_DISTANCE_AWARE,
-        seed=config.seed,
-        parameters={
-            "identity_ceiling": identity_ceiling,
-            "cal_fraction": cal_fraction,
-            "test_fraction": config.test_fraction,
-        },
-        train_ids=tuple(train_ids),
-        cal_ids=tuple(cal_ids),
-        test_ids=tuple(test_ids),
-    )
+    row_part = _held_in(in_test_cluster[cluster], data.labels, cal_fraction, rng)
+    return _manifest(data, row_part, PROTOCOL_DISTANCE_AWARE, config.seed, {
+        "identity_ceiling": identity_ceiling,
+        "cal_fraction": cal_fraction,
+        "test_fraction": config.test_fraction,
+    })

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from dataset_rows import dataset_of
 from tcrselect import data as data_module
 from tcrselect.data import Dataset, TsvRowError, deduplicate, export_tsv, ingest_tsv
 from tcrselect.splits import (
+    PARTS,
     SplitConfig,
     split_distance_aware,
     split_epitope_held_out,
@@ -394,15 +397,55 @@ SPLITS = {
 }
 
 
+def check_split_matches_oracle(data, old, protocol, seed):
+    split, split_oracle, kwargs = SPLITS[protocol]
+    manifest = split(data, SplitConfig(seed=seed, **kwargs))
+    assert manifest.to_json() == split_oracle(old, seed=seed, **kwargs).to_json()
+    parts = (manifest.train_ids, manifest.cal_ids, manifest.test_ids)
+    # the parts run_pipeline takes, by position in the split's own column
+    taken = manifest.take(data, "train", "cal", "test")
+    for part, ids in zip(taken, parts):
+        assert columns_of(part) == columns_of(data.subset(ids)) == columns_of(old.subset(ids))
+
+
 @pytest.mark.parametrize("seed", [1, 7919])
 @pytest.mark.parametrize("protocol", sorted(SPLITS))
 def test_splits_match_oracle(corpus_pair, protocol, seed):
     _, data, old = corpus_pair
-    split, split_oracle, kwargs = SPLITS[protocol]
-    manifest = split(data, SplitConfig(seed=seed, **kwargs))
-    assert manifest.to_json() == split_oracle(old, seed=seed, **kwargs).to_json()
-    for ids in (manifest.train_ids, manifest.cal_ids, manifest.test_ids):
-        assert columns_of(data.subset(ids)) == columns_of(old.subset(ids))
+    check_split_matches_oracle(data, old, protocol, seed)
+
+
+@pytest.fixture(scope="module")
+def shuffled_pair(tmp_path_factory):
+    """corpus_pair's corpus exported in a seeded shuffled row order, so that
+    its ids are not in sorted order."""
+    data = motif_corpus(2000, 1)
+    order = list(range(len(data)))
+    random.Random(5).shuffle(order)
+    path = tmp_path_factory.mktemp("shuffled") / "corpus.tsv"
+    export_tsv(data._take(order), path)
+    return path, ingest_tsv(path), oracle.ingest_tsv(path)
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("protocol", sorted(SPLITS))
+def test_splits_match_oracle_in_shuffled_row_order(shuffled_pair, protocol, seed):
+    _, data, old = shuffled_pair
+    assert list(data.ids) != sorted(data.ids)
+    check_split_matches_oracle(data, old, protocol, seed)
+
+
+def test_reordered_dataset_is_taken_by_id(corpus_pair):
+    # a manifest's column holds positions in the dataset it was split from;
+    # the same rows in another order must be matched by id
+    _, data, _ = corpus_pair
+    manifest = split_random(data, SplitConfig(seed=1))
+    reordered = data._take(list(reversed(range(len(data)))))
+    parts = (manifest.train_ids, manifest.cal_ids, manifest.test_ids)
+    for code, (part, ids) in enumerate(zip(manifest.take(reordered, *PARTS), parts)):
+        assert columns_of(part) == columns_of(reordered.subset(ids))
+        stale = reordered._take(np.flatnonzero(manifest.row_part == code).tolist())
+        assert set(stale.ids) != set(ids)
 
 
 def test_deduplicate_matches_oracle(corpus_pair):

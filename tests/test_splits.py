@@ -10,6 +10,7 @@ from dataset_rows import dataset_of
 from tcrselect.data import Dataset, SequenceExample
 from tcrselect.distance import identity
 from tcrselect.splits import (
+    PARTS,
     SplitConfig,
     SplitManifest,
     split_distance_aware,
@@ -97,6 +98,46 @@ class TestManifest:
         path.write_text(manifest.to_json(), encoding="utf-8-sig")
         assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
         assert SplitManifest.load(path).fingerprint() == manifest.fingerprint()
+
+    def test_parts_are_in_dataset_order(self):
+        data = corpus(40, 8)
+        manifest = split_random(data, SplitConfig(seed=3))
+        for ids in (manifest.train_ids, manifest.cal_ids, manifest.test_ids):
+            assert list(ids) == [i for i in data.ids if i in set(ids)]
+
+    def test_bind_matches_the_split_column(self, tmp_path):
+        data = corpus(40, 8)
+        manifest = split_random(data, SplitConfig(seed=3))
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest.to_json())
+        bound = SplitManifest.load(path).bind(data, "here")
+        assert bound.row_part.tolist() == manifest.row_part.tolist()
+        assert bound.split_ids == data.ids
+        for a, b in zip(bound.take(data, *PARTS), manifest.take(data, *PARTS)):
+            assert a == b
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("drop", "here: 2 dataset id(s) in no part, e.g. ['x0038', 'x0039']"),
+            ("add", "here: 2 id(s) not in the dataset, e.g. ['extra-a', 'extra-b']"),
+        ],
+    )
+    def test_bind_requires_exactly_the_dataset_ids(self, change, message):
+        data = corpus(40, 8)
+        ids = sorted(data.ids)
+        test = ids[30:38] if change == "drop" else ids[30:] + ["extra-b", "extra-a"]
+        manifest = SplitManifest("random", 0, {}, tuple(ids[:20]), tuple(ids[20:30]), tuple(test))
+        with pytest.raises(ValueError) as err:
+            manifest.bind(data, "here")
+        assert str(err.value) == message
+
+    def test_hand_built_manifest_is_taken_by_id(self):
+        data = corpus(40, 8)
+        manifest = SplitManifest("random", 0, {}, ("x0003", "x0001"), ("x0002",), ())
+        train, cal, test = manifest.take(data, *PARTS)
+        assert train.ids == ("x0001", "x0003")
+        assert (cal.ids, test.ids) == (("x0002",), ())
 
     def test_serialized_ids_sorted(self):
         manifest = split_random(corpus(40, 8), SplitConfig(seed=3))
