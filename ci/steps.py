@@ -41,18 +41,38 @@ def tcrselect(*args, **kwargs):
 
 
 def distance_scale():
-    """Exact clustering and dedup at 0.9 on corpora too large for tier-1; a slide
-    back to quadratic candidate generation runs past the timeout."""
+    """Exact clustering and dedup at corpus scale, on one core. The count filter still
+    scores every pair, a tile of rows at a time, so these runs stay quadratic; the
+    times are printed to show a slowdown, and the counts must hold. Clustering the
+    cdr3b at 0.7 joins them into one component, where a candidate generator that
+    collected every pair instead of streaming tiles fails the 64 MiB traced-peak gate."""
+    core = {min(os.sched_getaffinity(0))}
+    if os.sched_getaffinity(0) != core:
+        # numpy's OpenBLAS sizes its thread pool at import, so pin, then start afresh
+        os.sched_setaffinity(0, core)
+        subprocess.run([sys.executable, __file__, "distance-scale"], check=True)
+        return
+
+    def timed(function, *args):
+        cpu, wall = time.process_time(), time.perf_counter()
+        result = function(*args)
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        return result, f"{cpu:.2f} s process time, {wall:.2f} s wall"
+
     strings = sorted(set(motif_corpus(20000, 1).cdr3b))
-    start = time.process_time()
-    clusters = cluster_by_identity(strings, 0.9)
-    seconds = time.process_time() - start
-    print(f"cluster {len(strings)} cdr3b: {len(clusters)} clusters in {seconds:.2f} s")
-    data = motif_corpus(5000, 1)
-    start = time.process_time()
-    kept = deduplicate(data, 0.9)
-    seconds = time.process_time() - start
-    print(f"dedup {len(data)} rows: {len(kept)} kept in {seconds:.2f} s")
+    clusters, seconds = timed(cluster_by_identity, strings, 0.9)
+    print(f"cluster {len(strings)} cdr3b at 0.9: {len(clusters)} clusters in {seconds}")
+    assert len(clusters) == 2189, f"{len(clusters)} clusters, not 2189"
+    for rows, expected in ((20000, 19991), (50000, 49975)):
+        data = motif_corpus(rows, 1)
+        kept, seconds = timed(deduplicate, data, 0.9)
+        print(f"dedup {len(data)} rows at 0.9: {len(kept)} kept in {seconds}")
+        assert len(kept) == expected, f"{len(kept)} kept, not {expected}"
+    clusters, peak = traced_peak(cluster_by_identity, strings, 0.7)
+    print(f"cluster {len(strings)} cdr3b at 0.7: {len(clusters)} clusters, "
+          f"traced peak {peak / 2**20:.1f} MiB")
+    assert len(clusters) == 1, f"{len(clusters)} clusters, not 1"
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 64 MiB"
 
 
 def negatives_scale():

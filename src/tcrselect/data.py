@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 
 import numpy as np
 
-from .distance import CandidateIndex, check_identity_threshold, identity_at_least
+from .distance import candidate_pairs, check_identity_threshold, identity_at_least
 
 AMINO_ACIDS = frozenset("ACDEFGHIKLMNPQRSTVWY")
 _RESIDUE_BYTES = "".join(sorted(AMINO_ACIDS)).encode("ascii")
@@ -448,20 +448,15 @@ def deduplicate(data: Dataset, identity_threshold: float) -> Dataset:
     """
     check_identity_threshold("identity_threshold", identity_threshold)
     keys = list(map("".join, zip(data.cdr3a, data.cdr3b, data.peptide)))
-    # the index holds the kept keys, so its ids are positions in kept_keys
-    index = CandidateIndex(identity_threshold, max(map(len, keys), default=0))
-    kept: list[int] = []
-    kept_keys: list[str] = []
-    for pos, key in enumerate(keys):
-        if any(
-            identity_at_least(key, kept_keys[i], identity_threshold)
-            for i in index.candidates(key)
-        ):
-            continue
-        kept.append(pos)
-        kept_keys.append(key)
-        index.add(key)
-    return data._take(kept)
+    # pairs come ordered by the later row, so an earlier row is settled first
+    dropped = bytearray(len(keys))
+    for later, earlier in candidate_pairs(keys, identity_threshold):
+        for j, i in zip(later, earlier):
+            if not (dropped[j] or dropped[i]) and identity_at_least(
+                keys[j], keys[i], identity_threshold
+            ):
+                dropped[j] = 1
+    return data._take([pos for pos, gone in enumerate(dropped) if not gone])
 
 
 def generate_negatives(positives: Dataset, target_positive_rate: float, seed: int) -> Dataset:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -104,120 +104,78 @@ def identity_at_least(a: str, b: str, threshold: float) -> bool:
     return levenshtein_bounded(a, b, allowed) <= allowed
 
 
-# one lookup of a probe plan: (segment, table, start, stop)
-_Window = tuple[int, dict[str, list[int]], int, int]
+# rows per tile of the candidate filter, and the count at which a letter's
+# "holds at least k" features stop; a string's letters past it are its excess
+_TILE_ROWS = 256
+_COUNT_CAP = 4
 
 
-class CandidateIndex:
-    """Exact candidate filter for identity_at_least at one threshold.
+def _count_rows(
+    strings: Sequence[str], threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per string: the float32 row [F, 1, excess - need], excess and need.
 
-    The Pass-Join pigeonhole (Li et al., VLDB 2011). A stored string of length
-    L is cut into 2*D + 1 contiguous segments, where D is the largest pair
-    budget it can have with a partner of at most `longest` characters that
-    passes the length check. Each edit breaks at most one segment, so a
-    partner within k <= D edits contains at least 2*D + 1 - k of them
-    unchanged, each moved by a shift s with |s| + |len difference - s| <= k.
-    Strings shorter than 2*D + 1 are always candidates. No true pair is ever
-    filtered out, for any query length; `longest` only tunes how selective
-    the filter is. identity_at_least still decides every candidate.
+    F holds the 0/1 features "holds at least k of letter c" for k up to the
+    cap, so F_a . F_b counts the letters a and b share with each count capped,
+    and the true count exceeds it by at most min(excess_a, excess_b). need is
+    L - max_edits_for_identity(threshold, L). Memory is O(strings x letters).
     """
+    n = len(strings)
+    joined = "".join(strings)
+    # one uint32 code point per letter, so any str works, not only residues
+    letters = np.fromiter(map(ord, sorted(set(joined))), np.uint32)
+    text = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), np.uint32)
+    lengths = np.fromiter(map(len, strings), np.int64, n)
+    cells = np.repeat(np.arange(n) * len(letters), lengths) + np.searchsorted(letters, text)
+    counts = np.bincount(cells, minlength=n * len(letters)).reshape(n, len(letters))
+    holds = (counts[:, :, None] > np.arange(_COUNT_CAP)).reshape(n, len(letters) * _COUNT_CAP)
+    holds = holds[:, holds.any(axis=0)]
+    excess = np.maximum(counts - _COUNT_CAP, 0).sum(axis=1)
+    budgets = [max_edits_for_identity(threshold, length)
+               for length in range(lengths.max(initial=0) + 1)]
+    need = lengths - np.array(budgets, np.int64)[lengths]
+    table = np.empty((n, holds.shape[1] + 2), np.float32)
+    table[:, :-2] = holds
+    table[:, -2] = 1
+    table[:, -1] = excess - need
+    return table, excess, need
 
-    def __init__(self, threshold: float, longest: int) -> None:
-        self.threshold = threshold
-        self.longest = longest
-        self._size = 0
-        # length -> (segment (offset, size) spans, a text -> ids table per
-        # span, every id of that length)
-        self._buckets: dict[
-            int, tuple[list[tuple[int, int]], list[dict[str, list[int]]], list[int]]
-        ] = {}
-        # query length -> its probe plan, see _plan
-        self._plans: dict[int, list[tuple[int, list[int], list[_Window]]]] = {}
 
-    def _segment_budget(self, length: int) -> int:
-        # the pair budget grows with the partner's length, so D is the budget
-        # of the longest partner that still passes the length check
-        partner = length
-        while partner < self.longest and partner + 1 - length <= max_edits_for_identity(
-            self.threshold, partner + 1
-        ):
-            partner += 1
-        return max_edits_for_identity(self.threshold, partner)
+def candidate_pairs(
+    strings: Sequence[str], threshold: float
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Every pair (j, i), i < j, that identity_at_least may accept, a tile at a time.
 
-    def add(self, string: str) -> None:
-        """Store string under the next id: 0, 1, ... in the order added."""
-        ident = self._size
-        self._size += 1
-        length = len(string)
-        bucket = self._buckets.get(length)
-        if bucket is None:
-            parts = 2 * self._segment_budget(length) + 1
-            spans: list[tuple[int, int]] = []
-            if length >= parts:
-                bounds = [length * k // parts for k in range(parts + 1)]
-                spans = [(bounds[k], bounds[k + 1] - bounds[k]) for k in range(parts)]
-            bucket = self._buckets[length] = (spans, [{} for _ in spans], [])
-            # a plan lists the buckets that existed when it was made
-            self._plans.clear()
-        spans, tables, members = bucket
-        for (offset, size), table in zip(spans, tables):
-            table.setdefault(string[offset : offset + size], []).append(ident)
-        members.append(ident)
+    The count filter with q = 1 (Ukkonen, TCS 1992). An edit script keeps at
+    most `shared` letters, the two strings' common letters counted with
+    multiplicity, so distance >= max(len) - shared, and identity >= threshold
+    needs shared >= max(need_a, need_b), as need is non-decreasing in length.
+    With shared <= F_a . F_b + min(excess) that gives the exact test
+    2 F_a . F_b + slack_a + slack_b >= |excess_a - excess_b| + |need_a - need_b|,
+    where slack = excess - need. The left side is one float32 matmul per tile
+    of _TILE_ROWS later rows [2F, slack, 1] against the rows [F, 1, slack] of
+    every string up to the tile's end; as the right side is >= 0, only its
+    nonnegative scores are rechecked. Every value is an integer of size at most
+    four times the longest string, exact in float32 while that is below 2**22,
+    so the test is exact at any BLAS thread count and summation order.
 
-    def _plan(self, lq: int) -> list[tuple[int, list[int], list[_Window]]]:
-        # per compatible bucket: how many segments a candidate must match, the
-        # bucket's ids, and every (segment, table, start, stop) lookup of
-        # query[start:stop], over shifts s with |s| + |delta - s| <= budget
-        plan = []
-        for length, (spans, tables, members) in self._buckets.items():
-            budget = max_edits_for_identity(self.threshold, max(length, lq))
-            delta = lq - length
-            if abs(delta) > budget:
-                continue
-            lo = -((budget - delta) // 2)
-            hi = (budget + delta) // 2
-            windows = [
-                (seg, table, pos, pos + size)
-                for seg, ((offset, size), table) in enumerate(zip(spans, tables))
-                for pos in range(max(0, offset + lo), min(lq - size, offset + hi) + 1)
-            ]
-            plan.append((len(spans) - budget, members, windows))
-        return plan
-
-    def candidates(self, query: str) -> list[int]:
-        """Ascending ids of every stored string that may be within the
-        identity threshold of query: those matching at least parts - budget
-        of their segments inside the shift window."""
-        plan = self._plans.get(len(query))
-        if plan is None:
-            plan = self._plans[len(query)] = self._plan(len(query))
-        found: list[int] = []
-        for need, members, windows in plan:
-            if need <= 0:
-                found.extend(members)
-                continue
-            # segment -> the distinct id lists it hit; an id sits in one list
-            # per table, so distinct lists of one segment are disjoint
-            hits: dict[int, list[list[int]]] = {}
-            for seg, table, start, stop in windows:
-                ids = table.get(query[start:stop])
-                if ids:
-                    lists = hits.setdefault(seg, [])
-                    if ids not in lists:
-                        lists.append(ids)
-            if len(hits) < need:
-                continue
-            # an id matching `need` of the hit segments matches one of any
-            # len(hits) - need + 1 of them, so count ids from the rarest ones;
-            # the rest only add to ids already counted
-            ranked = sorted(hits.values(), key=lambda lists: sum(map(len, lists)))
-            opening = len(ranked) - need + 1
-            counts = Counter(chain.from_iterable(chain.from_iterable(ranked[:opening])))
-            rest = chain.from_iterable(chain.from_iterable(ranked[opening:]))
-            counts.update(filter(counts.__contains__, rest))
-            found.extend(ident for ident, count in counts.items() if count >= need)
-        found.sort()
-        return found
+    Yields (later ids, earlier ids) per tile, ordered by j then i, so a
+    consumer meets every earlier string's pairs first.
+    """
+    table, excess, need = _count_rows(strings, threshold)
+    width = table.shape[1] - 2
+    for start in range(0, len(strings), _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, len(strings))
+        tile = table[start:stop]
+        scores = np.hstack([2 * tile[:, :width], tile[:, -1:], tile[:, -2:-1]]) @ table[:stop].T
+        # flat positions: 2-D nonzero is many times slower on a sparse mask
+        later, earlier = np.divmod(np.flatnonzero(scores >= 0), stop)
+        below = earlier < later + start
+        score = scores[later[below], earlier[below]]
+        later, earlier = later[below] + start, earlier[below]
+        passed = score >= (np.abs(excess[later] - excess[earlier])
+                           + np.abs(need[later] - need[earlier]))
+        yield later[passed].tolist(), earlier[passed].tolist()
 
 
 class _UnionFind:
@@ -252,18 +210,18 @@ def cluster_by_identity(strings: Sequence[str], min_identity: float) -> list[lis
 
     Returns index clusters ordered by smallest member. Cross-cluster pairs are
     guaranteed identity < min_identity. Each string is checked only against
-    the earlier strings a CandidateIndex proposes and that are not yet in its
+    the earlier strings candidate_pairs proposes and that are not yet in its
     component, which leaves the components unchanged.
     """
     check_identity_threshold("min_identity", min_identity)
     n = len(strings)
     uf = _UnionFind(n)
-    index = CandidateIndex(min_identity, max(map(len, strings), default=0))
-    for j, string in enumerate(strings):
-        for i in index.candidates(string):
-            if uf.find(i) != uf.find(j) and identity_at_least(strings[i], string, min_identity):
+    for later, earlier in candidate_pairs(strings, min_identity):
+        for j, i in zip(later, earlier):
+            if uf.find(i) != uf.find(j) and identity_at_least(
+                strings[i], strings[j], min_identity
+            ):
                 uf.union(i, j)
-        index.add(string)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)

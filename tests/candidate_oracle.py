@@ -1,10 +1,10 @@
-"""The Pass-Join candidate filter with a fixed opening, the oracle for
-tcrselect.distance.CandidateIndex.
+"""The Pass-Join candidate filter, the one tests/dataset_oracle.py dedups with.
 
-Every query scans each compatible length bucket segment by segment and counts
-ids from the first budget + 1 segments; later segments only count ids already
-hit. The package index plans its lookups per query length and counts from the
-rarest segments first, and must return the identical ascending id list.
+The package once used this filter itself; its count filter now proposes the
+pairs. The oracle's dedup keeps this independent filter, so the two must
+agree only through the pairs that identity_at_least accepts. Every query
+scans each compatible length bucket segment by segment and counts ids from
+the first budget + 1 segments; later segments only count ids already hit.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 These are the functions the package used before a Dataset became six
 columns: a validated SequenceExample per row, the tuple-backed Dataset with
-its subset, the row-by-row ingest_tsv, deduplicate, and the three split
+its subset, the row-by-row ingest_tsv, deduplicate (on the Pass-Join filter
+of candidate_oracle, not the package's count filter), and the three split
 protocols with the stratified allocator they share. The column store must
 give the same columns, the same errors (class, message and line) and the
 same manifests. The TSV errors, column defaults and the manifest type are
@@ -21,9 +22,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from candidate_oracle import CandidateIndex
 from tcrselect import data as columns
 from tcrselect.data import AMINO_ACIDS, DEFAULT_COLUMNS, TsvRowError, TsvSchemaError
-from tcrselect.distance import CandidateIndex, cluster_by_identity, identity_at_least
+from tcrselect.distance import cluster_by_identity, identity_at_least
 from tcrselect.splits import (
     PROTOCOL_DISTANCE_AWARE,
     PROTOCOL_EPITOPE_HELD_OUT,

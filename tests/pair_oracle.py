@@ -1,7 +1,7 @@
-"""Brute-force pair scans, the oracle for the indexed dedup and clustering.
+"""Brute-force pair scans, the oracle for the filtered dedup and clustering.
 
 Every pair is decided by identity_at_least and nothing is filtered, so the
-candidate index must reproduce these results exactly.
+candidate filter must reproduce these results exactly.
 """
 
 from hypothesis import strategies as st

@@ -1,5 +1,6 @@
 """Edit distance, identity, and clustering against a recursive reference."""
 
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -7,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import candidate_oracle
 from pair_oracle import oracle_clusters, related_strings, thresholds
 from tcrselect import data as data_module
 from tcrselect import distance as distance_module
 from tcrselect.data import deduplicate
 from tcrselect.distance import (
-    CandidateIndex,
+    candidate_pairs,
     cluster_by_identity,
     identity,
     identity_at_least,
@@ -153,50 +153,88 @@ def test_cluster_matches_pair_oracle(strings, threshold):
     assert cluster_by_identity(strings, threshold) == oracle_clusters(strings, threshold)
 
 
-@given(related_strings(max_count=12), related_strings(max_count=4), thresholds,
-       st.integers(min_value=0, max_value=30))
+def accepted_pairs(strings, threshold):
+    return {(j, i) for j in range(len(strings)) for i in range(j)
+            if identity_at_least(strings[i], strings[j], threshold)}
+
+
+def proposed_pairs(strings, threshold):
+    pairs = [pair for later, earlier in candidate_pairs(strings, threshold)
+             for pair in zip(later, earlier)]
+    # ordered by the later string, then the earlier one, and never twice
+    assert pairs == sorted(set(pairs))
+    assert all(i < j for j, i in pairs)
+    return set(pairs)
+
+
+# letters beyond the residues, non-ASCII and astral ones among them, since
+# cluster_by_identity takes any str; "A" repeats past the count cap
+WIDE_ALPHABET = "AACa1\u00e9\u4e00\U0001f600"
+
+
+@given(st.one_of(related_strings(), related_strings(alphabet=WIDE_ALPHABET)), thresholds)
+@example(["", "", "A", "AC", "CA", ""], 0.05)  # empty strings at the weakest filter
+@example(["ACDA", "ADCA", "AACD", "ACDA"], 1.0)  # same letters, one exact copy
+@example(["\ud800A", "A\ud800", "\ud800"], 0.5)  # a lone surrogate is still a str
+@settings(max_examples=300, deadline=None)
+def test_candidate_pairs_propose_every_accepted_pair(strings, threshold):
+    assert accepted_pairs(strings, threshold) <= proposed_pairs(strings, threshold)
+
+
+@given(st.lists(st.text(alphabet="ACDW", min_size=19, max_size=21), max_size=8),
+       related_strings(alphabet="ACDW", min_size=19, max_size=21, max_count=8))
 @settings(max_examples=150, deadline=None)
-def test_candidates_include_every_true_pair(stored, queries, threshold, longest):
-    # `longest` may undercut the queries: it only tunes selectivity
-    index = CandidateIndex(threshold, longest)
-    for string in stored:
-        index.add(string)
-    for query in queries:
-        truth = [i for i, s in enumerate(stored) if identity_at_least(s, query, threshold)]
-        assert set(truth) <= set(index.candidates(query))
+def test_candidate_pairs_at_the_budget_steps_of_identity_09(drawn, mutants):
+    # at 0.9 lengths 19, 20 and 21 allow 1, 2 and 2 edits, so a pair's need
+    # is set by its longer string
+    strings = drawn + mutants
+    assert accepted_pairs(strings, 0.9) <= proposed_pairs(strings, 0.9)
 
 
-# thresholds in [0.5, 1]: exact budget boundaries 1 - budget/length for pair
-# budgets 0 to 3, and arbitrary floats
-oracle_thresholds = st.one_of(
-    st.builds(lambda budget, length: 1 - budget / length,
-              st.integers(min_value=0, max_value=3), st.integers(min_value=6, max_value=24)),
-    st.floats(min_value=0.5, max_value=1.0),
-)
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_tile_size_changes_no_result(monkeypatch, tile):
+    data = motif_corpus(300, 1)
+    tested = []
+
+    def recorded(a, b, threshold):
+        tested.append((a, b))
+        return identity_at_least(a, b, threshold)
+
+    for module in (data_module, distance_module):
+        monkeypatch.setattr(module, "identity_at_least", recorded)
+
+    def run():
+        tested.clear()
+        kept = deduplicate(data, 0.7).ids
+        clusters = cluster_by_identity(list(data.cdr3b), 0.8)
+        return kept, clusters, list(tested)
+
+    default = run()
+    monkeypatch.setattr(distance_module, "_TILE_ROWS", tile)
+    assert run() == default
+    kept, clusters, order = default
+    assert len(kept) == 264 and len(clusters) == 90 and order
 
 
-@given(related_strings(max_count=16), related_strings(max_count=6), oracle_thresholds,
-       st.integers(min_value=0, max_value=30))
-# one segment's window meets the same substring twice
-@example(["ACAC", "CACA"], ["CCCCC"], 0.7, 30)
-@settings(max_examples=200, deadline=None)
-def test_candidates_match_fixed_opening_oracle(stored, queries, threshold, longest):
-    # the probe plans and rarest-first counting give the same list as the
-    # fixed first-budget+1 opening; queries between adds exercise the plan
-    # cache as new length buckets appear, and `longest` may undercut them
-    index = CandidateIndex(threshold, longest)
-    oracle = candidate_oracle.CandidateIndex(threshold, longest)
-    for string in stored:
-        assert index.candidates(string) == oracle.candidates(string)
-        index.add(string)
-        oracle.add(string)
-    for query in queries:
-        assert index.candidates(query) == oracle.candidates(query)
+def test_clustering_one_component_holds_one_tile_of_scores():
+    # a component that takes nearly every string (4.9 MiB traced with tiles
+    # of 256 rows): scoring the whole matrix at once (16.1 MiB), or keeping
+    # every scored pair's position, fails here
+    strings = sorted(set(motif_corpus(2000, 1).cdr3b))
+    tracemalloc.start()
+    try:
+        clusters = cluster_by_identity(strings, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(members) for members in clusters] == [1501, 2]
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_identity_tests_on_motif_corpus_are_pinned(monkeypatch):
-    # the candidate lists decide which pairs reach identity_at_least: these
-    # are the benchmark's cluster_distance counts at seed 1
+    # the candidate pairs decide which pairs reach identity_at_least: these
+    # are the benchmark's cluster_distance counts at seed 1 (the Pass-Join
+    # index tested 141 and 1179)
     tested = Counter()
     for module, name in ((data_module, "dedup"), (distance_module, "cluster")):
         def counted(a, b, threshold, name=name):
@@ -206,7 +244,7 @@ def test_identity_tests_on_motif_corpus_are_pinned(monkeypatch):
         monkeypatch.setattr(module, "identity_at_least", counted)
     kept = deduplicate(motif_corpus(800, 1), 0.9)
     cluster_by_identity(sorted(set(kept.cdr3b)), 0.9)
-    assert tested == {"dedup": 141, "cluster": 1179}
+    assert tested == {"dedup": 14, "cluster": 539}
 
 
 def test_cluster_motif_corpus_matches_pair_oracle():
