@@ -257,6 +257,16 @@ def simulate_defaults():
           f"ones; {clamped} fits clamp T at {TEMPERATURE_MIN}")
 
 
+def assert_replay_matches(out):
+    """Every file of {out}.replay/ but run_log.txt, six of them, is byte-identical to
+    the same file of {out}/."""
+    names = [name for name in sorted(os.listdir(f"{out}.replay")) if name != "run_log.txt"]
+    for name in names:
+        assert filecmp.cmp(f"{out}/{name}", f"{out}.replay/{name}", shallow=False), name
+    assert len(names) == 6, \
+        f"{out}.replay/ holds {len(names)} files besides run_log.txt, expected 6"
+
+
 def quickstart():
     """The README's three quick-start runs, from outside the checkout; each replayed
     from a manifest that `split` wrote with the same flags must write the same bytes
@@ -276,12 +286,8 @@ def quickstart():
         tcrselect("split", "--dataset", toy, *split_flags, "--out", f"{out}.split/")
         tcrselect("run", "--dataset", toy, *split_flags, *run_flags,
                   "--manifest", f"{out}.split/manifest.json", "--out", f"{out}.replay/")
-        names = [name for name in sorted(os.listdir(f"{out}.replay")) if name != "run_log.txt"]
-        for name in names:
-            assert filecmp.cmp(f"{out}/{name}", f"{out}.replay/{name}", shallow=False), name
-        assert len(names) == 6, \
-            f"{out}.replay/ holds {len(names)} files besides run_log.txt, expected 6"
-        print(f"{out}: the replay matches in {len(names)} files")
+        assert_replay_matches(out)
+        print(f"{out}: the replay matches in 6 files")
     replay = ["--manifest", "results.split/manifest.json"]
     for out, flags in (("sweep", []), ("sweep.replay", replay)):
         done, _ = tcrselect("sweep", "--dataset", toy, "--protocol", "random", *flags,
@@ -296,8 +302,9 @@ def replay_scale():
     """`tcrselect run` on motif_corpus(20000, 1) exported in shuffled row order, under
     random and under epitope_held_out --k-epitopes 3, each replayed with --manifest
     on the manifest.json it wrote. The run takes its parts by position in the split's
-    column, the replay by the manifest's ids; every file the replay writes but
-    run_log.txt must be byte-identical to the run's."""
+    column; the replay binds the manifest's ids to the dataset's rows first, then takes
+    by position too. Every file the replay writes but run_log.txt must be
+    byte-identical to the run's."""
     rows = list(motif_corpus(20000, 1))
     random.Random(1).shuffle(rows)
     export_tsv(Dataset(*zip(*rows)), "shuffled.tsv")
@@ -307,13 +314,9 @@ def replay_scale():
         _, cpu = tcrselect("run", "--dataset", "shuffled.tsv", *flags, "--out", f"{out}/")
         _, replay_cpu = tcrselect("run", "--dataset", "shuffled.tsv", *flags,
                                   "--manifest", f"{out}/manifest.json", "--out", f"{out}.replay/")
-        names = [name for name in sorted(os.listdir(f"{out}.replay")) if name != "run_log.txt"]
-        for name in names:
-            assert filecmp.cmp(f"{out}/{name}", f"{out}.replay/{name}", shallow=False), name
-        assert len(names) == 6, \
-            f"{out}.replay/ holds {len(names)} files besides run_log.txt, expected 6"
+        assert_replay_matches(out)
         print(f"{out}: run {cpu:.2f} s and replay {replay_cpu:.2f} s process time; "
-              f"the replay matches in {len(names)} files")
+              "the replay matches in 6 files")
 
 
 STEPS = {step.__name__.replace("_", "-"): step for step in (

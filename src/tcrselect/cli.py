@@ -171,13 +171,17 @@ def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
 
 
 def _retained_quality(decisions: DecisionTable, labels: np.ndarray) -> dict:
-    """Quality row of the retained decisions against their aligned labels;
-    every value None when all of them abstained. A retained label is
-    1[p >= 0.5], so error_rate is selective_error's risk."""
+    """Selective row of the decisions against their aligned labels: the
+    quality row of the retained ones, every value None when all of them
+    abstained, with coverage and abstained from selective_error. A retained
+    label is 1[p >= 0.5], so error_rate is selective_error's risk."""
+    coverage = selective_error(decisions, labels)[0]
     retained = decisions.predicted >= 0
-    if not retained.any():
-        return dict.fromkeys(("auroc", "auprc", "ece", "brier", "nll", "error_rate"))
-    return _quality_row(decisions.probs[retained], labels[retained])
+    if retained.any():
+        quality = _quality_row(decisions.probs[retained], labels[retained])
+    else:
+        quality = dict.fromkeys(("auroc", "auprc", "ece", "brier", "nll", "error_rate"))
+    return dict(quality, coverage=coverage, abstained=1.0 - coverage)
 
 
 def _check_monotone(logits: np.ndarray, *probs: np.ndarray) -> None:
@@ -204,16 +208,10 @@ def _method_rows(result: PipelineResult, decisions: DecisionTable) -> dict:
 
     baseline = dict(_quality_row(raw_probs, test_labels), coverage=1.0, abstained=0.0)
     temp_scaled = dict(_quality_row(cal_probs, test_labels), coverage=1.0, abstained=0.0)
-    coverage = selective_error(decisions, test_labels)[0]
-    selective = dict(
-        _retained_quality(decisions, test_labels),
-        coverage=coverage,
-        abstained=1.0 - coverage,
-    )
     return {
         "baseline": baseline,
         "temp_scaled": temp_scaled,
-        "conformal_selective": selective,
+        "conformal_selective": _retained_quality(decisions, test_labels),
     }
 
 
@@ -398,15 +396,15 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
         labels = np.array([labels_by_id[i] for i in decisions.ids], dtype=np.int8)
     except KeyError as err:
         raise ValueError(f"no label for id {err.args[0]!r}") from None
-    coverage, risk = selective_error(decisions, labels)
-    quality = _retained_quality(decisions, labels)
+    retained = _retained_quality(decisions, labels)
+    coverage, risk = retained["coverage"], retained["error_rate"]
     report = {
         "config": runner.settings,
         "decisions_file": str(decisions_path),
         "decisions_fingerprint": _sha256(text),
         "n_decisions": len(decisions),
         "coverage": coverage,
-        "retained": dict(quality, coverage=coverage, abstained=1.0 - coverage),
+        "retained": retained,
     }
     runner.write_json("metrics_reeval.json", report)
     risk_text = "-" if risk is None else f"{risk:.4f}"

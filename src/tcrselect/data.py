@@ -37,8 +37,6 @@ DEFAULT_COLUMNS: dict[str, str] = {
     "label": "label",
 }
 
-_EXPORT_ORDER = ("id", "cdr3a", "cdr3b", "peptide", "epitope", "label")
-
 
 class TsvSchemaError(ValueError):
     """Header does not provide a required column."""
@@ -434,7 +432,7 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
 def export_tsv(data: Dataset, path: str | Path) -> None:
     """Write the default schema plus the id column; round-trips with ingest_tsv."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\t".join(_EXPORT_ORDER) + "\n")
+        handle.write("\t".join(DEFAULT_COLUMNS.values()) + "\n")
         for row in zip(*data._text_columns(), map(str, data.labels.tolist())):
             handle.write("\t".join(row) + "\n")
 

@@ -141,61 +141,24 @@ def _kmer_codes(fields: Sequence[str], kmer_size: int) -> tuple[np.ndarray, np.n
     return per_field, code[inside[:n]]
 
 
-def _first_seen_by_table(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_first_seen for integer codes in [0, len(codes)): a table indexed by
-    code holds each code's first position, then its rank."""
-    n = len(codes)
-    table = np.full(int(codes.max()) + 1 if n else 0, n, dtype=np.int32)
-    np.minimum.at(table, codes, np.arange(n, dtype=np.int32))
-    first = np.sort(table[table < n])
-    table[codes[first]] = np.arange(len(first), dtype=np.int32)
-    return table[codes], first
-
-
 def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number every value of codes by its first occurrence.
 
     Returns (rank, first): rank[i] (int32) is r when codes[i] holds the r-th
     distinct value to appear, counting from 0, and first[r] is the position
-    where that value first appears, so first ascends. The codes choose the
-    path. Integer codes in [0, n), for n codes, take a table of n entries at
-    most (_first_seen_by_table). Other integer codes in [0, 2**(62 - bits)),
-    where bits is the width of a position, take one sort of the int64 key
-    code << bits | position. Object codes, negative ones and wider ones take
-    np.unique.
+    where that value first appears, so first ascends. Codes that are not all
+    integers in [0, n), for n codes, are first replaced by their index among
+    the distinct codes (np.unique), which always is. A table indexed by code
+    then holds each code's first position, then its rank.
     """
     n = len(codes)
-    integer = codes.dtype != object
-    low, high = (int(codes.min()), int(codes.max())) if integer and n else (0, -1)
-    if integer and low >= 0 and high < n:
-        return _first_seen_by_table(codes)
-    bits = max(n - 1, 1).bit_length()
-    if not integer or low < 0 or high >> (62 - bits):
-        _, first, group = np.unique(codes, return_index=True, return_inverse=True)
-        position = np.arange(n)  # group is in position order already
-    else:
-        key = codes.astype(np.int64)
-        key <<= bits
-        key |= np.arange(n)
-        key.sort()
-        # equal codes sort together in position order; a group starts where a
-        # bit above the position changes
-        start = np.empty(n, dtype=bool)
-        start[:1] = True
-        np.greater(key[1:] ^ key[:-1], (1 << bits) - 1, out=start[1:])
-        key &= (1 << bits) - 1
-        position = key.astype(np.int32)
-        del key
-        first = position[start]
-        group = np.cumsum(start, dtype=np.int32)
-        group -= 1
-    # first holds each group's first position, in code order; rank the groups by it
-    order = np.argsort(first)
-    group_rank = np.empty(len(first), dtype=np.int32)
-    group_rank[order] = np.arange(len(first), dtype=np.int32)
-    rank = np.empty(n, dtype=np.int32)
-    rank[position] = group_rank[group]
-    return rank, first[order]
+    if codes.dtype == object or (n and (codes.min() < 0 or codes.max() >= n)):
+        codes = np.unique(codes, return_inverse=True)[1]
+    table = np.full(int(codes.max()) + 1 if n else 0, n, dtype=np.int32)
+    np.minimum.at(table, codes, np.arange(n, dtype=np.int32))
+    first = np.sort(table[table < n])
+    table[codes[first]] = np.arange(len(first), dtype=np.int32)
+    return table[codes], first
 
 
 @dataclass(frozen=True)

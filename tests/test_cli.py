@@ -544,6 +544,144 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
         assert err == MALFORMED_MESSAGES[case].replace("{path}", str(path))
 
 
+# the commands of the generated malformed-input test, by the kind of input
+# file they read: the flags that pass a good file of that kind, the outputs
+# of a successful run, and the flags the command cannot do without
+FUZZ_COMMANDS = {
+    "corpus": (["run", "--dataset", "{path}", "--protocol", "random"], RUN_OUTPUTS, ("--dataset",)),
+    "logits": (
+        ["sweep", "--dataset", "{toy}", "--scorer", "logits", "--logits", "{path}"],
+        ("manifest.json", "coverage_risk.csv", "sweep.json", "run_log.txt"),
+        ("--dataset", "--logits"),
+    ),
+    # a run given a manifest writes none
+    "manifest": (
+        ["run", "--dataset", "{toy}", "--manifest", "{path}"],
+        tuple(name for name in RUN_OUTPUTS if name != "manifest.json"),
+        ("--dataset",),
+    ),
+    "config": (["run", "--dataset", "{toy}", "--config", "{path}"], RUN_OUTPUTS, ("--dataset",)),
+    "decisions": (
+        ["metrics", "--dataset", "{toy}", "--decisions", "{path}"],
+        ("metrics_reeval.json", "run_log.txt"),
+        ("--dataset", "--decisions"),
+    ),
+}
+MUTATIONS = ("truncate", "repeat-line", "swap-cells", "flip-byte", "odd-cell", "empty",
+             "line-ends", "drop-flag")
+# a cell is a tab-separated field of a TSV line, or a scalar token of a JSON one
+JSON_SCALAR = re.compile(rb'"(?:[^"\\]|\\.)*"|-?[0-9][0-9.eE+-]*|true|false|null')
+ODD_CELLS = {"tsv": [b"nan", b"inf", b"1e400", b""], "json": [b"NaN", b"Infinity", b"1e400", b'""']}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Good bytes of each kind of input: the toy corpus, score's logit file,
+    and run's manifest, config block and decisions file."""
+    work = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["score", "--dataset", str(toy_dataset_path()), "--out", str(work / "s")]) == 0
+        assert main(run_args(work / "r")) == 0
+    config = json.loads((work / "r" / "metrics.json").read_text())["config"]
+    return {
+        "corpus": toy_dataset_path().read_bytes(),
+        "logits": (work / "s" / "logits.tsv").read_bytes(),
+        "manifest": (work / "r" / "manifest.json").read_bytes(),
+        "config": json.dumps(config, indent=2).encode(),
+        "decisions": (work / "r" / "decisions.tsv").read_bytes(),
+    }
+
+
+def _cells(line: bytes, json_kind: bool) -> list[tuple[int, int]]:
+    """(start, end) of every cell of a line without its line end."""
+    if json_kind:
+        return [match.span() for match in JSON_SCALAR.finditer(line)]
+    ends = [i for i, byte in enumerate(line) if byte == 9] + [len(line)]
+    return list(zip([0] + [end + 1 for end in ends[:-1]], ends))
+
+
+def _mutate(good: bytes, mutation: str, json_kind: bool, draw) -> bytes:
+    """good truncated, with a line repeated, two cells of a line swapped, one
+    bit flipped, a cell made nan, inf, 1e400 or empty, emptied, or with its
+    line ends made CR LF or CR."""
+    lines = good.splitlines(keepends=True)
+    if mutation == "truncate":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if mutation == "repeat-line":
+        i = draw(st.integers(0, len(lines) - 1))
+        return b"".join(lines[: i + 1] + lines[i:])
+    if mutation == "flip-byte":
+        i, bit = draw(st.integers(0, len(good) - 1)), draw(st.integers(0, 7))
+        return good[:i] + bytes([good[i] ^ 1 << bit]) + good[i + 1 :]
+    if mutation == "empty":
+        return b""
+    if mutation == "line-ends":
+        return good.replace(b"\n", draw(st.sampled_from([b"\r\n", b"\r"])))
+    # a cell mutation, on a line with enough cells
+    wanted = 2 if mutation == "swap-cells" else 1
+    i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                              if len(_cells(line.rstrip(b"\r\n"), json_kind)) >= wanted]))
+    line = lines[i].rstrip(b"\r\n")
+    end, cells = lines[i][len(line) :], _cells(line, json_kind)
+    if mutation == "swap-cells":
+        a = draw(st.integers(0, len(cells) - 2))
+        (a0, a1), (b0, b1) = cells[a], cells[draw(st.integers(a + 1, len(cells) - 1))]
+        line = line[:a0] + line[b0:b1] + line[a1:b0] + line[a0:a1] + line[b1:]
+    else:
+        c0, c1 = cells[draw(st.integers(0, len(cells) - 1))]
+        line = line[:c0] + draw(st.sampled_from(ODD_CELLS["json" if json_kind else "tsv"])) + line[c1:]
+    return b"".join(lines[:i] + [line + end] + lines[i + 1 :])
+
+
+def _check_clean_exit(argv: list[str], out: Path, outputs: tuple[str, ...]) -> None:
+    """main(argv) exits 0 having written outputs, or 1 or 2 with one stderr
+    line; exit 2 leaves no output directory. An exception escaping main fails
+    the test with its traceback. argparse's own usage errors keep its usage
+    lines above the one error line."""
+    stderr = io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code, usage = stop.code, True
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert set(outputs) <= {path.name for path in out.iterdir()}
+        return
+    lines = err.splitlines()
+    if usage:
+        assert code == 2 and lines[0].startswith("usage: tcrselect ")
+        assert lines[-1].startswith(f"tcrselect {argv[0]}: error: ")
+    else:
+        assert code in (1, 2) and len(lines) == 1 and err.endswith("\n"), err
+        assert err.startswith("config error: " if code == 2 else "error: ")
+    if code == 2:
+        assert not out.exists()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)), mutation=st.sampled_from(MUTATIONS),
+       data=st.data())
+def test_generated_malformed_input_exits_cleanly(
+    fuzz_inputs, tmp_path_factory, kind, mutation, data
+):
+    work = tmp_path_factory.mktemp("case")
+    path, out = work / f"input-{kind}", work / "o"
+    command, outputs, required = FUZZ_COMMANDS[kind]
+    argv = [arg.format(path=path, toy=toy_dataset_path()) for arg in command] + ["--out", str(out)]
+    if mutation == "drop-flag":
+        # the good file, with one flag the command needs dropped with its value
+        path.write_bytes(fuzz_inputs[kind])
+        i = argv.index(data.draw(st.sampled_from(required), label="dropped"))
+        argv = argv[:i] + argv[i + 2 :]
+    else:
+        json_kind = kind in ("manifest", "config")
+        path.write_bytes(_mutate(fuzz_inputs[kind], mutation, json_kind, data.draw))
+    _check_clean_exit(argv, out, outputs)
+
+
 def test_benchmark_tracer_sees_every_target(tmp_path):
     # perfbench/traced_cli.py rebinds package names from outside; a renamed
     # target, a changed result type or a split function captured before the

@@ -235,10 +235,10 @@ class TestEncoderMatchesOracle:
         rank, _ = windows.first_seen
         assert windows.columns(vocab).tolist() == rank.tolist()
 
-    # the code paths of _first_seen on these 200 rows: 3 packs int32 codes
-    # (fewer windows than the largest code), 9 packs int64 codes, 14 has int64
-    # codes too wide to pack, 15 object codes; the motif corpus regression
-    # below takes the table (TestFirstSeen.test_encoder_codes_take_each_path)
+    # on these 200 rows every k takes np.unique before the first-seen table:
+    # 3 has int32 codes (fewer windows than the largest code), 9 and 14 int64
+    # codes, 15 object codes; the motif corpus regression below takes the
+    # table alone (TestFirstSeen.test_encoder_codes_take_each_path)
     @pytest.mark.parametrize("kmer_size", [3, 9, 14, 15])
     def test_every_code_path_matches_oracle(self, kmer_size):
         data = motif_corpus(300, 1)
@@ -316,7 +316,7 @@ def test_score_is_bit_identical_across_block_edges(monkeypatch, block, bias):
 def test_score_traced_peak_per_window_is_bounded():
     # score encodes the part once and then builds one count matrix per block
     # of _SCORE_BLOCK rows. The traced peak counts every Python and numpy
-    # allocation. It reads 22.3 bytes per window on the 332,478 windows with
+    # allocation. It reads 25.9 bytes per window on the 332,478 windows with
     # numpy 2.4, and 52.6 when one count matrix covers the whole part.
     model = train_linear(motif_corpus(2000, 1))
     data = motif_corpus(12000, 2)
@@ -436,9 +436,9 @@ def test_train_linear_traced_peak_per_window_is_bounded():
     # the random-split train part of motif_corpus(20000, 1) is a compiled fit
     # whose k-mer codes take the first-seen table. The traced peak counts
     # every Python and numpy allocation, with scipy.sparse imported first. It
-    # reads 17.0 bytes per window on numpy 2.4, and 30.3 when the numbering
-    # sorts a packed int64 key and the count matrix is built while the
-    # strings and codes are still held.
+    # reads 17.0 bytes per window on numpy 2.4; it read 30.3 when a packed
+    # int64 sort numbered the k-mers and the count matrix was built while the
+    # strings and codes were still held.
     import scipy.sparse  # noqa: F401  (its import is not a training cost)
 
     data = motif_corpus(20000, 1)
@@ -478,10 +478,10 @@ def assert_first_seen_matches_oracle(codes: np.ndarray) -> None:
 @st.composite
 def code_arrays(draw):
     """Codes with repeats, drawn from a few values of one kind: int32 and
-    int64 codes below 60, which fall on either side of the table rule; int32
-    codes, which always pack otherwise; int64 codes below 2**40, which pack;
-    int64 codes up to 2**63 - 1, mostly too wide to pack; int64 codes that
-    may be negative, which do not pack; Python ints beyond int64."""
+    int64 codes below 60, which fall on either side of the table rule; any
+    int32 codes; int64 codes below 2**40, up to 2**63 - 1, or possibly
+    negative; Python ints beyond int64. All but the first two kinds nearly
+    always take np.unique."""
     dtype, values = draw(st.sampled_from([
         (np.int32, st.integers(0, 2**31 - 1)),
         (np.int32, st.integers(0, 60)),
@@ -496,32 +496,26 @@ def code_arrays(draw):
 
 
 def first_seen_rule(codes: np.ndarray) -> str:
-    """The path _first_seen documents for codes: a table when every code is
-    an integer in [0, len(codes)), else a packed sort when every code fits
-    62 - bits bits, else np.unique."""
+    """The path _first_seen documents for codes: the table alone when every
+    code is an integer in [0, len(codes)), else np.unique before it."""
     values = codes.tolist()
-    if codes.dtype == object:
-        return "unique"
-    if all(0 <= value < len(values) for value in values):
+    if codes.dtype != object and all(0 <= value < len(values) for value in values):
         return "table"
-    bits = max(len(values) - 1, 1).bit_length()
-    return "unique" if min(values) < 0 or max(values) >> (62 - bits) else "packed"
+    return "unique"
 
 
 def first_seen_path(codes: np.ndarray) -> str:
     """The path _first_seen takes on codes, checked against the dict oracle:
-    the table helper or np.unique when it calls them, else the packed sort."""
+    np.unique when it calls it, else the table alone."""
     calls = []
 
     def spy(name, function):
         return lambda *a, **k: calls.append(name) or function(*a, **k)
 
-    table = scorer_module._first_seen_by_table
-    with mock.patch.object(scorer_module, "_first_seen_by_table", spy("table", table)), \
-            mock.patch.object(np, "unique", spy("unique", np.unique)):
+    with mock.patch.object(np, "unique", spy("unique", np.unique)):
         assert_first_seen_matches_oracle(codes)
     assert len(calls) <= 1
-    return calls[0] if calls else "packed"
+    return calls[0] if calls else "table"
 
 
 class TestFirstSeen:
@@ -548,7 +542,7 @@ class TestFirstSeen:
             np.full(9, 2**70, object),
         ],
         ids=["empty-int32", "empty-int64", "empty-object", "one", "repeated",
-             "repeated-packed", "repeated-wide", "repeated-object"],
+             "repeated-above", "repeated-wide", "repeated-object"],
     )
     def test_empty_and_one_repeated_value(self, codes):
         assert first_seen_path(codes) == first_seen_rule(codes)
@@ -558,8 +552,8 @@ class TestFirstSeen:
     @pytest.mark.parametrize(
         "n_rows, kmer_size, dtype, path",
         [
-            pytest.param(40, 3, np.int32, "packed", id="3-int32-True"),
-            pytest.param(40, 9, np.int64, "packed", id="9-int64-True"),
+            pytest.param(40, 3, np.int32, "unique", id="3-int32-True"),
+            pytest.param(40, 9, np.int64, "unique", id="9-int64-True"),
             pytest.param(40, 14, np.int64, "unique", id="14-int64-False"),
             pytest.param(40, 15, object, "unique", id="15-object-False"),
             pytest.param(40, 2, np.int32, "table", id="2-int32-table"),
