@@ -110,8 +110,9 @@ def scorer_scale():
     RUSAGE_CHILDREN's peak is the run's own; it is printed, not gated. Two traced
     peaks are gated: ingest_tsv of the corpus must stay below 31 MiB (34.3 MiB when
     the peptide and epitope cells were kept one string per row until the end), and
-    score of the test part below 32 bytes per window (66.8 with one count matrix
-    for the whole part)."""
+    score of the test part below 32 bytes per window (66.8 when it built one count
+    matrix for the whole part). score's logits of the test part must have the bits
+    of tests/kmer_oracle.score, which sums each row in a Python loop."""
     subprocess.run([sys.executable, "-c", "import tcrselect as t; "
                     "t.export_tsv(t.motif_corpus(100000, 1), 'corpus_100k.tsv')"], check=True)
     _, cpu = tcrselect("run", "--dataset", "corpus_100k.tsv", "--protocol", "random",
@@ -132,10 +133,20 @@ def scorer_scale():
     print(f"train_linear on {len(train)} rows: traced peak {peak / 2**20:.1f} MiB, "
           f"{peak / n_windows:.1f} bytes per window ({n_windows} windows)")
     n_windows = len(encode_kmers(test, 3).code)
-    _, peak = traced_peak(score, model, test)
+    table, peak = traced_peak(score, model, test)
     print(f"score on {len(test)} rows: traced peak {peak / 2**20:.1f} MiB, "
           f"{peak / n_windows:.1f} bytes per window ({n_windows} windows)")
     assert peak < 32 * n_windows, f"{peak / n_windows:.1f} bytes per window is not below 32"
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from kmer_oracle import score as oracle_score
+    start = time.process_time()
+    expected = oracle_score(model, test)
+    assert [record.example_id for record in expected] == list(table.ids)
+    differ = sum(a.hex() != record.logit.hex()
+                 for a, record in zip(table.logits.tolist(), expected))
+    print(f"oracle scored {len(expected)} rows in {time.process_time() - start:.2f} s "
+          f"process time; {differ} logits differ from score's")
+    assert differ == 0, f"{differ} logits differ from the oracle's"
 
 
 def traced_peak(function, *args):

@@ -36,7 +36,7 @@ from .conformal import (
     run_pipeline,
     select,
 )
-from .data import Dataset, deduplicate, generate_negatives, ingest_tsv, json_text
+from .data import Dataset, NotUtf8, deduplicate, generate_negatives, ingest_tsv, json_text
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
 from .scorer import export_logits, ids_fingerprint, score, sigmoid, train_linear
 from .splits import (
@@ -388,7 +388,10 @@ def cmd_simulate(runner: _Runner, args: argparse.Namespace) -> int:
 
 def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     decisions_path = Path(args.decisions)
-    text = decisions_path.read_text(encoding="utf-8-sig")
+    try:
+        text = decisions_path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise NotUtf8("decisions", decisions_path) from None
     decisions = decisions_from_tsv(text)
     # an external decision file is not aligned with the dataset: join by id
     labels_by_id = _load_dataset(runner.config).labels_by_id()

@@ -13,6 +13,7 @@ the same checks. SequenceExample is the plain row tuple that iteration yields.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -48,6 +49,26 @@ class TsvRowError(ValueError):
     def __init__(self, line: int, message: str) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class NotUtf8(ValueError):
+    """A file that is not valid UTF-8, named as "<kind> <path>: line N: not
+    valid UTF-8" with N its first line that does not decode. Made only after a
+    read has failed: it reads the file again as bytes. head is the text of the
+    lines before line N, without a byte-order mark."""
+
+    def __init__(self, kind: str, path: str | Path) -> None:
+        lines = Path(path).read_bytes().splitlines(keepends=True)
+        good = 0
+        for line in lines:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+            good += 1
+        self.line = good + 1
+        self.head = b"".join(lines[:good]).decode("utf-8-sig")
+        super().__init__(f"{kind} {path}: line {self.line}: not valid UTF-8")
 
 
 def check_open_unit(name: str, value: float) -> None:
@@ -330,40 +351,53 @@ def _ingest_blocks(path: str | Path, colmap: Mapping[str, str]):
 def _ingest_rows(path: str | Path, colmap: Mapping[str, str]):
     """(positions, raw cells of the six columns, blank line numbers, the error
     that stopped the read or None, the steps that clean each cell) of any
-    corpus, read with csv.reader."""
+    corpus, read with csv.reader. A corpus that is not UTF-8 is read up to its
+    first line that does not decode, and that NotUtf8 is the error unless an
+    earlier line fails first."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            return _read_rows(handle, colmap)
+    except UnicodeDecodeError:
+        error = NotUtf8("dataset", path)
+    if error.line == 1:
+        raise error
+    head = io.StringIO(error.head, newline="")
+    positions, cells, blank, failure, strip = _read_rows(head, colmap)
+    return positions, cells, blank, failure or error, strip
+
+
+def _read_rows(handle: TextIO, colmap: Mapping[str, str]):
+    """_ingest_rows of an open corpus."""
     cells: tuple[list[str], ...] = ([], [], [], [], [], [])
     blank: list[int] = []
     failure: Exception | None = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TsvSchemaError("empty file, no header row") from None
-        positions, (p_id, p_a, p_b, p_p, p_e, p_l) = _column_positions(header, colmap)
-        needed = max(positions.values())
-        add_id, add_a, add_b, add_p, add_e, add_l = (column.append for column in cells)
-        line = 1
-        try:
-            for line, row in enumerate(reader, start=2):
-                if not any(row):
-                    blank.append(line)
-                    continue
-                if len(row) <= needed:
-                    failure = TsvRowError(
-                        line, f"expected at least {needed + 1} fields, got {len(row)}"
-                    )
-                    break
-                add_id(row[p_id])
-                add_a(row[p_a])
-                add_b(row[p_b])
-                add_p(sys.intern(row[p_p]))
-                add_e(sys.intern(row[p_e]))
-                add_l(row[p_l])
-        except csv.Error as err:
-            failure = TsvRowError(line + 1, str(err))
-        except UnicodeDecodeError as err:
-            failure = err
+    reader = csv.reader(handle, delimiter="\t")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TsvSchemaError("empty file, no header row") from None
+    positions, (p_id, p_a, p_b, p_p, p_e, p_l) = _column_positions(header, colmap)
+    needed = max(positions.values())
+    add_id, add_a, add_b, add_p, add_e, add_l = (column.append for column in cells)
+    line = 1
+    try:
+        for line, row in enumerate(reader, start=2):
+            if not any(row):
+                blank.append(line)
+                continue
+            if len(row) <= needed:
+                failure = TsvRowError(
+                    line, f"expected at least {needed + 1} fields, got {len(row)}"
+                )
+                break
+            add_id(row[p_id])
+            add_a(row[p_a])
+            add_b(row[p_b])
+            add_p(sys.intern(row[p_p]))
+            add_e(sys.intern(row[p_e]))
+            add_l(row[p_l])
+    except csv.Error as err:
+        failure = TsvRowError(line + 1, str(err))
     return positions, cells, blank, failure, (str.strip,)
 
 
@@ -386,7 +420,8 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     required. A leading UTF-8 byte-order mark is skipped. Cells are stripped
     and sequences uppercased. The first malformed row (short, bad label,
     empty field, invalid residue) raises TsvRowError with its file line
-    number, a data row's index + 2.
+    number, a data row's index + 2. Bytes that are not UTF-8 raise NotUtf8,
+    naming the first line that does not decode, unless a row before it fails.
 
     A file with one cell per header column on every line and no quote, CR,
     NUL or blank line is split a block at a time (split_blocks); csv.reader

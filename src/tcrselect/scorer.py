@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, NotPlainText, json_text, split_blocks
+from .data import Dataset, NotPlainText, NotUtf8, json_text, split_blocks
 
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
@@ -322,38 +322,10 @@ def _training_matrix(
     )
 
 
-# Rows per block that score turns into one count matrix. Building a matrix
-# takes tens of bytes per window, so a block of typical rows (about 28 windows
-# each) holds a few MB, whatever the size of the part scored.
+# Rows per block that score sums with one bincount. A block's temporaries take
+# tens of bytes per window, so a block of typical rows (about 28 windows each)
+# holds a few MB, whatever the size of the part scored.
 _SCORE_BLOCK = 4096
-
-
-def _scoring_matrix(columns: np.ndarray, per_row: np.ndarray, n_vocab: int) -> CountMatrix:
-    """Counts with a leading bias column, in the order the logit sums them.
-
-    columns is the vocabulary index of every window of some rows, -1 where
-    its k-mer is not in the vocabulary of n_vocab keys (KmerWindows.columns),
-    and per_row the number of windows of each row, whose windows follow those
-    of the rows before it. Column 0 holds 1.0 for the bias, and column i + 1
-    the count of k-mer i. Each row stores the bias first, then its
-    in-vocabulary k-mers in order of first occurrence. matvec sums a row from
-    0.0 in stored order, so a logit is ((bias + w1 * c1) + w2 * c2) + ... in
-    exactly that order; a sorted-order sum differs in the last bits.
-    """
-    n_rows = len(per_row)
-    hit = columns >= 0
-    row = np.repeat(np.arange(n_rows, dtype=np.int32), per_row)[hit]
-    col = columns[hit]
-    rank, first = _first_seen(row.astype(np.int64) * n_vocab + col)
-    count = np.bincount(rank, minlength=len(first))
-    row, col = row[first], col[first]
-    starts = np.searchsorted(row, np.arange(n_rows))
-    return CountMatrix(
-        np.append(starts + np.arange(n_rows), len(row) + n_rows),
-        np.insert(col + 1, starts, 0),
-        np.insert(count.astype(float), starts, 1.0),
-        (n_rows, n_vocab + 1),
-    )
 
 
 def class_weights(n_pos: int, n_neg: int) -> tuple[float, float]:
@@ -511,31 +483,40 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
 def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
     """Logit of every example, in dataset order.
 
-    A logit is the bias plus weight * count over the example's in-vocabulary
-    k-mers, summed in order of first occurrence; see _scoring_matrix. The
-    part is encoded and looked up in the vocabulary once; then each block of
-    _SCORE_BLOCK rows gets its own count matrix and product. A logit reads
-    only its own row's windows, so the block size moves no bit of it.
+    A logit is ((bias + w1 * c1) + w2 * c2) + ..., over the example's
+    in-vocabulary k-mers in order of first occurrence, each with its weight w
+    and count c; a sorted-order sum differs in the last bits. The part is
+    encoded and looked up in the vocabulary once; then each block of
+    _SCORE_BLOCK rows is one bincount, which adds each bin's weights from 0.0
+    in input order: every row's bias first, then the terms. A logit reads only
+    its own row's windows, so the block size moves no bit of it.
     """
     windows = encode_kmers(data, model.kmer_size, model.include_cdr3a)
     columns, per_row = windows.columns(model.vocabulary), windows.per_row
     del windows  # frees the strings and codes before the first block is built
     offsets = np.append(0, np.cumsum(per_row))
-    x = np.concatenate(([model.bias], model.weights))
     # a logit starts at the bias, and from -0.0 it stays -0.0 while every term
-    # is -0.0; matvec starts each row at +0.0 instead
+    # is -0.0; bincount starts each row at +0.0 instead
     negative_zero = model.bias == 0.0 and math.copysign(1.0, model.bias) < 0.0
-    nonzero = (~((x == 0.0) & np.signbit(x))).astype(float) if negative_zero else None
     logits = np.empty(len(per_row))
     for start in range(0, len(per_row), _SCORE_BLOCK):
         stop = min(start + _SCORE_BLOCK, len(per_row))
-        X = _scoring_matrix(
-            columns[offsets[start] : offsets[stop]], per_row[start:stop], len(model.vocabulary)
-        )
-        block = logits[start:stop]
-        block[:] = X.matvec(x)
-        if nonzero is not None:
-            block[X.matvec(nonzero) == 0.0] = -0.0
+        n = stop - start
+        block = columns[offsets[start] : offsets[stop]]
+        hit = block >= 0
+        row = np.repeat(np.arange(n, dtype=np.int32), per_row[start:stop])[hit]
+        col = block[hit]
+        # each (row, k-mer) pair once, at its first window, times its count
+        rank, first = _first_seen(row.astype(np.int64) * len(model.vocabulary) + col)
+        terms = model.weights[col[first]]
+        terms *= np.bincount(rank)
+        row = row[first]
+        del hit, col, rank, first
+        bins = np.concatenate((np.arange(n, dtype=np.int32), row))
+        logits[start:stop] = np.bincount(bins, np.concatenate((np.full(n, model.bias), terms)))
+        if negative_zero:
+            kept = np.bincount(row, ~((terms == 0.0) & np.signbit(terms)), n)
+            logits[start:stop][kept == 0.0] = -0.0
     return ScoreTable(data.ids, logits, data.labels)
 
 
@@ -549,7 +530,8 @@ def export_logits(table: ScoreTable, path: str | Path) -> None:
 def read_logits(path: str | Path) -> dict[str, float]:
     """Parse an external logit TSV: one 'id<TAB>logit' per line, blank lines and
     a leading byte-order mark skipped. The first malformed line (wrong field
-    count, duplicate id, unparseable or non-finite logit) raises ValueError naming it.
+    count, duplicate id, unparseable or non-finite logit) raises ValueError naming it,
+    and bytes that are not UTF-8 raise NotUtf8 naming the file and the line.
     A file with none of these and no blank line is split a block at a time
     (split_blocks); the line loop reads any other, with the same results."""
     logits: dict[str, float] = {}
@@ -564,7 +546,10 @@ def read_logits(path: str | Path) -> dict[str, float]:
             return logits
     except (NotPlainText, ValueError):  # a decoding error is a ValueError too
         pass
-    return _read_logit_lines(path)
+    try:
+        return _read_logit_lines(path)
+    except UnicodeDecodeError:
+        raise NotUtf8("logits", path) from None
 
 
 def _read_logit_lines(path: str | Path) -> dict[str, float]:

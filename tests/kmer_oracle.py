@@ -87,25 +87,6 @@ def _design_matrix(
     )
 
 
-def scoring_matrix(
-    data: Dataset, kmer_size: int, vocabulary: Mapping[str, int], include_cdr3a: bool = True
-) -> csr_matrix:
-    """Bias column 0, then each row's in-vocabulary k-mer counts at their
-    index + 1, in order of first occurrence, as score sums them."""
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for ex in data:
-        vec = featurize(ex, kmer_size, vocabulary, include_cdr3a)
-        indices += [0, *(idx + 1 for idx in vec)]
-        values += [1.0, *map(float, vec.values())]
-        indptr.append(len(indices))
-    return csr_matrix(
-        (np.array(values), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(data), len(vocabulary) + 1),
-    )
-
-
 def score(model: LinearScorerModel, data: Dataset) -> list[ScoreRecord]:
     """Logit and probability for every example, preserving dataset order."""
     records = []

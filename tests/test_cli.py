@@ -192,6 +192,10 @@ MALFORMED = {
         "corpus", "c.tsv", TOY_HEADER + "a\t" + "A" * 200_000 + "\tCASS\tGIL\tEP1\t1\n", 1,
     ),
     "corpus-not-utf8": ("corpus", "c.tsv", TOY_HEADER.encode() + b"\xff\n", 1),
+    # a bad row is named before a later line that does not decode
+    "corpus-bad-row-then-not-utf8": (
+        "corpus", "c.tsv", (TOY_HEADER + "a\tCAV\tCASB\tGIL\tEP1\t1\n").encode() + b"b\xff\n", 1,
+    ),
     "corpus-id-with-tab": ("corpus", "c.tsv", TOY_HEADER + '"a\tb"\tCAV\tCASS\tGIL\tEP1\t1\n', 1),
     "corpus-epitope-with-newline": (
         "corpus", "c.tsv", TOY_HEADER + 'a\tCAV\tCASS\tGIL\t"EP\n1"\t1\n', 1,
@@ -212,6 +216,7 @@ MALFORMED = {
     "logits-three-fields": ("logits", "l.tsv", "ex00000\t0.5\t1\n", 1),
     "logits-unparseable": ("logits", "l.tsv", "ex00000\tabc\n", 1),
     "logits-missing-ids": ("logits", "l.tsv", "ex00000\t0.5\n", 1),
+    "logits-not-utf8": ("logits", "l.tsv", b"\xef\xbb\xbfex00000\t0.5\r\nex00001\t0.\xff\r\n", 1),
     "manifest-not-json": ("manifest", "m.json", "{not json", 1),
     "manifest-not-utf8": ("manifest", "m.json", b"\xff", 1),
     "manifest-duplicate-id": ("manifest", "m.json", json.dumps({
@@ -329,6 +334,10 @@ MALFORMED = {
         "config", "cfg.json", json.dumps({"simulate": {"miscalibration_temperature": INF}}), 2,
     ),
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
+    "decisions-not-utf8": (
+        "decisions", "d.tsv",
+        (DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t1\n").encode() + b"\xc3\n", 1,
+    ),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-nan-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tnan\t0.1\tpredict\t1\n", 1),
     "decisions-bad-nonconformity": (
@@ -491,6 +500,10 @@ MALFORMED_MESSAGES = {
         "config error: scorer.mode: score trains the builtin scorer, got 'logits'\n",
     ),
     "corpus-renamed-id-missing": "error: missing required column 'sample'\n",
+    "corpus-not-utf8": "error: dataset {path}: line 2: not valid UTF-8\n",
+    "corpus-bad-row-then-not-utf8": "error: line 2: cdr3b contains invalid residue(s) ['B']\n",
+    "logits-not-utf8": "error: logits {path}: line 2: not valid UTF-8\n",
+    "decisions-not-utf8": "error: decisions {path}: line 3: not valid UTF-8\n",
     **{
         f"no-dataset-{command}": "config error: dataset.path: required for this command\n"
         for command in ("split", "run", "sweep", "score", "metrics")
@@ -544,40 +557,61 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
         assert err == MALFORMED_MESSAGES[case].replace("{path}", str(path))
 
 
-# the commands of the generated malformed-input test, by the kind of input
-# file they read: the flags that pass a good file of that kind, the outputs
-# of a successful run, and the flags the command cannot do without
+# the commands of the generated malformed-input test: the kind of input each
+# mutates, the flags that pass a good input of that kind ({value} is the
+# --columns value itself, {path} a file), the outputs of a successful run,
+# and the flags the command cannot do without
+SPLIT_OUTPUTS = ("manifest.json", "run_log.txt")
 FUZZ_COMMANDS = {
-    "corpus": (["run", "--dataset", "{path}", "--protocol", "random"], RUN_OUTPUTS, ("--dataset",)),
-    "logits": (
-        ["sweep", "--dataset", "{toy}", "--scorer", "logits", "--logits", "{path}"],
+    "corpus-run": (
+        "corpus", ["run", "--dataset", "{path}", "--protocol", "random"], RUN_OUTPUTS,
+        ("--dataset",),
+    ),
+    "corpus-split": (
+        "corpus", ["split", "--dataset", "{path}", "--protocol", "epitope_held_out"],
+        SPLIT_OUTPUTS, ("--dataset",),
+    ),
+    "columns-split": (
+        "columns", ["split", "--dataset", "{toy}", "--columns", "{value}"], SPLIT_OUTPUTS,
+        ("--dataset", "--columns"),
+    ),
+    "logits-sweep": (
+        "logits", ["sweep", "--dataset", "{toy}", "--scorer", "logits", "--logits", "{path}"],
         ("manifest.json", "coverage_risk.csv", "sweep.json", "run_log.txt"),
         ("--dataset", "--logits"),
     ),
     # a run given a manifest writes none
-    "manifest": (
-        ["run", "--dataset", "{toy}", "--manifest", "{path}"],
-        tuple(name for name in RUN_OUTPUTS if name != "manifest.json"),
+    "manifest-run": (
+        "manifest", ["run", "--dataset", "{toy}", "--manifest", "{path}"],
+        tuple(name for name in RUN_OUTPUTS if name != "manifest.json"), ("--dataset",),
+    ),
+    "manifest-score": (
+        "manifest", ["score", "--dataset", "{toy}", "--manifest", "{path}"],
+        ("scorer.json", "logits.tsv", "run_log.txt"), ("--dataset",),
+    ),
+    "config-run": (
+        "config", ["run", "--dataset", "{toy}", "--config", "{path}"], RUN_OUTPUTS,
         ("--dataset",),
     ),
-    "config": (["run", "--dataset", "{toy}", "--config", "{path}"], RUN_OUTPUTS, ("--dataset",)),
-    "decisions": (
-        ["metrics", "--dataset", "{toy}", "--decisions", "{path}"],
-        ("metrics_reeval.json", "run_log.txt"),
-        ("--dataset", "--decisions"),
+    "decisions-metrics": (
+        "decisions", ["metrics", "--dataset", "{toy}", "--decisions", "{path}"],
+        ("metrics_reeval.json", "run_log.txt"), ("--dataset", "--decisions"),
     ),
 }
 MUTATIONS = ("truncate", "repeat-line", "swap-cells", "flip-byte", "odd-cell", "empty",
              "line-ends", "drop-flag")
-# a cell is a tab-separated field of a TSV line, or a scalar token of a JSON one
+# a cell is a tab-separated field of a TSV line, a scalar token of a JSON
+# one, or a comma-separated item of a --columns value
 JSON_SCALAR = re.compile(rb'"(?:[^"\\]|\\.)*"|-?[0-9][0-9.eE+-]*|true|false|null')
+JSON_KINDS = ("manifest", "config")
 ODD_CELLS = {"tsv": [b"nan", b"inf", b"1e400", b""], "json": [b"NaN", b"Infinity", b"1e400", b'""']}
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """Good bytes of each kind of input: the toy corpus, score's logit file,
-    and run's manifest, config block and decisions file."""
+    """Good bytes of each kind of input: the toy corpus, a --columns value
+    that renames every column to its own name, score's logit file, and run's
+    manifest, config block and decisions file."""
     work = tmp_path_factory.mktemp("fuzz")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["score", "--dataset", str(toy_dataset_path()), "--out", str(work / "s")]) == 0
@@ -585,6 +619,7 @@ def fuzz_inputs(tmp_path_factory):
     config = json.loads((work / "r" / "metrics.json").read_text())["config"]
     return {
         "corpus": toy_dataset_path().read_bytes(),
+        "columns": b"id=id,cdr3a=cdr3a,cdr3b=cdr3b,peptide=peptide,epitope_id=epitope,label=label",
         "logits": (work / "s" / "logits.tsv").read_bytes(),
         "manifest": (work / "r" / "manifest.json").read_bytes(),
         "config": json.dumps(config, indent=2).encode(),
@@ -592,15 +627,16 @@ def fuzz_inputs(tmp_path_factory):
     }
 
 
-def _cells(line: bytes, json_kind: bool) -> list[tuple[int, int]]:
+def _cells(line: bytes, kind: str) -> list[tuple[int, int]]:
     """(start, end) of every cell of a line without its line end."""
-    if json_kind:
+    if kind in JSON_KINDS:
         return [match.span() for match in JSON_SCALAR.finditer(line)]
-    ends = [i for i, byte in enumerate(line) if byte == 9] + [len(line)]
+    separator = ord("," if kind == "columns" else "\t")
+    ends = [i for i, byte in enumerate(line) if byte == separator] + [len(line)]
     return list(zip([0] + [end + 1 for end in ends[:-1]], ends))
 
 
-def _mutate(good: bytes, mutation: str, json_kind: bool, draw) -> bytes:
+def _mutate(good: bytes, mutation: str, kind: str, draw) -> bytes:
     """good truncated, with a line repeated, two cells of a line swapped, one
     bit flipped, a cell made nan, inf, 1e400 or empty, emptied, or with its
     line ends made CR LF or CR."""
@@ -620,16 +656,17 @@ def _mutate(good: bytes, mutation: str, json_kind: bool, draw) -> bytes:
     # a cell mutation, on a line with enough cells
     wanted = 2 if mutation == "swap-cells" else 1
     i = draw(st.sampled_from([i for i, line in enumerate(lines)
-                              if len(_cells(line.rstrip(b"\r\n"), json_kind)) >= wanted]))
+                              if len(_cells(line.rstrip(b"\r\n"), kind)) >= wanted]))
     line = lines[i].rstrip(b"\r\n")
-    end, cells = lines[i][len(line) :], _cells(line, json_kind)
+    end, cells = lines[i][len(line) :], _cells(line, kind)
     if mutation == "swap-cells":
         a = draw(st.integers(0, len(cells) - 2))
         (a0, a1), (b0, b1) = cells[a], cells[draw(st.integers(a + 1, len(cells) - 1))]
         line = line[:a0] + line[b0:b1] + line[a1:b0] + line[a0:a1] + line[b1:]
     else:
         c0, c1 = cells[draw(st.integers(0, len(cells) - 1))]
-        line = line[:c0] + draw(st.sampled_from(ODD_CELLS["json" if json_kind else "tsv"])) + line[c1:]
+        odd = ODD_CELLS["json" if kind in JSON_KINDS else "tsv"]
+        line = line[:c0] + draw(st.sampled_from(odd)) + line[c1:]
     return b"".join(lines[:i] + [line + end] + lines[i + 1 :])
 
 
@@ -661,24 +698,24 @@ def _check_clean_exit(argv: list[str], out: Path, outputs: tuple[str, ...]) -> N
         assert not out.exists()
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)), mutation=st.sampled_from(MUTATIONS),
+@settings(max_examples=650, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(FUZZ_COMMANDS)), mutation=st.sampled_from(MUTATIONS),
        data=st.data())
 def test_generated_malformed_input_exits_cleanly(
-    fuzz_inputs, tmp_path_factory, kind, mutation, data
+    fuzz_inputs, tmp_path_factory, name, mutation, data
 ):
     work = tmp_path_factory.mktemp("case")
+    kind, command, outputs, required = FUZZ_COMMANDS[name]
     path, out = work / f"input-{kind}", work / "o"
-    command, outputs, required = FUZZ_COMMANDS[kind]
-    argv = [arg.format(path=path, toy=toy_dataset_path()) for arg in command] + ["--out", str(out)]
+    good = fuzz_inputs[kind]
+    # one flag the command needs dropped with its value, from a good input
+    bad = good if mutation == "drop-flag" else _mutate(good, mutation, kind, data.draw)
+    path.write_bytes(bad)
+    argv = [arg.format(path=path, toy=toy_dataset_path(), value=os.fsdecode(bad))
+            for arg in command] + ["--out", str(out)]
     if mutation == "drop-flag":
-        # the good file, with one flag the command needs dropped with its value
-        path.write_bytes(fuzz_inputs[kind])
         i = argv.index(data.draw(st.sampled_from(required), label="dropped"))
         argv = argv[:i] + argv[i + 2 :]
-    else:
-        json_kind = kind in ("manifest", "config")
-        path.write_bytes(_mutate(fuzz_inputs[kind], mutation, json_kind, data.draw))
     _check_clean_exit(argv, out, outputs)
 
 

@@ -11,6 +11,7 @@ from dataset_rows import dataset_of
 from pair_oracle import oracle_dedup, related_strings, thresholds
 from tcrselect.data import (
     Dataset,
+    NotUtf8,
     SequenceExample,
     TsvRowError,
     TsvSchemaError,
@@ -202,6 +203,26 @@ class TestIngest:
         assert data.ids == ("x1", "x2")
         assert read_logits(logits) == {"x1": 0.5, "x2": -1.5}
         assert ingest_logits(read_logits(logits), data).logits.tolist() == [0.5, -1.5]
+
+
+@pytest.mark.parametrize("contents, line, head", [
+    (b"\xff", 1, ""),
+    (b"a\nb\xff\n", 2, "a\n"),
+    # a byte-order mark is dropped; CR LF and CR end lines as LF does
+    (b"\xef\xbb\xbfa\r\nb\r\n\xc3\r\n", 3, "a\r\nb\r\n"),
+    (b"a\rb\r\xed\xa0\x80\n", 3, "a\rb\r"),  # an encoded surrogate
+    (b"a\n\nb\xe2\x82", 3, "a\n\n"),  # a character cut off at the end
+    (b"\xe2\x82\nb\n", 1, ""),  # and one cut off by a line end
+])
+def test_not_utf8_names_the_first_line_that_does_not_decode(tmp_path, contents, line, head):
+    path = tmp_path / "f.tsv"
+    path.write_bytes(contents)
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8-sig")
+    error = NotUtf8("dataset", path)
+    assert (error.line, error.head) == (line, head)
+    assert str(error) == f"dataset {path}: line {line}: not valid UTF-8"
+    assert isinstance(error, ValueError)
 
 
 class TestDeduplicate:

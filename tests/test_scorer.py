@@ -25,7 +25,6 @@ from tcrselect.scorer import (
     TrainingConfig,
     _compiled_pays,
     _first_seen,
-    _scoring_matrix,
     _training_matrix,
     build_vocabulary,
     class_weights,
@@ -153,11 +152,6 @@ def example_sets(draw, alphabet, prefix, max_rows=8):
     )
 
 
-def scoring_matrix(windows, vocab):
-    """_scoring_matrix of every row of windows as one block."""
-    return _scoring_matrix(windows.columns(vocab), windows.per_row, len(vocab))
-
-
 def assert_same_csr(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual.indptr, expected.indptr)
@@ -212,10 +206,6 @@ class TestEncoderMatchesOracle:
         fresh = data.draw(example_sets(AMINO, "s"))
         kept = data.draw(st.lists(st.sampled_from(list(train)), unique=True)) if len(train) else []
         scored = dataset_of([*kept, *fresh])
-        assert_same_csr(
-            scoring_matrix(encode_kmers(scored, kmer_size, include_cdr3a), vocab),
-            oracle.scoring_matrix(scored, kmer_size, vocab, include_cdr3a),
-        )
         model = random_model(vocab, kmer_size, include_cdr3a, seed, bias)
         assert_same_logits(score(model, scored), oracle.score(model, scored))
 
@@ -250,10 +240,6 @@ class TestEncoderMatchesOracle:
         assert_same_csr(
             training_matrix(windows), oracle._design_matrix(train, kmer_size, expected, True)
         )
-        assert_same_csr(
-            scoring_matrix(encode_kmers(data, kmer_size), vocab),
-            oracle.scoring_matrix(data, kmer_size, vocab),
-        )
         model = random_model(vocab, kmer_size, True, kmer_size, 0.5)
         assert_same_logits(score(model, data), oracle.score(model, data))
 
@@ -277,13 +263,27 @@ class TestEncoderMatchesOracle:
         model = random_model(vocab, 3, True, 0, 0.5)
         assert_same_logits(score(model, data), oracle.score(model, data))
 
-    def test_scoring_matrix_puts_bias_first_then_first_occurrence(self):
+    def test_score_sums_bias_first_then_first_occurrence(self):
+        # tcr string CA|CA holds A|C once; the peptide GILGIL holds GIL twice
+        # and ILG once, GIL first
         ex = make_example(cdr3a="CA", cdr3b="CA", peptide="GILGIL")
         vocab = {"pep:ILG": 0, "pep:GIL": 1, "tcr:A|C": 2}
-        X = scoring_matrix(encode_kmers(dataset_of([ex]), 3), vocab)
-        # tcr string CA|CA: A|C; peptide: GIL ILG LGI GIL
-        assert X.indices.tolist() == [0, 3, 2, 1]
-        assert X.data.tolist() == [1.0, 1.0, 2.0, 1.0]
+        weights = [1.0, 1.0, -1e16]
+        model = LinearScorerModel(
+            kmer_size=3, vocabulary=vocab, weights=weights, bias=1e16, class_weights=(1.0, 1.0)
+        )
+
+        def total(start, terms):
+            for column, count in terms:
+                start += weights[column] * count
+            return start
+
+        first_occurrence = [(2, 1), (1, 2), (0, 1)]  # (column, count)
+        expected = total(model.bias, first_occurrence)
+        # these weights give the bias-last and the sorted-column sums other bits
+        assert (expected, total(0.0, first_occurrence) + model.bias) == (3.0, 4.0)
+        assert total(model.bias, sorted(first_occurrence)) == 2.0
+        assert score(model, dataset_of([ex])).logits[0].hex() == expected.hex()
 
 
 def random_rows(n_rows, alphabets, rng):
@@ -308,16 +308,17 @@ def test_score_is_bit_identical_across_block_edges(monkeypatch, block, bias):
     monkeypatch.setattr(scorer_module, "_SCORE_BLOCK", block)
     for n_rows in (0, 2 * block, 2 * block + 1):
         data = random_rows(n_rows, ["ACDEF", "ACDEF", "WY"], rng)
-        X = scoring_matrix(encode_kmers(data, 3), vocab)
-        assert np.diff(X.indptr)[2::3].tolist() == [1] * (n_rows // 3)
-        assert_same_logits(score(model, data), oracle.score(model, data))
+        table = score(model, data)
+        assert table.logits[2::3].tobytes() == np.full(n_rows // 3, bias).tobytes()
+        assert_same_logits(table, oracle.score(model, data))
 
 
 def test_score_traced_peak_per_window_is_bounded():
-    # score encodes the part once and then builds one count matrix per block
-    # of _SCORE_BLOCK rows. The traced peak counts every Python and numpy
-    # allocation. It reads 25.9 bytes per window on the 332,478 windows with
-    # numpy 2.4, and 52.6 when one count matrix covers the whole part.
+    # score encodes the part once and then sums each block of _SCORE_BLOCK
+    # rows with one bincount. The traced peak counts every Python and numpy
+    # allocation. It reads 23.5 bytes per window on the 332,478 windows with
+    # numpy 2.4; 25.9 with a count matrix per block, and 52.6 with one count
+    # matrix for the whole part.
     model = train_linear(motif_corpus(2000, 1))
     data = motif_corpus(12000, 2)
     n_windows = len(encode_kmers(data, 3).code)
