@@ -23,7 +23,7 @@ from tcrselect import (Dataset, SplitConfig, SyntheticSpec, cluster_by_identity,
                        ingest_tsv, motif_corpus, score, split_random, toy_dataset_path,
                        train_linear)
 from tcrselect.calibration import TEMPERATURE_MIN
-from tcrselect.scorer import CountMatrix, _training_matrix, encode_kmers
+from tcrselect.scorer import _sparsetools, _training_matrix, encode_kmers
 
 
 def corpus_100k():
@@ -125,7 +125,6 @@ def scorer_scale():
     data, peak = traced_peak(ingest_tsv, "corpus_100k.tsv")
     print(f"ingest_tsv of {len(data)} rows: traced peak {peak / 2**20:.1f} MiB")
     assert peak < 31 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 31 MiB"
-    import scipy.sparse  # noqa: F401  (imported before train_linear's traced peak)
     split = split_random(data, SplitConfig())
     train, test = data.subset(split.train_ids), data.subset(split.test_ids)
     n_windows = len(encode_kmers(train, 3).code)
@@ -192,38 +191,45 @@ def readers_agree():
 
 
 def kernels_agree():
-    """train_random's training matrix, far above the scorer's budget, is built for
-    scipy's compiled products; numpy's bincount kernels over the same arrays must
-    give the same bits, both ways, on seeded vectors spanning 16 orders of magnitude."""
+    """train_random's training matrix: the scorer's products, which call scipy's compiled
+    kernels directly, must give the bits of scipy.sparse's csr_matrix @ x and .T @ z on
+    seeded vectors spanning 16 orders of magnitude. Loading the kernels alone is timed
+    next to `import scipy.sparse`; both products are timed per pass."""
     windows = encode_kmers(corpus_100k()[1], 3)
     start = time.process_time()
-    import scipy.sparse  # noqa: F401
+    _sparsetools()
+    print(f"load scipy's sparse kernels: {time.process_time() - start:.4f} s process time")
+    start = time.process_time()
+    import scipy.sparse
     print(f"import scipy.sparse: {time.process_time() - start:.3f} s process time")
-    compiled = _training_matrix(windows.take_first_seen()[0], windows.per_row)
-    assert compiled.compiled is not None, "a train_random-sized fit must use scipy"
-    bincount = CountMatrix(compiled.indptr, compiled.indices, compiled.data, compiled.shape)
-    n_rows, n_cols = compiled.shape
-    print(f"{n_rows} rows, {n_cols} columns, {len(compiled.data)} stored entries "
+    package = _training_matrix(windows.take_first_seen()[0], windows.per_row)
+    reference = scipy.sparse.csr_matrix((package.data, package.indices, package.indptr),
+                                        shape=package.shape)
+    transpose = reference.T
+    products = {"package": (package.matvec, package.rmatvec),
+                "scipy.sparse": (reference.__matmul__, transpose.__matmul__)}
+    n_rows, n_cols = package.shape
+    print(f"{n_rows} rows, {n_cols} columns, {len(package.data)} stored entries "
           f"from {len(windows.code)} windows")
     rng, trials, mismatches = np.random.default_rng(1), 5, 0
-    cpu = {"compiled": [0.0, 0.0], "bincount": [0.0, 0.0]}
+    cpu = {name: [0.0, 0.0] for name in products}
     for _ in range(trials):
         vectors = (rng.normal(size=n_cols) * 10.0 ** rng.uniform(-8, 8, size=n_cols),
                    rng.normal(size=n_rows) * 10.0 ** rng.uniform(-8, 8, size=n_rows))
-        got = {"compiled": [], "bincount": []}
-        for name, matrix in (("compiled", compiled), ("bincount", bincount)):
-            for i, (product, vector) in enumerate(zip((matrix.matvec, matrix.rmatvec), vectors)):
+        got = {name: [] for name in products}
+        for name, pair in products.items():
+            for i, (product, vector) in enumerate(zip(pair, vectors)):
                 start = time.process_time()
                 got[name].append(product(vector).view(np.int64))
                 cpu[name][i] += time.process_time() - start
-        for direction, a, b in zip(("forward", "transpose"), got["compiled"], got["bincount"]):
+        for direction, a, b in zip(("forward", "transpose"), *got.values()):
             differ = int(np.count_nonzero(a != b))
             if differ:
                 print(f"{direction}: {differ} of {len(a)} elements differ")
             mismatches += differ
-    for name, (forward, transpose) in cpu.items():
+    for name, (forward, transpose_cpu) in cpu.items():
         print(f"{name}: {1e3 * forward / trials:.2f} ms forward + "
-              f"{1e3 * transpose / trials:.2f} ms transpose per pass")
+              f"{1e3 * transpose_cpu / trials:.2f} ms transpose per pass")
     assert mismatches == 0, f"{mismatches} elements differ between the kernels"
     print(f"identical: {trials} forward and {trials} transpose products")
 

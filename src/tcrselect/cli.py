@@ -391,7 +391,9 @@ def cmd_metrics(runner: _Runner, args: argparse.Namespace) -> int:
     try:
         text = decisions_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
-        raise NotUtf8("decisions", decisions_path) from None
+        error = NotUtf8("decisions", decisions_path)
+        decisions_from_tsv(error.head, head=True)  # a bad row above it is named first
+        raise error from None
     decisions = decisions_from_tsv(text)
     # an external decision file is not aligned with the dataset: join by id
     labels_by_id = _load_dataset(runner.config).labels_by_id()

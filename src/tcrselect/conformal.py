@@ -285,13 +285,16 @@ def _number_cell(number: int, column: str, cell: str) -> float:
         ) from None
 
 
-def decisions_from_tsv(text: str) -> DecisionTable:
+def decisions_from_tsv(text: str, head: bool = False) -> DecisionTable:
     """Parse decisions_to_tsv output; '#' comment lines are skipped. Rows end
     at LF, CRLF or CR only, since an id may hold any other line separator. A
-    row error names its 1-based line in the text."""
+    row error names its 1-based line in the text. With head, text is the start
+    of a file cut short (NotUtf8.head), where having no rows is no error."""
     numbered = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
     lines = [(number, line) for number, line in numbered if line and not line.startswith("#")]
     if not lines:
+        if head:
+            return DecisionTable((), np.empty(0), np.empty(0), np.empty(0, dtype=np.int8))
         raise ValueError("no decision rows found")
     header = tuple(lines[0][1].split("\t"))
     if header != DECISION_COLUMNS:

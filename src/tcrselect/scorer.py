@@ -12,9 +12,10 @@ produced logits can be ingested from a TSV instead.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -231,95 +232,81 @@ def build_vocabulary(windows: KmerWindows) -> dict[str, int]:
     return dict(zip(windows.keys, range(len(windows.keys))))
 
 
+@cache
+def _sparsetools() -> Any:
+    """scipy's compiled sparse kernels, scipy/sparse/_sparsetools*, found without
+    importing scipy and loaded alone: `import scipy.sparse` pulls in array_api_compat,
+    numpy.f2py and numpy.testing. Under a name of this package, a later
+    `import scipy.sparse` still loads its own module over the same kernels."""
+    import importlib.machinery
+    import importlib.util
+
+    folder = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "sparse"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / ("_sparsetools" + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(__package__ + "._sparsetools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise RuntimeError(f"scipy's compiled sparse kernels not found: no _sparsetools in {folder}")
+
+
 @dataclass(frozen=True)
 class CountMatrix:
     """Non-negative float64 counts in CSR form: row r stores the columns
     indices[indptr[r]:indptr[r + 1]] with data at the same positions.
 
-    matvec(x) is X @ x and rmatvec(z) is X.T @ z. Each output element starts
-    at 0.0 and adds its terms data[k] * x[indices[k]] (or data[k] * z[row of
-    k]) one at a time in stored order. With compiled, a scipy csr_matrix over
-    these same arrays, scipy's csr_matvec and csc_matvec loops do that; without
-    it, numpy's bincount, which adds each weight into its bin in input order.
-    The two give the same bits as long as scipy's C++ loop does not fuse the
-    multiply and the add into one rounding, which the tests check.
+    matvec(x) is X @ x and rmatvec(z) is X.T @ z, by scipy's compiled
+    csr_matvec and csc_matvec loops called as scipy.sparse's own products
+    call them, into fresh zeros: each output element starts at 0.0 and adds
+    its terms data[k] * x[indices[k]] (or data[k] * z[row of k]) one at a
+    time in stored order, with the bits of csr_matrix @ x and .T @ z.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-    compiled: Any = None  # scipy.sparse.csr_matrix over indptr, indices and data
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    @cached_property
-    def _compiled_transpose(self) -> Any:
-        return self.compiled.T  # a csc_matrix view on the same arrays
+    def __post_init__(self) -> None:
+        # the compiled loops trust these lengths, which csr_matrix checks
+        stored = self.indptr[-1] if len(self.indptr) == self.shape[0] + 1 else -1
+        if not len(self.indices) == len(self.data) >= stored >= 0:
+            raise ValueError(f"CSR arrays do not fit shape {self.shape}")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.compiled is not None:
-            return self.compiled @ x
-        return _sum_into(self.rows, self.data * x[self.indices], self.shape[0])
+        return self._product("csr_matvec", self.shape, x)
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
-        if self.compiled is not None:
-            return self._compiled_transpose @ z
-        return _sum_into(self.indices, self.data * z[self.rows], self.shape[1])
+        return self._product("csc_matvec", self.shape[::-1], z)
+
+    def _product(self, kernel: str, shape: tuple[int, int], vector: np.ndarray) -> np.ndarray:
+        """kernel into shape[0] zeros, as scipy.sparse's _matmul_vector calls it."""
+        if vector.shape != shape[1:]:
+            raise ValueError(f"{kernel}: vector of shape {vector.shape} for shape {shape}")
+        out = np.zeros(shape[0])
+        getattr(_sparsetools(), kernel)(*shape, self.indptr, self.indices, self.data, vector, out)
+        return out
 
 
-def _sum_into(bins: np.ndarray, terms: np.ndarray, length: int) -> np.ndarray:
-    """out[b] = sum of the terms in bin b, from 0.0 in input order: bincount,
-    which returns integer zeros for no bins, as float64 in every case."""
-    return np.bincount(bins, terms, length).astype(np.float64, copy=False)
-
-
-# A fit makes epochs + 11 forward and transpose product pairs: one per epoch,
-# ten in _smoothness_bound's power iteration and one for the final loss. In
-# process CPU on one core of a 2-core x86-64 host (numpy 2.4, scipy 1.17), a
-# bincount pair cost 9-16 ns per stored entry more than scipy's compiled pair
-# (12k to 1.9M entries), and `import scipy.sparse` after numpy cost 0.13-0.15
-# s. So the import pays for itself above about 1.3e7 window-pairs: 210k
-# windows at the default 50 epochs.
-_COMPILED_BUDGET = 13_000_000
-
-
-def _compiled_pays(n_windows: int, epochs: int) -> bool:
-    """Whether a fit over n_windows k-mer windows for epochs epochs should
-    run on scipy's compiled products rather than numpy's bincount."""
-    return n_windows * (epochs + 11) > _COMPILED_BUDGET
-
-
-def _training_matrix(
-    rank: np.ndarray, per_row: np.ndarray, epochs: int = TrainingConfig.epochs
-) -> CountMatrix:
-    """Row-by-k-mer float64 counts, each row's columns ascending, for a fit of
-    epochs epochs.
+def _training_matrix(rank: np.ndarray, per_row: np.ndarray) -> CountMatrix:
+    """Row-by-k-mer float64 counts, each row's columns ascending.
 
     rank is every window's first-seen rank (KmerWindows.first_seen), which is
     its column, and per_row the number of windows of each row, whose windows
-    follow those of the rows before it. The matrix takes rank over and may
-    overwrite it. Below the budget (_compiled_pays), np.unique sorts the
-    (row, rank) keys and counts repeated k-mers. Above it, scipy holds each
-    window as a 1.0 entry of its row, in place in rank, and sum_duplicates
-    sorts every row and adds up repeated k-mers. Both give the same arrays.
+    follow those of the rows before it. Each window starts as a 1.0 entry of
+    its row, in place in rank, which the matrix takes over; then scipy's
+    csr_sort_indices and csr_sum_duplicates sort every row and add up
+    repeated k-mers in place, as csr_matrix.sum_duplicates does.
     """
     shape = (len(per_row), int(rank.max()) + 1 if len(rank) else 0)
-    if _compiled_pays(len(rank), epochs):
-        from scipy.sparse import csr_matrix  # deferred: small fits never load it
-
-        X = csr_matrix((np.ones(len(rank)), rank, np.append(0, np.cumsum(per_row))), shape=shape)
-        X.sum_duplicates()
-        return CountMatrix(X.indptr, X.indices, X.data, shape, X)
-    row = np.repeat(np.arange(len(per_row), dtype=np.int64), per_row)
-    key, count = np.unique(row << 32 | rank, return_counts=True)
-    indptr = np.searchsorted(key >> 32, np.arange(len(per_row) + 1))
-    return CountMatrix(
-        indptr.astype(np.int32), (key & 0xFFFFFFFF).astype(np.int32), count.astype(float), shape
-    )
+    indptr = np.append(0, np.cumsum(per_row)).astype(np.int32)
+    data = np.ones(len(rank))
+    kernels = _sparsetools()
+    kernels.csr_sort_indices(shape[0], indptr, rank, data)
+    kernels.csr_sum_duplicates(*shape, indptr, rank, data)
+    return CountMatrix(indptr, rank[: indptr[-1]], data[: indptr[-1]], shape)
 
 
 # Rows per block that score sums with one bincount. A block's temporaries take
@@ -448,7 +435,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     vocabulary = build_vocabulary(windows)
     rank, per_row = windows.take_first_seen()[0], windows.per_row
     del windows  # frees the strings and codes before the count matrix is built
-    X = _training_matrix(rank, per_row, config.epochs)
+    X = _training_matrix(rank, per_row)
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     step = 1.0 / _smoothness_bound(X, sample_w, config.l2)
     # (weights, bias) is the iterate; the gradient is taken at the
@@ -531,7 +518,8 @@ def read_logits(path: str | Path) -> dict[str, float]:
     """Parse an external logit TSV: one 'id<TAB>logit' per line, blank lines and
     a leading byte-order mark skipped. The first malformed line (wrong field
     count, duplicate id, unparseable or non-finite logit) raises ValueError naming it,
-    and bytes that are not UTF-8 raise NotUtf8 naming the file and the line.
+    and bytes that are not UTF-8 raise NotUtf8 naming the file and the line
+    once the lines above it pass.
     A file with none of these and no blank line is split a block at a time
     (split_blocks); the line loop reads any other, with the same results."""
     logits: dict[str, float] = {}
@@ -547,32 +535,35 @@ def read_logits(path: str | Path) -> dict[str, float]:
     except (NotPlainText, ValueError):  # a decoding error is a ValueError too
         pass
     try:
-        return _read_logit_lines(path)
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return _read_logit_lines(handle)
     except UnicodeDecodeError:
-        raise NotUtf8("logits", path) from None
+        error = NotUtf8("logits", path)
+    # a malformed line above the one that does not decode is named first
+    _read_logit_lines(io.StringIO(error.head, newline=None))
+    raise error
 
 
-def _read_logit_lines(path: str | Path) -> dict[str, float]:
-    """read_logits for any file, one line at a time."""
+def _read_logit_lines(lines: Iterable[str]) -> dict[str, float]:
+    """read_logits of the lines of any file, one at a time."""
     logits: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"line {line_no}: expected 'id<TAB>logit', got {line!r}")
-            ex_id, raw = parts
-            if ex_id in logits:
-                raise ValueError(f"duplicate logit for id {ex_id!r}")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValueError(f"unparseable logit for id {ex_id!r}: {raw!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite logit for id {ex_id!r}")
-            logits[ex_id] = value
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"line {line_no}: expected 'id<TAB>logit', got {line!r}")
+        ex_id, raw = parts
+        if ex_id in logits:
+            raise ValueError(f"duplicate logit for id {ex_id!r}")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"unparseable logit for id {ex_id!r}: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite logit for id {ex_id!r}")
+        logits[ex_id] = value
     return logits
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, check_open_unit, json_text
+from .data import Dataset, NotUtf8, check_open_unit, json_text
 from .distance import cluster_by_identity
 
 PROTOCOL_RANDOM = "random"
@@ -172,11 +172,13 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
-        """Read a manifest written by to_json. Malformed JSON, a missing key, or
-        a field of the wrong type raises ValueError naming the file."""
+        """Read a manifest written by to_json. Bytes that are not UTF-8, malformed JSON,
+        a missing key, or a field of the wrong type raise ValueError naming the file."""
         where = f"manifest {path}"
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        except UnicodeDecodeError:
+            raise NotUtf8("manifest", path) from None
         except json.JSONDecodeError as err:
             raise ValueError(f"{where}: {err}") from None
         if not isinstance(raw, dict):

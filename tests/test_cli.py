@@ -217,6 +217,8 @@ MALFORMED = {
     "logits-unparseable": ("logits", "l.tsv", "ex00000\tabc\n", 1),
     "logits-missing-ids": ("logits", "l.tsv", "ex00000\t0.5\n", 1),
     "logits-not-utf8": ("logits", "l.tsv", b"\xef\xbb\xbfex00000\t0.5\r\nex00001\t0.\xff\r\n", 1),
+    # a malformed line is named before a later line that does not decode
+    "logits-bad-row-then-not-utf8": ("logits", "l.tsv", b"ex00000\t0.5\t3\n\xff\n", 1),
     "manifest-not-json": ("manifest", "m.json", "{not json", 1),
     "manifest-not-utf8": ("manifest", "m.json", b"\xff", 1),
     "manifest-duplicate-id": ("manifest", "m.json", json.dumps({
@@ -336,8 +338,14 @@ MALFORMED = {
     "decisions-bad-header": ("decisions", "d.tsv", "x\ty\n", 1),
     "decisions-not-utf8": (
         "decisions", "d.tsv",
-        (DECISIONS_HEADER + "a\t0.9\t0.1\tpredict\t1\n").encode() + b"\xc3\n", 1,
+        (DECISIONS_HEADER + "a\t0.75\t0.25\tpredict\t1\n").encode() + b"\xc3\n", 1,
     ),
+    "decisions-bad-row-then-not-utf8": (
+        "decisions", "d.tsv",
+        (DECISIONS_HEADER + "a\t2\t0.1\tpredict\t1\n").encode() + b"\xc3\n", 1,
+    ),
+    # lines without a row above the bad line are no "no decision rows" error
+    "decisions-comment-then-not-utf8": ("decisions", "d.tsv", b"# origin=test\n\xc3\n", 1),
     "decisions-bad-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tabc\t0.1\tpredict\t1\n", 1),
     "decisions-nan-prob": ("decisions", "d.tsv", DECISIONS_HEADER + "a\tnan\t0.1\tpredict\t1\n", 1),
     "decisions-bad-nonconformity": (
@@ -503,7 +511,13 @@ MALFORMED_MESSAGES = {
     "corpus-not-utf8": "error: dataset {path}: line 2: not valid UTF-8\n",
     "corpus-bad-row-then-not-utf8": "error: line 2: cdr3b contains invalid residue(s) ['B']\n",
     "logits-not-utf8": "error: logits {path}: line 2: not valid UTF-8\n",
+    "logits-bad-row-then-not-utf8":
+        "error: line 1: expected 'id<TAB>logit', got 'ex00000\\t0.5\\t3'\n",
+    "manifest-not-utf8": "error: manifest {path}: line 1: not valid UTF-8\n",
     "decisions-not-utf8": "error: decisions {path}: line 3: not valid UTF-8\n",
+    "decisions-bad-row-then-not-utf8":
+        "error: decisions line 2: prob_calibrated must be in [0, 1], got '2'\n",
+    "decisions-comment-then-not-utf8": "error: decisions {path}: line 2: not valid UTF-8\n",
     **{
         f"no-dataset-{command}": "config error: dataset.path: required for this command\n"
         for command in ("split", "run", "sweep", "score", "metrics")
@@ -785,10 +799,12 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert done.stdout == "False\n"
 
 
-def test_small_builtin_fits_leave_scipy_sparse_unloaded(tmp_path):
-    # the toy corpus is far below the scorer's compiled-product budget, so
-    # run, score and sweep train and score on numpy's bincount kernels
+def test_builtin_fits_leave_scipy_unloaded(tmp_path):
+    # the scorer loads scipy's compiled sparse kernels alone, so run, score
+    # and sweep import neither scipy nor scipy.sparse, on the toy corpus and on
+    # a score fit of 231,686 windows at 50 epochs
     package_root = Path(tcrselect.__file__).resolve().parents[1]
+    export_tsv(motif_corpus(12000, 1), tmp_path / "large.tsv")
     script = (
         "import sys\n"
         "from tcrselect.cli import main\n"
@@ -796,14 +812,16 @@ def test_small_builtin_fits_leave_scipy_sparse_unloaded(tmp_path):
         "for command in ('run', 'score', 'sweep'):\n"
         "    argv = [command, '--dataset', str(toy_dataset_path()), '--out', command]\n"
         "    assert main(argv) == 0, command\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "assert main(['score', '--dataset', 'large.tsv', '--out', 'large']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "print('tcrselect._sparsetools' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(package_root)),
     )
-    assert done.stdout.splitlines()[-1] == "False"
-    assert all((tmp_path / command).is_dir() for command in ("run", "score", "sweep"))
+    assert done.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert all((tmp_path / name).is_dir() for name in ("run", "score", "sweep", "large"))
 
 
 def test_run_and_metrics_leave_numpy_ma_unloaded(tmp_path):

@@ -1,8 +1,14 @@
 """Built-in linear scorer: features, loss gradient, training, score tables."""
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,13 +23,13 @@ import train_oracle
 from dataset_rows import dataset_of
 from tcrselect import data as data_module
 from tcrselect import scorer as scorer_module
+from tcrselect.cli import main
 from tcrselect.data import SequenceExample
 from tcrselect.scorer import (
     CountMatrix,
     LinearScorerModel,
     ScoreTable,
     TrainingConfig,
-    _compiled_pays,
     _first_seen,
     _training_matrix,
     build_vocabulary,
@@ -38,7 +44,7 @@ from tcrselect.scorer import (
     train_linear,
 )
 from tcrselect.splits import SplitConfig, split_random
-from tcrselect.toycorpus import motif_corpus
+from tcrselect.toycorpus import motif_corpus, toy_dataset_path
 
 
 def make_example(ex_id="e0", cdr3a="CAVSDF", cdr3b="CASSLF",
@@ -352,15 +358,9 @@ def bits(values: np.ndarray) -> list[int]:
     return values.view(np.int64).tolist()
 
 
-def training_matrix(windows, compiled=None):
-    """_training_matrix of windows as train_linear builds it, on the side of
-    the budget that compiled names, or on the side the fit's size picks when
-    compiled is None."""
-    rank, per_row = windows.take_first_seen()[0], windows.per_row
-    if compiled is None:
-        return _training_matrix(rank, per_row)
-    with mock.patch.object(scorer_module, "_COMPILED_BUDGET", -1 if compiled else math.inf):
-        return _training_matrix(rank, per_row)
+def training_matrix(windows):
+    """_training_matrix of windows, as train_linear builds it."""
+    return _training_matrix(windows.take_first_seen()[0], windows.per_row)
 
 
 def csr_sum_duplicates(windows):
@@ -378,6 +378,15 @@ def csr_sum_duplicates(windows):
     return X
 
 
+def assert_same_arrays(X, expected):
+    """X holds scipy's CSR arrays, dtypes and shape, byte for byte."""
+    assert X.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        actual, wanted = getattr(X, name), getattr(expected, name)
+        assert actual.dtype == wanted.dtype
+        assert actual.tobytes() == wanted.tobytes()
+
+
 class TestCountMatrix:
     @settings(max_examples=400, deadline=None)
     @given(sparse=sparse_counts(), data=st.data())
@@ -385,11 +394,10 @@ class TestCountMatrix:
         n, d = sparse.shape
         x = np.array(data.draw(st.lists(KERNEL_INPUTS, min_size=d, max_size=d)), dtype=float)
         z = np.array(data.draw(st.lists(KERNEL_INPUTS, min_size=n, max_size=n)), dtype=float)
-        arrays = (sparse.indptr, sparse.indices, sparse.data, sparse.shape)
-        for X in (CountMatrix(*arrays), CountMatrix(*arrays, sparse)):
-            with np.errstate(over="ignore"):  # 3 * 1e300; scipy does not warn
-                assert bits(X.matvec(x)) == bits(sparse @ x)
-                assert bits(X.rmatvec(z)) == bits(sparse.T @ z)
+        X = CountMatrix(sparse.indptr, sparse.indices, sparse.data, sparse.shape)
+        with np.errstate(over="ignore"):  # 3 * 1e300; scipy does not warn
+            assert bits(X.matvec(x)) == bits(sparse @ x)
+            assert bits(X.rmatvec(z)) == bits(sparse.T @ z)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -397,56 +405,115 @@ class TestCountMatrix:
         data=st.data(),
         kmer_size=st.integers(1, 4),
         include_cdr3a=st.booleans(),
-        compiled=st.booleans(),
     )
     def test_training_matrix_equals_csr_sum_duplicates(
-        self, alphabet, data, kmer_size, include_cdr3a, compiled
+        self, alphabet, data, kmer_size, include_cdr3a
     ):
         windows = encode_kmers(data.draw(example_sets(alphabet, "t")), kmer_size, include_cdr3a)
         expected = csr_sum_duplicates(windows)
-        X = training_matrix(windows, compiled)
-        assert (X.compiled is not None) == compiled
-        assert X.shape == expected.shape
-        for name in ("indptr", "indices", "data"):
-            actual, wanted = getattr(X, name), getattr(expected, name)
-            assert actual.dtype == wanted.dtype
-            assert actual.tobytes() == wanted.tobytes()
+        assert_same_arrays(training_matrix(windows), expected)
 
-    @pytest.mark.parametrize("compiled", [False, True], ids=["bincount", "compiled"])
-    def test_training_matrix_leaves_the_windows_numbering_intact(self, compiled):
-        # sum_duplicates sorts and compacts its indices in place; they must
-        # not be the windows' cached first-seen ranks
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_rows_and_columns(self, shape):
+        # a training matrix with no rows, or rows without a k-mer, then the
+        # kernels on zero-row and zero-column matrices
+        n_rows, n_cols = shape
+        per_row = np.zeros(n_rows, dtype=np.int64)
+        X = _training_matrix(np.empty(0, dtype=np.int32), per_row)
+        assert_same_arrays(X, csr_matrix((n_rows, 0)))
+        sparse = csr_matrix(shape)
+        X = CountMatrix(sparse.indptr, sparse.indices, sparse.data, shape)
+        x, z = np.arange(n_cols, dtype=float), np.arange(n_rows, dtype=float)
+        assert bits(X.matvec(x)) == bits(sparse @ x)
+        assert bits(X.rmatvec(z)) == bits(sparse.T @ z)
+
+    def test_arrays_and_vectors_must_fit_the_shape(self):
+        # the compiled loops index the arrays and vectors unchecked
+        sparse = csr_matrix(np.eye(3))
+        arrays = sparse.indptr, sparse.indices, sparse.data
+        with pytest.raises(ValueError, match="do not fit shape"):
+            CountMatrix(*arrays, (4, 3))
+        with pytest.raises(ValueError, match="do not fit shape"):
+            CountMatrix(sparse.indptr, sparse.indices[:2], sparse.data[:2], (3, 3))
+        X = CountMatrix(*arrays, (3, 5))
+        with pytest.raises(ValueError, match="csr_matvec: vector of shape"):
+            X.matvec(np.ones(3))
+        with pytest.raises(ValueError, match="csc_matvec: vector of shape"):
+            X.rmatvec(np.ones(5))
+
+    def test_training_matrix_leaves_the_windows_numbering_intact(self):
+        # the kernels sort and compact their indices in place; they must not
+        # be the windows' cached first-seen ranks
         windows = encode_kmers(motif_corpus(300, 1), 3)
         vocab = build_vocabulary(windows)
         columns, rank = windows.columns(vocab), windows.first_seen[0].copy()
-        X = training_matrix(windows, compiled)
-        assert (X.compiled is not None) == compiled
+        X = training_matrix(windows)
         assert windows.columns(vocab).tolist() == columns.tolist()
         assert windows.first_seen[0].tolist() == rank.tolist()
         assert not np.shares_memory(X.indices, windows.first_seen[0])
 
-    def test_budget_sends_only_large_fits_to_scipy(self):
-        # train_random's fit (1,929,776 windows) and cluster_distance's
-        # (15,562), both at the default 50 epochs
-        assert _compiled_pays(1_929_776, 50)
-        assert not _compiled_pays(15_562, 50)
-        assert training_matrix(encode_kmers(motif_corpus(300, 1), 3)).compiled is None
+
+def test_scipy_sparse_imported_after_a_fit_gives_its_bits():
+    # a fit loads the kernels without scipy; a later import of scipy.sparse in
+    # the same process still loads its own kernel module, and its products
+    # give CountMatrix's bits
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from tcrselect.scorer import _training_matrix, encode_kmers, train_linear\n"
+        "from tcrselect.toycorpus import motif_corpus\n"
+        "data = motif_corpus(300, 1)\n"
+        "model = train_linear(data)\n"
+        "windows = encode_kmers(data, 3)\n"
+        "X = _training_matrix(windows.take_first_seen()[0], windows.per_row)\n"
+        "assert 'tcrselect._sparsetools' in sys.modules and 'scipy' not in sys.modules\n"
+        "import scipy.sparse\n"
+        "assert 'scipy.sparse._sparsetools' in sys.modules\n"
+        "assert scipy.sparse._sparsetools is not sys.modules['tcrselect._sparsetools']\n"
+        "sparse = scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)\n"
+        "x, z = model.weights, np.sin(np.arange(X.shape[0]))\n"
+        "assert X.matvec(x).tobytes() == (sparse @ x).tobytes()\n"
+        "assert X.rmatvec(z).tobytes() == (sparse.T @ z).tobytes()\n"
+        "print(X.shape)\n"
+    )
+    package_root = Path(scorer_module.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert done.stdout == "(300, 2495)\n"
+
+
+def test_missing_kernels_are_a_one_line_error(tmp_path, monkeypatch, capsys):
+    # the kernels are looked for in scipy's sparse folder alone; without them
+    # a fit fails naming that folder, and nothing falls back to scipy.sparse
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    message = f"scipy's compiled sparse kernels not found: no _sparsetools in {tmp_path / 'sparse'}"
+    scorer_module._sparsetools.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
+            with pytest.raises(RuntimeError) as err:
+                train_linear(motif_corpus(50, 1))
+            assert str(err.value) == message
+            argv = ["score", "--dataset", str(toy_dataset_path()), "--out", str(tmp_path / "o")]
+            assert main(argv) == 1
+    finally:
+        scorer_module._sparsetools.cache_clear()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_train_linear_traced_peak_per_window_is_bounded():
-    # the random-split train part of motif_corpus(20000, 1) is a compiled fit
-    # whose k-mer codes take the first-seen table. The traced peak counts
-    # every Python and numpy allocation, with scipy.sparse imported first. It
-    # reads 17.0 bytes per window on numpy 2.4; it read 30.3 when a packed
-    # int64 sort numbered the k-mers and the count matrix was built while the
-    # strings and codes were still held.
-    import scipy.sparse  # noqa: F401  (its import is not a training cost)
-
+    # the random-split train part of motif_corpus(20000, 1), whose k-mer codes
+    # take the first-seen table. The traced peak counts every Python and
+    # numpy allocation. It reads 17.0 bytes per window on numpy 2.4; it read
+    # 30.3 when a packed int64 sort numbered the k-mers and the count matrix
+    # was built while the strings and codes were still held.
     data = motif_corpus(20000, 1)
     train = data.subset(split_random(data, SplitConfig(seed=13)).train_ids)
     n_windows = len(encode_kmers(train, 3).code)
     assert n_windows == 386_064
-    assert _compiled_pays(n_windows, TrainingConfig.epochs)
     tracemalloc.start()
     try:
         train_linear(train)

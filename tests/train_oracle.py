@@ -15,7 +15,6 @@ from tcrselect.data import Dataset
 from tcrselect.scorer import (
     LinearScorerModel,
     TrainingConfig,
-    _training_matrix,
     build_vocabulary,
     class_weights,
     encode_kmers,
@@ -76,8 +75,14 @@ def train_linear(
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
-    counts = _training_matrix(windows.take_first_seen()[0], windows.per_row, config.epochs)
-    X = csr_matrix((counts.data, counts.indices, counts.indptr), shape=counts.shape)
+    # every window a 1.0 entry of its row at its first-seen rank, which is
+    # its vocabulary column, then scipy adds up repeated k-mers
+    rank = windows.first_seen[0]
+    X = csr_matrix(
+        (np.ones(len(rank)), rank, np.append(0, np.cumsum(windows.per_row))),
+        shape=(len(train), len(vocabulary)),
+    )
+    X.sum_duplicates()
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     step = 1.0 / smoothness_bound(X, sample_w, config.l2)
     weights, bias = np.zeros(len(vocabulary)), 0.0
