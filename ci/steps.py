@@ -29,7 +29,7 @@ from tcrselect.scorer import _sparsetools, _training_matrix, encode_kmers
 def corpus_100k():
     """The benchmarks' corpus, motif_corpus(100000, 1), and its random-split train part."""
     data = motif_corpus(100000, 1)
-    return data, data.subset(split_random(data, SplitConfig()).train_ids)
+    return data, *split_random(data, SplitConfig()).take(data, "train")
 
 
 def tcrselect(*args, **kwargs):
@@ -125,8 +125,7 @@ def scorer_scale():
     data, peak = traced_peak(ingest_tsv, "corpus_100k.tsv")
     print(f"ingest_tsv of {len(data)} rows: traced peak {peak / 2**20:.1f} MiB")
     assert peak < 31 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 31 MiB"
-    split = split_random(data, SplitConfig())
-    train, test = data.subset(split.train_ids), data.subset(split.test_ids)
+    train, test = split_random(data, SplitConfig()).take(data, "train", "test")
     n_windows = len(encode_kmers(train, 3).code)
     model, peak = traced_peak(train_linear, train)
     print(f"train_linear on {len(train)} rows: traced peak {peak / 2**20:.1f} MiB, "

@@ -13,6 +13,7 @@ reads no conformal section: only run fits a threshold and decides.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -536,6 +537,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    runner: _Runner | None = None
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
@@ -559,6 +561,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         except (ValueError, OSError, RuntimeError) as err:
             print(f"error: {err}", file=sys.stderr)
+            if runner is not None:
+                # the stderr line is the report; a log that cannot take the
+                # failure line is left as it is
+                with contextlib.suppress(OSError):
+                    runner.log(f"command {args.command} failed with code 1: {err}")
             return 1
 
 

@@ -17,7 +17,7 @@ from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .conformal import check_epsilon
-from .data import check_column_keys, check_open_unit
+from .data import NotUtf8, check_column_keys, check_open_unit
 from .distance import check_identity_threshold
 from .metrics import DEFAULT_COVERAGE_GRID, check_grid
 from .scorer import TrainingConfig
@@ -177,7 +177,9 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any] | None = N
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        except UnicodeDecodeError:
+            raise ConfigError(str(NotUtf8("config file", path))) from None
+        except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path}: {err}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: top level must be an object")

@@ -233,9 +233,9 @@ def run_pipeline(
 
     scorer is a TrainingConfig (train the built-in k-mer scorer on the train
     part) or the path of an external logit TSV covering the cal and test ids.
-    SplitManifest.take reads the parts, by position for the dataset the
-    manifest was split from and else by id, rejecting an id the dataset
-    lacks. An empty cal or test part, or an empty train part for the built-in
+    SplitManifest.take reads the parts by position, binding the manifest
+    first when data holds its ids in another order; data with other ids
+    raises. An empty cal or test part, or an empty train part for the built-in
     scorer, raises before training.
     """
     train_part = ("train",) if isinstance(scorer, TrainingConfig) else ()

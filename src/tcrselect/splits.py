@@ -2,10 +2,9 @@
 
 Three protocols: label-stratified random, epitope-held-out (whole epitopes to
 test), and distance-aware (whole cdr3b identity clusters to test). Each
-computes one part-of-row column (0 train, 1 cal, 2 test) and reads the parts'
-ids from it in dataset order. Manifests are value objects: disjoint id sets
-plus the protocol, seed, and parameters that produced them, serialized with
-stable key order.
+computes one part-of-row column (0 train, 1 cal, 2 test). A manifest is the
+dataset's ids and that column, plus the protocol, seed, and parameters that
+produced them, serialized as sorted id lists with stable key order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations, compress, repeat
 from pathlib import Path
@@ -72,50 +71,54 @@ _MANIFEST_TYPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitManifest:
     """Which example ids land in train, calibration, and test.
 
-    row_part is the part code of each row of the dataset whose ids are
-    split_ids; a split function sets both, and bind sets them for a loaded
-    manifest. Neither is compared or serialized.
+    ids are the ids of the rows split, and row_part their part codes (0
+    train, 1 cal, 2 test). Each part's ids are derived from them, in ids
+    order. Compare manifests by fingerprint: the serialized form lists each
+    part's ids sorted, whatever the order of ids.
     """
 
     protocol: str
     seed: int
     parameters: Mapping[str, object]
-    train_ids: tuple[str, ...]
-    cal_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    row_part: np.ndarray | None = field(default=None, compare=False, repr=False)
-    split_ids: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    ids: tuple[str, ...]
+    row_part: np.ndarray = field(repr=False)
 
-    # how errors name the manifest; load adds its file
-    source: InitVar[str] = "manifest"
+    @classmethod
+    def from_parts(
+        cls, protocol: str, seed: int, parameters: Mapping[str, object],
+        train_ids: Sequence[str], cal_ids: Sequence[str], test_ids: Sequence[str],
+        source: str = "manifest",
+    ) -> "SplitManifest":
+        """The manifest whose parts list these ids. An id listed twice, in one
+        part or in two, raises ValueError naming source, the part(s) and the id."""
+        parts = {"train": train_ids, "cal": cal_ids, "test": test_ids}
+        ids = (*train_ids, *cal_ids, *test_ids)
+        if len(set(ids)) < len(ids):
+            # only to name an offending id
+            sets = {name: set(part) for name, part in parts.items()}
+            for name, part in parts.items():
+                if len(sets[name]) < len(part):
+                    repeated = next(i for i, count in Counter(part).items() if count > 1)
+                    raise ValueError(f"{source} {name}_ids lists id {repeated!r} more than once")
+            for a, b in combinations(parts, 2):
+                if not sets[a].isdisjoint(sets[b]):
+                    shared = next(i for i in parts[a] if i in sets[b])
+                    raise ValueError(f"{source} {a}_ids and {b}_ids share id {shared!r}")
+        sizes = [len(part) for part in parts.values()]
+        return cls(protocol, seed, parameters, ids, np.repeat(np.arange(3, dtype=np.int8), sizes))
 
-    def __post_init__(self, source: str) -> None:
-        parts = {"train": self.train_ids, "cal": self.cal_ids, "test": self.test_ids}
-        if len({*self.train_ids, *self.cal_ids, *self.test_ids}) == sum(map(len, parts.values())):
-            return
-        # only to name an offending id
-        sets = {name: set(ids) for name, ids in parts.items()}
-        for name, ids in parts.items():
-            if len(sets[name]) < len(ids):
-                repeated = next(i for i, count in Counter(ids).items() if count > 1)
-                raise ValueError(f"{source} {name}_ids lists id {repeated!r} more than once")
-        for a, b in combinations(parts, 2):
-            if not sets[a].isdisjoint(sets[b]):
-                shared = next(i for i in parts[a] if i in sets[b])
-                raise ValueError(f"{source} {a}_ids and {b}_ids share id {shared!r}")
-        raise AssertionError("union and per-part id checks disagree")
+    train_ids = cached_property(lambda self: tuple(_where(self.ids, self.row_part == 0)))
+    cal_ids = cached_property(lambda self: tuple(_where(self.ids, self.row_part == 1)))
+    test_ids = cached_property(lambda self: tuple(_where(self.ids, self.row_part == 2)))
 
     def bind(self, data: Dataset, where: str) -> "SplitManifest":
-        """This manifest with the part of each row of data, in one pass over
-        its ids. Unless the parts list exactly data's ids, raise ValueError
-        naming `where`."""
-        code = dict.fromkeys(self.train_ids, 0)
-        code.update(dict.fromkeys(self.cal_ids, 1))
-        code.update(dict.fromkeys(self.test_ids, 2))
+        """This manifest over data's ids, in one pass over them. Unless the
+        parts list exactly data's ids, raise ValueError naming `where`."""
+        code = dict(zip(self.ids, self.row_part.tolist()))
         row_part = np.fromiter(map(code.get, data.ids, repeat(-1)), np.int8, len(data))
         if (row_part < 0).any():
             unlisted = _where(data.ids, row_part < 0)
@@ -127,17 +130,15 @@ class SplitManifest:
             raise ValueError(
                 f"{where}: {len(unknown)} id(s) not in the dataset, e.g. {sorted(unknown)[:5]!r}"
             )
-        return replace(self, row_part=row_part, split_ids=data.ids)
+        return replace(self, ids=data.ids, row_part=row_part)
 
     def take(self, data: Dataset, *parts: str) -> tuple[Dataset, ...]:
-        """The rows of data in each of parts (train, cal, test), in dataset
-        order: by position when data has the ids this manifest's row_part was
-        made for, in that order, and else by id through Dataset.subset, which
-        rejects an id that data lacks."""
-        if self.row_part is None or self.split_ids != data.ids:
-            return tuple(data.subset(getattr(self, f"{part}_ids")) for part in parts)
+        """The rows of data in each of parts (train, cal, test), in data's
+        order, taken by position. data must hold exactly this manifest's ids;
+        unless they are its ids tuple, bind matches them first."""
+        bound = self if data.ids is self.ids else self.bind(data, "manifest")
         return tuple(
-            data._take(np.flatnonzero(self.row_part == PARTS.index(part)).tolist())
+            data._take(np.flatnonzero(bound.row_part == PARTS.index(part)).tolist())
             for part in parts
         )
 
@@ -193,14 +194,9 @@ class SplitManifest:
                 kind is list and not all(isinstance(i, str) for i in value)
             ):
                 raise ValueError(f"{where}: {key} must be {name}")
-        return cls(
-            protocol=raw["protocol"],
-            seed=raw["seed"],
-            parameters=raw["parameters"],
-            train_ids=tuple(raw["train_ids"]),
-            cal_ids=tuple(raw["cal_ids"]),
-            test_ids=tuple(raw["test_ids"]),
-            source=f"{where}:",
+        return cls.from_parts(
+            raw["protocol"], raw["seed"], raw["parameters"],
+            raw["train_ids"], raw["cal_ids"], raw["test_ids"], source=f"{where}:",
         )
 
 
@@ -277,14 +273,6 @@ def _held_in(in_test: np.ndarray, labels: np.ndarray, cal_fraction: float,
     return row_part
 
 
-def _manifest(
-    data: Dataset, row_part: np.ndarray, protocol: str, seed: int, parameters: dict
-) -> SplitManifest:
-    """The manifest of a part-of-row column, each part's ids in dataset order."""
-    ids = (tuple(compress(data.ids, (row_part == code).tolist())) for code in range(3))
-    return SplitManifest(protocol, seed, parameters, *ids, row_part=row_part, split_ids=data.ids)
-
-
 def _where(column: Sequence[str], mask: np.ndarray) -> list[str]:
     """The entries of column where mask is True, in order."""
     return list(compress(column, mask.tolist()))
@@ -310,8 +298,8 @@ def split_random(data: Dataset, config: SplitConfig) -> SplitManifest:
     """
     rng = random.Random(config.seed)
     row_part = _stratified_three_way(data.labels, config.fractions, rng)
-    return _manifest(
-        data, row_part, PROTOCOL_RANDOM, config.seed, {"fractions": list(config.fractions)}
+    return SplitManifest(
+        PROTOCOL_RANDOM, config.seed, {"fractions": list(config.fractions)}, data.ids, row_part
     )
 
 
@@ -346,11 +334,11 @@ def split_epitope_held_out(data: Dataset, config: SplitConfig) -> SplitManifest:
         row_part = np.where(in_test, 2, in_cal).astype(np.int8)
     else:
         row_part = _held_in(in_test, data.labels, cal_fraction, rng)
-    return _manifest(data, row_part, PROTOCOL_EPITOPE_HELD_OUT, config.seed, {
+    return SplitManifest(PROTOCOL_EPITOPE_HELD_OUT, config.seed, {
         "k_test_epitopes": k_test_epitopes,
         "cal_fraction": cal_fraction,
         "epitope_disjoint_cal": config.epitope_disjoint_cal,
-    })
+    }, data.ids, row_part)
 
 
 def split_distance_aware(data: Dataset, config: SplitConfig) -> SplitManifest:
@@ -386,8 +374,8 @@ def split_distance_aware(data: Dataset, config: SplitConfig) -> SplitManifest:
     in_test_cluster = np.zeros(len(clusters), dtype=bool)
     in_test_cluster[_fill(order, counts, config.test_fraction * n)] = True
     row_part = _held_in(in_test_cluster[cluster], data.labels, cal_fraction, rng)
-    return _manifest(data, row_part, PROTOCOL_DISTANCE_AWARE, config.seed, {
+    return SplitManifest(PROTOCOL_DISTANCE_AWARE, config.seed, {
         "identity_ceiling": identity_ceiling,
         "cal_fraction": cal_fraction,
         "test_fraction": config.test_fraction,
-    })
+    }, data.ids, row_part)

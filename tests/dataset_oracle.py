@@ -290,7 +290,7 @@ def split_random(
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
     rng = random.Random(seed)
     train, cal, test = _stratified_three_way(data.examples, fractions, rng)
-    return SplitManifest(
+    return SplitManifest.from_parts(
         protocol=PROTOCOL_RANDOM,
         seed=seed,
         parameters={"fractions": list(fractions)},
@@ -348,7 +348,7 @@ def split_epitope_held_out(
         train_ids, cal_ids, _ = _stratified_three_way(
             remaining, (1.0 - cal_fraction, cal_fraction, 0.0), rng
         )
-    return SplitManifest(
+    return SplitManifest.from_parts(
         protocol=PROTOCOL_EPITOPE_HELD_OUT,
         seed=seed,
         parameters={
@@ -417,7 +417,7 @@ def split_distance_aware(
     train_ids, cal_ids, _ = _stratified_three_way(
         remaining, (1.0 - cal_fraction, cal_fraction, 0.0), rng
     )
-    return SplitManifest(
+    return SplitManifest.from_parts(
         protocol=PROTOCOL_DISTANCE_AWARE,
         seed=seed,
         parameters={

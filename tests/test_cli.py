@@ -514,6 +514,7 @@ MALFORMED_MESSAGES = {
     "logits-bad-row-then-not-utf8":
         "error: line 1: expected 'id<TAB>logit', got 'ex00000\\t0.5\\t3'\n",
     "manifest-not-utf8": "error: manifest {path}: line 1: not valid UTF-8\n",
+    "config-not-utf8": "config error: config file {path}: line 1: not valid UTF-8\n",
     "decisions-not-utf8": "error: decisions {path}: line 3: not valid UTF-8\n",
     "decisions-bad-row-then-not-utf8":
         "error: decisions line 2: prob_calibrated must be in [0, 1], got '2'\n",
@@ -567,8 +568,31 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     if kind == "corpus":
         # a corpus error stops the command before it splits
         assert not os.path.exists(os.path.join(out, "manifest.json"))
+    if expected == 1:
+        # a failed command says so as its log's last line, with stderr's message
+        last = Path(out, "run_log.txt").read_text(encoding="utf-8").splitlines()[-1]
+        message = err.removeprefix("error: ").removesuffix("\n")
+        assert last.split(" ", 1)[1] == f"command {argv[0]} failed with code 1: {message}"
     if case in MALFORMED_MESSAGES:
         assert err == MALFORMED_MESSAGES[case].replace("{path}", str(path))
+
+
+def test_failure_line_that_cannot_be_logged_is_dropped(tmp_path, capsys, monkeypatch):
+    # the stderr line stays the only output when the log refuses the failure line
+    log = _Runner.log
+
+    def refuse_failure(self, message):
+        if " failed with code " in message:
+            raise OSError("log is read-only")
+        log(self, message)
+
+    monkeypatch.setattr(_Runner, "log", refuse_failure)
+    path = tmp_path / "c.tsv"
+    path.write_text(TOY_HEADER, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["split", "--dataset", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset {path}: no data rows\n"
+    assert "failed" not in (out / "run_log.txt").read_text(encoding="utf-8")
 
 
 # the commands of the generated malformed-input test: the kind of input each

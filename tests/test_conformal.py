@@ -300,13 +300,26 @@ class TestRunPipeline:
             assert decision.predicted_label == (1 if prob >= 0.5 else 0)
 
     def test_manifest_id_outside_dataset_rejected(self):
+        # the parts must list exactly the dataset's ids: a manifest of a few
+        # of them is refused for the rows it misses, and a manifest of all of
+        # them plus one more for the extra id
         data = pipeline_corpus()
-        manifest = SplitManifest(
+        manifest = SplitManifest.from_parts(
             protocol="random", seed=99, parameters={},
             train_ids=("c000",), cal_ids=("c001", "x999"), test_ids=("c002",),
         )
-        with pytest.raises(ValueError, match=r"unknown id\(s\): \['x999'\]"):
+        with pytest.raises(ValueError) as err:
             run_pipeline(data, manifest, TrainingConfig(epochs=5))
+        assert str(err.value) == (
+            "manifest: 117 dataset id(s) in no part, "
+            "e.g. ['c003', 'c004', 'c005', 'c006', 'c007']"
+        )
+        superset = SplitManifest.from_parts(
+            "random", 99, {}, data.ids[:100], (*data.ids[100:110], "x999"), data.ids[110:]
+        )
+        with pytest.raises(ValueError) as err:
+            run_pipeline(data, superset, TrainingConfig(epochs=5))
+        assert str(err.value) == "manifest: 1 id(s) not in the dataset, e.g. ['x999']"
 
     def test_external_logits_route(self, tmp_path):
         data = pipeline_corpus()

@@ -55,7 +55,7 @@ def labels_of(data: Dataset, ids) -> list[int]:
 class TestManifest:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
-            SplitManifest(
+            SplitManifest.from_parts(
                 protocol="random", seed=0, parameters={},
                 train_ids=("a", "b"), cal_ids=("b",), test_ids=(),
             )
@@ -71,7 +71,7 @@ class TestManifest:
     def test_overlap_error_names_both_parts_and_an_id(self, parts, message):
         train, cal, test = parts
         with pytest.raises(ValueError) as err:
-            SplitManifest("random", 0, {}, train, cal, test)
+            SplitManifest.from_parts("random", 0, {}, train, cal, test)
         assert str(err.value) == f"manifest {message}"
 
     @pytest.mark.parametrize("part", ["train", "cal", "test"])
@@ -79,7 +79,7 @@ class TestManifest:
         parts = {"train_ids": ("a", "b"), "cal_ids": ("c",), "test_ids": ("d",)}
         parts[f"{part}_ids"] += ("e", "e", "e")
         with pytest.raises(ValueError) as err:
-            SplitManifest(protocol="random", seed=0, parameters={}, **parts)
+            SplitManifest.from_parts(protocol="random", seed=0, parameters={}, **parts)
         assert str(err.value) == f"manifest {part}_ids lists id 'e' more than once"
 
     def test_json_round_trip(self, tmp_path):
@@ -112,7 +112,7 @@ class TestManifest:
         path.write_text(manifest.to_json())
         bound = SplitManifest.load(path).bind(data, "here")
         assert bound.row_part.tolist() == manifest.row_part.tolist()
-        assert bound.split_ids == data.ids
+        assert bound.ids is data.ids
         for a, b in zip(bound.take(data, *PARTS), manifest.take(data, *PARTS)):
             assert a == b
 
@@ -127,22 +127,76 @@ class TestManifest:
         data = corpus(40, 8)
         ids = sorted(data.ids)
         test = ids[30:38] if change == "drop" else ids[30:] + ["extra-b", "extra-a"]
-        manifest = SplitManifest("random", 0, {}, tuple(ids[:20]), tuple(ids[20:30]), tuple(test))
+        manifest = SplitManifest.from_parts("random", 0, {}, ids[:20], ids[20:30], test)
         with pytest.raises(ValueError) as err:
             manifest.bind(data, "here")
         assert str(err.value) == message
 
     def test_hand_built_manifest_is_taken_by_id(self):
+        # take binds by id a manifest that lists data's ids in another order,
+        # and refuses one that lists only some of them
         data = corpus(40, 8)
-        manifest = SplitManifest("random", 0, {}, ("x0003", "x0001"), ("x0002",), ())
+        few = SplitManifest.from_parts("random", 0, {}, ("x0003", "x0001"), ("x0002",), ())
+        with pytest.raises(ValueError) as err:
+            few.take(data, *PARTS)
+        assert str(err.value) == (
+            "manifest: 37 dataset id(s) in no part, "
+            "e.g. ['x0000', 'x0004', 'x0005', 'x0006', 'x0007']"
+        )
+        rest = tuple(reversed(data.ids[4:]))
+        manifest = SplitManifest.from_parts(
+            "random", 0, {}, ("x0003", "x0001"), ("x0002",), (*rest, "x0000")
+        )
         train, cal, test = manifest.take(data, *PARTS)
         assert train.ids == ("x0001", "x0003")
-        assert (cal.ids, test.ids) == (("x0002",), ())
+        assert (cal.ids, test.ids) == (("x0002",), ("x0000", *data.ids[4:]))
 
     def test_serialized_ids_sorted(self):
         manifest = split_random(corpus(40, 8), SplitConfig(seed=3))
         payload = json.loads(manifest.to_json())
         assert payload["train_ids"] == sorted(payload["train_ids"])
+
+
+# a split under each protocol, with settings that every corpus of the take
+# test can meet; random-no-test leaves its test part empty
+TAKE_SPLITS = {
+    "random": (split_random, {}),
+    "random-no-test": (split_random, {"fractions": (0.6, 0.4, 0.0)}),
+    "epitope_held_out": (split_epitope_held_out, {"k_test_epitopes": 1}),
+    "epitope_disjoint_cal": (
+        split_epitope_held_out, {"k_test_epitopes": 1, "epitope_disjoint_cal": True},
+    ),
+    "distance_aware": (split_distance_aware, {"identity_ceiling": 0.9}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAKE_SPLITS))
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(12, 40), seed=st.integers(0, 999), shuffle=st.randoms(use_true_random=False))
+def test_take_binds_then_takes_by_position(tmp_path_factory, case, n, seed, shuffle):
+    split, kwargs = TAKE_SPLITS[case]
+    data = corpus(n, n // 2)
+    manifest = split(data, SplitConfig(seed=seed, **kwargs))
+    parts = dict(zip(PARTS, manifest.take(data, *PARTS)))
+    order = list(range(n))
+    shuffle.shuffle(order)
+    permuted = data._take(order)
+    for part, taken in zip(PARTS, manifest.take(permuted, *PARTS)):
+        ids = getattr(manifest, f"{part}_ids")
+        assert taken == permuted.subset(ids) and parts[part] == data.subset(ids)
+        assert len(taken) == len(ids)
+    if case == "random-no-test":
+        assert len(parts["test"]) == 0 and parts["test"].ids == ()
+    path = tmp_path_factory.getbasetemp() / "take-manifest.json"
+    path.write_text(manifest.to_json(), encoding="utf-8")
+    loaded = SplitManifest.load(path)
+    assert dict(zip(PARTS, loaded.take(data, *PARTS))) == parts
+    with pytest.raises(ValueError) as err:
+        manifest.take(permuted._take(list(range(1, n))), "train")
+    assert str(err.value) == f"manifest: 1 id(s) not in the dataset, e.g. [{permuted.ids[0]!r}]"
+    with pytest.raises(ValueError) as err:
+        manifest.take(corpus(n + 1, n // 2), "train")
+    assert str(err.value) == f"manifest: 1 dataset id(s) in no part, e.g. ['x{n:04d}']"
 
 
 class TestSplitRandom:
