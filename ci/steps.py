@@ -107,12 +107,15 @@ def scorer_scale():
     """`tcrselect run` on the 100k-row corpus, random protocol: a baseline test AUROC
     below 0.925 means an under-trained model (300 plain gradient-descent epochs gave
     0.912). A child writes the corpus, so the run forks from a small parent and
-    RUSAGE_CHILDREN's peak is the run's own; it is printed, not gated. Two traced
-    peaks are gated: ingest_tsv of the corpus must stay below 31 MiB (34.3 MiB when
-    the peptide and epitope cells were kept one string per row until the end), and
-    score of the test part below 32 bytes per window (66.8 when it built one count
-    matrix for the whole part). score's logits of the test part must have the bits
-    of tests/kmer_oracle.score, which sums each row in a Python loop."""
+    RUSAGE_CHILDREN's peak is the run's own; it is printed, not gated. Three traced
+    peaks are gated: ingest_tsv of the corpus must stay below 20 MiB (18.2 MiB
+    with the CDR3 columns as byte buffers, 27.3 MiB with one str per cell),
+    train_linear on the train part below 15.9 bytes per window (14.46 with the
+    k-mer digits written from those buffers, 16.2 when the part's fields were joined
+    into one text), and score of the test part below 32 bytes per window (66.8 when
+    it built one count matrix for the whole part). score's logits of the test part
+    must have the bits of tests/kmer_oracle.score, which sums each row in a Python
+    loop."""
     subprocess.run([sys.executable, "-c", "import tcrselect as t; "
                     "t.export_tsv(t.motif_corpus(100000, 1), 'corpus_100k.tsv')"], check=True)
     _, cpu = tcrselect("run", "--dataset", "corpus_100k.tsv", "--protocol", "random",
@@ -124,12 +127,13 @@ def scorer_scale():
     assert auroc >= 0.925, f"baseline test AUROC {auroc:.4f} is below 0.925"
     data, peak = traced_peak(ingest_tsv, "corpus_100k.tsv")
     print(f"ingest_tsv of {len(data)} rows: traced peak {peak / 2**20:.1f} MiB")
-    assert peak < 31 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 31 MiB"
+    assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 20 MiB"
     train, test = split_random(data, SplitConfig()).take(data, "train", "test")
     n_windows = len(encode_kmers(train, 3).code)
     model, peak = traced_peak(train_linear, train)
     print(f"train_linear on {len(train)} rows: traced peak {peak / 2**20:.1f} MiB, "
-          f"{peak / n_windows:.1f} bytes per window ({n_windows} windows)")
+          f"{peak / n_windows:.2f} bytes per window ({n_windows} windows)")
+    assert peak < 15.9 * n_windows, f"{peak / n_windows:.2f} bytes per window is not below 15.9"
     n_windows = len(encode_kmers(test, 3).code)
     table, peak = traced_peak(score, model, test)
     print(f"score on {len(test)} rows: traced peak {peak / 2**20:.1f} MiB, "

@@ -1,13 +1,16 @@
 """Paired-sequence data model: a column store, TSV ingestion, dedup, negatives.
 
 A corpus row is a TCR (cdr3a, cdr3b) paired with a peptide and its epitope id,
-labeled 1 (binds) or 0. A Dataset stores six columns: ids, cdr3a, cdr3b,
-peptide and epitope_id as tuples of str, and labels as an int8 array.
-Sequences are uppercased on ingest and validated against the 20-letter
-amino-acid alphabet. Validation runs once, in bulk over whole columns; only
-when a check fails is a single row examined, to name the first bad row.
-Dataset(ids, cdr3a, cdr3b, peptide, epitope_id, labels) and ingest_tsv run
-the same checks. SequenceExample is the plain row tuple that iteration yields.
+labeled 1 (binds) or 0. A Dataset stores six columns: ids, peptide and
+epitope_id as tuples of str, cdr3a and cdr3b as ResidueColumns (one uint8
+buffer of residue letters plus int64 offsets, Apache Arrow's variable-size
+binary layout), and labels as an int8 array. Sequences have a-z uppercased on
+ingest, and any other character that is not one of the 20 amino-acid letters
+is invalid, named as written. Validation runs once, in bulk over whole
+columns; only when a check fails is a single row examined, to name the first
+bad row. Dataset(ids, cdr3a, cdr3b, peptide, epitope_id, labels) and
+ingest_tsv run the same checks. SequenceExample is the plain row tuple that
+iteration yields, with each sequence as a str.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import json
 import math
 import random
 import sys
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -120,7 +124,7 @@ def _has_break(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _all_residues(seqs: Sequence[str]) -> bool:
+def _all_residues(seqs: Collection[str]) -> bool:
     """Whether every string is non-empty and made of amino-acid letters only."""
     joined = "".join(seqs)
     return (
@@ -130,18 +134,127 @@ def _all_residues(seqs: Sequence[str]) -> bool:
     )
 
 
+# a-z alone: str.upper would fold some other letters into residues, such as
+# "ſ" into "S" and "ß" into "SS"
+_ASCII_UPPER = str.maketrans("abcdefghijklmnopqrstuvwxyz", "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
 def _uppercased(seqs: Iterable[str]) -> tuple[str, ...]:
-    """The strings uppercased, as the same objects when none would change."""
+    """The strings with a-z uppercased, as the same tuple when none changes;
+    each distinct string is uppercased once, and equal results share one object."""
     column = tuple(seqs)
-    joined = "".join(column)
-    return column if joined == joined.upper() else tuple(map(str.upper, column))
+    upper = {seq: seq.translate(_ASCII_UPPER) for seq in set(column)}
+    if all(map(str.__eq__, upper, upper.values())):
+        return column
+    return tuple(map(upper.__getitem__, column))
+
+
+def _encode_cells(cells: Sequence[str], data: bytearray, lengths: list[int]) -> None:
+    """Append the cells' UTF-8 bytes, with a-z uppercased, to data, and the
+    length in bytes of each cell to lengths."""
+    joined = "".join(cells)
+    if joined.isascii():
+        data += joined.encode("ascii").upper()
+        lengths.extend(map(len, cells))
+    else:
+        encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]
+        data += b"".join(encoded).upper()
+        lengths.extend(map(len, encoded))
+
+
+_ROW_BLOCK = 8192  # rows per block of a ResidueColumn gather or decode
+
+
+class ResidueColumn:
+    """A column of sequences in Apache Arrow's variable-size binary layout.
+
+    data is a uint8 array of every sequence's bytes back to back, and offsets
+    an int64 array one longer than the column: row r is
+    data[offsets[r]:offsets[r + 1]]. Both are read-only. A Dataset's columns
+    hold residue letters only, so their bytes are ASCII; one being checked
+    holds UTF-8. Iteration yields each row as a str.
+    """
+
+    __slots__ = ("data", "offsets")
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray) -> None:
+        data.flags.writeable = offsets.flags.writeable = False
+        self.data, self.offsets = data, offsets
+
+    @classmethod
+    def of(cls, seqs: Iterable[str]) -> "ResidueColumn":
+        """The strings, encoded once, with a-z uppercased."""
+        data, lengths = bytearray(), []
+        _encode_cells(list(seqs), data, lengths)
+        return cls.built(data, lengths)
+
+    @classmethod
+    def built(cls, data: bytearray, lengths: list[int]) -> "ResidueColumn":
+        """The column of data and lengths as _encode_cells appends them."""
+        offsets = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(np.frombuffer(data, np.uint8), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(self._strs, range(0, len(self), _ROW_BLOCK)))
+
+    def _strs(self, start: int) -> Iterator[str]:
+        """The rows of the block of _ROW_BLOCK rows from start, each as a str."""
+        bounds = self.offsets[start : start + _ROW_BLOCK + 1]
+        text = self.data[bounds[0] : bounds[-1]].tobytes()
+        bounds = (bounds - bounds[0]).tolist()
+        cells = map(slice, bounds[:-1], bounds[1:])
+        if text.isascii():
+            return map(text.decode("ascii").__getitem__, cells)
+        return (text[cell].decode("utf-8", "surrogatepass") for cell in cells)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResidueColumn):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.data, other.data)
+
+    def lengths(self) -> np.ndarray:
+        """The length of every sequence."""
+        return np.diff(self.offsets)
+
+    def rows(self, start: int, stop: int) -> "ResidueColumn":
+        """Rows start to stop, as views of this column's arrays."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return ResidueColumn(self.data[lo:hi], self.offsets[start : stop + 1] - lo)
+
+    def take(self, rows: np.ndarray) -> "ResidueColumn":
+        """The sequences at rows (an integer array), in that order. The bytes
+        are gathered a block of _ROW_BLOCK rows at a time, so no index array
+        spans the whole result."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        data = np.empty(offsets[-1], np.uint8)
+        for start in range(0, len(rows), _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, len(rows))
+            lo, hi = offsets[start], offsets[stop]
+            # each byte's source position: its row's start, plus its place in the row
+            index = np.repeat(starts[start:stop] - offsets[start:stop], lengths[start:stop])
+            index += np.arange(lo, hi)
+            data[lo:hi] = self.data[index]
+        return ResidueColumn(data, offsets)
+
+    def residues_ok(self) -> bool:
+        """Whether every sequence is non-empty and made of amino-acid letters only."""
+        return bool(self.lengths().all()) and not (
+            self.data.tobytes().translate(None, _RESIDUE_BYTES))
 
 
 def _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> tuple[int, str] | None:
     """(position, message) of the first row that fails a check, or None. The
     checks run in bulk over whole columns, and on single rows only after one
-    fails. Sequences must already be uppercased; labels are text."""
-    residues_ok = all(map(_all_residues, (cdr3a, cdr3b, peptide)))
+    fails. cdr3a and cdr3b are ResidueColumns, peptides have a-z uppercased,
+    and labels are text."""
+    residues_ok = cdr3a.residues_ok() and cdr3b.residues_ok() and _all_residues(set(peptide))
     names = "".join(ids) + "".join(set(epitope_id))
     names_ok = all(ids) and all(epitope_id) and not _has_break(names)
     if set(labels) <= {"0", "1"} and names_ok and residues_ok:
@@ -153,14 +266,20 @@ def _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> tuple[int,
     raise AssertionError("bulk and per-row checks disagree")
 
 
-def _check_unique(
+def _names_unique(
+    ids: Sequence[str], epitope_id: Sequence[str], peptide: Sequence[str]
+) -> bool:
+    """Whether the ids are distinct and each epitope carries one peptide, by one
+    set pass over each column."""
+    pairs = set(zip(epitope_id, peptide))
+    return len(set(ids)) == len(ids) and len(pairs) == len({epitope for epitope, _ in pairs})
+
+
+def _raise_not_unique(
     ids: Sequence[str], epitope_id: Sequence[str], peptide: Sequence[str]
 ) -> None:
-    """Raise ValueError on a duplicate id or on an epitope carrying two
-    peptides, naming the first row at which either happens."""
-    pairs = set(zip(epitope_id, peptide))
-    if len(set(ids)) == len(ids) and len(pairs) == len({epitope for epitope, _ in pairs}):
-        return
+    """Raise ValueError on the first row with a duplicate id or an epitope
+    carrying a second peptide; called once _names_unique has failed."""
     seen: set[str] = set()
     peptide_of: dict[str, str] = {}
     for ex_id, epitope, pep in zip(ids, epitope_id, peptide):
@@ -189,23 +308,24 @@ class SequenceExample(NamedTuple):
 class Dataset:
     """Immutable ordered examples as columns, with unique ids.
 
-    ids, cdr3a, cdr3b, peptide and epitope_id are tuples of str; labels is a
-    read-only int8 array. Examples sharing an epitope_id carry the same
-    peptide. Dataset(*zip(*rows)) builds one from rows; iteration yields
-    SequenceExample rows.
+    ids, peptide and epitope_id are tuples of str; cdr3a and cdr3b are
+    ResidueColumns; labels is a read-only int8 array. Examples sharing an
+    epitope_id carry the same peptide. Dataset(*zip(*rows)) builds one from
+    rows; iteration yields SequenceExample rows.
     """
 
     __slots__ = ("ids", "cdr3a", "cdr3b", "peptide", "epitope_id", "labels")
 
     def __init__(self, ids, cdr3a, cdr3b, peptide, epitope_id, labels) -> None:
         """Six columns of any iterables, checked as ingest_tsv checks a file,
-        with each label read as its text; sequences are uppercased. Unequal
-        lengths, the first bad row ("row <position>: ..."), a duplicate id or
-        an epitope with two peptides raise ValueError."""
+        with each label read as its text; sequences have a-z uppercased.
+        Unequal lengths, the first bad row ("row <position>: ..."), a
+        duplicate id or an epitope with two peptides raise ValueError."""
+        ids, peptide, epitope_id = tuple(ids), _uppercased(peptide), tuple(epitope_id)
+        # the id set, the largest transient, is built before the residue buffers
+        unique = _names_unique(ids, epitope_id, peptide)
         columns = (
-            tuple(ids),
-            *map(_uppercased, (cdr3a, cdr3b, peptide)),
-            tuple(epitope_id),
+            ids, ResidueColumn.of(cdr3a), ResidueColumn.of(cdr3b), peptide, epitope_id,
             tuple(map(str, labels)),
         )
         if len(set(map(len, columns))) > 1:
@@ -213,8 +333,9 @@ class Dataset:
         bad = _first_bad_row(*columns)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")
+        if not unique:
+            _raise_not_unique(ids, epitope_id, peptide)
         ids, cdr3a, cdr3b, peptide, epitope_id, labels = columns
-        _check_unique(ids, epitope_id, peptide)
         labels = np.frombuffer("".join(labels).encode(), np.int8) - 48  # each "0" or "1"
         self._assign(ids, cdr3a, cdr3b, peptide, epitope_id, labels)
 
@@ -231,7 +352,7 @@ class Dataset:
         data._assign(ids, cdr3a, cdr3b, peptide, epitope_id, labels)
         return data
 
-    def _text_columns(self) -> tuple[tuple[str, ...], ...]:
+    def _text_columns(self) -> tuple:
         return (self.ids, self.cdr3a, self.cdr3b, self.peptide, self.epitope_id)
 
     def _take(self, positions: list[int]) -> "Dataset":
@@ -239,8 +360,10 @@ class Dataset:
         # itemgetter of two or more positions returns a tuple
         get = itemgetter(*positions) if len(positions) > 1 else (
             lambda column: tuple(map(column.__getitem__, positions)))
+        rows = np.asarray(positions, dtype=np.intp)
         return Dataset._from_columns(
-            *map(get, self._text_columns()), self.labels[np.asarray(positions, dtype=np.intp)]
+            get(self.ids), self.cdr3a.take(rows), self.cdr3b.take(rows), get(self.peptide),
+            get(self.epitope_id), self.labels[rows],
         )
 
     def __len__(self) -> int:
@@ -272,6 +395,7 @@ class Dataset:
 
 _BLOCK_CHARS = 1 << 16  # characters per read in split_blocks
 _SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f"  # with \t\n\r, the ASCII that str.strip() removes
+_SEQUENCE_FIELDS = ("cdr3a", "cdr3b")  # the columns that ingest reads into ResidueColumns
 
 
 class NotPlainText(Exception):
@@ -327,31 +451,43 @@ def _column_positions(header: list[str], colmap: Mapping[str, str]):
 
 def _ingest_blocks(path: str | Path, colmap: Mapping[str, str]):
     """_ingest_rows for a corpus that split_blocks reads as csv.reader does;
-    the cells need no str.strip when every block is ASCII without spaces."""
+    the cells need no str.strip in a block that is ASCII without spaces. Each
+    block's cdr3a and cdr3b cells are stripped, joined, encoded and appended to
+    one growing buffer per column: keeping each block's bytes apart until the
+    end left 1 MB more of the heap resident on the 100k-row corpus."""
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         first = handle.readline()
         header = first.removesuffix("\n").split("\t")
         if not (any(header) and _csv_plain(first)):
             raise NotPlainText
         positions, picks = _column_positions(header, colmap)
-        cells: tuple[list[str], ...] = ([], [], [], [], [], [])
+        cells: tuple = ([], (bytearray(), []), (bytearray(), []), [], [], [])
         width, strip = len(header), ()
         for text, block in split_blocks(handle, width):
             if not _csv_plain(text):
                 raise NotPlainText
-            if not text.isascii() or any(map(text.__contains__, _SPACES)):
+            spaced = not text.isascii() or any(map(text.__contains__, _SPACES))
+            if spaced:
                 strip = (str.strip,)
             for field, column, pos in zip(colmap, cells, picks):
-                # peptides and epitope ids repeat a few values: keep one string of each
-                shared = field in ("peptide", "epitope_id")
-                column.extend(map(sys.intern, block[pos::width]) if shared else block[pos::width])
-    return positions, cells, [], None, strip
+                part = block[pos::width]
+                if field in _SEQUENCE_FIELDS:
+                    _encode_cells(list(map(str.strip, part)) if spaced else part, *column)
+                elif field in ("peptide", "epitope_id"):
+                    # they repeat a few values: keep one string of each
+                    column.extend(map(sys.intern, part))
+                else:
+                    column.extend(part)
+    ids, cdr3a, cdr3b, peptide, epitope_id, labels = cells
+    return positions, (ids, ResidueColumn.built(*cdr3a), ResidueColumn.built(*cdr3b), peptide,
+                       epitope_id, labels), [], None, strip
 
 
 def _ingest_rows(path: str | Path, colmap: Mapping[str, str]):
-    """(positions, raw cells of the six columns, blank line numbers, the error
-    that stopped the read or None, the steps that clean each cell) of any
-    corpus, read with csv.reader. A corpus that is not UTF-8 is read up to its
+    """(positions, the six columns, blank line numbers, the error that stopped
+    the read or None, the steps that clean each cell) of any corpus, read with
+    csv.reader. cdr3a and cdr3b are ResidueColumns of the stripped cells, and
+    the other columns raw cells. A corpus that is not UTF-8 is read up to its
     first line that does not decode, and that NotUtf8 is the error unless an
     earlier line fails first."""
     try:
@@ -398,7 +534,10 @@ def _read_rows(handle: TextIO, colmap: Mapping[str, str]):
             add_l(row[p_l])
     except csv.Error as err:
         failure = TsvRowError(line + 1, str(err))
-    return positions, cells, blank, failure, (str.strip,)
+    ids, cdr3a, cdr3b, peptide, epitope_id, labels = cells
+    return positions, (ids, ResidueColumn.of(_clean(cdr3a, str.strip)),
+                       ResidueColumn.of(_clean(cdr3b, str.strip)), peptide, epitope_id,
+                       labels), blank, failure, (str.strip,)
 
 
 def _clean(raw: list[str], *steps: Callable[[str], str]) -> tuple[str, ...]:
@@ -418,10 +557,13 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     The id column is optional under its default name id; absent, ids are the
     0-based data-row index, counting blank rows. A renamed id column is
     required. A leading UTF-8 byte-order mark is skipped. Cells are stripped
-    and sequences uppercased. The first malformed row (short, bad label,
-    empty field, invalid residue) raises TsvRowError with its file line
-    number, a data row's index + 2. Bytes that are not UTF-8 raise NotUtf8,
-    naming the first line that does not decode, unless a row before it fails.
+    and sequences have a-z uppercased. The cdr3a and cdr3b cells of each block
+    (or of the whole file, on the csv.reader path) are encoded into the
+    columns' buffers at once, and are not kept as str. The first malformed
+    row (short, bad label, empty field, invalid residue) raises TsvRowError
+    with its file line number, a data row's index + 2. Bytes that are not
+    UTF-8 raise NotUtf8, naming the first line that does not decode, unless a
+    row before it fails.
 
     A file with one cell per header column on every line and no quote, CR,
     NUL or blank line is split a block at a time (split_blocks); csv.reader
@@ -446,10 +588,9 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
     else:
         ids = tuple(str(line - 2) for line in data_lines())
         cells[0].clear()
-    cdr3a = _uppercased(_clean(cells[1], *strip))
-    cdr3b = _uppercased(_clean(cells[2], *strip))
+    cdr3a, cdr3b = cells[1], cells[2]
     # a corpus has few distinct peptides and epitopes: keep one string of each
-    peptide = _clean(cells[3], *strip, str.upper, sys.intern)
+    peptide = _uppercased(_clean(cells[3], *strip, sys.intern))
     epitope_id = _clean(cells[4], *strip, sys.intern)
     raw_labels = _clean(cells[5], *strip)
     bad = _first_bad_row(ids, cdr3a, cdr3b, peptide, epitope_id, raw_labels)
@@ -457,7 +598,8 @@ def ingest_tsv(path: str | Path, columns: Mapping[str, str] | None = None) -> Da
         raise TsvRowError(data_lines()[bad[0]], bad[1])
     if failure is not None:
         raise failure
-    _check_unique(ids, epitope_id, peptide)
+    if not _names_unique(ids, epitope_id, peptide):
+        _raise_not_unique(ids, epitope_id, peptide)
     return Dataset._from_columns(
         ids, cdr3a, cdr3b, peptide, epitope_id,
         np.frombuffer("".join(raw_labels).encode(), np.int8) - 48,
@@ -511,8 +653,8 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
         raise ValueError("positives is empty")
 
     tcr_codes: dict[tuple[str, str], int] = {}  # TCRs numbered in first-seen order
-    tcr_rows = [tcr_codes.setdefault(key, len(tcr_codes))
-                for key in zip(positives.cdr3a, positives.cdr3b)]
+    tcr_of_row = np.fromiter((tcr_codes.setdefault(key, len(tcr_codes))
+                              for key in zip(positives.cdr3a, positives.cdr3b)), np.int64, n_pos)
     peptides = dict(zip(positives.epitope_id, positives.peptide))  # epitopes, first-seen
     if len(peptides) < 2:
         raise ValueError("need at least 2 distinct epitopes to sample non-binders")
@@ -525,7 +667,7 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
     # those no positive binds, are numbered 0 .. n_allowed - 1 in that order
     n_epi = len(peptides)
     epitope_codes = dict(zip(peptides, range(n_epi)))
-    cognate = np.unique(np.array(tcr_rows, dtype=np.int64) * n_epi + np.fromiter(
+    cognate = np.unique(tcr_of_row * n_epi + np.fromiter(
         map(epitope_codes.__getitem__, positives.epitope_id), np.int64, n_pos))
     n_allowed = len(tcr_codes) * n_epi - len(cognate)
     if count > n_allowed:
@@ -537,9 +679,11 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
     # cognate pair i has cognate[i] - i allowed pairs before it: step past each
     # cognate pair that an allowed position reaches
     pairs += np.searchsorted(cognate - np.arange(len(cognate)), pairs, side="right")
-    tcrs, epitopes = list(tcr_codes), list(peptides)
-    tcr = list(map(tcrs.__getitem__, (pairs // n_epi).tolist()))
+    epitopes = list(peptides)
     epitope = list(map(epitopes.__getitem__, (pairs % n_epi).tolist()))
+    # each negative's TCR as the first positive row that holds it
+    first_row = np.unique(tcr_of_row, return_index=True)[1]
+    rows = np.concatenate((np.arange(n_pos), first_row[pairs // n_epi]))
 
     existing = set(positives.ids)
     neg_ids = []
@@ -552,8 +696,8 @@ def generate_negatives(positives: Dataset, target_positive_rate: float, seed: in
     # fresh ids and the positives' own TCRs and epitope peptides: nothing to check
     combined = Dataset._from_columns(
         positives.ids + tuple(neg_ids),
-        positives.cdr3a + tuple(a for a, _ in tcr),
-        positives.cdr3b + tuple(b for _, b in tcr),
+        positives.cdr3a.take(rows),
+        positives.cdr3b.take(rows),
         positives.peptide + tuple(map(peptides.__getitem__, epitope)),
         positives.epitope_id + tuple(epitope),
         np.concatenate((positives.labels, np.zeros(count, dtype=np.int8))),

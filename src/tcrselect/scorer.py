@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .data import Dataset, NotPlainText, NotUtf8, json_text, split_blocks
+from .data import Dataset, NotPlainText, NotUtf8, ResidueColumn, json_text, split_blocks
 
 TCR_NAMESPACE = "tcr"
 PEPTIDE_NAMESPACE = "pep"
@@ -99,8 +99,13 @@ class TrainingConfig:
 
 # Residue digits of the k-mer codes: the 20 amino acids, then the joiner.
 _ALPHABET = "ACDEFGHIKLMNPQRSTVWY" + _JOIN
-_DIGITS = bytes.maketrans(_ALPHABET.encode("ascii"), bytes(range(len(_ALPHABET))))
+_LETTERS = np.frombuffer(_ALPHABET.encode("ascii"), np.uint8)
+_DIGIT_OF_BYTE = np.zeros(256, np.uint8)  # the digit of each residue byte
+_DIGIT_OF_BYTE[_LETTERS] = np.arange(len(_ALPHABET))
 _NAMESPACES = (TCR_NAMESPACE, PEPTIDE_NAMESPACE)
+# Rows per block that encode_kmers writes digits and codes for; a block's
+# temporaries take tens of bytes per residue, a few MB at typical lengths.
+_ENCODE_BLOCK = 8192
 
 
 def _code_dtype(kmer_size: int) -> type:
@@ -113,33 +118,32 @@ def _code_dtype(kmer_size: int) -> type:
     return object
 
 
-def _kmer_codes(fields: Sequence[str], kmer_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window count of every field, and code of every length-k window.
+def _kmer_codes(digits: np.ndarray, lengths: np.ndarray, kmer_size: int) -> np.ndarray:
+    """Code of every length-k window of fields written back to back as residue
+    digits, each followed by one separator whose digit no window reads.
 
-    Windows come in field order, then left to right; a field shorter than k
-    has none. Fields alternate tcr and peptide, so field f has namespace
-    number f & 1. A code is that number followed by the k residue digits in
-    base 21, so two windows share a code exactly when they share namespace
-    and k-mer.
+    lengths holds each field's length. Windows come in field order, then left
+    to right; a field shorter than k has none. Fields alternate tcr and
+    peptide, so field f has namespace number f & 1. A code is that number
+    followed by the k residue digits in base 21, so two windows share a code
+    exactly when they share namespace and k-mer.
     """
-    lengths = np.fromiter(map(len, fields), np.int64, len(fields))
     per_field = np.maximum(lengths - kmer_size + 1, 0)
-    digits = np.frombuffer("\n".join(fields).encode("ascii").translate(_DIGITS), np.uint8)
-    # the code at every position of the joined text, built in place from the
-    # namespace number of the field there (its residues and the newline after
-    # them), then only the positions whose k-mer lies inside one field: the
-    # first per_field of each field's length + 1 positions
+    # the code at every position of the digits, built in place from the
+    # namespace number of the field there (its residues and the separator
+    # after them), then only the positions whose k-mer lies inside one field:
+    # the first per_field of each field's length + 1 positions
     n = max(len(digits) - kmer_size + 1, 0)
-    namespace = (np.arange(len(fields)) & 1).astype(_code_dtype(kmer_size))
+    namespace = (np.arange(len(lengths)) & 1).astype(_code_dtype(kmer_size))
     code = np.repeat(namespace, lengths + 1)[:n]
     for j in range(kmer_size):
         code *= len(_ALPHABET)
         code += digits[j : j + n]
     inside = np.repeat(
-        np.tile([True, False], len(fields)),
+        np.tile([True, False], len(lengths)),
         np.column_stack((per_field, lengths + 1 - per_field)).ravel(),
     )
-    return per_field, code[inside[:n]]
+    return code[inside[:n]]
 
 
 def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +171,13 @@ class KmerWindows:
     """Every k-mer window of a dataset, in dataset order.
 
     Within a row the tcr windows (over cdr3a|cdr3b, or cdr3b alone) come
-    first, then the peptide windows, each left to right. fields[2r] is row
-    r's tcr string and fields[2r + 1] its peptide; per_field[f] is the number
-    of windows of field f, and code[i] identifies the namespace and k-mer of
+    first, then the peptide windows, each left to right. Field 2r is row r's
+    tcr string and field 2r + 1 its peptide; per_field[f] is the number of
+    windows of field f, and code[i] identifies the namespace and k-mer of
     window i (see _kmer_codes).
     """
 
     kmer_size: int
-    fields: list[str]
     per_field: np.ndarray
     code: np.ndarray
 
@@ -198,15 +201,18 @@ class KmerWindows:
     @cached_property
     def keys(self) -> list[str]:
         """Vocabulary key, like "tcr:CAS", of each distinct k-mer in
-        first-seen order: keys[r] names the windows of rank r."""
-        _, first = self.first_seen
-        ends = np.cumsum(self.per_field)
-        field = np.searchsorted(ends, first, side="right")
-        start = first - (ends - self.per_field)[field]
+        first-seen order: keys[r] names the windows of rank r. Each key is
+        read from its code, last digit first."""
+        code = self.code[self.first_seen[1]]
         k = self.kmer_size
+        letters = np.empty((len(code), k), np.uint8)
+        for j in reversed(range(k)):
+            letters[:, j] = _LETTERS[(code % len(_ALPHABET)).astype(np.intp)]
+            code = code // len(_ALPHABET)
+        text = letters.tobytes().decode("ascii")
         return [
-            _NAMESPACES[f & 1] + ":" + self.fields[f][i : i + k]
-            for f, i in zip(field.tolist(), start.tolist())
+            _NAMESPACES[namespace] + ":" + text[i : i + k]
+            for namespace, i in zip(code.tolist(), range(0, len(text), k))
         ]
 
     def columns(self, vocabulary: Mapping[str, int]) -> np.ndarray:
@@ -219,12 +225,51 @@ class KmerWindows:
         return np.array(lookup, dtype=np.int32)[self.first_seen[0]]
 
 
+def _place(digits: np.ndarray, starts: np.ndarray, column: ResidueColumn) -> None:
+    """Write the residue digits of each sequence of column into digits from
+    its start."""
+    index = np.repeat(starts - column.offsets[:-1], column.lengths())
+    index += np.arange(len(column.data))
+    digits[index] = _DIGIT_OF_BYTE[column.data]
+
+
 def encode_kmers(data: Dataset, kmer_size: int, include_cdr3a: bool = True) -> KmerWindows:
-    """The k-mer windows of every example of data; see KmerWindows."""
-    fields = [""] * (2 * len(data))
-    fields[0::2] = map(_JOIN.join, zip(data.cdr3a, data.cdr3b)) if include_cdr3a else data.cdr3b
-    fields[1::2] = data.peptide
-    return KmerWindows(kmer_size, fields, *_kmer_codes(fields, kmer_size))
+    """The k-mer windows of every example of data; see KmerWindows.
+
+    The window count of every field follows from the sequence lengths, so the
+    codes go into one array of their total size. A block of _ENCODE_BLOCK rows
+    at a time, each row's tcr field, a separator, its peptide and a separator
+    are written as digits straight from the columns' buffers, and the block's
+    codes are copied into place.
+    """
+    tcr_lengths = data.cdr3b.lengths()
+    if include_cdr3a:
+        tcr_lengths += data.cdr3a.lengths() + 1
+    peptide_lengths = np.fromiter(map(len, data.peptide), np.int64, len(data))
+    lengths = np.column_stack((tcr_lengths, peptide_lengths)).ravel()
+    del tcr_lengths, peptide_lengths
+    per_field = np.maximum(lengths - kmer_size + 1, 0)
+    code = np.empty(int(per_field.sum()), _code_dtype(kmer_size))
+    done = 0
+    for start in range(0, len(data), _ENCODE_BLOCK):
+        stop = min(start + _ENCODE_BLOCK, len(data))
+        block_lengths = lengths[2 * start : 2 * stop]
+        field_ends = np.cumsum(block_lengths + 1)  # each past its separator
+        field_starts = field_ends - block_lengths - 1
+        digits = np.zeros(int(field_ends[-1]), np.uint8)
+        tcr_starts = field_starts[0::2]
+        if include_cdr3a:
+            cdr3a = data.cdr3a.rows(start, stop)
+            _place(digits, tcr_starts, cdr3a)
+            tcr_starts = tcr_starts + cdr3a.lengths()
+            digits[tcr_starts] = len(_ALPHABET) - 1  # the joiner
+            tcr_starts += 1
+        _place(digits, tcr_starts, data.cdr3b.rows(start, stop))
+        _place(digits, field_starts[1::2], ResidueColumn.of(data.peptide[start:stop]))
+        block = _kmer_codes(digits, block_lengths, kmer_size)
+        code[done : done + len(block)] = block
+        done += len(block)
+    return KmerWindows(kmer_size, per_field, code)
 
 
 def build_vocabulary(windows: KmerWindows) -> dict[str, int]:
@@ -434,7 +479,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
     vocabulary = build_vocabulary(windows)
     rank, per_row = windows.take_first_seen()[0], windows.per_row
-    del windows  # frees the strings and codes before the count matrix is built
+    del windows  # frees the codes before the count matrix is built
     X = _training_matrix(rank, per_row)
     sample_w = np.where(labels == 1.0, w_pos, w_neg)
     step = 1.0 / _smoothness_bound(X, sample_w, config.l2)
@@ -480,7 +525,7 @@ def score(model: LinearScorerModel, data: Dataset) -> ScoreTable:
     """
     windows = encode_kmers(data, model.kmer_size, model.include_cdr3a)
     columns, per_row = windows.columns(model.vocabulary), windows.per_row
-    del windows  # frees the strings and codes before the first block is built
+    del windows  # frees the codes before the first block is built
     offsets = np.append(0, np.cumsum(per_row))
     # a logit starts at the bias, and from -0.0 it stays -0.0 while every term
     # is -0.0; bincount starts each row at +0.0 instead

@@ -353,14 +353,15 @@ def split_distance_aware(data: Dataset, config: SplitConfig) -> SplitManifest:
     identity_ceiling, cal_fraction = config.identity_ceiling, config.cal_fraction
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    distinct = sorted(set(data.cdr3b))
+    cdr3b = list(data.cdr3b)  # each row's cdr3b, decoded once from the column's buffer
+    distinct = sorted(set(cdr3b))
     clusters = cluster_by_identity(distinct, identity_ceiling)
     cluster_of: dict[str, int] = {}
     for cluster_idx, members in enumerate(clusters):
         for string_idx in members:
             cluster_of[distinct[string_idx]] = cluster_idx
     n = len(data)
-    cluster = np.fromiter(map(cluster_of.__getitem__, data.cdr3b), np.intp, n)
+    cluster = np.fromiter(map(cluster_of.__getitem__, cdr3b), np.intp, n)
     counts = np.bincount(cluster, minlength=len(clusters)).tolist()
     biggest = max(counts)
     if biggest > 0.8 * n + 1e-9:

@@ -36,7 +36,8 @@ from tcrselect.splits import (
 
 
 def _check_residues(value: str, field: str) -> str:
-    seq = value.upper()
+    # only a-z is uppercased: str.upper folds "ſ" into "S" and "ß" into "SS"
+    seq = "".join(char.upper() if "a" <= char <= "z" else char for char in value)
     if not seq:
         raise ValueError(f"{field} is empty")
     bad = set(seq) - AMINO_ACIDS
@@ -489,13 +490,13 @@ def generate_negatives(
         serial += 1
     tcr = [tcrs[ti] for ti, _ in chosen]
     epitope = [epitopes[ei] for _, ei in chosen]
-    combined = columns.Dataset._from_columns(
+    combined = columns.Dataset(
         positives.ids + tuple(neg_ids),
-        positives.cdr3a + tuple(a for a, _ in tcr),
-        positives.cdr3b + tuple(b for _, b in tcr),
+        tuple(positives.cdr3a) + tuple(a for a, _ in tcr),
+        tuple(positives.cdr3b) + tuple(b for _, b in tcr),
         positives.peptide + tuple(p for _, p in epitope),
         positives.epitope_id + tuple(e for e, _ in epitope),
-        np.concatenate((positives.labels, np.zeros(count, dtype=np.int8))),
+        positives.labels.tolist() + [0] * count,
     )
     if abs(n_pos - r * len(combined)) > 1.0 + 1e-9:
         raise AssertionError("negative count failed to hit the target rate")

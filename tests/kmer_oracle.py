@@ -42,6 +42,32 @@ def kmer_counts(
     return counts
 
 
+def window_keys(
+    example: SequenceExample, kmer_size: int, include_cdr3a: bool = True
+) -> list[str]:
+    """The key of every window of one example, in encoder order: the tcr
+    windows, then the peptide windows, each left to right."""
+    return [
+        namespace + ":" + seq[start : start + kmer_size]
+        for namespace, seq in (
+            (TCR_NAMESPACE, _tcr_string(example, include_cdr3a)),
+            (PEPTIDE_NAMESPACE, example.peptide),
+        )
+        for start in range(len(seq) - kmer_size + 1)
+    ]
+
+
+def window_code(key: str) -> int:
+    """The code of a window's key: its namespace number (tcr 0, pep 1), then
+    each letter of its k-mer as a base-21 digit, the 20 residues in
+    alphabetical order and the joiner "|" last."""
+    namespace, kmer = key.split(":")
+    code = (TCR_NAMESPACE, PEPTIDE_NAMESPACE).index(namespace)
+    for letter in kmer:
+        code = code * 21 + "ACDEFGHIKLMNPQRSTVWY|".index(letter)
+    return code
+
+
 def build_vocabulary(
     data: Dataset, kmer_size: int, include_cdr3a: bool = True
 ) -> dict[str, int]:

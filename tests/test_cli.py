@@ -183,6 +183,8 @@ NAN, INF = float("nan"), float("inf")
 # good input of an otherwise working command
 MALFORMED = {
     "corpus-bad-residue": ("corpus", "c.tsv", TOY_HEADER + "a\tCAV\tCASB\tGIL\tEP1\t1\n", 1),
+    # str.upper would read these as CAS and CAFF: only a-z is uppercased
+    "corpus-nonascii-residue": ("corpus", "c.tsv", TOY_HEADER + "a\tCAſ\tcaﬀ\tGIL\tEP1\t1\n", 1),
     "corpus-short-row": ("corpus", "c.tsv", TOY_HEADER + "a\tCAV\tCASS\n", 1),
     "corpus-no-label-column": ("corpus", "c.tsv", "id\tcdr3a\tcdr3b\tpeptide\tepitope\n", 1),
     "corpus-duplicate-id": (
@@ -510,6 +512,7 @@ MALFORMED_MESSAGES = {
     "corpus-renamed-id-missing": "error: missing required column 'sample'\n",
     "corpus-not-utf8": "error: dataset {path}: line 2: not valid UTF-8\n",
     "corpus-bad-row-then-not-utf8": "error: line 2: cdr3b contains invalid residue(s) ['B']\n",
+    "corpus-nonascii-residue": "error: line 2: cdr3a contains invalid residue(s) ['ſ']\n",
     "logits-not-utf8": "error: logits {path}: line 2: not valid UTF-8\n",
     "logits-bad-row-then-not-utf8":
         "error: line 1: expected 'id<TAB>logit', got 'ex00000\\t0.5\\t3'\n",

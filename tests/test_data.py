@@ -1,6 +1,7 @@
 """Corpus ingestion, dedup, and negative generation."""
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import dataset_oracle
 from dataset_rows import dataset_of
 from pair_oracle import oracle_dedup, related_strings, thresholds
+from tcrselect import data as data_module
 from tcrselect.data import (
     Dataset,
     NotUtf8,
@@ -39,12 +41,15 @@ def make_dataset(rows, prefix="e"):
     )
 
 
+TSV_HEADER = "id\tcdr3a\tcdr3b\tpeptide\tepitope\tlabel\n"
+
+
 class TestSequenceExample:
     """A row's checks, which run when it goes into a Dataset."""
 
     def test_uppercases_on_construction(self):
         data = dataset_of([make_example(cdr3b="cassLF")])
-        assert data.cdr3b == ("CASSLF",)
+        assert tuple(data.cdr3b) == ("CASSLF",)
         assert next(iter(data)) == make_example(cdr3b="CASSLF")
 
     def test_rejects_invalid_residue(self):
@@ -150,6 +155,25 @@ class TestIngest:
             ingest_tsv(path)
         assert err.value.line == 2
 
+    # str.upper folds each of these into residues ("ß" and "ﬀ" into two);
+    # only a-z is uppercased, so each is an invalid residue, named as written
+    @pytest.mark.parametrize("letter", ["ſ", "ı", "ß", "ﬀ"])
+    @pytest.mark.parametrize("field", [1, 2, 3], ids=["cdr3a", "cdr3b", "peptide"])
+    def test_non_ascii_letter_is_an_invalid_residue(self, tmp_path, letter, field):
+        row = ["a", "cav", "CASS", "gilgf", "EP01", "1"]
+        row[field] += letter
+        message = f"{TSV_HEADER.split()[field]} contains invalid residue(s) [{letter!r}]"
+        for name, line_end in (("block.tsv", "\n"), ("rows.tsv", "\r\n")):
+            path = tmp_path / name
+            text = TSV_HEADER + "\t".join(row) + "\n"
+            path.write_text(text.replace("\n", line_end), encoding="utf-8")
+            with pytest.raises(TsvRowError) as err:
+                ingest_tsv(path)
+            assert str(err.value) == f"line 2: {message}"
+        with pytest.raises(ValueError) as err:
+            Dataset(*zip(row))
+        assert str(err.value) == f"row 0: {message}"
+
     def test_lowercase_accepted(self, tmp_path):
         path = tmp_path / "lower.tsv"
         path.write_text(
@@ -158,7 +182,7 @@ class TestIngest:
             encoding="utf-8",
         )
         data = ingest_tsv(path)
-        assert data.cdr3b == ("CASS",)
+        assert tuple(data.cdr3b) == ("CASS",)
 
     def test_column_mapping(self, tmp_path):
         path = tmp_path / "renamed.tsv"
@@ -223,6 +247,72 @@ def test_not_utf8_names_the_first_line_that_does_not_decode(tmp_path, contents, 
     assert (error.line, error.head) == (line, head)
     assert str(error) == f"dataset {path}: line {line}: not valid UTF-8"
     assert isinstance(error, ValueError)
+
+
+RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
+# names that ingest reads back as written: no quote, tab, line break, control
+# character or whitespace that str.strip would remove
+NAMES = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs"), blacklist_characters='"'),
+    min_size=1, max_size=5,
+)
+
+
+@st.composite
+def valid_rows(draw, max_rows=10):
+    """Rows that Dataset accepts: unique ids, residue sequences, and one
+    peptide per epitope."""
+    ids = draw(st.lists(NAMES, unique=True, max_size=max_rows))
+    sequences = st.text(RESIDUES, min_size=1, max_size=12)
+    peptide_of = draw(st.dictionaries(NAMES, sequences, min_size=1, max_size=3))
+    epitopes = st.sampled_from(sorted(peptide_of))
+    rows = []
+    for row_id in ids:
+        epitope = draw(epitopes)
+        rows.append((row_id, draw(sequences), draw(sequences), peptide_of[epitope], epitope,
+                     draw(st.integers(0, 1))))
+    return rows
+
+
+ROWS = [("a", "CAV", "CASS", "GILGF", "EP1", 1), ("b", "CAVW", "CAS", "GILGF", "EP1", 0),
+        ("c", "C", "CASSY", "NLVPM", "EP2", 1)]
+
+
+def row_bytes(column, rows):
+    """The bytes of each given row of a ResidueColumn, sliced one at a time."""
+    return [column.data[column.offsets[r] : column.offsets[r + 1]].tobytes() for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=valid_rows(), positions=st.lists(st.integers(0, 99), max_size=20),
+       block=st.sampled_from([1, 2, 3, 8192]))
+@example(rows=ROWS, positions=[], block=8192)
+@example(rows=ROWS, positions=[1], block=8192)
+def test_take_gathers_the_rows_slices(rows, positions, block):
+    data = dataset_of(rows)
+    positions = [p % len(rows) for p in positions] if rows else []
+    with mock.patch.object(data_module, "_ROW_BLOCK", block):
+        taken = data._take(positions)
+        assert list(taken) == [SequenceExample(*rows[p]) for p in positions]
+    for column, source in ((taken.cdr3a, data.cdr3a), (taken.cdr3b, data.cdr3b)):
+        assert column.offsets[0] == 0 and column.offsets[-1] == len(column.data)
+        assert row_bytes(column, range(len(positions))) == row_bytes(source, positions)
+        assert not (column.data.flags.writeable or column.offsets.flags.writeable)
+    assert taken.labels.tolist() == [rows[p][5] for p in positions]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=valid_rows(max_rows=30), block_chars=st.sampled_from([1, 7, 32, 1 << 16]))
+def test_export_of_ingest_gives_back_the_file(tmp_path_factory, rows, block_chars):
+    # what export_tsv writes: the default header, then each row's cells as
+    # written, which the block reader reads in blocks of 1 to 65,536 characters
+    path = tmp_path_factory.mktemp("tsv") / "corpus.tsv"
+    path.write_text(TSV_HEADER + "".join("\t".join(map(str, row)) + "\n" for row in rows),
+                    encoding="utf-8", newline="")
+    again = path.with_name("again.tsv")
+    with mock.patch.object(data_module, "_BLOCK_CHARS", block_chars):
+        export_tsv(ingest_tsv(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 class TestDeduplicate:

@@ -148,7 +148,7 @@ def columns_of(data):
     """The six columns of a column-store or an oracle dataset."""
     if isinstance(data, Dataset):
         return (
-            data.ids, data.cdr3a, data.cdr3b, data.peptide, data.epitope_id,
+            data.ids, tuple(data.cdr3a), tuple(data.cdr3b), data.peptide, data.epitope_id,
             data.labels.tolist(),
         )
     rows = data.examples

@@ -231,6 +231,31 @@ class TestEncoderMatchesOracle:
         rank, _ = windows.first_seen
         assert windows.columns(vocab).tolist() == rank.tolist()
 
+    # k = 1, fields shorter than k (sequences of 1 to 16 residues at k = 7 and
+    # 15), cdr3b alone, int64 codes at 7 and Python-int codes at 15; blocks of
+    # 1 to 3 rows put block edges between every pair of rows
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        case=st.sampled_from(
+            [(1, True, np.int32), (3, False, np.int32), (7, True, np.int64), (15, True, object)]
+        ),
+        block=st.sampled_from([1, 2, 3, 8192]),
+    )
+    def test_codes_and_keys_match_oracle(self, data, case, block):
+        kmer_size, include_cdr3a, dtype = case
+        rows = data.draw(example_sets(AMINO, "t"))
+        with mock.patch.object(scorer_module, "_ENCODE_BLOCK", block):
+            windows = encode_kmers(rows, kmer_size, include_cdr3a)
+        expected = [oracle.window_keys(ex, kmer_size, include_cdr3a) for ex in rows]
+        keys = [key for row in expected for key in row]
+        assert windows.code.dtype == dtype
+        assert windows.code.tolist() == list(map(oracle.window_code, keys))
+        assert windows.per_row.tolist() == list(map(len, expected))
+        rank, _ = windows.first_seen
+        assert [windows.keys[r] for r in rank.tolist()] == keys
+        assert windows.keys == list(dict.fromkeys(keys))
+
     # on these 200 rows every k takes np.unique before the first-seen table:
     # 3 has int32 codes (fewer windows than the largest code), 9 and 14 int64
     # codes, 15 object codes; the motif corpus regression below takes the
@@ -367,7 +392,7 @@ def csr_sum_duplicates(windows):
     """The training matrix as scipy builds it: every window a 1.0 entry of its
     row at its first-seen rank, then sum_duplicates."""
     rank, first = _first_seen(windows.code)
-    n_rows = len(windows.fields) // 2
+    n_rows = len(windows.per_field) // 2
     row = np.repeat(np.arange(2 * n_rows) // 2, windows.per_field)
     per_row = np.bincount(row, minlength=n_rows)
     X = csr_matrix(
@@ -525,6 +550,30 @@ def test_train_linear_traced_peak_per_window_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / n_windows < 18.0
+
+
+def test_encode_kmers_traced_peak_per_window_is_bounded(monkeypatch):
+    # encode_kmers writes each block's digits straight from the sequence
+    # buffers and copies the block's codes into one array of the part's
+    # window count. On the random-split train part of motif_corpus(12000, 2),
+    # in blocks of 1,024 rows, the traced peak reads 7.35 bytes per window at
+    # k = 3 on numpy 2.4, 4.58 of them the codes and window counts returned.
+    # Joining the part's fields into one text first, as the encoder once did,
+    # read 15.9. At this size the training matrix sets train_linear's own
+    # peak, 19.1 bytes per window with either encoder, so the encoder is
+    # bounded alone.
+    monkeypatch.setattr(scorer_module, "_ENCODE_BLOCK", 1024)
+    data = motif_corpus(12000, 2)
+    (train,) = split_random(data, SplitConfig()).take(data, "train")
+    n_windows = len(encode_kmers(train, 3).code)
+    assert n_windows == 232_718
+    tracemalloc.start()
+    try:
+        encode_kmers(train, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_windows < 8.5
 
 
 def first_seen_oracle(values: list) -> tuple[list[int], list[int]]:
