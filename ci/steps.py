@@ -2,7 +2,9 @@
 in its own interpreter. A step runs in a fresh temporary directory, calling `tcrselect` on PATH."""
 
 import argparse
+import contextlib
 import filecmp
+import io
 import itertools
 import json
 import math
@@ -22,6 +24,7 @@ from tcrselect import (Dataset, SplitConfig, SyntheticSpec, cluster_by_identity,
                        coverage_experiment, deduplicate, export_tsv, generate_negatives,
                        ingest_tsv, motif_corpus, score, split_random, toy_dataset_path,
                        train_linear)
+from tcrselect import cli, scorer
 from tcrselect.calibration import TEMPERATURE_MIN
 from tcrselect.scorer import _sparsetools, _training_matrix, encode_kmers
 
@@ -107,7 +110,10 @@ def scorer_scale():
     """`tcrselect run` on the 100k-row corpus, random protocol: a baseline test AUROC
     below 0.925 means an under-trained model (300 plain gradient-descent epochs gave
     0.912). A child writes the corpus, so the run forks from a small parent and
-    RUSAGE_CHILDREN's peak is the run's own; it is printed, not gated. Three traced
+    RUSAGE_CHILDREN's peak is the run's own; it is printed, not gated. The same run
+    in process, under tracemalloc, must hold below 9 traced bytes per window when the
+    training matrix allocates (6.95 with the dataset, its train part and the manifest
+    freed by then, 15.84 when the command kept them). Three traced
     peaks are gated: ingest_tsv of the corpus must stay below 20 MiB (18.2 MiB
     with the CDR3 columns as byte buffers, 27.3 MiB with one str per cell),
     train_linear on the train part below 15.9 bytes per window (14.46 with the
@@ -125,6 +131,24 @@ def scorer_scale():
     auroc = json.loads(Path("scale/metrics.json").read_bytes())["methods"]["baseline"]["auroc"]
     print(f"baseline test AUROC {auroc:.4f}")
     assert auroc >= 0.925, f"baseline test AUROC {auroc:.4f} is below 0.925"
+    training_matrix, live = scorer._training_matrix, []
+
+    def probe(rank, per_row):
+        live.append((tracemalloc.get_traced_memory()[0], len(rank)))
+        return training_matrix(rank, per_row)
+
+    scorer._training_matrix = probe
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = traced_peak(cli.main, ["run", "--dataset", "corpus_100k.tsv",
+                                             "--protocol", "random", "--out", "traced/"])
+    finally:
+        scorer._training_matrix = training_matrix
+    assert code == 0, f"run in process exited with {code}"
+    (live, n_windows), = live
+    print(f"run in process: {live / 2**20:.1f} MiB traced live as the training matrix "
+          f"allocates, {live / n_windows:.2f} bytes per window ({n_windows} windows)")
+    assert live < 9 * n_windows, f"{live / n_windows:.2f} bytes per window is not below 9"
     data, peak = traced_peak(ingest_tsv, "corpus_100k.tsv")
     print(f"ingest_tsv of {len(data)} rows: traced peak {peak / 2**20:.1f} MiB")
     assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MiB is not below 20 MiB"

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,18 +140,33 @@ def _make_manifest(config: RunConfig, data: Dataset) -> SplitManifest:
     return split_distance_aware(data, split)
 
 
-def _get_manifest(runner: _Runner, args: argparse.Namespace) -> tuple[Dataset, SplitManifest]:
-    """The dataset, and the manifest given by --manifest or else split and
-    written: the prelude of every command that splits."""
+class _Split(NamedTuple):
+    """What the reports read of a split: its protocol, the manifest's
+    fingerprint and the size of each part."""
+
+    protocol: str
+    fingerprint: str
+    sizes: dict[str, int]
+
+
+def _get_manifest(
+    runner: _Runner, args: argparse.Namespace
+) -> tuple[Dataset, SplitManifest, _Split]:
+    """The dataset, the manifest given by --manifest or else split and
+    written, and what the reports read of it: the prelude of every command
+    that splits. The manifest is serialized once, to be written or hashed."""
     data = _load_dataset(runner.config)
     manifest_path = getattr(args, "manifest", None)
     if manifest_path:
         manifest = SplitManifest.load(manifest_path).bind(data, f"manifest {manifest_path}")
         runner.log(f"loaded manifest from {manifest_path}")
-        return data, manifest
-    manifest = _make_manifest(runner.config, data)
-    runner.write_text("manifest.json", manifest.to_json())
-    return data, manifest
+        fingerprint = manifest.fingerprint()
+    else:
+        manifest = _make_manifest(runner.config, data)
+        text = manifest.to_json()
+        runner.write_text("manifest.json", text)
+        fingerprint = _sha256(text)
+    return data, manifest, _Split(manifest.protocol, fingerprint, manifest.part_sizes())
 
 
 def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
@@ -217,39 +232,40 @@ def _method_rows(result: PipelineResult, decisions: DecisionTable) -> dict:
 
 
 def cmd_split(runner: _Runner, args: argparse.Namespace) -> int:
-    data, manifest = _get_manifest(runner, args)
-    print(
-        f"{manifest.protocol} split of {len(data)} examples: "
-        f"train={len(manifest.train_ids)} cal={len(manifest.cal_ids)} "
-        f"test={len(manifest.test_ids)}"
-    )
-    print(f"manifest fingerprint {manifest.fingerprint()}")
+    data, _, split = _get_manifest(runner, args)
+    sizes = " ".join(f"{part}={size}" for part, size in split.sizes.items())
+    print(f"{split.protocol} split of {len(data)} examples: {sizes}")
+    print(f"manifest fingerprint {split.fingerprint}")
     return 0
 
 
 def _run_shared(
     runner: _Runner, args: argparse.Namespace
-) -> tuple[SplitManifest, PipelineResult, dict, str | None]:
-    """The pipeline up to calibrated scores; with the manifest and result, the
-    provenance block and the builtin scorer's JSON text (None for external
-    logits): serialized once, hashed here and written by run."""
+) -> tuple[_Split, PipelineResult, dict, str | None]:
+    """The pipeline up to calibrated scores; with the split's report facts and
+    the result, the provenance block and the builtin scorer's JSON text (None
+    for external logits): serialized once, hashed here and written by run.
+
+    The dataset and the manifest are popped into run_pipeline, so that no
+    frame here holds them: it frees both, and then the train part, before the
+    training matrix is built."""
     config = runner.config
-    data, manifest = _get_manifest(runner, args)
+    *inputs, split = _get_manifest(runner, args)
     builtin = config.scorer.mode == "builtin"
     scorer = config.scorer if builtin else config.scorer.logits_path
-    result = run_pipeline(data, manifest, scorer)
+    result = run_pipeline(inputs.pop(0), inputs.pop(), scorer)
     scorer_json = result.scorer_model.to_json() if result.scorer_model else None
     provenance = {
         "config": runner.config_fingerprint,
-        "manifest": manifest.fingerprint(),
+        "manifest": split.fingerprint,
         "scorer": None if scorer_json is None else _sha256(scorer_json),
         "calibration_ids": ids_fingerprint(result.cal.ids),
     }
-    return manifest, result, provenance, scorer_json
+    return split, result, provenance, scorer_json
 
 
 def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
-    manifest, result, provenance, scorer_json = _run_shared(runner, args)
+    split, result, provenance, scorer_json = _run_shared(runner, args)
     rule, decisions = select(result, runner.config.conformal.epsilon)
     if scorer_json is not None:
         runner.write_text("scorer.json", scorer_json)
@@ -269,11 +285,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     report = {
         "config": runner.settings,
         "provenance": provenance,
-        "split_sizes": {
-            "train": len(manifest.train_ids),
-            "cal": len(manifest.cal_ids),
-            "test": len(manifest.test_ids),
-        },
+        "split_sizes": split.sizes,
         "temperature": result.temperature.to_json_dict(),
         "conformal_rule": rule.to_json_dict(),
         "methods": rows,
@@ -281,7 +293,7 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
     runner.write_json("metrics.json", report)
 
     selective = rows["conformal_selective"]
-    print(f"split {manifest.protocol}: test={len(result.test)} examples")
+    print(f"split {split.protocol}: test={len(result.test)} examples")
     print(
         f"temperature {result.temperature.temperature:.4f} "
         f"(nll {result.temperature.nll_before:.4f} -> {result.temperature.nll_after:.4f})"
@@ -304,12 +316,12 @@ def cmd_run(runner: _Runner, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
-    manifest, result, provenance, _ = _run_shared(runner, args)
+    split, result, provenance, _ = _run_shared(runner, args)
     curve = coverage_risk_sweep(
         result.test_probs,
         result.test.labels,
         grid=runner.config.sweep.grid,
-        source=f"{manifest.protocol} test split",
+        source=f"{split.protocol} test split",
     )
     runner.write_table("coverage_risk.csv", curve.to_csv(), provenance)
     runner.write_json(
@@ -327,7 +339,7 @@ def cmd_sweep(runner: _Runner, args: argparse.Namespace) -> int:
 
 
 def cmd_score(runner: _Runner, args: argparse.Namespace) -> int:
-    data, manifest = _get_manifest(runner, args)
+    data, manifest, _ = _get_manifest(runner, args)
     manifest.check_nonempty("train")
     (train,) = manifest.take(data, "train")
     model = train_linear(train, runner.config.scorer)

@@ -237,12 +237,17 @@ def run_pipeline(
     first when data holds its ids in another order; data with other ids
     raises. An empty cal or test part, or an empty train part for the built-in
     scorer, raises before training.
+
+    Once the parts are taken, data and the manifest are let go, and the train
+    part is handed to train_linear: what the caller does not hold is freed
+    before the training matrix is built.
     """
     train_part = ("train",) if isinstance(scorer, TrainingConfig) else ()
     manifest.check_nonempty(*train_part, "cal", "test")
     cal, test, *train = manifest.take(data, "cal", "test", *train_part)
+    del data, manifest
     if isinstance(scorer, TrainingConfig):
-        model: LinearScorerModel | None = train_linear(train[0], scorer)
+        model: LinearScorerModel | None = train_linear(train.pop(), scorer)
         cal_table = score(model, cal)
         test_table = score(model, test)
     else:

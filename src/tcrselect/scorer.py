@@ -472,11 +472,17 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
     one step of Nesterov's accelerated gradient (FISTA without a prox step)
     at step 1 / _smoothness_bound, so no iterate's loss exceeds the loss at
     zero. final_train_loss is the exact loss of the last iterate.
+
+    train is let go once its labels, ids fingerprint and windows are read, so
+    a caller that holds no other reference has it freed before the training
+    matrix is built.
     """
     labels = train.labels.astype(float)
     n_pos = int(labels.sum())
     w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
+    train_fingerprint = ids_fingerprint(train.ids)
     windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
+    del train
     vocabulary = build_vocabulary(windows)
     rank, per_row = windows.take_first_seen()[0], windows.per_row
     del windows  # frees the codes before the count matrix is built
@@ -506,7 +512,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
         class_weights=(w_pos, w_neg),
         step=step,
         final_train_loss=loss,
-        train_fingerprint=ids_fingerprint(train.ids),
+        train_fingerprint=train_fingerprint,
         # the TrainingConfig fields only, also when config is a subclass of it
         **{f.name: getattr(config, f.name) for f in dataclass_fields(TrainingConfig)},
     )

@@ -142,11 +142,17 @@ class SplitManifest:
             for part in parts
         )
 
+    def part_sizes(self) -> dict[str, int]:
+        """The number of ids in each part, train, cal and test, counted from
+        row_part without building an id tuple."""
+        return dict(zip(PARTS, np.bincount(self.row_part, minlength=len(PARTS)).tolist()))
+
     def check_nonempty(self, *parts: str) -> None:
         """Raise ValueError naming the first of parts (train, cal, test) that
         lists no id."""
+        sizes = self.part_sizes()
         for part in parts:
-            if not getattr(self, f"{part}_ids"):
+            if not sizes[part]:
                 raise ValueError(f"the {part} part of the split is empty")
 
     def to_json_dict(self) -> dict:
@@ -160,15 +166,11 @@ class SplitManifest:
         }
 
     def to_json(self) -> str:
-        return self._json
-
-    @cached_property
-    def _json(self) -> str:
-        # serialized once: a manifest is frozen, and its text is both written
-        # out and hashed by fingerprint
         return json_text(self.to_json_dict())
 
     def fingerprint(self) -> str:
+        """The sha256 of to_json(); a caller that writes the text too can hash
+        what it writes, since each call serializes the manifest afresh."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     @classmethod

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -33,8 +34,9 @@ from tcrselect.calibration import TemperatureModel, apply_temperature
 from tcrselect.cli import _COMMANDS, _check_monotone, _method_rows, _Runner, build_parser, main
 from tcrselect.config import ConfigError, RunConfig, load_config
 from tcrselect.conformal import ConformalRule, PipelineResult, decide
-from tcrselect.data import export_tsv, ingest_tsv
+from tcrselect.data import Dataset, export_tsv, ingest_tsv
 from tcrselect.scorer import ScoreTable, sigmoid
+from tcrselect.splits import SplitManifest
 from tcrselect.toycorpus import motif_corpus, toy_dataset_path
 
 RUN_OUTPUTS = (
@@ -812,6 +814,43 @@ def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs[threads] = [(out / name).read_bytes() for name in ("scorer.json", "logits.tsv")]
     assert len(json.loads(outputs["1"][0])["vocabulary"]) > 50_000
     assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "sweep"])
+def test_training_matrix_is_built_after_the_dataset_and_manifest_are_freed(
+    tmp_path, monkeypatch, command
+):
+    # when the training matrix allocates, run and sweep hold only the cal and
+    # test parts besides the training inputs: the ingested dataset, its train
+    # part and the manifest are unreferenced. The garbage collector stays off,
+    # so each must be freed by its last reference going, not by a collection.
+    export_tsv(motif_corpus(2000, 1), tmp_path / "corpus.tsv")
+    argv = ["--dataset", str(tmp_path / "corpus.tsv"), "--scorer", "builtin"]
+    if command == "replay":
+        assert main(["run", *argv, "--out", str(tmp_path / "first")]) == 0
+        argv += ["--manifest", str(tmp_path / "first" / "manifest.json")]
+    gc.collect()
+    before = {id(o): o for o in gc.get_objects() if isinstance(o, (Dataset, SplitManifest))}
+    live = []
+    training_matrix = tcrselect.scorer._training_matrix
+
+    def probe(rank, per_row):
+        objects = [o for o in gc.get_objects() if id(o) not in before]
+        live.append((
+            sorted(len(o) for o in objects if isinstance(o, Dataset)),
+            sum(isinstance(o, SplitManifest) for o in objects),
+        ))
+        return training_matrix(rank, per_row)
+
+    monkeypatch.setattr(tcrselect.scorer, "_training_matrix", probe)
+    gc.disable()
+    try:
+        name = "sweep" if command == "sweep" else "run"
+        assert main([name, *argv, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        gc.enable()
+    # the cal and test parts of a 2,000-row corpus, and no manifest
+    assert live == [([200, 400], 0)]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
