@@ -65,6 +65,7 @@ from .scorer import (
     LinearScorerModel,
     ScoreTable,
     TrainingConfig,
+    TrainingSet,
     export_logits,
     ingest_logits,
     read_logits,
@@ -108,6 +109,7 @@ __all__ = [
     "SyntheticSpec",
     "TemperatureModel",
     "TrainingConfig",
+    "TrainingSet",
     "TsvRowError",
     "TsvSchemaError",
     "apply_temperature",

@@ -39,7 +39,7 @@ from .conformal import (
 )
 from .data import Dataset, NotUtf8, deduplicate, generate_negatives, ingest_tsv, json_text
 from .metrics import auprc, auroc, coverage_risk_sweep, selective_error
-from .scorer import export_logits, ids_fingerprint, score, sigmoid, train_linear
+from .scorer import TrainingSet, export_logits, ids_fingerprint, score, sigmoid, train_linear
 from .splits import (
     PROTOCOL_EPITOPE_HELD_OUT,
     PROTOCOL_RANDOM,
@@ -148,25 +148,30 @@ class _Split(NamedTuple):
     fingerprint: str
     sizes: dict[str, int]
 
+    @classmethod
+    def of(cls, manifest: SplitManifest, text: str | None) -> _Split:
+        """text is the manifest's JSON as written, hashed as it is; None for
+        a manifest given by --manifest, which is serialized to be hashed."""
+        fingerprint = manifest.fingerprint() if text is None else _sha256(text)
+        return cls(manifest.protocol, fingerprint, manifest.part_sizes())
+
 
 def _get_manifest(
     runner: _Runner, args: argparse.Namespace
-) -> tuple[Dataset, SplitManifest, _Split]:
-    """The dataset, the manifest given by --manifest or else split and
-    written, and what the reports read of it: the prelude of every command
-    that splits. The manifest is serialized once, to be written or hashed."""
+) -> tuple[Dataset, SplitManifest, str | None]:
+    """The dataset, and the manifest given by --manifest or else split and
+    written, with the text written (None for --manifest): the prelude of
+    every command that splits."""
     data = _load_dataset(runner.config)
     manifest_path = getattr(args, "manifest", None)
     if manifest_path:
         manifest = SplitManifest.load(manifest_path).bind(data, f"manifest {manifest_path}")
         runner.log(f"loaded manifest from {manifest_path}")
-        fingerprint = manifest.fingerprint()
-    else:
-        manifest = _make_manifest(runner.config, data)
-        text = manifest.to_json()
-        runner.write_text("manifest.json", text)
-        fingerprint = _sha256(text)
-    return data, manifest, _Split(manifest.protocol, fingerprint, manifest.part_sizes())
+        return data, manifest, None
+    manifest = _make_manifest(runner.config, data)
+    text = manifest.to_json()
+    runner.write_text("manifest.json", text)
+    return data, manifest, text
 
 
 def _quality_row(probs: Sequence[float], labels: Sequence[int]) -> dict:
@@ -232,11 +237,39 @@ def _method_rows(result: PipelineResult, decisions: DecisionTable) -> dict:
 
 
 def cmd_split(runner: _Runner, args: argparse.Namespace) -> int:
-    data, _, split = _get_manifest(runner, args)
+    data, manifest, text = _get_manifest(runner, args)
+    split = _Split.of(manifest, text)
     sizes = " ".join(f"{part}={size}" for part, size in split.sizes.items())
     print(f"{split.protocol} split of {len(data)} examples: {sizes}")
     print(f"manifest fingerprint {split.fingerprint}")
     return 0
+
+
+def _pipeline_inputs(
+    runner: _Runner, args: argparse.Namespace
+) -> tuple[_Split, Dataset, Dataset, TrainingSet | str]:
+    """What the reports read of the split, and run_pipeline's arguments: the
+    cal and test parts, and the train part encoded or the logit TSV.
+
+    This frame holds the only references to the dataset, the manifest, its
+    text and the train part, and lets each go once it is read: the first
+    three when the parts are taken, before the train part is encoded, and
+    the train part on return, before the vocabulary and the training matrix
+    are built. None of them is passed to a call that outlasts that point,
+    since before Python 3.11 a caller holds what it passes until the call
+    returns.
+    """
+    scorer = runner.config.scorer
+    data, manifest, text = _get_manifest(runner, args)
+    split = _Split.of(manifest, text)
+    if scorer.mode != "builtin":
+        manifest.check_nonempty("cal", "test")
+        cal, test = manifest.take(data, "cal", "test")
+        return split, cal, test, scorer.logits_path
+    manifest.check_nonempty("train", "cal", "test")
+    cal, test, train = manifest.take(data, "cal", "test", "train")
+    del data, manifest, text
+    return split, cal, test, TrainingSet(train, scorer)
 
 
 def _run_shared(
@@ -244,16 +277,9 @@ def _run_shared(
 ) -> tuple[_Split, PipelineResult, dict, str | None]:
     """The pipeline up to calibrated scores; with the split's report facts and
     the result, the provenance block and the builtin scorer's JSON text (None
-    for external logits): serialized once, hashed here and written by run.
-
-    The dataset and the manifest are popped into run_pipeline, so that no
-    frame here holds them: it frees both, and then the train part, before the
-    training matrix is built."""
-    config = runner.config
-    *inputs, split = _get_manifest(runner, args)
-    builtin = config.scorer.mode == "builtin"
-    scorer = config.scorer if builtin else config.scorer.logits_path
-    result = run_pipeline(inputs.pop(0), inputs.pop(), scorer)
+    for external logits): serialized once, hashed here and written by run."""
+    split, cal, test, scorer = _pipeline_inputs(runner, args)
+    result = run_pipeline(cal, test, scorer)
     scorer_json = result.scorer_model.to_json() if result.scorer_model else None
     provenance = {
         "config": runner.config_fingerprint,

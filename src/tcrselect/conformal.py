@@ -44,13 +44,12 @@ from .data import Dataset
 from .scorer import (
     LinearScorerModel,
     ScoreTable,
-    TrainingConfig,
+    TrainingSet,
     ingest_logits,
     read_logits,
     score,
     train_linear,
 )
-from .splits import SplitManifest
 
 DECISION_PREDICT = "predict"
 DECISION_ABSTAIN = "abstain"
@@ -224,30 +223,17 @@ class PipelineResult:
 
 
 def run_pipeline(
-    data: Dataset,
-    manifest: SplitManifest,
-    scorer: TrainingConfig | str | Path,
+    cal: Dataset, test: Dataset, scorer: TrainingSet | str | Path
 ) -> PipelineResult:
-    """Score the manifest's cal and test parts of data, fit the temperature on
-    cal and calibrate test; select then thresholds and decides.
+    """Score the cal and test parts of a split, fit the temperature on cal and
+    calibrate test; select then thresholds and decides.
 
-    scorer is a TrainingConfig (train the built-in k-mer scorer on the train
-    part) or the path of an external logit TSV covering the cal and test ids.
-    SplitManifest.take reads the parts by position, binding the manifest
-    first when data holds its ids in another order; data with other ids
-    raises. An empty cal or test part, or an empty train part for the built-in
-    scorer, raises before training.
-
-    Once the parts are taken, data and the manifest are let go, and the train
-    part is handed to train_linear: what the caller does not hold is freed
-    before the training matrix is built.
+    scorer is a TrainingSet of the split's train part (train the built-in
+    k-mer scorer on it) or the path of an external logit TSV covering the cal
+    and test ids.
     """
-    train_part = ("train",) if isinstance(scorer, TrainingConfig) else ()
-    manifest.check_nonempty(*train_part, "cal", "test")
-    cal, test, *train = manifest.take(data, "cal", "test", *train_part)
-    del data, manifest
-    if isinstance(scorer, TrainingConfig):
-        model: LinearScorerModel | None = train_linear(train.pop(), scorer)
+    if isinstance(scorer, TrainingSet):
+        model: LinearScorerModel | None = train_linear(scorer, scorer.config)
         cal_table = score(model, cal)
         test_table = score(model, test)
     else:

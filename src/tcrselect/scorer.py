@@ -464,25 +464,54 @@ def ids_fingerprint(ids: Iterable[str]) -> str:
     return hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()
 
 
-def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> LinearScorerModel:
-    """Fit the k-mer logistic scorer on the training split.
+class TrainingSet:
+    """A training part encoded for train_linear under config: its labels,
+    class weights and ids fingerprint, and its k-mer windows.
+
+    It keeps no reference to the part, so a caller that lets the part go once
+    the set is built has it freed before the vocabulary and the training
+    matrix are. train_linear takes the windows over, so a set trains one
+    model. Raises, before encoding, if the part lacks a class.
+    """
+
+    def __init__(self, train: Dataset, config: TrainingConfig = TrainingConfig()) -> None:
+        self.config = config
+        self.labels = train.labels.astype(float)
+        n_pos = int(self.labels.sum())
+        self.class_weights = class_weights(n_pos, len(self.labels) - n_pos)
+        self.fingerprint = ids_fingerprint(train.ids)
+        self._windows: KmerWindows | None = encode_kmers(
+            train, config.kmer_size, config.include_cdr3a
+        )
+
+    def take_windows(self) -> KmerWindows:
+        """The windows, handed over once."""
+        if self._windows is None:
+            raise ValueError("this TrainingSet has trained a model; build another to train again")
+        windows, self._windows = self._windows, None
+        return windows
+
+
+def train_linear(
+    train: Dataset | TrainingSet, config: TrainingConfig = TrainingConfig()
+) -> LinearScorerModel:
+    """Fit the k-mer logistic scorer on the training split, given as a
+    Dataset or as a TrainingSet of it built under config's k-mer setting.
 
     Deterministic: zero initialization, full-batch updates. Class weights come
     from the training split only; raises if a class is missing. Each epoch is
     one step of Nesterov's accelerated gradient (FISTA without a prox step)
     at step 1 / _smoothness_bound, so no iterate's loss exceeds the loss at
     zero. final_train_loss is the exact loss of the last iterate.
-
-    train is let go once its labels, ids fingerprint and windows are read, so
-    a caller that holds no other reference has it freed before the training
-    matrix is built.
     """
-    labels = train.labels.astype(float)
-    n_pos = int(labels.sum())
-    w_pos, w_neg = class_weights(n_pos, len(labels) - n_pos)
-    train_fingerprint = ids_fingerprint(train.ids)
-    windows = encode_kmers(train, config.kmer_size, config.include_cdr3a)
-    del train
+    if isinstance(train, Dataset):
+        train = TrainingSet(train, config)
+    elif (train.config.kmer_size, train.config.include_cdr3a) != (
+        config.kmer_size, config.include_cdr3a
+    ):
+        raise ValueError("the TrainingSet was built under another k-mer setting than config")
+    labels, (w_pos, w_neg) = train.labels, train.class_weights
+    windows = train.take_windows()
     vocabulary = build_vocabulary(windows)
     rank, per_row = windows.take_first_seen()[0], windows.per_row
     del windows  # frees the codes before the count matrix is built
@@ -512,7 +541,7 @@ def train_linear(train: Dataset, config: TrainingConfig = TrainingConfig()) -> L
         class_weights=(w_pos, w_neg),
         step=step,
         final_train_loss=loss,
-        train_fingerprint=train_fingerprint,
+        train_fingerprint=train.fingerprint,
         # the TrainingConfig fields only, also when config is a subclass of it
         **{f.name: getattr(config, f.name) for f in dataclass_fields(TrainingConfig)},
     )

@@ -29,6 +29,7 @@ from tcrselect.metrics import auroc, coverage_risk_sweep
 from tcrselect.scorer import (
     CountMatrix,
     TrainingConfig,
+    TrainingSet,
     class_weights,
     loss_and_grad,
     sigmoid,
@@ -104,7 +105,8 @@ def test_criterion_3_auroc_invariance():
     with criterion(3, "AUROC identical before and after temperature scaling"):
         data = motif_corpus(600, seed=5)
         manifest = split_random(data, SplitConfig(seed=5))
-        result = run_pipeline(data, manifest, TrainingConfig())
+        train, cal, test = manifest.take(data, "train", "cal", "test")
+        result = run_pipeline(cal, test, TrainingSet(train, TrainingConfig()))
         labels = data.labels_by_id()
         test_labels = [labels[i] for i in result.test.ids]
         raw = auroc(sigmoid(result.test.logits), test_labels)
@@ -213,7 +215,8 @@ def test_criterion_7_coverage_risk_trend():
     with criterion(7, "risk(0.8) < risk(1.0), non-increasing along grid"):
         data = motif_corpus(2000, seed=0)
         manifest = split_random(data, SplitConfig(seed=0))
-        result = run_pipeline(data, manifest, TrainingConfig())
+        train, cal, test = manifest.take(data, "train", "cal", "test")
+        result = run_pipeline(cal, test, TrainingSet(train, TrainingConfig()))
         curve = coverage_risk_sweep(result.test_probs, result.test.labels)
         by_coverage = {p.coverage: p.error_rate for p in curve.points}
         assert by_coverage[0.8] < by_coverage[1.0]

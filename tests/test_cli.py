@@ -816,41 +816,67 @@ def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
+def _holding_arguments(fn):
+    """fn behind a wrapper that holds its arguments until it returns, as a
+    caller on Python 3.10 does and as perfbench's tracer does on any Python."""
+    def held(*args, **kwargs):
+        return fn(*args, **kwargs)
+    return held
+
+
+@pytest.mark.parametrize("callers_hold_arguments", [False, True])
 @pytest.mark.parametrize("command", ["run", "replay", "sweep"])
 def test_training_matrix_is_built_after_the_dataset_and_manifest_are_freed(
-    tmp_path, monkeypatch, command
+    tmp_path, monkeypatch, command, callers_hold_arguments
 ):
-    # when the training matrix allocates, run and sweep hold only the cal and
-    # test parts besides the training inputs: the ingested dataset, its train
-    # part and the manifest are unreferenced. The garbage collector stays off,
-    # so each must be freed by its last reference going, not by a collection.
+    # run and sweep let the ingested dataset and the manifest go once the
+    # parts are taken, before the train part is encoded, and the train part
+    # once it is encoded: when the training matrix allocates, only the cal
+    # and test parts are live besides the training inputs. The garbage
+    # collector stays off, so each must be freed by its last reference going,
+    # not by a collection. That must not hang on whether a call hands its
+    # arguments over to the callee, which Python 3.11 does and 3.10 does not,
+    # so the calls between modules also run with callers that hold them.
     export_tsv(motif_corpus(2000, 1), tmp_path / "corpus.tsv")
     argv = ["--dataset", str(tmp_path / "corpus.tsv"), "--scorer", "builtin"]
     if command == "replay":
         assert main(["run", *argv, "--out", str(tmp_path / "first")]) == 0
         argv += ["--manifest", str(tmp_path / "first" / "manifest.json")]
+    if callers_hold_arguments:
+        for module, name in [(tcrselect.cli, "TrainingSet"), (tcrselect.cli, "run_pipeline"),
+                             (tcrselect.conformal, "train_linear")]:
+            monkeypatch.setattr(module, name, _holding_arguments(getattr(module, name)))
     gc.collect()
     before = {id(o): o for o in gc.get_objects() if isinstance(o, (Dataset, SplitManifest))}
     live = []
-    training_matrix = tcrselect.scorer._training_matrix
 
-    def probe(rank, per_row):
-        objects = [o for o in gc.get_objects() if id(o) not in before]
-        live.append((
-            sorted(len(o) for o in objects if isinstance(o, Dataset)),
-            sum(isinstance(o, SplitManifest) for o in objects),
-        ))
-        return training_matrix(rank, per_row)
+    def probing(name, fn):
+        def probe(*args):
+            objects = [o for o in gc.get_objects() if id(o) not in before]
+            live.append((
+                name,
+                sorted(len(o) for o in objects if isinstance(o, Dataset)),
+                sum(isinstance(o, SplitManifest) for o in objects),
+            ))
+            return fn(*args)
+        return probe
 
-    monkeypatch.setattr(tcrselect.scorer, "_training_matrix", probe)
+    for name in ("encode_kmers", "_training_matrix"):
+        monkeypatch.setattr(tcrselect.scorer, name, probing(name, getattr(tcrselect.scorer, name)))
     gc.disable()
     try:
         name = "sweep" if command == "sweep" else "run"
         assert main([name, *argv, "--out", str(tmp_path / "out")]) == 0
     finally:
         gc.enable()
-    # the cal and test parts of a 2,000-row corpus, and no manifest
-    assert live == [([200, 400], 0)]
+    # the cal, test and train parts of a 2,000-row corpus as the train part
+    # is encoded, then the cal and test parts, and never a manifest
+    assert live == [
+        ("encode_kmers", [200, 400, 1400], 0),
+        ("_training_matrix", [200, 400], 0),
+        ("encode_kmers", [200, 400], 0),
+        ("encode_kmers", [200, 400], 0),
+    ]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

@@ -28,7 +28,7 @@ from tcrselect.conformal import (
     select,
 )
 from tcrselect.data import SequenceExample
-from tcrselect.scorer import TrainingConfig, sigmoid
+from tcrselect.scorer import TrainingConfig, TrainingSet, sigmoid
 from tcrselect.splits import SplitConfig, SplitManifest, split_epitope_held_out, split_random
 from tcrselect.toycorpus import motif_corpus
 
@@ -271,6 +271,15 @@ def pipeline_corpus(n=120, n_pos=40):
     return dataset_of(examples)
 
 
+def run_split(data, manifest, scorer):
+    """run_pipeline on the manifest's parts of data: the built-in scorer
+    trained on the train part for a TrainingConfig, else the logit TSV."""
+    if isinstance(scorer, TrainingConfig):
+        train, cal, test = manifest.take(data, "train", "cal", "test")
+        return run_pipeline(cal, test, TrainingSet(train, scorer))
+    return run_pipeline(*manifest.take(data, "cal", "test"), scorer)
+
+
 class TestRunPipeline:
     def split(self, data, seed=2):
         return split_random(data, SplitConfig(seed=seed))
@@ -278,7 +287,7 @@ class TestRunPipeline:
     def test_end_to_end_wiring(self):
         data = pipeline_corpus()
         manifest = self.split(data)
-        result = run_pipeline(data, manifest, TrainingConfig(epochs=50))
+        result = run_split(data, manifest, TrainingConfig(epochs=50))
         rule, decisions = select(result, 0.2)
         assert len(decisions) == len(manifest.test_ids)
         assert decisions.ids is result.test.ids
@@ -291,7 +300,7 @@ class TestRunPipeline:
     def test_retain_all_equals_plain_thresholding(self):
         data = pipeline_corpus()
         manifest = self.split(data)
-        result = run_pipeline(data, manifest, TrainingConfig(epochs=50))
+        result = run_split(data, manifest, TrainingConfig(epochs=50))
         with pytest.warns(RuntimeWarning):
             rule, decisions = select(result, 0.01)
         assert rule.retain_all
@@ -309,7 +318,7 @@ class TestRunPipeline:
             train_ids=("c000",), cal_ids=("c001", "x999"), test_ids=("c002",),
         )
         with pytest.raises(ValueError) as err:
-            run_pipeline(data, manifest, TrainingConfig(epochs=5))
+            run_split(data, manifest, TrainingConfig(epochs=5))
         assert str(err.value) == (
             "manifest: 117 dataset id(s) in no part, "
             "e.g. ['c003', 'c004', 'c005', 'c006', 'c007']"
@@ -318,19 +327,19 @@ class TestRunPipeline:
             "random", 99, {}, data.ids[:100], (*data.ids[100:110], "x999"), data.ids[110:]
         )
         with pytest.raises(ValueError) as err:
-            run_pipeline(data, superset, TrainingConfig(epochs=5))
+            run_split(data, superset, TrainingConfig(epochs=5))
         assert str(err.value) == "manifest: 1 id(s) not in the dataset, e.g. ['x999']"
 
     def test_external_logits_route(self, tmp_path):
         data = pipeline_corpus()
         manifest = self.split(data)
-        builtin = run_pipeline(data, manifest, TrainingConfig(epochs=50))
+        builtin = run_split(data, manifest, TrainingConfig(epochs=50))
         from tcrselect.scorer import export_logits, score
 
         records = score(builtin.scorer_model, data)
         path = tmp_path / "logits.tsv"
         export_logits(records, path)
-        external = run_pipeline(data, manifest, path)
+        external = run_split(data, manifest, path)
         assert external.scorer_model is None
         assert external.temperature.temperature == builtin.temperature.temperature
         assert list(select(external, 0.2)[1]) == list(select(builtin, 0.2)[1])
@@ -357,7 +366,7 @@ class TestRunPipeline:
         path = tmp_path / "logits.tsv"
         path.write_text("\n".join(([bad_line] if bad_line else []) + lines) + "\n")
         with pytest.raises(ValueError) as err:
-            run_pipeline(data, manifest, path)
+            run_split(data, manifest, path)
         assert str(err.value) == message.format(**dropped)
 
 
@@ -368,7 +377,7 @@ def test_temperature_moves_no_decision(split):
     # moves probabilities and their metrics, never a decision
     data = motif_corpus(2000, 1)
     manifest = split(data, SplitConfig(k_test_epitopes=3))
-    result = run_pipeline(data, manifest, TrainingConfig())
+    result = run_split(data, manifest, TrainingConfig())
     _, fitted = select(result, 0.2)
     abstained = np.count_nonzero(fitted.predicted == -1)
     assert 0 < abstained < len(fitted)

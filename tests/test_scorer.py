@@ -30,6 +30,7 @@ from tcrselect.scorer import (
     LinearScorerModel,
     ScoreTable,
     TrainingConfig,
+    TrainingSet,
     _first_seen,
     _training_matrix,
     build_vocabulary,
@@ -838,6 +839,16 @@ class TestTrainLinear:
         assert list(backward.ids) == list(reversed(forward.ids))
         by_id = dict(zip(forward.ids, forward.logits))
         assert all(by_id[i] == z for i, z in zip(backward.ids, backward.logits))
+
+    def test_training_set_trains_the_same_model_once(self):
+        data, config = toy_train_set(16), TrainingConfig(epochs=5)
+        training = TrainingSet(data, config)
+        assert train_linear(training, config).to_json() == train_linear(data, config).to_json()
+        # train_linear took the windows over
+        with pytest.raises(ValueError, match="has trained a model"):
+            train_linear(training, config)
+        with pytest.raises(ValueError, match="another k-mer setting"):
+            train_linear(TrainingSet(data, config), TrainingConfig(kmer_size=2))
 
     def test_fingerprint_tracks_train_split(self):
         a = train_linear(toy_train_set(12), TrainingConfig(epochs=2))
